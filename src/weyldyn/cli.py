@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ConstantField, ConstraintViolation, Trajectory
+from .expressions import ExpressionError
 from .observables import kinetic_momentum_from_state, si_rates
 from .potentials import energy_control_field, k_control_field
 from .scenario import (Scenario, ScenarioError, resolve_scenario, run_scenario)
@@ -29,22 +30,42 @@ CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
 FIGURE_PRESETS = ("fig1", "fig2", "fig3", "fig45")
 
 
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    columns = (traj.t, traj.x, traj.y, traj.z, traj.vx, traj.vy, traj.vz,
-               traj.theta, traj.phi, traj.k, traj.e0, traj.px, traj.py,
-               traj.pz, traj.ex, traj.ey, traj.ez, traj.residual)
+_CSV_CHUNK = 1024  # rows formatted per pass; bounds the string temporaries
+
+
+def _write_csv(path: str | Path, header: str, columns) -> None:
+    """Write equal-length float columns as rows of repr(float(v)).
+
+    Within each chunk of rows, every distinct float of a column is
+    formatted once.  Distinct means a distinct bit pattern, so 0.0 and
+    -0.0 keep their own text.
+    """
+    columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in zip(*columns):
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        handle.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_CHUNK):
+            cells = []
+            for col in columns:
+                bits, inverse = np.unique(
+                    col[lo:lo + _CSV_CHUNK].view(np.uint64),
+                    return_inverse=True)
+                text = np.array([repr(v) for v in
+                                 bits.view(np.float64).tolist()], dtype=object)
+                cells.append(text[inverse].tolist())
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    _write_csv(path, ",".join(CSV_COLUMNS),
+               (traj.t, traj.x, traj.y, traj.z, traj.vx, traj.vy, traj.vz,
+                traj.theta, traj.phi, traj.k, traj.e0, traj.px, traj.py,
+                traj.pz, traj.ex, traj.ey, traj.ez, traj.residual))
 
 
 def write_field_csv(ts, fields, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write("t,Ex,Ey,Ez\n")
-        for t, e in zip(ts, fields):
-            handle.write(",".join(repr(float(v))
-                                  for v in (t, e[0], e[1], e[2])) + "\n")
+    fields = np.asarray(fields, dtype=np.float64)
+    _write_csv(path, "t,Ex,Ey,Ez", (ts, fields[:, 0], fields[:, 1],
+                                    fields[:, 2]))
 
 
 def _load(args) -> Scenario:
@@ -286,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

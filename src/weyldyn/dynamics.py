@@ -16,6 +16,17 @@ E is negated before the inversion.
 Integration is classic fourth-order Runge-Kutta on the state
 (position, theta, phi, theta', phi') over a uniform grid.  k is always
 evaluated from the integrated rates, never integrated itself.
+
+The equations are triangular: phi'' needs only Ez, theta'' only phi and
+E, and the position only theta and phi.  So the integrator runs as a
+cascade phi' -> phi -> theta' -> theta -> x, y, z, each RK4 stage a
+whole-array expression and each update a sequential running sum
+(np.add.accumulate).  It keeps the operation order of the scalar
+per-step loop, so results are bit-identical to it; it works in fixed
+blocks of steps, carrying each block's end state into the next, so the
+temporaries stay small.  After each block a run gate looks for the first
+grid point whose compatibility residual is not within the tolerance, or
+whose state or field is not finite, and ends the run there.
 """
 
 from __future__ import annotations
@@ -42,6 +53,8 @@ __all__ = [
     "accel_from_field",
     "integrate_trajectory",
 ]
+
+_BLOCK = 2048  # integration steps per cascade pass; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -222,18 +235,23 @@ class Trajectory:
 
 
 class ConstraintViolation(RuntimeError):
-    """Applied field is incompatible with the angle dynamics."""
+    """The run gate tripped: the applied field is incompatible with the
+    angle dynamics, or a field or state value is not finite."""
 
     def __init__(self, time: float, residual: float, tolerance: float,
-                 partial: Trajectory):
-        super().__init__(
-            f"field/motion compatibility residual {residual:.6g} exceeds "
-            f"tolerance {tolerance:.6g} at t = {time:.6g}"
-        )
+                 partial: Trajectory, *, nonfinite: bool = False):
+        if nonfinite:
+            message = (f"non-finite field or state at t = {time:.6g} "
+                       f"(compatibility residual {residual:.6g})")
+        else:
+            message = (f"field/motion compatibility residual {residual:.6g} "
+                       f"exceeds tolerance {tolerance:.6g} at t = {time:.6g}")
+        super().__init__(message)
         self.time = time
         self.residual = residual
         self.tolerance = tolerance
         self.partial = partial
+        self.nonfinite = nonfinite
 
 
 def _gauge_samples(gauge: ScalarField | None, ts: np.ndarray) -> np.ndarray:
@@ -250,9 +268,10 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
                          constraint_tol: float = 1e-6) -> Trajectory:
     """Integrate the driven state over [0, t_end] on a grid of step dt.
 
-    Raises ConstraintViolation (carrying the partial trajectory) as soon
-    as the applied field fails the x-y compatibility check beyond
-    constraint_tol at a grid point.
+    Raises ConstraintViolation (carrying the partial trajectory up to and
+    including the offending sample) at the first grid point where the
+    x-y compatibility residual is not within constraint_tol, or where the
+    state or the applied field is not finite.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -266,98 +285,100 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     half_ts = np.arange(2 * n + 1) * (0.5 * dt)
     fields = program.sample(half_ts)
 
-    theta_a = np.empty(n + 1)
-    phi_a = np.empty(n + 1)
-    theta_dot_a = np.empty(n + 1)
-    phi_dot_a = np.empty(n + 1)
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    zs = np.empty(n + 1)
-
     q_eff = initial.q * initial.helicity.sign
-    sin, cos = math.sin, math.cos
+    c_theta = 2.0 * q_eff
+    c_phi = -2.0 * q_eff
 
-    def rhs(theta, phi, theta_dot, phi_dot, e):
-        st, ct = sin(theta), cos(theta)
-        sp, cp = sin(phi), cos(phi)
-        tdd = 2.0 * q_eff * (e[0] * sp - e[1] * cp)
-        pdd = -2.0 * q_eff * e[2]
-        return st * cp, st * sp, ct, theta_dot, phi_dot, tdd, pdd
+    # rows: theta, phi, theta', phi', x, y, z
+    state = np.empty((7, n + 1))
+    theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
+    state[:, 0] = (initial.theta, initial.phi, initial.theta_dot,
+                   initial.phi_dot, *initial.position)
+    residual = np.empty(n + 1)
 
-    x, y, z = initial.position
-    theta, phi = initial.theta, initial.phi
-    theta_dot, phi_dot = initial.theta_dot, initial.phi_dot
+    def first_bad(lo, hi, sp, cp):
+        """Fill the residual over grid points lo..hi-1 and return the
+        first of them that fails the run gate, or None."""
+        e = fields[2 * lo:2 * hi:2]
+        res = np.abs(theta_dot_a[lo:hi] * phi_dot_a[lo:hi]
+                     - c_theta * (e[:, 0] * cp + e[:, 1] * sp))
+        residual[lo:hi] = res
+        ok = ((res <= constraint_tol) & np.isfinite(state[:, lo:hi]).all(axis=0)
+              & np.isfinite(e).all(axis=1))
+        bad = np.flatnonzero(~ok)
+        return lo + int(bad[0]) if len(bad) else None
 
-    filled = 0
-    violation = None
-    for i in range(n + 1):
-        theta_a[i] = theta
-        phi_a[i] = phi
-        theta_dot_a[i] = theta_dot
-        phi_dot_a[i] = phi_dot
-        xs[i] = x
-        ys[i] = y
-        zs[i] = z
-        filled = i + 1
+    # Non-finite values are caught by the gate, not reported as warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = None
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            e0 = fields[2 * lo:2 * hi:2]
+            em = fields[2 * lo + 1:2 * hi + 1:2]
+            e1 = fields[2 * lo + 2:2 * hi + 2:2]
+            stage_fields = (e0, em, em, e1)
 
-        e0_field = fields[2 * i]
-        residual = abs(theta_dot * phi_dot - 2.0 * q_eff
-                       * (e0_field[0] * cos(phi) + e0_field[1] * sin(phi)))
-        if residual > constraint_tol:
-            violation = (float(ts[i]), residual)
-            break
-        if i == n:
-            break
+            pdd_mid = c_phi * em[:, 2]
+            phi_dot_s = _rk4_stages(phi_dot_a, lo, hi, dt, c_phi * e0[:, 2],
+                                    pdd_mid, pdd_mid, c_phi * e1[:, 2])
+            phi_s = _rk4_stages(phi_a, lo, hi, dt, *phi_dot_s)
+            sp = [np.sin(p) for p in phi_s]
+            cp = [np.cos(p) for p in phi_s]
+            theta_ddot_s = [c_theta * (e[:, 0] * s - e[:, 1] * c)
+                            for e, s, c in zip(stage_fields, sp, cp)]
+            theta_dot_s = _rk4_stages(theta_dot_a, lo, hi, dt, *theta_ddot_s)
+            theta_s = _rk4_stages(theta_a, lo, hi, dt, *theta_dot_s)
+            st = [np.sin(t) for t in theta_s]
+            _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
+            _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
+            _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
 
-        em_field = fields[2 * i + 1]
-        e1_field = fields[2 * i + 2]
-        h = dt
+            bad = first_bad(lo, hi, sp[0], cp[0])
+            if bad is not None:
+                break
+        else:
+            bad = first_bad(n, n + 1, np.sin(phi_a[n:]), np.cos(phi_a[n:]))
 
-        k1 = rhs(theta, phi, theta_dot, phi_dot, e0_field)
-        k2 = rhs(theta + 0.5 * h * k1[3], phi + 0.5 * h * k1[4],
-                 theta_dot + 0.5 * h * k1[5], phi_dot + 0.5 * h * k1[6],
-                 em_field)
-        k3 = rhs(theta + 0.5 * h * k2[3], phi + 0.5 * h * k2[4],
-                 theta_dot + 0.5 * h * k2[5], phi_dot + 0.5 * h * k2[6],
-                 em_field)
-        k4 = rhs(theta + h * k3[3], phi + h * k3[4],
-                 theta_dot + h * k3[5], phi_dot + h * k3[6],
-                 e1_field)
-
-        sixth = h / 6.0
-        x += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        y += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        z += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        theta += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        phi += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
-        theta_dot += sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
-        phi_dot += sixth * (k1[6] + 2.0 * (k2[6] + k3[6]) + k4[6])
-
-    traj = _assemble(ts[:filled], xs[:filled], ys[:filled], zs[:filled],
-                     theta_a[:filled], phi_a[:filled],
-                     theta_dot_a[:filled], phi_dot_a[:filled],
-                     fields[0:2 * filled:2], gauge, initial, dt)
-    if violation is not None:
-        raise ConstraintViolation(violation[0], violation[1], constraint_tol,
-                                  traj)
+    filled = n + 1 if bad is None else bad + 1
+    traj = _assemble(ts[:filled], state[:, :filled], fields[0:2 * filled:2],
+                     residual[:filled], gauge, initial, dt)
+    if bad is not None:
+        nonfinite = not (np.isfinite(state[:, bad]).all()
+                         and np.isfinite(fields[2 * bad]).all()
+                         and np.isfinite(residual[bad]))
+        raise ConstraintViolation(float(ts[bad]), float(residual[bad]),
+                                  constraint_tol, traj, nonfinite=nonfinite)
     return traj
 
 
-def _assemble(ts, xs, ys, zs, theta_a, phi_a, theta_dot_a, phi_dot_a,
-              fields, gauge, initial: ParticleState, dt: float) -> Trajectory:
+def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
+    """Advance col over steps lo..hi-1 of classic RK4 from the slopes of
+    its four stages; return the stage values of col at those steps.
+
+    The update col[i+1] = col[i] + h/6 (k1 + 2 (k2 + k3) + k4) is a
+    sequential running sum, so each step rounds exactly as a scalar loop
+    would.
+    """
+    seg = col[lo:hi + 1]
+    seg[1:] = (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    np.add.accumulate(seg, out=seg)
+    base = seg[:-1]
+    return base, base + (0.5 * h) * k1, base + (0.5 * h) * k2, base + h * k3
+
+
+def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
+              dt: float) -> Trajectory:
+    theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
     sign = initial.helicity.sign
     st, ct = np.sin(theta_a), np.cos(theta_a)
     sp, cp = np.sin(phi_a), np.cos(phi_a)
     s_vals = _gauge_samples(gauge, ts)
-    q_eff = initial.q * sign
 
     k = 0.5 * np.hypot(st * phi_dot_a, theta_dot_a)
     e0 = -sign * 0.5 * ct * phi_dot_a - s_vals
     px = sign * 0.5 * sp * theta_dot_a - s_vals * st * cp
     py = -sign * 0.5 * cp * theta_dot_a - s_vals * st * sp
     pz = -sign * 0.5 * phi_dot_a - s_vals * ct
-    residual = np.abs(theta_dot_a * phi_dot_a
-                      - 2.0 * q_eff * (fields[:, 0] * cp + fields[:, 1] * sp))
 
     return Trajectory(
         t=ts, x=xs, y=ys, z=zs,

@@ -6,8 +6,10 @@ so the lines land in the live test log.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,9 +373,14 @@ def test_criterion_11_si_rates(report):
 
 
 def test_criterion_12_cli_contract(report, tmp_path):
+    # the child does not see pytest's pythonpath setting, only PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+
     def cli(*args):
         return subprocess.run([sys.executable, "-m", "weyldyn", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     r1 = cli("simulate", "fig3", "--out", str(a))

@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from weyldyn.cli import CSV_COLUMNS, write_field_csv, write_trajectory_csv
+from weyldyn.dynamics import Trajectory
 
 HEADER = ("t,x,y,z,vx,vy,vz,theta,phi,k,E0,px,py,pz,"
           "Ex,Ey,Ez,constraint_residual")
@@ -164,3 +168,97 @@ def test_module_entry_matches_console_script(tmp_path):
                         str(tmp_path / "s.csv")], capture_output=True,
                        text=True)
     assert r.returncode == 0
+
+
+def test_nan_field_fails_the_run_and_writes_partial_csv(tmp_path):
+    scn = tmp_path / "nanfield.scn"
+    scn.write_text("name = nanfield\nfield = expr\nez = sqrt(t - 1)\n"
+                   "t_end = 2\n")
+    out = tmp_path / "nanfield.csv"
+    r = run_cli("simulate", str(scn), "--out", str(out))
+    assert r.returncode == 1
+    assert "non-finite" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "wrote" not in r.stdout
+    lines = out.read_text().splitlines()
+    assert lines[0] == HEADER
+    assert len(lines) == 2  # the first sample already carries Ez = nan
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_law_evaluation_error_exits_2_without_traceback(tmp_path, command):
+    scn = tmp_path / "sqrtlaw.scn"
+    scn.write_text("name = sqrtlaw\ntheta_expr = sqrt(t - 1)\nphi0 = pi/5\n"
+                   "t_end = 2\n")
+    r = run_cli(command, str(scn), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+# --- CSV writers against the row-by-row writers they replaced -----------
+
+def reference_trajectory_csv(traj, path):
+    columns = (traj.t, traj.x, traj.y, traj.z, traj.vx, traj.vy, traj.vz,
+               traj.theta, traj.phi, traj.k, traj.e0, traj.px, traj.py,
+               traj.pz, traj.ex, traj.ey, traj.ez, traj.residual)
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        for row in zip(*columns):
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def reference_field_csv(ts, fields, path):
+    with open(path, "w", newline="") as handle:
+        handle.write("t,Ex,Ey,Ez\n")
+        for t, e in zip(ts, fields):
+            handle.write(",".join(repr(float(v))
+                                  for v in (t, e[0], e[1], e[2])) + "\n")
+
+
+def special_column(rows):
+    odd_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                       dtype=np.uint64).view(np.float64)
+    values = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+              1e16, 1e-5, 0.1, *odd_nan]
+    return np.resize(np.array(values), rows)
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 3000])
+def test_trajectory_csv_matches_row_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    names = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi",
+             "theta_dot", "phi_dot", "k", "e0", "px", "py", "pz", "ex", "ey",
+             "ez", "residual")
+    columns = {}
+    for i, name in enumerate(names):
+        kind = i % 4
+        if kind == 0:
+            columns[name] = special_column(rows)
+        elif kind == 1:
+            columns[name] = np.full(rows, -0.0 if i % 8 == 1 else 0.3)
+        elif kind == 2:
+            columns[name] = np.arange(rows) * 1e-3  # all distinct
+        else:
+            columns[name] = rng.choice([1.5, -2.25, 1e300, -1e-300], rows)
+    traj = Trajectory(**columns)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory_csv(traj, got)
+    reference_trajectory_csv(traj, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 3000])
+def test_field_csv_matches_row_writer(tmp_path, rows):
+    ts = np.arange(rows) * 1e-3
+    special = special_column(rows).tolist()
+    # a list of 3-tuples, as the energy-control path passes it
+    as_tuples = [(s, 0.0, -0.0 if i % 3 else 1e-5)
+                 for i, s in enumerate(special)]
+    as_array = np.column_stack([special_column(rows), np.full(rows, 0.1),
+                                ts[::-1]])
+    for fields in (as_tuples, as_array):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_field_csv(ts, fields, got)
+        reference_field_csv(ts, fields, want)
+        assert got.read_bytes() == want.read_bytes()

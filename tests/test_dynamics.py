@@ -231,3 +231,168 @@ def test_negative_helicity_mirrors_positive_under_flipped_field():
     assert np.array_equal(fwd.theta, mir.theta)
     assert np.array_equal(fwd.phi, mir.phi)
     assert np.array_equal(fwd.k, mir.k)
+
+
+# --- the array cascade against the scalar loop it replaced ---------------
+
+def reference_integrate(initial, program, t_end, dt, constraint_tol=1e-6):
+    """Per-step scalar RK4 loop, kept as the oracle for the array cascade.
+
+    Returns the trajectory up to and including the first grid point whose
+    residual exceeds the tolerance, and (time, residual) of that point or
+    None.
+    """
+    from weyldyn.dynamics import _assemble
+
+    n = int(round(t_end / dt))
+    ts = np.arange(n + 1) * dt
+    half_ts = np.arange(2 * n + 1) * (0.5 * dt)
+    fields = program.sample(half_ts)
+    state = np.empty((7, n + 1))  # theta, phi, theta', phi', x, y, z
+    residual_a = np.empty(n + 1)
+
+    q_eff = initial.q * initial.helicity.sign
+    sin, cos = math.sin, math.cos
+
+    def rhs(theta, phi, theta_dot, phi_dot, e):
+        st, ct = sin(theta), cos(theta)
+        sp, cp = sin(phi), cos(phi)
+        tdd = 2.0 * q_eff * (e[0] * sp - e[1] * cp)
+        pdd = -2.0 * q_eff * e[2]
+        return st * cp, st * sp, ct, theta_dot, phi_dot, tdd, pdd
+
+    x, y, z = initial.position
+    theta, phi = initial.theta, initial.phi
+    theta_dot, phi_dot = initial.theta_dot, initial.phi_dot
+
+    filled = 0
+    violation = None
+    for i in range(n + 1):
+        state[:, i] = (theta, phi, theta_dot, phi_dot, x, y, z)
+        filled = i + 1
+
+        e0_field = fields[2 * i]
+        residual = abs(theta_dot * phi_dot - 2.0 * q_eff
+                       * (e0_field[0] * cos(phi) + e0_field[1] * sin(phi)))
+        residual_a[i] = residual
+        if residual > constraint_tol:
+            violation = (float(ts[i]), residual)
+            break
+        if i == n:
+            break
+
+        em_field = fields[2 * i + 1]
+        e1_field = fields[2 * i + 2]
+        h = dt
+
+        k1 = rhs(theta, phi, theta_dot, phi_dot, e0_field)
+        k2 = rhs(theta + 0.5 * h * k1[3], phi + 0.5 * h * k1[4],
+                 theta_dot + 0.5 * h * k1[5], phi_dot + 0.5 * h * k1[6],
+                 em_field)
+        k3 = rhs(theta + 0.5 * h * k2[3], phi + 0.5 * h * k2[4],
+                 theta_dot + 0.5 * h * k2[5], phi_dot + 0.5 * h * k2[6],
+                 em_field)
+        k4 = rhs(theta + h * k3[3], phi + h * k3[4],
+                 theta_dot + h * k3[5], phi_dot + h * k3[6],
+                 e1_field)
+
+        sixth = h / 6.0
+        x += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        y += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        z += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        theta += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+        phi += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
+        theta_dot += sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
+        phi_dot += sixth * (k1[6] + 2.0 * (k2[6] + k3[6]) + k4[6])
+
+    traj = _assemble(ts[:filled], state[:, :filled], fields[0:2 * filled:2],
+                     residual_a[:filled], None, initial, dt)
+    return traj, violation
+
+
+TRAJECTORY_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi",
+                      "theta_dot", "phi_dot", "k", "e0", "px", "py", "pz",
+                      "ex", "ey", "ez", "residual")
+
+
+def assert_same_trajectory(got, want):
+    for name in TRAJECTORY_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+FIG1_LAW = AngleLaw.linear(math.pi / 2, math.sqrt(3), 0.0, math.sqrt(5))
+
+ORACLE_CASES = {
+    "zero": (ParticleState((0.1, -0.2, 0.3), 0.7, 0.4, 1.3, 0.0, POS, 1.0),
+             ZeroField()),
+    "constant": (make_state(phi=0.3, phi_dot=10.0),
+                 ConstantField((0.0, 0.0, 0.5))),
+    "drive": (ParticleState((0.0, 0.0, 0.0), *FIG1_LAW.angles(0.0),
+                            *FIG1_LAW.rates(0.0), POS, 1.0),
+              DriveField(FIG1_LAW, POS, 1.0)),
+    "expr": (make_state(phi=-1.2, phi_dot=3.0),
+             ExprField(parse_expr("0"), parse_expr("0"),
+                       parse_expr("0.3*cos(0.7*t)"))),
+    "negative": (ParticleState((0.0, 0.0, 0.0), *FIG1_LAW.angles(0.0),
+                               *FIG1_LAW.rates(0.0), NEG, -1.5),
+                 DriveField(FIG1_LAW, NEG, -1.5)),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2048, 2049, 4099])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_cascade_matches_scalar_loop_bit_for_bit(case, steps):
+    initial, program = ORACLE_CASES[case]
+    dt = 1e-3
+    got = integrate_trajectory(initial, program, steps * dt, dt)
+    want, violation = reference_integrate(initial, program, steps * dt, dt)
+    assert violation is None
+    assert len(got) == steps + 1
+    assert_same_trajectory(got, want)
+
+
+def test_cascade_aborts_like_scalar_loop():
+    ramp = ExprField(parse_expr("((t - 0.5) + abs(t - 0.5))^3"),
+                     parse_expr("0"), parse_expr("0"))
+    cases = [(make_state(phi_dot=10.0), ConstantField((1.0, 0.0, 0.0)), 1.0),
+             (make_state(phi_dot=10.0), ramp, 2.0),
+             (make_state(theta=math.pi / 3),
+              ExprField(parse_expr("1e-9*exp(t)"), parse_expr("0"),
+                        parse_expr("0.3*cos(0.7*t)")), 10.0)]
+    for initial, program, t_end in cases:
+        want, (time, residual) = reference_integrate(initial, program, t_end,
+                                                     0.01)
+        with pytest.raises(ConstraintViolation) as exc:
+            integrate_trajectory(initial, program, t_end, 0.01)
+        v = exc.value
+        assert not v.nonfinite
+        assert v.time == time
+        assert v.residual == residual
+        assert len(v.partial) == len(want)
+        assert_same_trajectory(v.partial, want)
+
+
+def test_non_finite_field_at_start_aborts():
+    # Ez does not enter the residual, so only the finiteness gate sees it
+    field = ExprField(parse_expr("0"), parse_expr("0"), parse_expr("sqrt(t - 1)"))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConstraintViolation, match="non-finite") as exc:
+            integrate_trajectory(make_state(phi_dot=1.0), field, 2.0, 0.01)
+    v = exc.value
+    assert v.nonfinite
+    assert v.time == 0.0
+    assert len(v.partial) == 1
+
+
+def test_non_finite_state_midway_aborts_with_finite_history():
+    field = ExprField(parse_expr("0"), parse_expr("0"),
+                      parse_expr("sqrt(0.5 - t)"))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConstraintViolation, match="non-finite") as exc:
+            integrate_trajectory(make_state(phi_dot=1.0), field, 2.0, 0.01)
+    v = exc.value
+    # the half step past t = 0.5 is the first NaN sample; it poisons t = 0.51
+    assert v.time == pytest.approx(0.51)
+    assert len(v.partial) == 52
+    assert np.isnan(v.partial.phi_dot[-1])
+    assert np.isfinite(v.partial.phi_dot[:-1]).all()
