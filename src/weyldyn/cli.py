@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ConstantField, ConstraintViolation, Trajectory
+from .dynamics import ConstraintViolation, Trajectory
 from .expressions import ExpressionError
-from .observables import kinetic_momentum_from_state, si_rates
-from .potentials import energy_control_field, k_control_field
-from .scenario import (Scenario, ScenarioError, resolve_scenario, run_scenario)
+from .observables import si_rates
+from .scenario import (Scenario, ScenarioError, resolve_scenario, run_control,
+                       run_scenario)
 from .verify import run_verification
 
 CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
@@ -87,6 +87,14 @@ def _si_lines(scenario: Scenario) -> list[str]:
     ]
 
 
+def _note_grid_end(scenario: Scenario) -> None:
+    end = scenario.grid_end
+    if abs(end - scenario.t_end) > 1e-9 * scenario.t_end:
+        print(f"note: t_end {scenario.t_end!r} is not a whole number of steps "
+              f"of dt {scenario.dt!r}; the grid ends at t {end!r}",
+              file=sys.stderr)
+
+
 def cmd_verify(args) -> int:
     scenario = _load(args)
     report = run_verification(scenario)
@@ -125,6 +133,7 @@ def _summarize(summary: dict) -> str:
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     out_path = scenario.out or f"{scenario.name}.csv"
+    _note_grid_end(scenario)
     try:
         run = run_scenario(scenario)
     except ConstraintViolation as exc:
@@ -141,99 +150,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _control_window(ts, rate_series, initial_sign) -> int:
-    """Last sample index before the driven rate changes sign."""
-    if initial_sign == 0:
-        return len(ts) - 1
-    flips = np.flatnonzero(np.sign(rate_series) != initial_sign)
-    if len(flips) == 0:
-        return len(ts) - 1
-    return max(1, int(flips[0]) - 1)
-
-
 def cmd_control(args) -> int:
     scenario = _load(args)
-    law = scenario.law
     out_path = scenario.out or f"{scenario.name}_control.csv"
-    n = int(round(scenario.t_end / scenario.dt))
-    ts = np.arange(n + 1) * scenario.dt
-
-    if args.dedt is not None:
-        # field along the velocity; realizes an energy ramp through the
-        # gauge sector while the angle motion is left untouched
-        try:
-            fields = [energy_control_field(args.dedt, law, scenario.q,
-                                           float(t)).e for t in ts]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        write_field_csv(ts, fields, out_path)
-        e0 = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            theta, phi = law.angles(float(t))
-            theta_dot, phi_dot = law.rates(float(t))
-            km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
-                                             -args.dedt * float(t),
-                                             scenario.helicity)
-            e0[i] = km.energy
-        measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
-        target = args.dedt
-        label = "dE0/dt"
-    else:
-        if not law.is_linear:
-            print("error: k control requires a linear angle law",
-                  file=sys.stderr)
-            return 2
-        try:
-            if args.mode == "azimuthal":
-                if law.omega1 != 0:
-                    raise ValueError(
-                        "azimuthal control requires omega1 = 0 (theta pinned)"
-                    )
-                if law.omega2 <= 0:
-                    raise ValueError(
-                        "azimuthal control requires omega2 > 0"
-                    )
-                field = k_control_field(args.dkdt, "azimuthal",
-                                        scenario.helicity, scenario.q,
-                                        theta0=law.theta0)
-            else:
-                if law.omega2 != 0:
-                    raise ValueError(
-                        "polar control requires omega2 = 0 (phi pinned)"
-                    )
-                if law.omega1 < 0:
-                    raise ValueError("polar control requires omega1 >= 0")
-                field = k_control_field(args.dkdt, "polar",
-                                        scenario.helicity, scenario.q,
-                                        phi0=law.phi0)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        program = ConstantField(field.e)
-        write_field_csv(ts, program.sample(ts), out_path)
-        from .dynamics import integrate_trajectory
-        traj = integrate_trajectory(scenario.initial_state(), program,
-                                    scenario.t_end, scenario.dt,
-                                    gauge=scenario.s,
-                                    constraint_tol=scenario.tolerance)
-        if args.mode == "azimuthal":
-            series = traj.phi_dot
-            sign0 = int(np.sign(law.omega2))
-        else:
-            series = traj.theta_dot
-            sign0 = int(np.sign(law.omega1))
-        j = _control_window(traj.t, series, sign0)
-        measured = float((traj.k[j] - traj.k[0]) / (traj.t[j] - traj.t[0]))
-        target = args.dkdt
-        label = "dk/dt"
-
-    deviation = abs(measured - target)
+    _note_grid_end(scenario)
+    try:
+        run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt,
+                          mode=args.mode)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ConstraintViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    write_field_csv(run.ts, run.fields, out_path)
+    deviation = abs(run.measured - run.target)
     achieved = deviation <= 1e-6
     status = "PASS" if achieved else "FAIL"
     print(f"control profile written to {out_path}")
-    print(f"[{status}] target {label} {target!r}, forward simulation "
-          f"measured {measured!r} (|diff| {deviation:.3e}, tol 1e-06)")
+    print(f"[{status}] target {run.label} {run.target!r}, forward simulation "
+          f"measured {run.measured!r} (|diff| {deviation:.3e}, tol 1e-06)")
     return 0 if achieved else 1
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "Trajectory",
     "ConstraintViolation",
     "accel_from_field",
+    "grid_steps",
     "integrate_trajectory",
 ]
 
@@ -262,16 +263,12 @@ def _gauge_samples(gauge: ScalarField | None, ts: np.ndarray) -> np.ndarray:
     return gauge.sample_time(ts)
 
 
-def integrate_trajectory(initial: ParticleState, program: FieldProgram,
-                         t_end: float, dt: float, *,
-                         gauge: ScalarField | None = None,
-                         constraint_tol: float = 1e-6) -> Trajectory:
-    """Integrate the driven state over [0, t_end] on a grid of step dt.
+def grid_steps(t_end: float, dt: float) -> int:
+    """Number of steps n of the uniform grid 0, dt, ..., n*dt on [0, t_end].
 
-    Raises ConstraintViolation (carrying the partial trajectory up to and
-    including the offending sample) at the first grid point where the
-    x-y compatibility residual is not within constraint_tol, or where the
-    state or the applied field is not finite.
+    n is t_end/dt rounded to the nearest integer, so the grid ends at
+    n*dt, which misses t_end when t_end is not a whole number of steps.
+    Raises ValueError when the grid has no step or dt is too small for t_end.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -280,7 +277,22 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
         raise ValueError("t_end shorter than one step")
     if dt < t_end * 1e-14:
         raise ValueError("time step underflows the grid resolution")
+    return n
 
+
+def integrate_trajectory(initial: ParticleState, program: FieldProgram,
+                         t_end: float, dt: float, *,
+                         gauge: ScalarField | None = None,
+                         constraint_tol: float = 1e-6) -> Trajectory:
+    """Integrate the driven state over the grid 0, dt, ..., n*dt, with
+    n = grid_steps(t_end, dt).
+
+    Raises ConstraintViolation (carrying the partial trajectory up to and
+    including the offending sample) at the first grid point where the
+    x-y compatibility residual is not within constraint_tol, or where the
+    state or the applied field is not finite.
+    """
+    n = grid_steps(t_end, dt)
     ts = np.arange(n + 1) * dt
     half_ts = np.arange(2 * n + 1) * (0.5 * dt)
     fields = program.sample(half_ts)
@@ -340,8 +352,11 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
             bad = first_bad(n, n + 1, np.sin(phi_a[n:]), np.cos(phi_a[n:]))
 
     filled = n + 1 if bad is None else bad + 1
-    traj = _assemble(ts[:filled], state[:, :filled], fields[0:2 * filled:2],
-                     residual[:filled], gauge, initial, dt)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the last sample of a partial run may hold inf
+        traj = _assemble(ts[:filled], state[:, :filled],
+                         fields[0:2 * filled:2], residual[:filled], gauge,
+                         initial, dt)
     if bad is not None:
         nonfinite = not (np.isfinite(state[:, bad]).all()
                          and np.isfinite(fields[2 * bad]).all()

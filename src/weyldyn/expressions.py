@@ -84,6 +84,13 @@ class Expr:
     precedence: int = 100
 
     def evaluate(self, bindings: Mapping[str, Number]) -> Number:
+        """Value of the expression under the variable bindings.
+
+        Scalar values evaluate through math and raise EvaluationError on
+        a domain error.  Array values evaluate through numpy with its
+        floating-point warnings off: a domain error there gives nan or
+        inf, left to the caller's finiteness checks.
+        """
         raise NotImplementedError
 
     def diff(self, var: str) -> "Expr":
@@ -179,7 +186,8 @@ class Call(Expr):
         v = self.arg.evaluate(bindings)
         scalar_fn, array_fn = _FUNCTIONS[self.fn]
         if _is_array(v):
-            return array_fn(v)
+            with np.errstate(all="ignore"):
+                return array_fn(v)
         try:
             return scalar_fn(v)
         except (ValueError, OverflowError) as exc:
@@ -211,6 +219,9 @@ class Call(Expr):
 
 
 _BINOP_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
+_NDARRAY = np.ndarray
+_ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+              "^": np.power}
 
 
 @dataclass(frozen=True)
@@ -227,6 +238,10 @@ class BinOp(Expr):
         a = self.left.evaluate(bindings)
         b = self.right.evaluate(bindings)
         op = self.op
+        # an exact type test: the cheapest check on the scalar hot path
+        if a.__class__ is _NDARRAY or b.__class__ is _NDARRAY:
+            with np.errstate(all="ignore"):
+                return _ARRAY_OPS[op](a, b)
         if op == "+":
             return a + b
         if op == "-":
@@ -234,18 +249,14 @@ class BinOp(Expr):
         if op == "*":
             return a * b
         if op == "/":
-            if not _is_array(a) and not _is_array(b):
-                if b == 0:
-                    raise EvaluationError(f"division by zero in '{self}'")
-                return a / b
+            if b == 0:
+                raise EvaluationError(f"division by zero in '{self}'")
             return a / b
         if op == "^":
-            if not _is_array(a) and not _is_array(b):
-                try:
-                    return math.pow(a, b)
-                except (ValueError, OverflowError) as exc:
-                    raise EvaluationError(f"domain error in '{self}': {exc}") from None
-            return np.power(a, b)
+            try:
+                return math.pow(a, b)
+            except (ValueError, OverflowError) as exc:
+                raise EvaluationError(f"domain error in '{self}': {exc}") from None
         raise AssertionError(op)
 
     def diff(self, var):
@@ -602,11 +613,18 @@ class AngleLaw:
     def accelerations(self, t):
         return self.theta.second_derivative(t), self.phi.second_derivative(t)
 
-    def is_drive_free(self, t, tol: float = 0.0) -> bool:
-        """True when theta'' = phi'' = theta'*phi' = 0 at time t."""
+    def is_drive_free(self, t, tol: float = 0.0):
+        """True when theta'' = phi'' = theta'*phi' = 0 at time t.
+
+        For an array of t the answer is a boolean array (or one bool when
+        the law's rates do not depend on t); a non-finite rate or
+        acceleration is never drive free.
+        """
         td, pd = self.rates(t)
         tdd, pdd = self.accelerations(t)
-        return abs(tdd) <= tol and abs(pdd) <= tol and abs(td * pd) <= tol
+        free = ((np.abs(tdd) <= tol) & (np.abs(pdd) <= tol)
+                & (np.abs(td * pd) <= tol))
+        return free if _is_array(free) else bool(free)
 
 
 class ScalarField:

@@ -7,6 +7,9 @@ potential by the same gradient, which cancels in the kinetic momentum.
 
 Natural units (hbar = c = 1) throughout; `si_rates` is the one explicit
 bridge to SI figures.
+
+`velocity_from_angles` and `kinetic_momentum_from_state` take scalars or
+numpy arrays alike; the law-based observables take one time t.
 """
 
 from __future__ import annotations
@@ -71,12 +74,16 @@ class KineticMomentum:
         return np.array([-self.pi_x, -self.pi_y, -self.pi_z])
 
 
-def kinetic_momentum_from_state(theta: float, phi: float, theta_dot: float,
-                                phi_dot: float, s_value: float,
+def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
                                 helicity: Helicity) -> KineticMomentum:
+    """Kinetic momentum from angles, rates and the gauge value.
+
+    Each argument but the helicity may be a scalar or an array (numpy
+    ufuncs); the components broadcast over the arrays given.
+    """
     sign = helicity.sign
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
     pi_t = -sign * 0.5 * ct * phi_dot - s_value
     pi_x = -sign * 0.5 * sp * theta_dot + s_value * st * cp
     pi_y = sign * 0.5 * cp * theta_dot + s_value * st * sp

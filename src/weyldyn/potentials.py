@@ -13,6 +13,10 @@ potential through the usual assignment
 either numerically (central differences on the potential, the slow but
 assumption-free route) or through the closed forms below (the fast
 route).  Tests hold the two routes against each other.
+
+The closed forms take one time t, except energy_control_field, which
+also takes an array of times and returns field components over that
+grid in one pass (numpy ufuncs, rounding exactly as the scalar form).
 """
 
 from __future__ import annotations
@@ -241,23 +245,28 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
 
 
 def energy_control_field(de_dt: float, law: AngleLaw, q: float,
-                         t: float) -> EMField:
+                         t) -> EMField:
     """Field along the velocity that changes the energy at rate de_dt.
 
     Valid when the motion is drive free (theta'' = phi'' = theta'*phi'
     = 0), where the gauge-family field with time-only s reduces to
-    (1/q) dE/dt v.  Same for both helicities.
+    (1/q) dE/dt v.  Same for both helicities.  t may be one time or an
+    array of times; for an array each component is an array over t, or
+    a scalar where the law keeps that component constant.  Raises
+    ValueError unless the law is drive free at every t (a non-finite rate
+    or acceleration is not).
     """
     _require_charge(q)
-    if not law.is_drive_free(t, tol=1e-12):
+    if not np.all(law.is_drive_free(t, tol=1e-12)):
         raise ValueError(
             "energy control requires a drive-free law "
             "(theta'' = phi'' = theta'*phi' = 0)"
         )
     theta, phi = law.angles(t)
-    vx, vy, vz = _unit_velocity(theta, phi)
+    st = np.sin(theta)
     scale = de_dt / q
-    return EMField(e=(scale * vx, scale * vy, scale * vz))
+    return EMField(e=(scale * (st * np.cos(phi)), scale * (st * np.sin(phi)),
+                      scale * np.cos(theta)))
 
 
 def k_control_field(dk_dt: float, mode: str, helicity: Helicity, q: float, *,

@@ -6,8 +6,15 @@ grid, and the verification knobs.  Values on the right-hand side are
 expressions over "pi" and previously defined scalars (q, theta0,
 omega1, phi0, omega2, h_energy), so files can say things like
 "omega1 = sqrt(3)" or "ez = 1/(2*q)".  Unknown keys are rejected so
-typos fail loudly.  The full format is documented in
-docs/scenario-format.md; packaged presets live in presets/.
+typos fail loudly, and so is a grid (t_end, dt) without a single step.
+The full format is documented in docs/scenario-format.md; packaged
+presets live in presets/.
+
+run_scenario integrates a scenario and summarizes the trajectory;
+run_control computes an energy or localization control profile.  Both
+work on the whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt))
+at once: run_control evaluates the angle law, energy_control_field and
+kinetic_momentum_from_state once each on the array of grid times.
 """
 
 from __future__ import annotations
@@ -20,21 +27,24 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (ConstantField, DriveField, ExprField, FieldProgram,
-                       ParticleState, Trajectory, ZeroField,
+                       ParticleState, Trajectory, ZeroField, grid_steps,
                        integrate_trajectory)
 from .expressions import (AngleLaw, Expr, ExpressionError, ExprLaw,
                           ScalarField, eval_expr, parse_expr,
                           plane_wave_phase)
-from .observables import localization_from_rates
+from .observables import kinetic_momentum_from_state, localization_from_rates
+from .potentials import energy_control_field, k_control_field
 from .spinors import Helicity
 
 __all__ = [
+    "ControlRun",
     "Scenario",
     "ScenarioError",
     "ScenarioRun",
     "load_scenario",
     "parse_scenario_text",
     "resolve_scenario",
+    "run_control",
     "run_scenario",
     "PRESET_NAMES",
 ]
@@ -55,6 +65,14 @@ _FIELD_KINDS = ("zero", "constant", "expr", "drive")
 
 class ScenarioError(ValueError):
     pass
+
+
+def _check_grid(t_end: float, dt: float) -> None:
+    try:
+        grid_steps(t_end, dt)
+    except ValueError as exc:
+        raise ScenarioError(
+            f"grid t_end = {t_end!r}, dt = {dt!r}: {exc}") from None
 
 
 @dataclass
@@ -92,6 +110,8 @@ class Scenario:
             if t_end <= 0:
                 raise ScenarioError("t-end override must be positive")
             scn.t_end = t_end
+        if dt is not None or t_end is not None:
+            _check_grid(scn.t_end, scn.dt)
         if seed is not None:
             scn.seed = seed
         if out is not None:
@@ -126,6 +146,11 @@ class Scenario:
         return ParticleState(position=self.start, theta=theta, phi=phi,
                              theta_dot=theta_dot, phi_dot=phi_dot,
                              helicity=self.helicity, q=self.q)
+
+    @property
+    def grid_end(self) -> float:
+        """Last grid time n*dt, which misses t_end when t_end/dt is not whole."""
+        return grid_steps(self.t_end, self.dt) * self.dt
 
     @property
     def preserves_law(self) -> bool:
@@ -278,6 +303,7 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
                        ("tolerance", tolerance)):
         if value <= 0:
             raise ScenarioError(f"key '{key}' must be positive")
+    _check_grid(t_end, dt)
 
     sample_count = integer("sample_count", 100)
     if sample_count < 1:
@@ -406,7 +432,8 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         summary["k_min_refined"] = k_min_ref
         summary["k_max_refined"] = k_max_ref
 
-    if summary["k_min"] <= 1e-6:
+    # a drain needs a k to drain: free flight keeps k = 0 throughout
+    if summary["k_start"] > 1e-6 and summary["k_min"] <= 1e-6:
         summary["k_zero_time"] = summary["t_k_min"]
         later = np.flatnonzero(
             (traj.t > summary["t_k_min"])
@@ -420,3 +447,98 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         summary["k_recovery_time"] = None
 
     return ScenarioRun(scenario=scenario, trajectory=traj, summary=summary)
+
+
+@dataclass
+class ControlRun:
+    """A control field profile on the scenario grid and its check.
+
+    fields holds one (Ex, Ey, Ez) row per grid time ts; series is the
+    controlled quantity on that grid (the energy E0 for an energy target,
+    k for a localization target); measured is its achieved rate, to be
+    held against target.
+    """
+
+    ts: np.ndarray
+    fields: np.ndarray
+    series: np.ndarray
+    measured: float
+    target: float
+    label: str
+
+
+def _control_window(ts, rate_series, initial_sign) -> int:
+    """Last sample index before the driven rate changes sign."""
+    if initial_sign == 0:
+        return len(ts) - 1
+    flips = np.flatnonzero(np.sign(rate_series) != initial_sign)
+    if len(flips) == 0:
+        return len(ts) - 1
+    return max(1, int(flips[0]) - 1)
+
+
+def run_control(scenario: Scenario, *, dedt: float | None = None,
+                dkdt: float | None = None,
+                mode: str = "azimuthal") -> ControlRun:
+    """Control profile for an energy rate dedt or a k rate dkdt.
+
+    dedt: the field along the velocity of a drive-free law, which leaves
+    the angle motion untouched and ramps the energy through the gauge
+    sector (s = -dedt t); the measured rate is read off the kinetic
+    energy over the whole grid.
+
+    dkdt: the constant drive field that changes k at that rate, either
+    through the azimuth (mode "azimuthal", theta pinned, phi rotating) or
+    through the polar angle (mode "polar", phi pinned).  The profile is
+    integrated forward and k's rate is measured up to the last sample
+    before the driven angle rate changes sign.
+
+    Raises ValueError when the law does not admit the requested control.
+    """
+    if (dedt is None) == (dkdt is None):
+        raise ValueError("run_control takes exactly one of dedt and dkdt")
+    law = scenario.law
+    ts = np.arange(grid_steps(scenario.t_end, scenario.dt) + 1) * scenario.dt
+
+    if dedt is not None:
+        field = energy_control_field(dedt, law, scenario.q, ts)
+        fields = np.column_stack([np.broadcast_to(c, ts.shape)
+                                  for c in field.e])
+        theta, phi = law.angles(ts)
+        theta_dot, phi_dot = law.rates(ts)
+        e0 = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
+                                         -dedt * ts, scenario.helicity).energy
+        bad = np.flatnonzero(~(np.isfinite(fields).all(axis=1)
+                               & np.isfinite(e0)))
+        if len(bad):
+            raise ValueError(f"energy control profile is not finite at "
+                             f"t = {float(ts[bad[0]])!r}")
+        measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
+        return ControlRun(ts, fields, e0, measured, dedt, "dE0/dt")
+
+    if not law.is_linear:
+        raise ValueError("k control requires a linear angle law")
+    if mode == "azimuthal":
+        if law.omega1 != 0:
+            raise ValueError(
+                "azimuthal control requires omega1 = 0 (theta pinned)")
+        if law.omega2 <= 0:
+            raise ValueError("azimuthal control requires omega2 > 0")
+    elif mode == "polar":
+        if law.omega2 != 0:
+            raise ValueError("polar control requires omega2 = 0 (phi pinned)")
+        if law.omega1 < 0:
+            raise ValueError("polar control requires omega1 >= 0")
+    field = k_control_field(dkdt, mode, scenario.helicity, scenario.q,
+                            theta0=law.theta0, phi0=law.phi0)
+    program = ConstantField(field.e)
+    traj = integrate_trajectory(scenario.initial_state(), program,
+                                scenario.t_end, scenario.dt,
+                                gauge=scenario.s,
+                                constraint_tol=scenario.tolerance)
+    if mode == "azimuthal":
+        j = _control_window(traj.t, traj.phi_dot, int(np.sign(law.omega2)))
+    else:
+        j = _control_window(traj.t, traj.theta_dot, int(np.sign(law.omega1)))
+    measured = float((traj.k[j] - traj.k[0]) / (traj.t[j] - traj.t[0]))
+    return ControlRun(ts, program.sample(ts), traj.k, measured, dkdt, "dk/dt")

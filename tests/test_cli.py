@@ -196,6 +196,79 @@ def test_law_evaluation_error_exits_2_without_traceback(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
+def test_non_finite_run_leaks_no_numpy_warning(tmp_path):
+    scn = tmp_path / "nanfield.scn"
+    scn.write_text("name = nanfield\nfield = expr\nez = sqrt(t - 1)\n"
+                   "t_end = 2\n")
+    r = run_cli("simulate", str(scn), "--out", str(tmp_path / "o.csv"))
+    assert r.returncode == 1
+    assert any("non-finite" in line for line in r.stderr.splitlines())
+    assert "RuntimeWarning" not in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "free", "--t-end", "0.0001"),
+    ("control", "fig45", "--dkdt", "-0.5", "--t-end", "0.0001"),
+    ("control", "free", "--dedt", "1", "--t-end", "0.0001"),
+])
+def test_grid_without_a_step_exits_2(tmp_path, args):
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "shorter than one step" in r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("control", "--dedt", "1")])
+def test_off_grid_t_end_prints_one_note(tmp_path, command):
+    scn = tmp_path / "offgrid.scn"
+    scn.write_text("theta0 = pi/3\nt_end = 1\ndt = 0.3\n")
+    r = run_cli(command[0], str(scn), *command[1:], "--out",
+                str(tmp_path / "o.csv"))
+    assert r.returncode == 0
+    notes = [ln for ln in r.stderr.splitlines() if ln.startswith("note: ")]
+    assert len(notes) == 1
+    assert "0.8999999999999999" in notes[0]
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_k_drain_lines_only_for_a_drain(tmp_path):
+    free = run_cli("simulate", "free", "--out", str(tmp_path / "a.csv"))
+    assert free.returncode == 0
+    assert free.stderr == ""  # on the grid: no note
+    assert "k reaches zero" not in free.stdout
+    assert "k recovers" not in free.stdout
+    drain = run_cli("simulate", "fig45", "--out", str(tmp_path / "b.csv"))
+    assert drain.returncode == 0
+    assert "k reaches zero near t 10.0" in drain.stdout
+    assert "k recovers its initial value at t" in drain.stdout
+
+
+def test_control_run_gate_failure_exits_1_without_traceback(tmp_path):
+    # the polar field's compatibility residual is a rounding error, about
+    # 1e-16, which a tolerance of 1e-300 does not allow
+    scn = tmp_path / "tight.scn"
+    scn.write_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\nt_end = 1\n"
+                   "tolerance = 1e-300\n")
+    r = run_cli("control", str(scn), "--dkdt", "0.7", "--mode", "polar",
+                cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: field/motion compatibility residual")
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_holds_no_control_physics():
+    import weyldyn.cli as cli
+
+    for name in ("energy_control_field", "k_control_field",
+                 "kinetic_momentum_from_state", "ConstantField",
+                 "integrate_trajectory"):
+        assert not hasattr(cli, name), name
+
+
 # --- CSV writers against the row-by-row writers they replaced -----------
 
 def reference_trajectory_csv(traj, path):

@@ -13,6 +13,7 @@ from weyldyn.dynamics import (
     ParticleState,
     ZeroField,
     accel_from_field,
+    grid_steps,
     integrate_trajectory,
 )
 from weyldyn.expressions import AngleLaw, ScalarField, parse_expr
@@ -396,3 +397,30 @@ def test_non_finite_state_midway_aborts_with_finite_history():
     assert len(v.partial) == 52
     assert np.isnan(v.partial.phi_dot[-1])
     assert np.isfinite(v.partial.phi_dot[:-1]).all()
+
+
+def test_infinite_field_aborts_without_numpy_warnings():
+    # exp overflows to inf mid-run; the last partial sample holds inf and
+    # nan, and neither the field nor the assembly may warn about it
+    # (tier-1 turns a RuntimeWarning into an error)
+    field = ExprField(parse_expr("0"), parse_expr("0"),
+                      parse_expr("exp(1000*t)"))
+    with pytest.raises(ConstraintViolation, match="non-finite") as exc:
+        integrate_trajectory(make_state(theta=1.0, phi_dot=1.0), field,
+                             1.0, 0.001)
+    p = exc.value.partial
+    last = [p.phi[-1], p.phi_dot[-1], p.k[-1], p.e0[-1], p.pz[-1]]
+    assert not np.isfinite(last).all()
+    assert np.isfinite(p.k[:-1]).all()
+
+
+def test_grid_steps_rounds_to_the_nearest_whole_step():
+    assert grid_steps(10.0, 0.001) == 10000
+    assert grid_steps(1.0, 0.3) == 3
+    assert grid_steps(0.0006, 0.001) == 1
+    with pytest.raises(ValueError, match="shorter than one step"):
+        grid_steps(0.0001, 0.001)
+    with pytest.raises(ValueError, match="underflows"):
+        grid_steps(10.0, 1e-20)
+    with pytest.raises(ValueError, match="positive"):
+        grid_steps(1.0, 0.0)

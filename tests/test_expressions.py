@@ -2,22 +2,27 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weyldyn.expressions import (
     AngleLaw,
+    BinOp,
+    Call,
     Const,
     DifferentiationError,
     EvaluationError,
     ExprLaw,
     LinearLaw,
+    Neg,
     ParseError,
     ScalarField,
     diff_expr,
     eval_expr,
     parse_expr,
     plane_wave_phase,
+    Var,
 )
 
 
@@ -264,3 +269,79 @@ def test_scalar_field_sample_time_vectorized():
     s = ScalarField.from_text("t^2 + 1")
     ts = np.linspace(0.0, 2.0, 5)
     assert s.sample_time(ts) == pytest.approx(ts**2 + 1)
+
+
+# --- array evaluation path against the scalar path ----------------------
+
+LEAVES = st.one_of(st.just(Var("t")),
+                   st.floats(-3.0, 3.0, allow_nan=False).map(Const),
+                   st.sampled_from([Const(0.0), Const(1.0), Const(-2.0)]))
+TIMES = st.lists(st.one_of(st.floats(-4.0, 4.0, allow_nan=False),
+                           st.sampled_from([0.0, 1.0, -1.0, 2.0])),
+                 min_size=1, max_size=6)
+
+
+def exact_trees():
+    """Trees of operations that numpy and math round identically."""
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.tuples(st.sampled_from(["sin", "cos", "sqrt", "abs"]),
+                      children).map(lambda a: Call(*a)),
+            st.tuples(st.sampled_from(["+", "-", "*", "/"]), children,
+                      children).map(lambda a: BinOp(*a)))
+    return st.recursive(LEAVES, extend, max_leaves=8)
+
+
+def last_bit_trees():
+    """exp, tan or ^ over exact trees: numpy's exp, tan and power may differ
+    from math's in the last bit."""
+    sub = exact_trees()
+    return st.one_of(
+        st.tuples(st.sampled_from(["exp", "tan"]), sub).map(lambda a: Call(*a)),
+        st.tuples(sub, sub).map(lambda a: BinOp("^", *a)))
+
+
+def _absorbs(expr) -> bool:
+    """An infinite intermediate can turn finite again on the array path
+    (x/inf = 0, exp(-inf) = 0, nan^0 = 1) where the scalar path raised."""
+    text = str(expr)
+    return any(token in text for token in ("/", "^", "exp"))
+
+
+def _check_paths(expr, ts, last_bit):
+    try:
+        values = np.broadcast_to(expr.evaluate({"t": np.array(ts)}),
+                                 (len(ts),))
+    except EvaluationError:
+        # a subtree free of t is evaluated as a scalar on both paths
+        for t in ts:
+            with pytest.raises(EvaluationError):
+                expr.evaluate({"t": t})
+        return
+    for t, a in zip(ts, values):
+        try:
+            s = float(expr.evaluate({"t": t}))
+        except EvaluationError:
+            assert _absorbs(expr) or not np.isfinite(a), (str(expr), t, a)
+            continue
+        if math.isnan(s):
+            assert math.isnan(a), (str(expr), t, a)
+        elif last_bit:
+            assert a in (s, np.nextafter(s, math.inf),
+                         np.nextafter(s, -math.inf)), (str(expr), t, a, s)
+        else:
+            assert (np.float64(a).view(np.uint64)
+                    == np.float64(s).view(np.uint64)), (str(expr), t, a, s)
+
+
+@given(exact_trees(), TIMES)
+@settings(max_examples=400, deadline=None)
+def test_array_path_matches_scalar_path_bit_for_bit(expr, ts):
+    _check_paths(expr, ts, last_bit=False)
+
+
+@given(last_bit_trees(), TIMES)
+@settings(max_examples=200, deadline=None)
+def test_array_path_within_one_ulp_for_exp_tan_pow(expr, ts):
+    _check_paths(expr, ts, last_bit=True)

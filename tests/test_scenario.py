@@ -172,3 +172,36 @@ def test_run_scenario_free_endpoint():
     assert y == pytest.approx(5 * math.sin(math.pi / 3) * math.sin(math.pi / 5),
                               abs=1e-9)
     assert z == pytest.approx(5 * math.cos(math.pi / 3), abs=1e-9)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("dt = 0.001\nt_end = 0.0001\n", "shorter than one step"),
+    ("dt = 1\nt_end = 0.4\n", "shorter than one step"),
+    ("dt = 1e-20\nt_end = 10\n", "underflows"),
+])
+def test_grid_without_a_step_is_a_scenario_error(text, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        parse_scenario_text(text)
+
+
+def test_overrides_giving_no_step_are_a_scenario_error():
+    free = resolve_scenario("free")
+    with pytest.raises(ScenarioError, match="shorter than one step"):
+        free.with_overrides(t_end=0.0001)
+    with pytest.raises(ScenarioError, match="shorter than one step"):
+        free.with_overrides(dt=20.0)
+    assert free.with_overrides(dt=0.01, t_end=0.01).grid_end == 0.01
+
+
+def test_grid_end_is_the_last_grid_time():
+    assert resolve_scenario("free").grid_end == 5.0
+    off = parse_scenario_text("theta0 = pi/3\nt_end = 1\ndt = 0.3\n")
+    assert off.grid_end == 3 * 0.3 == 0.8999999999999999
+
+
+def test_free_flight_reports_no_k_drain():
+    # k is zero from the start, so there is nothing to drain or recover
+    s = run_scenario(resolve_scenario("free")).summary
+    assert s["k_min"] == 0.0 and s["k_start"] == 0.0
+    assert s["k_zero_time"] is None
+    assert s["k_recovery_time"] is None
