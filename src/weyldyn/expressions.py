@@ -23,6 +23,7 @@ constant folding during construction.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ __all__ = [
     "AngleLaw",
     "ScalarField",
     "plane_wave_phase",
+    "elementwise_pow",
 ]
 
 VARIABLES = ("x", "y", "z", "t", "theta", "phi")
@@ -74,6 +76,9 @@ class DifferentiationError(ExpressionError):
     pass
 
 
+_NDARRAY = np.ndarray
+
+
 def _is_array(v) -> bool:
     return isinstance(v, np.ndarray)
 
@@ -89,8 +94,17 @@ class Expr:
         Scalar values evaluate through math and raise EvaluationError on
         a domain error.  Array values evaluate through numpy with its
         floating-point warnings off: a domain error there gives nan or
-        inf, left to the caller's finiteness checks.
+        inf, left to the caller's finiteness checks.  "^" on arrays
+        goes through math.pow value by value (`elementwise_pow`), so
+        it rounds as the scalar "^" does.
         """
+        for value in bindings.values():
+            if value.__class__ is _NDARRAY:
+                with np.errstate(all="ignore"):
+                    return self._eval(bindings)
+        return self._eval(bindings)
+
+    def _eval(self, bindings: Mapping[str, Number]) -> Number:
         raise NotImplementedError
 
     def diff(self, var: str) -> "Expr":
@@ -112,7 +126,7 @@ class Const(Expr):
         # negative literals need parens when embedded, e.g. "a*(-2.0)"
         return 100 if self.value >= 0 else 5
 
-    def evaluate(self, bindings):
+    def _eval(self, bindings):
         return self.value
 
     def diff(self, var):
@@ -129,7 +143,7 @@ class Const(Expr):
 class Var(Expr):
     name: str
 
-    def evaluate(self, bindings):
+    def _eval(self, bindings):
         try:
             return bindings[self.name]
         except KeyError:
@@ -150,8 +164,8 @@ class Neg(Expr):
     arg: Expr
     precedence = 30
 
-    def evaluate(self, bindings):
-        return -self.arg.evaluate(bindings)
+    def _eval(self, bindings):
+        return -self.arg._eval(bindings)
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
@@ -182,12 +196,11 @@ class Call(Expr):
     fn: str
     arg: Expr
 
-    def evaluate(self, bindings):
-        v = self.arg.evaluate(bindings)
+    def _eval(self, bindings):
+        v = self.arg._eval(bindings)
         scalar_fn, array_fn = _FUNCTIONS[self.fn]
         if _is_array(v):
-            with np.errstate(all="ignore"):
-                return array_fn(v)
+            return array_fn(v)
         try:
             return scalar_fn(v)
         except (ValueError, OverflowError) as exc:
@@ -218,10 +231,33 @@ class Call(Expr):
         return f"{self.fn}({self.arg})"
 
 
+def _pow_or_numpy(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError):
+        return float(np.power(a, b))
+
+
+def elementwise_pow(a, b) -> np.ndarray:
+    """a^b through math.pow value by value, so arrays round as scalars do.
+
+    np.power differs from libm's pow in the last bit on some values (its
+    square fast path, its SIMD pow).  Where math.pow raises, the value is
+    numpy's: nan for a domain error, inf for an overflow or a zero base.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    xs, ys = a.ravel().tolist(), b.ravel().tolist()
+    try:
+        values = list(map(math.pow, xs, ys))
+    except (ValueError, OverflowError):
+        values = list(map(_pow_or_numpy, xs, ys))
+    return np.array(values, dtype=float).reshape(a.shape)
+
+
 _BINOP_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
-_NDARRAY = np.ndarray
 _ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-              "^": np.power}
+              "^": elementwise_pow}
 
 
 @dataclass(frozen=True)
@@ -234,14 +270,13 @@ class BinOp(Expr):
     def precedence(self) -> int:  # type: ignore[override]
         return _BINOP_PRECEDENCE[self.op]
 
-    def evaluate(self, bindings):
-        a = self.left.evaluate(bindings)
-        b = self.right.evaluate(bindings)
+    def _eval(self, bindings):
+        a = self.left._eval(bindings)
+        b = self.right._eval(bindings)
         op = self.op
         # an exact type test: the cheapest check on the scalar hot path
         if a.__class__ is _NDARRAY or b.__class__ is _NDARRAY:
-            with np.errstate(all="ignore"):
-                return _ARRAY_OPS[op](a, b)
+            return _ARRAY_OPS[op](a, b)
         if op == "+":
             return a + b
         if op == "-":
@@ -474,7 +509,10 @@ class _Parser:
             if value in VARIABLES:
                 return Var(value)
             if value in self.parameters:
-                return Const(float(self.parameters[value]))
+                bound = self.parameters[value]
+                if isinstance(bound, Expr):
+                    return bound
+                return Const(float(bound))
             raise ParseError(f"unknown identifier '{value}'", pos)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -489,7 +527,9 @@ def parse_expr(text: str, parameters: Mapping[str, float] | None = None) -> Expr
     """Parse an infix expression into a tree.
 
     `parameters` supplies named real constants beyond the builtin "pi";
-    they are folded to their numeric values at parse time.  Raises
+    they are folded to their numeric values at parse time.  A parameter
+    whose value is an Expr (say Var("a")) is inserted as that node
+    instead, which keeps the name symbolic.  Raises
     ParseError with a byte offset on malformed input.
     """
     if not text or not text.strip():
@@ -633,12 +673,17 @@ class ScalarField:
     Wraps an expression restricted to the spacetime variables and caches
     the four analytic partial derivatives.  Serves as the phase function
     h and the gauge function s.
+
+    A template leaves some parameter names symbolic (`bound`): it is
+    parsed and differentiated once, and `bind` gives the names their
+    values, one number or one array of per-draw values each.
     """
 
     _AXES = ("x", "y", "z", "t")
 
-    def __init__(self, expr: Expr):
-        extra = expr.free_variables() - set(self._AXES)
+    def __init__(self, expr: Expr, bound=()):
+        self.bound = frozenset(bound)
+        extra = expr.free_variables() - set(self._AXES) - self.bound
         if extra:
             names = ", ".join(sorted(extra))
             raise ExpressionError(
@@ -646,17 +691,26 @@ class ScalarField:
             )
         self.expr = expr
         self._partials = {axis: diff_expr(expr, axis) for axis in self._AXES}
+        self._values: dict = {}
 
     @classmethod
     def zero(cls) -> "ScalarField":
         return cls(Const(0.0))
 
     @classmethod
-    def from_text(cls, text: str, parameters: Mapping[str, float] | None = None):
-        return cls(parse_expr(text, parameters))
+    def from_text(cls, text: str, parameters: Mapping[str, float] | None = None,
+                  bound=()):
+        symbols = {name: Var(name) for name in bound}
+        return cls(parse_expr(text, {**(parameters or {}), **symbols}), bound)
+
+    def bind(self, **values: Number) -> "ScalarField":
+        """The template with its bound names set; shares the parsed trees."""
+        field = copy.copy(self)
+        field._values = values
+        return field
 
     def free_variables(self) -> frozenset:
-        return self.expr.free_variables()
+        return self.expr.free_variables() - self.bound
 
     @property
     def is_time_only(self) -> bool:
@@ -667,16 +721,18 @@ class ScalarField:
         return isinstance(self.expr, Const) and self.expr.value == 0.0
 
     def value(self, x=0.0, y=0.0, z=0.0, t=0.0):
-        return eval_expr(self.expr, x=x, y=y, z=z, t=t)
+        return eval_expr(self.expr, x=x, y=y, z=z, t=t, **self._values)
 
     def partial(self, axis: str, x=0.0, y=0.0, z=0.0, t=0.0):
         if axis not in self._partials:
             raise ExpressionError(f"unknown axis '{axis}'")
-        return eval_expr(self._partials[axis], x=x, y=y, z=z, t=t)
+        return eval_expr(self._partials[axis], x=x, y=y, z=z, t=t,
+                         **self._values)
 
     def sample_time(self, ts: np.ndarray, x=0.0, y=0.0, z=0.0) -> np.ndarray:
         """Vectorized values on a time grid at a fixed spatial point."""
-        out = self.expr.evaluate({"x": x, "y": y, "z": z, "t": ts})
+        out = self.expr.evaluate({"x": x, "y": y, "z": z, "t": ts,
+                                  **self._values})
         return np.zeros_like(ts) + out
 
     def __repr__(self):

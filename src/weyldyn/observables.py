@@ -9,7 +9,8 @@ Natural units (hbar = c = 1) throughout; `si_rates` is the one explicit
 bridge to SI figures.
 
 `velocity_from_angles` and `kinetic_momentum_from_state` take scalars or
-numpy arrays alike; the law-based observables take one time t.
+numpy arrays alike (a scalar angle broadcasts against an array one); the
+law-based observables take one time t.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 def velocity_from_angles(theta, phi):
     """Unit velocity (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta))."""
     st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return np.array(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                        np.cos(theta)))
 
 
 def velocity(law: AngleLaw, helicity: Helicity, t: float) -> np.ndarray:

@@ -14,9 +14,15 @@ either numerically (central differences on the potential, the slow but
 assumption-free route) or through the closed forms below (the fast
 route).  Tests hold the two routes against each other.
 
-The closed forms take one time t, except energy_control_field, which
-also takes an array of times and returns field components over that
-grid in one pass (numpy ufuncs, rounding exactly as the scalar form).
+`FourPotentialField.components`, `kappa_vector`,
+`field_from_potential_numeric`, `drive_field_closed_form`,
+`gauge_family_field` and `energy_control_field` take one event (or
+time) or an event of equal-shape arrays (or an array of times), one
+entry per draw.  They return arrays over the draws, through numpy
+ufuncs in the scalar operation order, so each entry rounds exactly as a
+scalar call would (np.sin and np.cos equal math.sin and math.cos).  A
+component that does not vary over the draws may come back as a scalar;
+`EMField.e_vec`, `b_vec` and `e_norm` are for one point.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expressions import AngleLaw, ScalarField
+from .observables import velocity_from_angles
 from .spinors import Event, Helicity
 
 __all__ = [
@@ -47,12 +54,6 @@ __all__ = [
 def _require_charge(q: float) -> None:
     if q == 0:
         raise ValueError("charge q must be nonzero")
-
-
-def _unit_velocity(theta: float, phi: float):
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    return st * cp, st * sp, ct
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ class FourPotentialField:
             theta, phi = self.law.angles(ev.t)
             theta_dot, phi_dot = self.law.rates(ev.t)
             b0 = 0.5 * phi_dot
-            b1 = sign * 0.5 * math.sin(phi) * theta_dot
-            b2 = -sign * 0.5 * math.cos(phi) * theta_dot
+            b1 = sign * 0.5 * np.sin(phi) * theta_dot
+            b2 = -sign * 0.5 * np.cos(phi) * theta_dot
             b3 = -sign * 0.5 * phi_dot
             if self.h is not None:
                 args = (ev.x, ev.y, ev.z, ev.t)
@@ -153,10 +154,9 @@ def gauge_potential(law: AngleLaw, helicity: Helicity,
                               kind="gauge_only", gauge=s)
 
 
-def kappa_vector(law: AngleLaw, t: float) -> tuple[float, float, float, float]:
+def kappa_vector(law: AngleLaw, t) -> tuple[float, float, float, float]:
     """Degeneracy direction (1, -v); identical for both helicities."""
-    theta, phi = law.angles(t)
-    vx, vy, vz = _unit_velocity(theta, phi)
+    vx, vy, vz = velocity_from_angles(*law.angles(t))
     return 1.0, -vx, -vy, -vz
 
 
@@ -191,7 +191,7 @@ def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
 
 
 def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
-                            t: float) -> EMField:
+                            t) -> EMField:
     """Electric field that steers the angle history; B vanishes.
 
     This is the field generated by the base potential.  It is zero
@@ -203,7 +203,7 @@ def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
     theta_dot, phi_dot = law.rates(t)
     theta_ddot, phi_ddot = law.accelerations(t)
     _, phi = law.angles(t)
-    sp, cp = math.sin(phi), math.cos(phi)
+    sp, cp = np.sin(phi), np.cos(phi)
     scale = helicity.sign / (2.0 * q)
     ex = scale * (cp * theta_dot * phi_dot + sp * theta_ddot)
     ey = scale * (sp * theta_dot * phi_dot - cp * theta_ddot)
@@ -222,8 +222,8 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
     _require_charge(q)
     theta, phi = law.angles(ev.t)
     theta_dot, phi_dot = law.rates(ev.t)
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
     v = (st * cp, st * sp, ct)
     v_dot = (
         ct * cp * theta_dot - st * sp * phi_dot,

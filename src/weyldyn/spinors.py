@@ -15,18 +15,29 @@ given spinor.
 Only the two-component forms live here.  The same construction embeds in
 the massless four-component (Dirac) setting, but that wrapper is out of
 scope for this package.
+
+`Event` may carry equal-shape arrays, one entry per draw, and then
+`spinor_components`, `build_spinor` and `weyl_residual` return arrays
+over the draws; a scalar event gives scalars through the same code.
+The array path rounds exactly as one scalar call per draw:
+
+- spinors and residuals are held as real/imaginary float pairs, with
+  CPython's complex product (ar*br - ai*bi, ar*bi + ai*br) and the
+  Pauli products written out (their entries 0, +-1, +-i are exact);
+  numpy's complex multiply and complex abs differ in the last bit;
+- |r| is np.hypot, which equals abs(complex);
+- |r|^2 goes through libm pow (`elementwise_pow`), as numpy float64
+  scalars square; the array `**2` rounds differently on some values.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .expressions import AngleLaw, ScalarField
+from .expressions import AngleLaw, ScalarField, elementwise_pow
 
 __all__ = [
     "Helicity",
@@ -63,7 +74,7 @@ MIRROR_PAULI = (_SIGMA0, -_SIGMA1, -_SIGMA2, -_SIGMA3)
 
 @dataclass(frozen=True)
 class Event:
-    """Spacetime point."""
+    """Spacetime point, or equal-shape arrays of points."""
 
     x: float
     y: float
@@ -72,7 +83,7 @@ class Event:
 
     def __post_init__(self):
         for name in ("x", "y", "z", "t"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite event coordinate {name}")
 
     def shifted(self, axis: str, delta: float) -> "Event":
@@ -101,54 +112,83 @@ class Spinor:
         return np.array([self.c1, self.c2], dtype=complex)
 
 
-def spinor_components(theta: float, phi: float, helicity: Helicity):
-    """Unit spinor for the given angles, before the overall phase."""
+def _complex(re, im):
+    if np.ndim(re) == 0 and np.ndim(im) == 0:
+        return complex(re, im)
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _unit_parts(theta, phi, helicity: Helicity):
+    """(c1.real, c1.imag, c2.real, c2.imag) before the overall phase."""
     half = 0.5 * theta
-    phase = cmath.exp(1j * phi)
     if helicity is Helicity.POSITIVE:
-        return complex(math.cos(half)), phase * math.sin(half)
-    return complex(-math.sin(half)), phase * math.cos(half)
+        a, b = np.cos(half), np.sin(half)
+    else:
+        a, b = -np.sin(half), np.cos(half)
+    return a, 0.0, np.cos(phi) * b, np.sin(phi) * b
+
+
+def _spinor_parts(law: AngleLaw, h: ScalarField | None, helicity: Helicity,
+                  ev: Event):
+    theta, phi = law.angles(ev.t)
+    c1r, c1i, c2r, c2i = _unit_parts(theta, phi, helicity)
+    if h is None:
+        return c1r, c1i, c2r, c2i
+    value = h.value(ev.x, ev.y, ev.z, ev.t)
+    hr, hi = np.cos(value), np.sin(value)
+    # c *= e^{i h} in CPython's product formula; c1 is real
+    return c1r * hr, c1r * hi, c2r * hr - c2i * hi, c2r * hi + c2i * hr
+
+
+def spinor_components(theta, phi, helicity: Helicity):
+    """Unit spinor for the given angles, before the overall phase."""
+    c1r, c1i, c2r, c2i = _unit_parts(theta, phi, helicity)
+    return _complex(c1r, c1i), _complex(c2r, c2i)
 
 
 def build_spinor(law: AngleLaw, h: ScalarField | None, helicity: Helicity,
                  ev: Event) -> Spinor:
-    theta, phi = law.angles(ev.t)
-    c1, c2 = spinor_components(theta, phi, helicity)
-    if h is not None:
-        overall = cmath.exp(1j * h.value(ev.x, ev.y, ev.z, ev.t))
-        c1 *= overall
-        c2 *= overall
-    return Spinor(c1, c2, helicity)
-
-
-def _spinor_vector(law, h, helicity, ev) -> np.ndarray:
-    return build_spinor(law, h, helicity, ev).as_vector()
+    c1r, c1i, c2r, c2i = _spinor_parts(law, h, helicity, ev)
+    return Spinor(_complex(c1r, c1i), _complex(c2r, c2i), helicity)
 
 
 def weyl_residual(law: AngleLaw, h: ScalarField | None, potential,
-                  helicity: Helicity, ev: Event, step: float = 1e-5) -> float:
+                  helicity: Helicity, ev: Event, step: float = 1e-5):
     """Norm of the Weyl equation applied to the spinor at one event.
 
     Derivatives are second-order central differences with the given
     step, so the residual of an exact spinor/potential pair vanishes as
     O(step^2).  The potential only needs a `components(ev)` method
     returning its four components at the event; no normalization is
-    applied to the result.
+    applied to the result.  An array event gives an array of residuals.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    sigma = PAULI if helicity is Helicity.POSITIVE else MIRROR_PAULI
-    center = _spinor_vector(law, h, helicity, ev)
+    ur, ui, wr, wi = _spinor_parts(law, h, helicity, ev)
     inv = 0.5 / step
-
-    residual = np.zeros(2, dtype=complex)
-    for axis, matrix in zip(("t", "x", "y", "z"), sigma):
-        plus = _spinor_vector(law, h, helicity, ev.shifted(axis, step))
-        minus = _spinor_vector(law, h, helicity, ev.shifted(axis, -step))
-        residual += 1j * (matrix @ ((plus - minus) * inv))
-
-    b = potential.components(ev)
-    for coeff, matrix in zip(b, sigma):
-        residual += coeff * (matrix @ center)
-
-    return float(np.sqrt(abs(residual[0]) ** 2 + abs(residual[1]) ** 2))
+    d = []
+    for axis in ("t", "x", "y", "z"):
+        plus = _spinor_parts(law, h, helicity, ev.shifted(axis, step))
+        minus = _spinor_parts(law, h, helicity, ev.shifted(axis, -step))
+        d.append([(p - m) * inv for p, m in zip(plus, minus)])
+    (tur, tui, twr, twi), (xur, xui, xwr, xwi) = d[0], d[1]
+    (yur, yui, ywr, ywi), (zur, zui, zwr, zwi) = d[2], d[3]
+    b0, b1, b2, b3 = potential.components(ev)
+    # i sigma_mu d_mu psi + b_mu sigma_mu psi, summed t, x, y, z, then
+    # b0..b3; the mirrored set flips the sign of every spatial term
+    s = helicity.sign
+    up_re = (-tui + s * -xwi + s * ywr + s * -zui
+             + b0 * ur + s * (b1 * wr) + s * (b2 * wi) + s * (b3 * ur))
+    up_im = (tur + s * xwr + s * ywi + s * zur
+             + b0 * ui + s * (b1 * wi) + s * -(b2 * wr) + s * (b3 * ui))
+    lo_re = (-twi + s * -xui + s * -yur + s * zwi
+             + b0 * wr + s * (b1 * ur) + s * -(b2 * ui) + s * -(b3 * wr))
+    lo_im = (twr + s * xur + s * -yui + s * -zwr
+             + b0 * wi + s * (b1 * ui) + s * (b2 * ur) + s * -(b3 * wi))
+    total = np.sqrt(elementwise_pow(np.hypot(up_re, up_im), 2.0)
+                    + elementwise_pow(np.hypot(lo_re, lo_im), 2.0))
+    shape = np.broadcast(ev.x, ev.y, ev.z, ev.t).shape
+    return np.broadcast_to(total, shape) if shape else float(total)

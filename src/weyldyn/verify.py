@@ -6,15 +6,34 @@ field closed forms are held against numerical differentiation of their
 potentials, and the algebraic identities are sampled over freshly drawn
 laws and gauge functions rather than the scenario alone.  The battery
 is deterministic for a fixed seed.
+
+Each check draws its random numbers as one block, in the order a loop of
+one draw at a time would draw them, and evaluates all its draws with a
+few array calls (see spinors.py and potentials.py).  Every measured
+value equals that of the per-draw loop to the last bit:
+
+- 3-vector dot products and norms use np.vecdot on contiguous rows,
+  which rounds as the BLAS ddot behind `p @ p` and np.linalg.norm (a
+  chain of fused multiply-adds); (a*b).sum(1) and einsum do not;
+- squares of numpy float64 scalars go through libm pow, so the arrays
+  are squared by `elementwise_pow`, not by `**2`;
+- k keeps one math.hypot per draw (`localization_from_rates`), which
+  differs from np.hypot on some inputs.
+
+The six gauge templates are parsed once per battery, with their
+coefficients a..d bound per draw.  A draw whose value comes out
+non-finite is evaluated again on its own, through the scalar path,
+so that an expression that cannot be evaluated there raises the same
+error a per-draw loop would raise; the worst-of reduction keeps NaN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import AngleLaw, ScalarField
+from .expressions import AngleLaw, ScalarField, elementwise_pow
 from .observables import (kinetic_momentum_from_state, localization_from_rates,
                           velocity_from_angles)
 from .potentials import (base_potential, degenerate_potential,
@@ -62,148 +81,166 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _random_event(rng) -> Event:
-    x, y, z, t = rng.uniform(-2.0, 2.0, size=4)
-    return Event(float(x), float(y), float(z), float(t))
+_GAUGE_FORMS = ("a", "a*t", "a*sin(b*t)", "a*x + b*y + c*z + d*t", "a*z",
+                "a*t + b*t^2")
 
 
-def _random_law(rng) -> AngleLaw:
-    return AngleLaw.linear(
-        theta0=float(rng.uniform(-3.0, 3.0)),
-        omega1=float(rng.uniform(-3.0, 3.0)),
-        phi0=float(rng.uniform(-3.0, 3.0)),
-        omega2=float(rng.uniform(-3.0, 3.0)),
-    )
+def _draw(rng, rows: int, laws: int, others: int) -> np.ndarray:
+    """rows draws of `laws` random laws (4 x U(-3, 3)) followed by
+    `others` U(-2, 2) values, in one block."""
+    low = np.repeat([-3.0, -2.0], [4 * laws, others])
+    return rng.uniform(low, -low, size=(rows, low.size))
 
 
-def _random_gauge(rng, index: int) -> ScalarField:
-    a, b, c, d = (float(v) for v in rng.uniform(-2.0, 2.0, size=4))
-    forms = (
-        ("a", {"a": a}),
-        ("a*t", {"a": a}),
-        ("a*sin(b*t)", {"a": a, "b": b}),
-        ("a*x + b*y + c*z + d*t", {"a": a, "b": b, "c": c, "d": d}),
-        ("a*z", {"a": a}),
-        ("a*t + b*t^2", {"a": a, "b": b}),
-    )
-    text, params = forms[index % len(forms)]
-    return ScalarField.from_text(text, params)
+def _columns(block: np.ndarray) -> list:
+    # one draw (a row) gives Python floats, which take the scalar path
+    return block.tolist() if block.ndim == 1 else list(block.T)
+
+
+def _law(block) -> AngleLaw:
+    return AngleLaw.linear(*_columns(block))
+
+
+def _event(block) -> Event:
+    return Event(*_columns(block))
+
+
+def _gauge(template: ScalarField, block) -> ScalarField:
+    return template.bind(**dict(zip("abcd", _columns(block))))
+
+
+def _worst(*values) -> float:
+    """Largest entry; unlike max(), a NaN entry makes the result NaN."""
+    return float(np.max([np.max(v) for v in values]))
+
+
+def _replay_non_finite(values, evaluate_draw) -> None:
+    """Evaluate each non-finite draw alone, in draw order, on the scalar
+    path: where an expression cannot be evaluated, that raises."""
+    for i in np.flatnonzero(~np.isfinite(values)):
+        evaluate_draw(int(i))
 
 
 def run_verification(scenario: Scenario) -> RunReport:
+    with np.errstate(all="ignore"):
+        checks = _run_checks(scenario)
+    return RunReport(scenario_name=scenario.name, seed=scenario.seed,
+                     checks=checks)
+
+
+def _run_checks(scenario: Scenario) -> list:
     rng = np.random.default_rng(scenario.seed)
     n = scenario.sample_count
+    m = max(1, n // 4)
     step = scenario.fd_step
+    law, h, helicity, q = (scenario.law, scenario.h, scenario.helicity,
+                           scenario.q)
     tol_residual = scenario.tolerance
     tol_field = max(1e-6, 10.0 * step * step)
     tol_identity = 1e-12
     tol_kappa = 1e-14
+    templates = [ScalarField.from_text(text, bound="abcd")
+                 for text in _GAUGE_FORMS]
+    forms = len(templates)
 
     checks: list[CheckResult] = []
 
     # residual of the scenario's own spinor/potential pair; the
     # corrupt_b0 hook lands here so a corrupted file visibly fails
-    base = base_potential(scenario.law, scenario.h, scenario.helicity)
+    base = base_potential(law, h, helicity)
     if scenario.corrupt_b0:
-        from dataclasses import replace
         base = replace(base, b0_offset=scenario.corrupt_b0)
-    worst = 0.0
-    for _ in range(n):
-        ev = _random_event(rng)
-        worst = max(worst, weyl_residual(scenario.law, scenario.h, base,
-                                         scenario.helicity, ev, step))
-    checks.append(CheckResult("residual_base", worst, tol_residual))
+    draws = _draw(rng, n, 0, 4)
+    res = weyl_residual(law, h, base, helicity, _event(draws), step)
+    _replay_non_finite(res, lambda i: weyl_residual(
+        law, h, base, helicity, _event(draws[i]), step))
+    checks.append(CheckResult("residual_base", _worst(res), tol_residual))
 
     # the same spinor must keep solving after a shift along kappa, for
-    # arbitrary gauge functions including spatially varying ones
-    clean_base = base_potential(scenario.law, scenario.h, scenario.helicity)
-    worst = 0.0
-    for i in range(n):
-        s = _random_gauge(rng, i)
-        pot = degenerate_potential(clean_base, s)
-        ev = _random_event(rng)
-        worst = max(worst, weyl_residual(scenario.law, scenario.h, pot,
-                                         scenario.helicity, ev, step))
-    checks.append(CheckResult("residual_degenerate", worst, tol_residual))
+    # arbitrary gauge functions including spatially varying ones; draw
+    # i uses gauge template i % 6
+    clean_base = base_potential(law, h, helicity)
+    draws = _draw(rng, n, 0, 8)
+    res = np.empty(n)
+    for j, template in enumerate(templates[:n]):
+        rows = draws[j::forms]
+        pot = degenerate_potential(clean_base, _gauge(template, rows[:, :4]))
+        res[j::forms] = weyl_residual(law, h, pot, helicity,
+                                      _event(rows[:, 4:]), step)
+    _replay_non_finite(res, lambda i: weyl_residual(
+        law, h, degenerate_potential(
+            clean_base, _gauge(templates[i % forms], draws[i, :4])),
+        helicity, _event(draws[i, 4:]), step))
+    checks.append(CheckResult("residual_degenerate", _worst(res),
+                              tol_residual))
 
     # mirrored family on fresh laws
-    other = (Helicity.NEGATIVE if scenario.helicity is Helicity.POSITIVE
+    other = (Helicity.NEGATIVE if helicity is Helicity.POSITIVE
              else Helicity.POSITIVE)
-    worst = 0.0
-    for _ in range(max(1, n // 4)):
-        law = _random_law(rng)
-        pot = base_potential(law, None, other)
-        ev = _random_event(rng)
-        worst = max(worst, weyl_residual(law, None, pot, other, ev, step))
-    checks.append(CheckResult("residual_mirror_family", worst, tol_residual))
+    draws = _draw(rng, m, 1, 4)
+    laws = _law(draws[:, :4])
+    res = weyl_residual(laws, None, base_potential(laws, None, other), other,
+                        _event(draws[:, 4:]), step)
+    checks.append(CheckResult("residual_mirror_family", _worst(res),
+                              tol_residual))
 
     # algebraic identities over random laws, times and gauge values
-    worst_speed = worst_kappa = worst_shell = 0.0
-    worst_cross = worst_project = 0.0
-    for _ in range(n):
-        law = _random_law(rng)
-        t = float(rng.uniform(-2.0, 2.0))
-        s_val = float(rng.uniform(-2.0, 2.0))
-        theta, phi = law.angles(t)
-        theta_dot, phi_dot = law.rates(t)
-        v = velocity_from_angles(theta, phi)
-        worst_speed = max(worst_speed, abs(float(np.linalg.norm(v)) - 1.0))
-        kappa = kappa_vector(law, t)
-        worst_kappa = max(worst_kappa,
-                          float(np.max(np.abs(np.array(kappa[1:]) + v))))
-        for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
-            km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
-                                             s_val, hel)
-            p = km.momentum
-            k = localization_from_rates(theta, theta_dot, phi_dot)
-            shell = km.energy ** 2 - float(p @ p)
-            worst_shell = max(worst_shell, abs(shell + k * k))
-            worst_cross = max(
-                worst_cross,
-                abs(float(np.linalg.norm(np.cross(p, v))) - k),
-            )
-            worst_project = max(worst_project,
-                                abs(float(p @ v) - km.energy))
-    checks.append(CheckResult("unit_speed", worst_speed, tol_identity))
-    checks.append(CheckResult("kappa_is_minus_velocity", worst_kappa, tol_kappa))
-    checks.append(CheckResult("mass_shell_identity", worst_shell, tol_identity))
-    checks.append(CheckResult("transverse_momentum_equals_k", worst_cross,
+    draws = _draw(rng, n, 1, 2)
+    laws, t, s_val = _law(draws[:, :4]), draws[:, 4], draws[:, 5]
+    theta, phi = laws.angles(t)
+    theta_dot, phi_dot = laws.rates(t)
+    v = velocity_from_angles(theta, phi)
+    v_rows = np.ascontiguousarray(v.T)
+    speed = np.abs(np.sqrt(np.vecdot(v_rows, v_rows)) - 1.0)
+    kappa = np.abs(np.array(kappa_vector(laws, t)[1:]) + v)
+    k = np.array(list(map(localization_from_rates, theta.tolist(),
+                          theta_dot.tolist(), phi_dot.tolist())))
+    shell, cross, project = [], [], []
+    for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
+        km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
+                                         s_val, hel)
+        p = np.ascontiguousarray(km.momentum.T)
+        shell.append(np.abs(elementwise_pow(km.energy, 2.0)
+                            - np.vecdot(p, p) + k * k))
+        p_cross_v = np.cross(p, v_rows)
+        cross.append(np.abs(np.sqrt(np.vecdot(p_cross_v, p_cross_v)) - k))
+        project.append(np.abs(np.vecdot(p, v_rows) - km.energy))
+    checks.append(CheckResult("unit_speed", _worst(speed), tol_identity))
+    checks.append(CheckResult("kappa_is_minus_velocity", _worst(kappa),
+                              tol_kappa))
+    checks.append(CheckResult("mass_shell_identity", _worst(*shell),
                               tol_identity))
-    checks.append(CheckResult("momentum_projection_energy", worst_project,
+    checks.append(CheckResult("transverse_momentum_equals_k", _worst(*cross),
+                              tol_identity))
+    checks.append(CheckResult("momentum_projection_energy", _worst(*project),
                               tol_identity))
 
     # closed-form fields against numerical differentiation of potentials
-    worst_drive = worst_drive_b = 0.0
-    for _ in range(max(1, n // 4)):
-        law = _random_law(rng)
-        ev = _random_event(rng)
-        for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
-            pot = base_potential(law, None, hel)
-            numeric = field_from_potential_numeric(pot, scenario.q, ev, step)
-            closed = drive_field_closed_form(law, hel, scenario.q, ev.t)
-            worst_drive = max(
-                worst_drive,
-                float(np.max(np.abs(numeric.e_vec - closed.e_vec))),
-            )
-            worst_drive_b = max(worst_drive_b,
-                                float(np.max(np.abs(numeric.b_vec))))
-    checks.append(CheckResult("drive_field_cross_check", worst_drive, tol_field))
-    checks.append(CheckResult("drive_field_b_zero", worst_drive_b, tol_field))
+    draws = _draw(rng, m, 1, 4)
+    laws, ev = _law(draws[:, :4]), _event(draws[:, 4:])
+    drive, drive_b = [], []
+    for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
+        numeric = field_from_potential_numeric(base_potential(laws, None, hel),
+                                               q, ev, step)
+        closed = drive_field_closed_form(laws, hel, q, ev.t)
+        drive += [np.abs(a - b) for a, b in zip(numeric.e, closed.e)]
+        drive_b += [np.abs(b) for b in numeric.b]
+    checks.append(CheckResult("drive_field_cross_check", _worst(*drive),
+                              tol_field))
+    checks.append(CheckResult("drive_field_b_zero", _worst(*drive_b),
+                              tol_field))
 
-    worst_gauge = 0.0
-    for i in range(max(1, n // 4)):
-        law = _random_law(rng)
-        s = _random_gauge(rng, i)
-        ev = _random_event(rng)
-        pot = gauge_potential(law, scenario.helicity, s)
-        numeric = field_from_potential_numeric(pot, scenario.q, ev, step)
-        closed = gauge_family_field(law, s, scenario.q, ev)
-        deviation = max(
-            float(np.max(np.abs(numeric.e_vec - closed.e_vec))),
-            float(np.max(np.abs(numeric.b_vec - closed.b_vec))),
-        )
-        worst_gauge = max(worst_gauge, deviation)
-    checks.append(CheckResult("gauge_field_cross_check", worst_gauge, tol_field))
-
-    return RunReport(scenario_name=scenario.name, seed=scenario.seed,
-                     checks=checks)
+    draws = _draw(rng, m, 1, 8)
+    gauge = []
+    for j, template in enumerate(templates[:m]):
+        rows = draws[j::forms]
+        laws, s = _law(rows[:, :4]), _gauge(template, rows[:, 4:8])
+        ev = _event(rows[:, 8:])
+        numeric = field_from_potential_numeric(
+            gauge_potential(laws, helicity, s), q, ev, step)
+        closed = gauge_family_field(laws, s, q, ev)
+        gauge += [np.abs(a - b) for a, b in zip(numeric.e + numeric.b,
+                                                closed.e + closed.b)]
+    checks.append(CheckResult("gauge_field_cross_check", _worst(*gauge),
+                              tol_field))
+    return checks

@@ -196,6 +196,17 @@ def test_law_evaluation_error_exits_2_without_traceback(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
+def test_verify_overflow_exits_2_without_warning(tmp_path):
+    # the phase overflows on some draws before exp() itself fails on one
+    scn = tmp_path / "explaw.scn"
+    scn.write_text("name = explaw\ntheta0 = 1\nh = exp(400*x)\n")
+    r = run_cli("verify", str(scn))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "RuntimeWarning" not in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_non_finite_run_leaks_no_numpy_warning(tmp_path):
     scn = tmp_path / "nanfield.scn"
     scn.write_text("name = nanfield\nfield = expr\nez = sqrt(t - 1)\n"

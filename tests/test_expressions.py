@@ -13,6 +13,7 @@ from weyldyn.expressions import (
     Const,
     DifferentiationError,
     EvaluationError,
+    ExpressionError,
     ExprLaw,
     LinearLaw,
     Neg,
@@ -345,3 +346,61 @@ def test_array_path_matches_scalar_path_bit_for_bit(expr, ts):
 @settings(max_examples=200, deadline=None)
 def test_array_path_within_one_ulp_for_exp_tan_pow(expr, ts):
     _check_paths(expr, ts, last_bit=True)
+
+
+@given(exact_trees(), exact_trees(), TIMES)
+@settings(max_examples=400, deadline=None)
+def test_array_power_equals_scalar_power_bit_for_bit(base, exponent, ts):
+    expr = BinOp("^", base, exponent)
+    try:
+        values = np.broadcast_to(expr.evaluate({"t": np.array(ts)}),
+                                 (len(ts),))
+    except EvaluationError:
+        return  # free of t: both paths are the scalar path
+    for t, a in zip(ts, values):
+        try:
+            base.evaluate({"t": t}), exponent.evaluate({"t": t})
+        except EvaluationError:
+            continue  # an operand the scalar path cannot evaluate
+        try:
+            s = float(expr.evaluate({"t": t}))
+        except EvaluationError:
+            assert not np.isfinite(a), (str(expr), t, a)
+            continue
+        assert (np.float64(a).view(np.uint64)
+                == np.float64(s).view(np.uint64)), (str(expr), t, a, s)
+
+
+def test_array_power_takes_libm_pow_on_squares():
+    # np.power's square fast path may round differently from math.pow
+    xs = np.random.default_rng(5).uniform(-2.0, 2.0, 20000)
+    got = parse_expr("t^2").evaluate({"t": xs})
+    assert got.tolist() == [math.pow(x, 2.0) for x in xs.tolist()]
+
+
+def test_array_power_domain_and_overflow_follow_numpy():
+    t = np.array([-8.0, 4.0, 0.0, 10.0])
+    got = BinOp("^", Var("t"), Const(0.5)).evaluate({"t": t})
+    assert math.isnan(got[0]) and got[1] == 2.0 and got[2] == 0.0
+    got = BinOp("^", Var("t"), Const(-1.0)).evaluate({"t": t})
+    assert got[2] == math.inf
+    assert BinOp("^", Var("t"), Const(400.0)).evaluate({"t": t})[3] \
+        == math.inf
+
+
+def test_scalar_field_template_binds_per_draw_values():
+    template = ScalarField.from_text("a*sin(b*t) + c*x", bound="abc")
+    assert template.free_variables() == {"t", "x"}
+    with pytest.raises(EvaluationError, match="unbound variable 'a'"):
+        template.value(t=1.0)
+    a, b = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    s = template.bind(a=a, b=b, c=0.25)
+    t = np.array([0.3, -1.1])
+    assert s.value(x=2.0, t=t).tolist() == [
+        ScalarField.from_text("a*sin(b*t) + c*x",
+                              {"a": a[i], "b": b[i], "c": 0.25})
+        .value(x=2.0, t=t[i]) for i in range(2)]
+    assert s.partial("t", t=t).tolist() == (a * np.cos(b * t) * b).tolist()
+    assert s.partial("x", t=t) == 0.25
+    with pytest.raises(ExpressionError, match="found: theta"):
+        ScalarField.from_text("a*theta", bound="a")
