@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import ConstraintViolation, Trajectory
 from .expressions import ExpressionError
+from .floattext import csv_rows
 from .observables import si_rates
 from .scenario import (Scenario, ScenarioError, resolve_scenario, run_control,
                        run_scenario)
@@ -34,25 +35,12 @@ _CSV_CHUNK = 1024  # rows formatted per pass; bounds the string temporaries
 
 
 def _write_csv(path: str | Path, header: str, columns) -> None:
-    """Write equal-length float columns as rows of repr(float(v)).
-
-    Within each chunk of rows, every distinct float of a column is
-    formatted once.  Distinct means a distinct bit pattern, so 0.0 and
-    -0.0 keep their own text.
-    """
+    """Write equal-length float columns as rows of repr(float(v))."""
     columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
         for lo in range(0, len(columns[0]), _CSV_CHUNK):
-            cells = []
-            for col in columns:
-                bits, inverse = np.unique(
-                    col[lo:lo + _CSV_CHUNK].view(np.uint64),
-                    return_inverse=True)
-                text = np.array([repr(v) for v in
-                                 bits.view(np.float64).tolist()], dtype=object)
-                cells.append(text[inverse].tolist())
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            handle.write(csv_rows([c[lo:lo + _CSV_CHUNK] for c in columns]))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
@@ -68,12 +56,15 @@ def write_field_csv(ts, fields, path: str | Path) -> None:
                                     fields[:, 2]))
 
 
-def _load(args) -> Scenario:
-    scn = resolve_scenario(args.scenario)
-    return scn.with_overrides(
-        dt=args.dt, t_end=args.t_end, seed=args.seed, out=args.out,
+def _with_options(scenario: Scenario, args, out=None) -> Scenario:
+    return scenario.with_overrides(
+        dt=args.dt, t_end=args.t_end, seed=args.seed, out=out,
         paper_literal=args.paper_literal_field or None,
     )
+
+
+def _load(args) -> Scenario:
+    return _with_options(resolve_scenario(args.scenario), args, out=args.out)
 
 
 def _si_lines(scenario: Scenario) -> list[str]:
@@ -170,6 +161,8 @@ def cmd_control(args) -> int:
     print(f"control profile written to {out_path}")
     print(f"[{status}] target {run.label} {run.target!r}, forward simulation "
           f"measured {run.measured!r} (|diff| {deviation:.3e}, tol 1e-06)")
+    if args.si:
+        print("\n".join(_si_lines(scenario)))
     return 0 if achieved else 1
 
 
@@ -178,9 +171,8 @@ def cmd_figures(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     names = [args.scenario] if args.scenario else list(FIGURE_PRESETS)
     for name in names:
-        scenario = resolve_scenario(name)
-        if args.paper_literal_field:
-            scenario = scenario.with_overrides(paper_literal=True)
+        # --out names the directory here, not the CSV
+        scenario = _with_options(resolve_scenario(name), args)
         run = run_scenario(scenario)
         path = outdir / f"{scenario.name}.csv"
         write_trajectory_csv(run.trajectory, path)

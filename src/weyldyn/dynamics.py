@@ -32,7 +32,7 @@ whose state or field is not finite, and ends the run there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,18 +93,13 @@ def accel_from_field(state: ParticleState,
 
 
 class FieldProgram:
-    """Applied electric field history E(t).  Magnetic drives do not
-    couple to the angle dynamics, so any nonzero B is rejected up
-    front."""
+    """Applied electric field history E(t): ``sample(ts)`` gives it on an
+    array of times as a (len(ts), 3) array, ``field_at(t)`` at one time.
+    Magnetic drives do not couple to the angle dynamics, so any nonzero B
+    is rejected up front."""
 
     def field_at(self, t: float) -> tuple[float, float, float]:
         raise NotImplementedError
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(ts), 3))
-        for i, t in enumerate(ts):
-            out[i] = self.field_at(float(t))
-        return out
 
     @staticmethod
     def _check_b(b) -> None:
@@ -216,7 +211,6 @@ class Trajectory:
     helicity: Helicity = Helicity.POSITIVE
     q: float = 1.0
     dt: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.t)

@@ -1,0 +1,278 @@
+"""Exact float64 text for CSV rows, computed on whole numpy arrays.
+
+The rule is exactness: every value is written as the bytes of
+``repr(float(v))``, for every float64 bit pattern.  ``repr`` gives the
+shortest decimal that reads back to the same double (the closest one when
+several are that short, the even one on a tie), laid out positionally when
+the decimal point position ``decpt`` satisfies ``-4 < decpt <= 16``
+(``0.0001``, ``12.5``, ``1e+16``'s neighbour ``9999999999999998.0``) and as
+``d.ddde±XX`` otherwise.
+
+The digits come from Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020), which finds the shortest round-trip decimal with a
+126-bit table of powers of ten and fixed-width integer arithmetic, so it
+runs on whole uint64 arrays; the 64x64 -> 128-bit products are built from
+32-bit limbs, and the 617-entry table is built from Python integers on
+first use.  The text goes into a fixed-slot uint8 matrix, one slot per
+value, and one boolean-mask compaction turns the matrix into the output
+bytes without a Python string per value.
+
+``csv_rows`` chooses per block of rows: columns constant over the block are
+formatted once, and a block with few varying values is formatted with
+``repr``, whose per-value cost is then below the array path's fixed cost.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+_ARRAY_MIN_VALUES = 2048  # varying values per block below which repr wins
+_PASS_ROWS = 512  # rows per array pass; bounds its temporaries
+
+_SLOT = 25  # longest repr, -1.2345678901234567e-308, plus a separator
+_E_MIN, _E_MAX = -292, 324  # range of the power of ten 10**-k the digits need
+_POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
+_M32 = np.uint64(0xFFFFFFFF)
+_M52 = np.uint64((1 << 52) - 1)
+_M63 = np.uint64((1 << 63) - 1)
+_DIGIT, _COMMA, _NEWLINE = ord("0"), ord(","), ord("\n")
+_PLACES = np.arange(17, dtype=np.uint8)[:, None]
+# row l: which bytes of a slot a text of length l and its separator fill
+_KEEP = np.arange(_SLOT) <= np.arange(_SLOT)[:, None]
+
+
+@functools.cache
+def _pow10_table():
+    """g(e) as (g1, g0), and floor(log2 10**e), for e in [_E_MIN, _E_MAX].
+
+    g(e) = floor(10**e * 2**-r) + 1 with r chosen so that
+    2**125 <= g(e) < 2**126, split as g = g1 * 2**63 + g0.
+    """
+    g1s, g0s, flog2 = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        if e >= 0:
+            p = 10 ** e
+            r = p.bit_length() - 126
+            g = (p >> r if r >= 0 else p << -r) + 1
+        else:
+            d = 10 ** -e
+            r = -125 - d.bit_length()
+            g = (1 << -r) // d + 1
+        g1s.append(g >> 63)
+        g0s.append(g & ((1 << 63) - 1))
+        flog2.append(125 + r)
+    return (np.array(g1s, dtype=np.uint64), np.array(g0s, dtype=np.uint64),
+            np.array(flog2, dtype=np.int64))
+
+
+@functools.cache
+def _digit_quads():
+    """The four ASCII digits of each i < 10000, as one uint32 per i."""
+    text = "".join(f"{i:04d}" for i in range(10000)).encode()
+    return np.frombuffer(text, dtype=np.uint32)
+
+
+def _mul_hi(ah, al, bh, bl):
+    """High 64 bits of a * b, from the 32-bit limbs of a and b."""
+    ll, lh, hl = al * bl, al * bh, ah * bl
+    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
+    return ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32)
+
+
+def _round_to_odd(y1, y0, x1):
+    """floor(cp * g / 2**127), with the low bit set when bits were dropped,
+    from y = g1 * cp = y1:y0 and x1, the high half of g0 * cp."""
+    z = (y0 >> 1) + x1
+    return (y1 + (z >> 63)) | ((z & _M63) != 0).astype(np.uint64)
+
+
+def _add_shifted(hi, lo, g, e):
+    """hi:lo + (g << e) in 128 bits, for 0 < e < 64."""
+    low = lo + (g << e)
+    return hi + (g >> (np.uint64(64) - e)) + (low < lo), low
+
+
+def _scaled_interval(bits):
+    """The rounding interval of each double, scaled by 4 * 10**-k.
+
+    Returns ``(lower, vb, upper, k)``: the value and the ends of the
+    interval of reals that round to it, each rounded to odd (so a
+    comparison with an even integer stays exact), with the ends moved
+    inwards by one where the interval is open.
+    """
+    g1_table, g0_table, flog2_table = _pow10_table()
+    bq = (bits >> 52).astype(np.int64)
+    t = bits & _M52
+    normal = bq != 0
+    c = np.where(normal, t | np.uint64(1 << 52), t)
+    q = np.where(normal, bq, 1) - 1075
+    # the lower neighbour is closer at the bottom of each binade (c = 2**52)
+    irregular = (t == 0) & (bq > 1)
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) where irregular;
+    # exact for every binary exponent of a double (the tests check each)
+    k = (q * 1262611 - irregular * 524031) >> 22
+    row = -k - _E_MIN
+    g1, g0 = g1_table[row], g0_table[row]
+    h = (q + flog2_table[row] + 2).astype(np.uint64)
+    # cp * g / 2**127 for cp = c_x << h, where c_x runs over the rounding
+    # interval's lower end 4c - 2 (4c - 1 where irregular), 4c and the
+    # upper end 4c + 2; each product is the previous one plus g << e
+    cp = ((c << 2) - np.uint64(2) + irregular) << h
+    cph, cpl = cp >> 32, cp & _M32
+    y = _mul_hi(g1 >> 32, g1 & _M32, cph, cpl), g1 * cp  # g1 * cp
+    x = _mul_hi(g0 >> 32, g0 & _M32, cph, cpl), g0 * cp  # g0 * cp
+    v = [_round_to_odd(*y, x[0])]
+    for e in (h + np.uint64(1) - irregular, h + np.uint64(1)):
+        y, x = _add_shifted(*y, g1, e), _add_shifted(*x, g0, e)
+        v.append(_round_to_odd(*y, x[0]))
+    vbl, vb, vbr = v
+    # an odd significand's interval excludes its ends
+    odd = c & np.uint64(1)
+    return vbl + odd, vb, vbr - odd, k
+
+
+def _shortest_digits(bits):
+    """Shortest round-trip decimal of positive finite nonzero doubles.
+
+    ``bits`` is the uint64 view of the values.  Returns ``(d, k)`` with the
+    value's shortest closest decimal equal to ``d * 10**k``; ``d`` may carry
+    trailing zeros.
+    """
+    lower, vb, upper, k = _scaled_interval(bits)
+    s = vb >> 2
+    # one digit shorter: at most one multiple of 10 * 10**k lies inside
+    sp = (s // 10) * 10
+    up_in = lower <= sp << 2
+    wp_in = (sp + np.uint64(10)) << 2 <= upper
+    short = (s >= 10) & (up_in != wp_in)
+    # full length: s or s + 1, the one inside, else the closer (even on a tie)
+    u_in = lower <= s << 2
+    w_in = (s + np.uint64(1)) << 2 <= upper
+    mid = (s << 2) + np.uint64(2)
+    closer_up = (vb > mid) | ((vb == mid) & ((s & np.uint64(1)) != 0))
+    up = np.where(u_in != w_in, w_in, closer_up)
+    d = np.where(short, np.where(up_in, sp, sp + np.uint64(10)), s + up)
+    return d, k
+
+
+def _fill(values, flat, start):
+    """Write repr(float(v)) of each value at flat[start[i]:]; return lengths.
+
+    Each slot flat[start[i]:start[i] + _SLOT] must hold '0' bytes.
+    """
+    m = len(values)
+    bits = values.view(np.uint64)
+    neg = (bits >> 63).astype(np.int64)
+    bits = bits & ~np.uint64(1 << 63)
+    finite = bits < np.uint64(0x7FF0000000000000)
+    zero = bits == 0
+    # zeros and non-finite values take the digits of 1.0 and are fixed below
+    work = np.where(finite & ~zero, bits, np.uint64(0x3FF0000000000000))
+    d, k = _shortest_digits(work)
+    n_raw = np.searchsorted(_POW10, d, side="right")
+    decpt = k + n_raw
+
+    # 17 digits, left-aligned: d * 10**(17 - n_raw) lies in [1e16, 1e17)
+    full = (d * _POW10[17 - n_raw]).view(np.int64)
+    quads = np.empty((5, m), dtype=np.uint32)  # four ASCII digits each
+    table = _digit_quads()
+    for i in range(4, 0, -1):
+        top = full // 10000
+        quads[i] = table[full - top * 10000]
+        full = top
+    quads[0] = table[full]
+    digits = quads.view(np.uint8).reshape(5, m, 4).transpose(0, 2, 1)
+    digits = digits.reshape(20, m)[3:]  # digit j of every value in row j
+    digits[0, zero] = _DIGIT
+    n = ((digits != _DIGIT) * _PLACES).max(axis=0) + 1
+
+    positional = (decpt > -4) & (decpt <= 16)
+    small = positional & (decpt <= 0)  # 0.000ddd
+    large = positional & ~small  # ddd.ddd or ddd.0
+    sci = ~positional
+    # digit j goes to base + j, plus one once past the decimal point at dot
+    base = neg + np.where(small, 1 - decpt, 0)
+    dot = np.where(large, decpt, np.where(small, 0, np.where(n > 1, 1, 17)))
+    count = np.where(large, np.maximum(n, decpt + 1), n)
+
+    first = start + base
+    for places in (slice(0, 9), slice(9, 17)):  # halves bound the index
+        offset = _PLACES[places] + (_PLACES[places] >= dot.astype(np.uint8))
+        flat[first + offset] = digits[places]
+    flat[start + np.where(small, neg + 1, base + dot)] = ord(".")
+    flat[start[neg == 1]] = ord("-")
+    length = base + count + 1
+
+    e = np.flatnonzero(sci)
+    if len(e):
+        at = start[e] + base[e] + n[e] + (n[e] > 1)
+        exp = decpt[e] - 1
+        mag = np.abs(exp)
+        wide = mag >= 100
+        flat[at] = ord("e")
+        flat[at + 1] = np.where(exp < 0, ord("-"), ord("+"))
+        flat[at + 2] = np.where(wide, mag // 100, mag // 10) + _DIGIT
+        flat[at + 3] = np.where(wide, mag // 10 % 10, mag % 10) + _DIGIT
+        flat[at[wide] + 4] = mag[wide] % 10 + _DIGIT
+        length[e] = at - start[e] + 4 + wide
+
+    for i in np.flatnonzero(~finite):
+        text = repr(float(values[i])).encode()
+        flat[start[i]:start[i] + len(text)] = np.frombuffer(text, np.uint8)
+        length[i] = len(text)
+    return length
+
+
+def _repr_rows(columns, is_varying) -> bytes:
+    """CSV lines through repr: a constant column is formatted once, a
+    varying one once per distinct bit pattern."""
+    cells = []
+    for i, col in enumerate(columns):
+        if not is_varying[i]:
+            cells.append([repr(float(col[0]))] * len(col))
+            continue
+        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        cells.append(text[inverse].tolist())
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+
+def csv_rows(columns) -> bytes:
+    """CSV lines of equal-length contiguous float64 columns.
+
+    Each value is written as repr(float(v)); each line ends in a newline.
+    """
+    block = np.stack(columns, axis=1)
+    bits = block.view(np.uint64)
+    is_varying = (bits != bits[0]).any(axis=0)
+    varying = np.flatnonzero(is_varying)
+    if not len(varying) or len(block) * len(varying) < _ARRAY_MIN_VALUES:
+        return _repr_rows(columns, is_varying)
+    # a narrow block takes more rows per pass, to spread the fixed cost
+    step = max(_PASS_ROWS, -(-_ARRAY_MIN_VALUES // len(varying)))
+    constant = np.flatnonzero(~is_varying)
+    return b"".join(_array_rows(block[lo:lo + step], varying, constant)
+                    for lo in range(0, len(block), step))
+
+
+def _array_rows(block, varying, constant) -> bytes:
+    """CSV lines of a (rows, columns) block; the constant columns are
+    formatted once."""
+    rows, ncols = block.shape
+    text = np.full((rows, ncols, _SLOT), _DIGIT, dtype=np.uint8)
+    length = np.empty((rows, ncols), dtype=np.int64)
+    for i in constant:
+        cell = repr(float(block[0, i])).encode()
+        text[:, i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+        length[:, i] = len(cell)
+    start = np.arange(0, text.size, _SLOT).reshape(rows, ncols)
+    flat = text.reshape(-1)
+    length[:, varying] = _fill(block[:, varying].reshape(-1), flat,
+                               start[:, varying].reshape(-1)).reshape(rows, -1)
+    sep = np.full(ncols, _COMMA, dtype=np.uint8)
+    sep[-1] = _NEWLINE
+    flat[start + length] = sep
+    return text[_KEEP[length]].tobytes()

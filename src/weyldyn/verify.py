@@ -21,10 +21,13 @@ value equals that of the per-draw loop to the last bit:
   differs from np.hypot on some inputs.
 
 The six gauge templates are parsed once per battery, with their
-coefficients a..d bound per draw.  A draw whose value comes out
-non-finite is evaluated again on its own, through the scalar path,
+coefficients a..d bound per draw.  When a draw's value comes out
+non-finite, the draws up to it and the other non-finite ones are
+evaluated again one at a time, in draw order, through the scalar path,
 so that an expression that cannot be evaluated there raises the same
-error a per-draw loop would raise; the worst-of reduction keeps NaN.
+error a per-draw loop would raise, also where the array path absorbed
+an earlier draw's overflow into a finite value; the worst-of reduction
+keeps NaN.
 """
 
 from __future__ import annotations
@@ -115,10 +118,15 @@ def _worst(*values) -> float:
 
 
 def _replay_non_finite(values, evaluate_draw) -> None:
-    """Evaluate each non-finite draw alone, in draw order, on the scalar
-    path: where an expression cannot be evaluated, that raises."""
-    for i in np.flatnonzero(~np.isfinite(values)):
-        evaluate_draw(int(i))
+    """Where a draw is non-finite, evaluate draws alone on the scalar path,
+    in draw order: every draw up to the first non-finite one, then the
+    other non-finite ones.  Where an expression cannot be evaluated, that
+    raises, also on an earlier draw whose overflow the array path
+    absorbed into a finite value."""
+    bad = np.flatnonzero(~np.isfinite(values)).tolist()
+    if bad:
+        for i in [*range(bad[0]), *bad]:
+            evaluate_draw(i)
 
 
 def run_verification(scenario: Scenario) -> RunReport:

@@ -144,6 +144,15 @@ def test_control_polar_requires_pinned_azimuth(tmp_path):
     assert "polar control requires" in r.stderr
 
 
+def test_control_si_flag_appends_si_lines(tmp_path):
+    r = run_cli("control", "free", "--dedt", "2", "--si", cwd=tmp_path)
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[1].startswith("[PASS]")
+    assert lines[2].startswith("SI reading")
+    assert "eV/m" in lines[3] and "eV/s" in lines[3]
+
+
 def test_control_requires_exactly_one_target():
     assert run_cli("control", "free").returncode == 2
     assert run_cli("control", "free", "--dedt", "1", "--dkdt", "1").returncode == 2
@@ -155,6 +164,13 @@ def test_figures_writes_named_preset(tmp_path):
     csv = tmp_path / "figs" / "fig3.csv"
     assert csv.exists()
     assert csv.read_text().splitlines()[0] == HEADER
+
+
+def test_figures_applies_grid_overrides(tmp_path):
+    r = run_cli("figures", "fig3", "--t-end", "1", "--out", str(tmp_path))
+    assert r.returncode == 0
+    assert r.stdout == f"fig3: 1001 samples -> {tmp_path / 'fig3.csv'}\n"
+    assert len((tmp_path / "fig3.csv").read_text().splitlines()) == 1002
 
 
 def test_module_entry_matches_console_script(tmp_path):
@@ -205,6 +221,17 @@ def test_verify_overflow_exits_2_without_warning(tmp_path):
     assert r.stderr.startswith("error: ")
     assert "RuntimeWarning" not in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_verify_error_names_the_per_draw_battery_subexpression(tmp_path):
+    # on arrays, exp(1000*x)^2 overflows to inf and the residual stays
+    # finite on some draws; the per-draw battery raised at the square
+    scn = tmp_path / "absorbed.scn"
+    scn.write_text("theta0 = 1\nh = 1/exp(1000*x)\n")
+    r = run_cli("verify", str(scn))
+    assert r.returncode == 2
+    assert r.stderr == ("error: domain error in 'exp(1000.0*x)^2.0': "
+                        "math range error\n")
 
 
 def test_non_finite_run_leaks_no_numpy_warning(tmp_path):

@@ -1,0 +1,136 @@
+"""The array float formatter against repr(float(v)), byte for byte."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from weyldyn import floattext
+
+
+def array_texts(values):
+    """Texts the array path gives for values, one str per value."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    slots = np.full((len(values), floattext._SLOT), ord("0"), dtype=np.uint8)
+    length = floattext._fill(values, slots.reshape(-1),
+                             np.arange(0, slots.size, floattext._SLOT))
+    return [bytes(row[:n]).decode() for row, n in zip(slots, length)]
+
+
+def assert_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    want = [repr(v) for v in values.tolist()]
+    got = array_texts(values)
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not wrong, wrong[:10]
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)])
+
+
+def from_bits(patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_any_bit_pattern_matches_repr(patterns):
+    assert_repr(from_bits(patterns))
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_any_float_matches_repr(values):
+    assert_repr(values)
+
+
+def test_every_power_of_two_and_its_neighbours():
+    assert_repr(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+
+
+def test_every_power_of_ten_and_its_neighbours():
+    assert_repr(with_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+
+def test_tiny_subnormals():
+    assert array_texts([5e-324, 1e-323, -5e-324]) == ["5e-324", "1e-323",
+                                                      "-5e-324"]
+    assert_repr(from_bits(np.arange(1, 100_001)))
+
+
+def test_notation_thresholds():
+    values = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0]
+    assert array_texts(values) == ["0.0001", "9.999999999999999e-05",
+                                   "1e+16", "9999999999999998.0"]
+    assert_repr(with_neighbours(values + [-v for v in values]))
+
+
+def test_exponents_of_three_digits_and_special_values():
+    nan_payloads = from_bits([0x7FF8000000000001, 0xFFF8000000000000])
+    values = [1e-100, -2.5e-300, 1.5e200, 1.7976931348623157e308,
+              2.2250738585072014e-308, 0.0, -0.0, math.nan, *nan_payloads,
+              math.inf, -math.inf]
+    assert array_texts(values)[5:] == ["0.0", "-0.0", "nan", "nan", "nan",
+                                       "inf", "-inf"]
+    assert_repr(values)
+
+
+def test_ties_between_two_shortest_candidates_round_to_even():
+    # c * 2**-2 with c odd lies halfway between two one-decimal candidates
+    c = np.arange(2 ** 52 + 1, 2 ** 52 + 2001, 2, dtype=np.float64)
+    assert_repr(np.ldexp(c, -2))
+
+
+def test_integers_and_short_decimals():
+    assert_repr(np.arange(-5000, 5000) * 1e-3)
+    assert_repr(np.arange(2 ** 53 - 1000, 2 ** 53 + 1000, dtype=np.float64))
+
+
+def test_million_random_bit_patterns_in_one_call():
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64,
+                          endpoint=False).view(np.float64)
+    got = floattext.csv_rows([values])
+    assert got == ("\n".join(map(repr, values.tolist())) + "\n").encode()
+
+
+def floor_log10(x):
+    k = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    while Fraction(10) ** k > x:
+        k -= 1
+    while Fraction(10) ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+def test_decimal_exponent_formulas_hold_for_every_binary_exponent():
+    # floor(log10(2**q)) and floor(log10(3/4 * 2**q)) as _shortest_digits
+    # computes them, against exact rational arithmetic
+    for q in range(-1074, 972):
+        assert (q * 1262611) >> 22 == floor_log10(Fraction(2) ** q), q
+        assert (q * 1262611 - 524031) >> 22 == floor_log10(
+            Fraction(3, 4) * Fraction(2) ** q), q
+
+
+@pytest.mark.parametrize("threshold", [0, 10 ** 9])
+def test_csv_rows_on_both_paths_matches_row_by_row_repr(monkeypatch,
+                                                        threshold):
+    monkeypatch.setattr(floattext, "_ARRAY_MIN_VALUES", threshold)
+    rng = np.random.default_rng(3)
+    rows = 700
+    columns = [np.arange(rows) * 1e-3,
+               np.full(rows, -0.0),
+               rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+               np.full(rows, math.nan),
+               np.resize([0.0, -0.0, math.inf, 1e16, 5e-324], rows),
+               np.full(rows, 12.345)]
+    want = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in zip(*columns)).encode()
+    assert floattext.csv_rows(columns) == want
+    assert floattext.csv_rows([c[:1] for c in columns]) == want[
+        :want.index(b"\n") + 1]

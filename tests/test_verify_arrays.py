@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import scalar_battery as oracle
-from weyldyn.expressions import AngleLaw, ScalarField, plane_wave_phase
+from weyldyn.expressions import (AngleLaw, EvaluationError, ScalarField,
+                                 plane_wave_phase)
 from weyldyn.potentials import (base_potential, degenerate_potential,
                                 drive_field_closed_form,
                                 field_from_potential_numeric,
@@ -91,6 +92,15 @@ def test_nan_draw_fails_its_check():
     by_name = {c.name: c for c in run_verification(scenario).checks}
     assert math.isnan(by_name["drive_field_cross_check"].measured)
     assert not by_name["drive_field_cross_check"].passed
+
+
+def test_absorbed_overflow_raises_the_per_draw_error():
+    scenario = parse_scenario_text("theta0 = 1\nh = 1/exp(1000*x)\n")
+    with pytest.raises(EvaluationError) as slow:
+        oracle.run_verification(scenario)
+    with pytest.raises(EvaluationError) as fast:
+        run_verification(scenario)
+    assert str(fast.value) == str(slow.value)
 
 
 # --- array functions against one scalar call per event ----------------------
