@@ -12,6 +12,7 @@ scenario errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -57,20 +58,23 @@ def write_field_csv(ts, fields, path: str | Path) -> None:
 
 
 def _with_options(scenario: Scenario, args, out=None) -> Scenario:
-    return scenario.with_overrides(
+    scenario = scenario.with_overrides(
         dt=args.dt, t_end=args.t_end, seed=args.seed, out=out,
         paper_literal=args.paper_literal_field or None,
     )
+    if scenario.paper_literal:
+        # raises ScenarioError when there are no paper_literal_* components
+        scenario.active_field_exprs()
+    return scenario
 
 
 def _load(args) -> Scenario:
     return _with_options(resolve_scenario(args.scenario), args, out=args.out)
 
 
-def _si_lines(scenario: Scenario) -> list[str]:
-    e0 = scenario.field_program().field_at(0.0)
+def _si_lines(e0, q: float) -> list[str]:
     magnitude = float(np.linalg.norm(e0))
-    rates = si_rates(magnitude, abs(scenario.q))
+    rates = si_rates(magnitude, abs(q))
     return [
         f"SI reading (field at t = 0 taken as V/m, q in elementary charges):",
         f"  |E| = {magnitude!r} V/m -> {rates.ev_per_meter!r} eV/m, "
@@ -86,10 +90,18 @@ def _note_grid_end(scenario: Scenario) -> None:
               file=sys.stderr)
 
 
+def _scenario_si_lines(scenario: Scenario) -> list[str]:
+    return _si_lines(scenario.field_program().field_at(0.0), scenario.q)
+
+
 def cmd_verify(args) -> int:
+    if args.dt is not None or args.t_end is not None:
+        print("error: --dt and --t-end do not apply to verify: the battery "
+              "does not integrate", file=sys.stderr)
+        return 2
     scenario = _load(args)
     report = run_verification(scenario)
-    extra = _si_lines(scenario) if args.si else ()
+    extra = _scenario_si_lines(scenario) if args.si else ()
     text = report.format_text(extra)
     print(text)
     if scenario.out:
@@ -136,7 +148,7 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(run.trajectory, out_path)
     print(_summarize(run.summary))
     if args.si:
-        print("\n".join(_si_lines(scenario)))
+        print("\n".join(_scenario_si_lines(scenario)))
     print(f"wrote {out_path}")
     return 0
 
@@ -162,17 +174,20 @@ def cmd_control(args) -> int:
     print(f"[{status}] target {run.label} {run.target!r}, forward simulation "
           f"measured {run.measured!r} (|diff| {deviation:.3e}, tol 1e-06)")
     if args.si:
-        print("\n".join(_si_lines(scenario)))
+        # the profile's own field at t = 0, not the scenario's program
+        print("\n".join(_si_lines(run.fields[0], scenario.q)))
     return 0 if achieved else 1
 
 
 def cmd_figures(args) -> int:
+    names = [args.scenario] if args.scenario else list(FIGURE_PRESETS)
+    # every scenario is checked before anything is written
+    scenarios = [_with_options(resolve_scenario(name), args) for name in names]
+    # --out names the directory here, not the CSV
     outdir = Path(args.out or "figures")
     outdir.mkdir(parents=True, exist_ok=True)
-    names = [args.scenario] if args.scenario else list(FIGURE_PRESETS)
-    for name in names:
-        # --out names the directory here, not the CSV
-        scenario = _with_options(resolve_scenario(name), args)
+    for scenario in scenarios:
+        _note_grid_end(scenario)
         run = run_scenario(scenario)
         path = outdir / f"{scenario.name}.csv"
         write_trajectory_csv(run.trajectory, path)
@@ -180,7 +195,10 @@ def cmd_figures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="weyl-dyn",
         description="spinor trajectory toolkit: verify, simulate, control",

@@ -23,6 +23,13 @@ ufuncs in the scalar operation order, so each entry rounds exactly as a
 scalar call would (np.sin and np.cos equal math.sin and math.cos).  A
 component that does not vary over the draws may come back as a scalar;
 `EMField.e_vec`, `b_vec` and `e_norm` are for one point.
+
+`field_from_potential_numeric` differences the components on the
+stencil of `spinors.on_stencil`: for an array event it calls
+`components` once, on the 8 shifted events stacked on a leading axis,
+and broadcasts a component that comes back as a scalar or a per-draw
+array over those rows; a scalar event is evaluated one shifted event at
+a time, t+, t-, x+, x-, y+, y-, z+, z-.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .expressions import AngleLaw, ScalarField
 from .observables import velocity_from_angles
-from .spinors import Event, Helicity
+from .spinors import Event, Helicity, on_stencil
 
 __all__ = [
     "FourPotentialField",
@@ -167,17 +174,10 @@ def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
     if step <= 0:
         raise ValueError("step must be positive")
 
-    inv = 0.5 / step
-
-    def dcomp(axis: str):
-        plus = pot.components(ev.shifted(axis, step))
-        minus = pot.components(ev.shifted(axis, -step))
-        return tuple((p - m) * inv for p, m in zip(plus, minus))
-
-    dt = dcomp("t")
-    dx = dcomp("x")
-    dy = dcomp("y")
-    dz = dcomp("z")
+    comps = on_stencil(pot.components, ev, step, centre=False)
+    # rows of the differences: t, x, y, z; columns: b0..b3
+    dt, dx, dy, dz = ((comps[:, 0::2] - comps[:, 1::2])
+                      * (0.5 / step)).swapaxes(0, 1)
 
     # E_i = -(1/q) d_i b0 + (1/q) d_t b_i
     ex = (-dx[0] + dt[1]) / q

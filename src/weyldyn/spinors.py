@@ -19,6 +19,17 @@ scope for this package.
 `Event` may carry equal-shape arrays, one entry per draw, and then
 `spinor_components`, `build_spinor` and `weyl_residual` return arrays
 over the draws; a scalar event gives scalars through the same code.
+
+Central differences read a function on a stencil of 9 events: the event
+itself, then its shifts by +step and -step along t, x, y and z
+(`stencil`).  Each shift rounds as `Event.shifted` does, c + step and
+c + (-step).  For an array event of shape s, `on_stencil` calls the
+function once, on the 9 events stacked on a new leading axis (shape
+(9,) + s); a scalar event is evaluated one row at a time, in row order,
+so that an expression error raises where a loop of shifted events would
+raise.  `weyl_residual` and
+`potentials.field_from_potential_numeric` both difference through it.
+
 The array path rounds exactly as one scalar call per draw:
 
 - spinors and residuals are held as real/imaginary float pairs, with
@@ -47,6 +58,8 @@ __all__ = [
     "MIRROR_PAULI",
     "spinor_components",
     "build_spinor",
+    "stencil",
+    "on_stencil",
     "weyl_residual",
 ]
 
@@ -96,6 +109,47 @@ class Event:
         if axis == "t":
             return Event(self.x, self.y, self.z, self.t + delta)
         raise ValueError(f"unknown axis '{axis}'")
+
+
+STENCIL_AXES = ("t", "x", "y", "z")
+
+
+def stencil(ev: Event, step: float) -> Event:
+    """ev and its +-step shifts, stacked on a new leading axis of 9 rows.
+
+    Row 0 is ev; rows 2i + 1 and 2i + 2 shift axis STENCIL_AXES[i] by
+    +step and by -step, rounding as Event.shifted does.
+    """
+    shape = np.broadcast(ev.x, ev.y, ev.z, ev.t).shape
+    coords = np.empty((4, 9) + shape)
+    for i, axis in enumerate(STENCIL_AXES):
+        coords[i] = getattr(ev, axis)
+        coords[i, 2 * i + 1] += step
+        coords[i, 2 * i + 2] += -step
+    t, x, y, z = coords
+    return Event(x, y, z, t)
+
+
+def on_stencil(fn, ev: Event, step: float, centre: bool = True) -> np.ndarray:
+    """The values fn(event) on ev's stencil, as one array of shape
+    (len(values), rows) + ev's shape; centre=False leaves out row 0.
+
+    An array event is stacked and fn is called once; values that come
+    back as scalars or per-draw arrays are broadcast over the rows.  A
+    scalar event calls fn on one row at a time, in row order.
+    """
+    rows = stencil(ev, step)
+    if not centre:
+        rows = Event(rows.x[1:], rows.y[1:], rows.z[1:], rows.t[1:])
+    if rows.t.ndim == 1:
+        events = zip(rows.x.tolist(), rows.y.tolist(), rows.z.tolist(),
+                     rows.t.tolist())
+        return np.array([fn(Event(*row)) for row in events]).swapaxes(0, 1)
+    values = fn(rows)
+    out = np.empty((len(values),) + rows.t.shape)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,13 +221,10 @@ def weyl_residual(law: AngleLaw, h: ScalarField | None, potential,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    ur, ui, wr, wi = _spinor_parts(law, h, helicity, ev)
-    inv = 0.5 / step
-    d = []
-    for axis in ("t", "x", "y", "z"):
-        plus = _spinor_parts(law, h, helicity, ev.shifted(axis, step))
-        minus = _spinor_parts(law, h, helicity, ev.shifted(axis, -step))
-        d.append([(p - m) * inv for p, m in zip(plus, minus)])
+    parts = on_stencil(lambda e: _spinor_parts(law, h, helicity, e), ev, step)
+    ur, ui, wr, wi = parts[:, 0]
+    # rows of d: t, x, y, z; columns: ur, ui, wr, wi
+    d = ((parts[:, 1::2] - parts[:, 2::2]) * (0.5 / step)).swapaxes(0, 1)
     (tur, tui, twr, twi), (xur, xui, xwr, xwi) = d[0], d[1]
     (yur, yui, ywr, ywi), (zur, zui, zwr, zwi) = d[2], d[3]
     b0, b1, b2, b3 = potential.components(ev)

@@ -9,8 +9,9 @@ is deterministic for a fixed seed.
 
 Each check draws its random numbers as one block, in the order a loop of
 one draw at a time would draw them, and evaluates all its draws with a
-few array calls (see spinors.py and potentials.py).  Every measured
-value equals that of the per-draw loop to the last bit:
+few array calls (see spinors.py and potentials.py); each
+finite-difference stencil is one call on its stacked events.  Every
+measured value equals that of the per-draw loop to the last bit:
 
 - 3-vector dot products and norms use np.vecdot on contiguous rows,
   which rounds as the BLAS ddot behind `p @ p` and np.linalg.norm (a
@@ -20,18 +21,19 @@ value equals that of the per-draw loop to the last bit:
 - k keeps one math.hypot per draw (`localization_from_rates`), which
   differs from np.hypot on some inputs.
 
-The six gauge templates are parsed once per battery, with their
-coefficients a..d bound per draw.  When a draw's value comes out
-non-finite, the draws up to it and the other non-finite ones are
-evaluated again one at a time, in draw order, through the scalar path,
-so that an expression that cannot be evaluated there raises the same
-error a per-draw loop would raise, also where the array path absorbed
-an earlier draw's overflow into a finite value; the worst-of reduction
-keeps NaN.
+The six gauge templates are parsed and differentiated once per
+process, with their coefficients a..d bound per draw.  When a draw's
+value comes out non-finite, the draws up to it and the other non-finite
+ones are evaluated again one at a time, in draw order, through the
+scalar path, so that an expression that cannot be evaluated there
+raises the same error a per-draw loop would raise, also where the array
+path absorbed an earlier draw's overflow into a finite value; the
+worst-of reduction keeps NaN.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,6 +88,12 @@ class RunReport:
 
 _GAUGE_FORMS = ("a", "a*t", "a*sin(b*t)", "a*x + b*y + c*z + d*t", "a*z",
                 "a*t + b*t^2")
+
+
+@functools.cache
+def _gauge_templates() -> tuple:
+    return tuple(ScalarField.from_text(text, bound="abcd")
+                 for text in _GAUGE_FORMS)
 
 
 def _draw(rng, rows: int, laws: int, others: int) -> np.ndarray:
@@ -147,8 +155,7 @@ def _run_checks(scenario: Scenario) -> list:
     tol_field = max(1e-6, 10.0 * step * step)
     tol_identity = 1e-12
     tol_kappa = 1e-14
-    templates = [ScalarField.from_text(text, bound="abcd")
-                 for text in _GAUGE_FORMS]
+    templates = _gauge_templates()
     forms = len(templates)
 
     checks: list[CheckResult] = []

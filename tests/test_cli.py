@@ -153,6 +153,16 @@ def test_control_si_flag_appends_si_lines(tmp_path):
     assert "eV/m" in lines[3] and "eV/s" in lines[3]
 
 
+def test_control_si_reads_the_profile_field_at_t0(tmp_path):
+    out = tmp_path / "c.csv"
+    r = run_cli("control", "free", "--dedt", "2", "--si", "--out", str(out))
+    assert r.returncode == 0
+    first = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+    magnitude = float(np.linalg.norm(first[1:]))
+    assert magnitude > 1.9
+    assert f"|E| = {magnitude!r} V/m" in r.stdout
+
+
 def test_control_requires_exactly_one_target():
     assert run_cli("control", "free").returncode == 2
     assert run_cli("control", "free", "--dedt", "1", "--dkdt", "1").returncode == 2
@@ -171,6 +181,93 @@ def test_figures_applies_grid_overrides(tmp_path):
     assert r.returncode == 0
     assert r.stdout == f"fig3: 1001 samples -> {tmp_path / 'fig3.csv'}\n"
     assert len((tmp_path / "fig3.csv").read_text().splitlines()) == 1002
+
+
+def test_figures_notes_an_off_grid_t_end(tmp_path):
+    r = run_cli("figures", "fig3", "--t-end", "1.0005", "--out",
+                str(tmp_path))
+    assert r.returncode == 0
+    assert r.stderr == ("note: t_end 1.0005 is not a whole number of steps "
+                        "of dt 0.001; the grid ends at t 1.0\n")
+    assert len((tmp_path / "fig3.csv").read_text().splitlines()) == 1002
+
+
+def test_plain_figures_prints_nothing_on_stderr(tmp_path):
+    r = run_cli("figures", "--out", str(tmp_path))
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert len(r.stdout.splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("verify",),
+                                     ("control", "--dkdt", "0.5"),
+                                     ("figures",)])
+def test_literal_field_without_literal_components_exits_2(tmp_path, command):
+    r = run_cli(command[0], "fig1", *command[1:], "--paper-literal-field",
+                "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == ("error: --paper-literal-field requested but the "
+                        "scenario defines no paper_literal_ex/ey/ez "
+                        "components\n")
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", [("--dt", "0.5"), ("--t-end", "3")])
+def test_verify_refuses_grid_options(tmp_path, option):
+    out = tmp_path / "report.txt"
+    r = run_cli("verify", "free", *option, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "does not integrate" in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
+
+
+def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
+    # the parser is built once per process; options of one call must not
+    # leak into the next
+    import weyldyn.cli as cli
+
+    polar = tmp_path / "polar.scn"
+    polar.write_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\nt_end = 1\n")
+    calls = [
+        ("control", str(polar), "--dkdt", "0.3", "--mode", "polar"),
+        ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2"),
+        ("verify", "free", "--seed", "3", "--si"),
+        ("verify", "free"),
+        ("simulate", "fig3", "--t-end", "1", "--si"),
+        ("simulate", "fig3", "--dt", "0.01"),
+        ("figures", "fig3", "--t-end", "0.5"),
+    ]
+    fresh = cli.build_parser.__wrapped__()
+    for argv in calls:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(
+            fresh.parse_args(argv))
+    assert cli.build_parser() is cli.build_parser()
+
+    def run_all(order):
+        outputs = {}
+        for i in order:
+            out = tmp_path / f"out{i}"
+            out.mkdir(exist_ok=True)
+            rc = cli.main([*calls[i], "--out", str(out / "o")])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.rglob("*"))
+                     if p.is_file()}
+            outputs[i] = (rc, captured.out.replace(str(out), "<out>"),
+                          captured.err, files)
+        return outputs
+
+    forward = run_all(range(len(calls)))
+    assert run_all(reversed(range(len(calls)))) == forward
+    assert [rc for rc, *_ in forward.values()] == [0] * len(calls)
+    assert "[PASS] target dk/dt 0.3" in forward[0][1]
+    assert "[PASS] target dk/dt -0.5" in forward[1][1]
+    assert "seed 3:" in forward[2][1] and "SI reading" in forward[2][1]
+    assert "seed 0:" in forward[3][1] and "SI reading" not in forward[3][1]
+    assert "1001 samples" in forward[4][1] and "SI reading" in forward[4][1]
+    assert "1001 samples, dt 0.01" in forward[5][1]
 
 
 def test_module_entry_matches_console_script(tmp_path):
