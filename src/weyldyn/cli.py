@@ -91,7 +91,8 @@ def _note_grid_end(scenario: Scenario) -> None:
 
 
 def _scenario_si_lines(scenario: Scenario) -> list[str]:
-    return _si_lines(scenario.field_program().field_at(0.0), scenario.q)
+    e0 = scenario.field_program().sample(np.zeros(1))[0]
+    return _si_lines(e0, scenario.q)
 
 
 def cmd_verify(args) -> int:
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ExpressionError) as exc:
+    except (ScenarioError, ExpressionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import Expr, ScalarField, eval_expr
+from .expressions import Expr, ScalarField
+from .potentials import drive_field_closed_form
 from .spinors import Helicity
 
 __all__ = [
@@ -94,12 +95,8 @@ def accel_from_field(state: ParticleState,
 
 class FieldProgram:
     """Applied electric field history E(t): ``sample(ts)`` gives it on an
-    array of times as a (len(ts), 3) array, ``field_at(t)`` at one time.
-    Magnetic drives do not couple to the angle dynamics, so any nonzero B
-    is rejected up front."""
-
-    def field_at(self, t: float) -> tuple[float, float, float]:
-        raise NotImplementedError
+    array of times as a (len(ts), 3) array.  Magnetic drives do not couple
+    to the angle dynamics, so any nonzero B is rejected up front."""
 
     @staticmethod
     def _check_b(b) -> None:
@@ -108,9 +105,6 @@ class FieldProgram:
 
 
 class ZeroField(FieldProgram):
-    def field_at(self, t):
-        return (0.0, 0.0, 0.0)
-
     def sample(self, ts):
         return np.zeros((len(ts), 3))
 
@@ -119,9 +113,6 @@ class ConstantField(FieldProgram):
     def __init__(self, e: tuple[float, float, float], b=None):
         self._check_b(b)
         self.e = (float(e[0]), float(e[1]), float(e[2]))
-
-    def field_at(self, t):
-        return self.e
 
     def sample(self, ts):
         return np.tile(self.e, (len(ts), 1))
@@ -138,9 +129,6 @@ class ExprField(FieldProgram):
                 names = ", ".join(sorted(extra))
                 raise ValueError(f"field expressions may only use t, found: {names}")
         self.exprs = (ex, ey, ez)
-
-    def field_at(self, t):
-        return tuple(eval_expr(c, t=t) for c in self.exprs)
 
     def sample(self, ts):
         out = np.empty((len(ts), 3))
@@ -164,23 +152,11 @@ class DriveField(FieldProgram):
         self.helicity = helicity
         self.q = q
 
-    def field_at(self, t):
-        from .potentials import drive_field_closed_form
-        return drive_field_closed_form(self.law, self.helicity, self.q, t).e
-
     def sample(self, ts):
-        law = self.law
-        phi = law.phi.value(ts)
-        theta_dot = law.theta.derivative(ts)
-        phi_dot = law.phi.derivative(ts)
-        theta_ddot = law.theta.second_derivative(ts)
-        phi_ddot = law.phi.second_derivative(ts)
-        sp, cp = np.sin(phi), np.cos(phi)
-        scale = self.helicity.sign / (2.0 * self.q)
+        field = drive_field_closed_form(self.law, self.helicity, self.q, ts)
         out = np.empty((len(ts), 3))
-        out[:, 0] = scale * (cp * theta_dot * phi_dot + sp * theta_ddot)
-        out[:, 1] = scale * (sp * theta_dot * phi_dot - cp * theta_ddot)
-        out[:, 2] = np.zeros_like(ts) - scale * phi_ddot
+        out[:, 0], out[:, 1] = field.e[:2]
+        out[:, 2] = np.zeros_like(ts) + field.e[2]  # a zero Ez is +0.0
         return out
 
 
@@ -262,15 +238,18 @@ def grid_steps(t_end: float, dt: float) -> int:
 
     n is t_end/dt rounded to the nearest integer, so the grid ends at
     n*dt, which misses t_end when t_end is not a whole number of steps.
-    Raises ValueError when the grid has no step or dt is too small for t_end.
+    Raises ValueError when dt or t_end is not finite, the grid has no step
+    or dt is too small for t_end.
     """
+    if not (math.isfinite(dt) and math.isfinite(t_end)):
+        raise ValueError("dt and t_end must be finite")
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    if dt < t_end * 1e-14:
+        raise ValueError("time step underflows the grid resolution")
     n = int(round(t_end / dt))
     if n < 1:
         raise ValueError("t_end shorter than one step")
-    if dt < t_end * 1e-14:
-        raise ValueError("time step underflows the grid resolution")
     return n
 
 

@@ -113,6 +113,8 @@ class Scenario:
         if dt is not None or t_end is not None:
             _check_grid(scn.t_end, scn.dt)
         if seed is not None:
+            if seed < 0:
+                raise ScenarioError("seed override must be nonnegative")
             scn.seed = seed
         if out is not None:
             scn.out = out
@@ -477,6 +479,8 @@ def _control_window(ts, rate_series, initial_sign) -> int:
     return max(1, int(flips[0]) - 1)
 
 
+# an overflow leaves a non-finite sample (refused) or rate (fails the gate)
+@np.errstate(over="ignore", invalid="ignore")
 def run_control(scenario: Scenario, *, dedt: float | None = None,
                 dkdt: float | None = None,
                 mode: str = "azimuthal") -> ControlRun:

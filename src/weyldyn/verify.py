@@ -22,7 +22,9 @@ measured value equals that of the per-draw loop to the last bit:
   differs from np.hypot on some inputs.
 
 The six gauge templates are parsed and differentiated once per
-process, with their coefficients a..d bound per draw.  When a draw's
+process.  In the two gauge checks draw i uses template i % 6 with its
+own a..d, all in one gauge function (`_GaugeFamily`) whose `value` and
+`partial` evaluate template j on draws j::6 of the last axis.  When a draw's
 value comes out non-finite, the draws up to it and the other non-finite
 ones are evaluated again one at a time, in draw order, through the
 scalar path, so that an expression that cannot be evaluated there
@@ -88,6 +90,7 @@ class RunReport:
 
 _GAUGE_FORMS = ("a", "a*t", "a*sin(b*t)", "a*x + b*y + c*z + d*t", "a*z",
                 "a*t + b*t^2")
+_FORMS = len(_GAUGE_FORMS)
 
 
 @functools.cache
@@ -118,6 +121,27 @@ def _event(block) -> Event:
 
 def _gauge(template: ScalarField, block) -> ScalarField:
     return template.bind(**dict(zip("abcd", _columns(block))))
+
+
+class _GaugeFamily:
+    """The gauge functions of a check's draws (see the module docstring)."""
+
+    def __init__(self, block: np.ndarray):
+        self._fields = [_gauge(template, block[j::_FORMS]) for j, template
+                        in enumerate(_gauge_templates()[:len(block)])]
+
+    def _evaluate(self, evaluate, *coords) -> np.ndarray:
+        out = np.empty(np.broadcast(*coords).shape)
+        for j, field in enumerate(self._fields):
+            rows = (c[..., j::_FORMS] for c in coords)
+            out[..., j::_FORMS] = evaluate(field, *rows)
+        return out
+
+    def value(self, x, y, z, t) -> np.ndarray:
+        return self._evaluate(ScalarField.value, x, y, z, t)
+
+    def partial(self, axis: str, x, y, z, t) -> np.ndarray:
+        return self._evaluate(lambda f, *c: f.partial(axis, *c), x, y, z, t)
 
 
 def _worst(*values) -> float:
@@ -155,8 +179,6 @@ def _run_checks(scenario: Scenario) -> list:
     tol_field = max(1e-6, 10.0 * step * step)
     tol_identity = 1e-12
     tol_kappa = 1e-14
-    templates = _gauge_templates()
-    forms = len(templates)
 
     checks: list[CheckResult] = []
 
@@ -176,15 +198,12 @@ def _run_checks(scenario: Scenario) -> list:
     # i uses gauge template i % 6
     clean_base = base_potential(law, h, helicity)
     draws = _draw(rng, n, 0, 8)
-    res = np.empty(n)
-    for j, template in enumerate(templates[:n]):
-        rows = draws[j::forms]
-        pot = degenerate_potential(clean_base, _gauge(template, rows[:, :4]))
-        res[j::forms] = weyl_residual(law, h, pot, helicity,
-                                      _event(rows[:, 4:]), step)
+    family = _GaugeFamily(draws[:, :4])
+    res = weyl_residual(law, h, degenerate_potential(clean_base, family),
+                        helicity, _event(draws[:, 4:]), step)
     _replay_non_finite(res, lambda i: weyl_residual(
-        law, h, degenerate_potential(
-            clean_base, _gauge(templates[i % forms], draws[i, :4])),
+        law, h, degenerate_potential(clean_base, _gauge(
+            _gauge_templates()[i % _FORMS], draws[i, :4])),
         helicity, _event(draws[i, 4:]), step))
     checks.append(CheckResult("residual_degenerate", _worst(res),
                               tol_residual))
@@ -246,16 +265,13 @@ def _run_checks(scenario: Scenario) -> list:
                               tol_field))
 
     draws = _draw(rng, m, 1, 8)
-    gauge = []
-    for j, template in enumerate(templates[:m]):
-        rows = draws[j::forms]
-        laws, s = _law(rows[:, :4]), _gauge(template, rows[:, 4:8])
-        ev = _event(rows[:, 8:])
-        numeric = field_from_potential_numeric(
-            gauge_potential(laws, helicity, s), q, ev, step)
-        closed = gauge_family_field(laws, s, q, ev)
-        gauge += [np.abs(a - b) for a, b in zip(numeric.e + numeric.b,
-                                                closed.e + closed.b)]
+    laws, family = _law(draws[:, :4]), _GaugeFamily(draws[:, 4:8])
+    ev = _event(draws[:, 8:])
+    numeric = field_from_potential_numeric(
+        gauge_potential(laws, helicity, family), q, ev, step)
+    closed = gauge_family_field(laws, family, q, ev)
+    gauge = [np.abs(a - b) for a, b in zip(numeric.e + numeric.b,
+                                           closed.e + closed.b)]
     checks.append(CheckResult("gauge_field_cross_check", _worst(*gauge),
                               tol_field))
     return checks

@@ -357,6 +357,58 @@ def test_grid_without_a_step_exits_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ("simulate", "fig3", "--t-end", "inf"),
+    ("figures", "fig3", "--t-end", "inf"),
+    ("control", "free", "--dedt", "1", "--dt", "nan"),
+])
+def test_non_finite_grid_option_exits_2(tmp_path, args):
+    r = run_cli(*args, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "must be finite" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [("verify",), ("simulate",),
+                                     ("control", "--dedt", "1")])
+def test_negative_seed_option_exits_2(tmp_path, command):
+    r = run_cli(command[0], "free", *command[1:], "--seed", "-1", "--out",
+                str(tmp_path / "out"), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == "error: seed override must be nonnegative\n"
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [("simulate", "fig3", "--t-end", "1"),
+                                     ("verify", "free"),
+                                     ("control", "free", "--dedt", "1")])
+def test_out_in_a_missing_directory_exits_2(tmp_path, command):
+    out = tmp_path / "missing" / "x.csv"
+    r = run_cli(*command, "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert f"'{out}'" in r.stderr.splitlines()[-1]
+    assert "Traceback" not in r.stderr
+    assert "wrote" not in r.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figures_out_over_an_existing_file_exits_2(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    r = run_cli("figures", "fig3", "--t-end", "1", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert f"'{out}'" in r.stderr.splitlines()[-1]
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", [("simulate",), ("control", "--dedt", "1")])
 def test_off_grid_t_end_prints_one_note(tmp_path, command):
     scn = tmp_path / "offgrid.scn"

@@ -16,7 +16,7 @@ from weyldyn.dynamics import (
     grid_steps,
     integrate_trajectory,
 )
-from weyldyn.expressions import AngleLaw, ScalarField, parse_expr
+from weyldyn.expressions import AngleLaw, ScalarField, eval_expr, parse_expr
 from weyldyn.spinors import Helicity
 
 POS = Helicity.POSITIVE
@@ -79,18 +79,24 @@ def test_expr_field_rejects_spatial_dependence():
 
 
 def test_field_program_sampling_consistency():
+    # each program's rows against an independent value at one time
+    from weyldyn.potentials import drive_field_closed_form
+    exprs = (parse_expr("sin(t)"), parse_expr("0"), parse_expr("t^2"))
+    law = AngleLaw.linear(1.0, 1.2, 0.3, 0.7)
     progs = [
-        ZeroField(),
-        ConstantField((0.2, -0.1, 0.4)),
-        ExprField(parse_expr("sin(t)"), parse_expr("0"), parse_expr("t^2")),
-        DriveField(AngleLaw.linear(1.0, 1.2, 0.3, 0.7), POS, 1.0),
+        (ZeroField(), lambda t: (0.0, 0.0, 0.0)),
+        (ConstantField((0.2, -0.1, 0.4)), lambda t: (0.2, -0.1, 0.4)),
+        (ExprField(*exprs),
+         lambda t: tuple(eval_expr(c, t=t) for c in exprs)),
+        (DriveField(law, POS, 1.0),
+         lambda t: drive_field_closed_form(law, POS, 1.0, t).e),
     ]
     ts = np.linspace(0.0, 2.0, 9)
-    for prog in progs:
+    for prog, reference in progs:
         grid = prog.sample(ts)
         assert grid.shape == (9, 3)
         for i, t in enumerate(ts):
-            assert grid[i] == pytest.approx(prog.field_at(float(t)), abs=1e-14)
+            assert grid[i] == pytest.approx(reference(float(t)), abs=1e-14)
 
 
 @pytest.mark.parametrize("omega1", [1.0, 2.0, math.sqrt(3)])
@@ -424,3 +430,11 @@ def test_grid_steps_rounds_to_the_nearest_whole_step():
         grid_steps(10.0, 1e-20)
     with pytest.raises(ValueError, match="positive"):
         grid_steps(1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_end, dt", [(math.inf, 0.001), (1.0, math.inf),
+                                       (math.nan, 0.001), (1.0, math.nan),
+                                       (-math.inf, 0.001)])
+def test_grid_steps_refuses_non_finite_times(t_end, dt):
+    with pytest.raises(ValueError, match="finite"):
+        grid_steps(t_end, dt)

@@ -1,0 +1,139 @@
+"""Property: the exit-code contract holds for any scenario text and options.
+
+`cli.main` runs in-process on generated scenario files and option sets,
+valid and invalid alike.  It must return 0, 1 or 2, let no exception
+escape (a stray numpy RuntimeWarning is an error under the test
+configuration), and pair exit 2 with an `error:` line on stderr.
+
+The number pools keep every accepted grid at 2000 steps or fewer: the
+largest finite t_end is 2 and the smallest accepted dt is 0.001, and
+the huge or tiny values are ones the grid check refuses.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weyldyn import cli
+
+
+def mostly(valid, invalid):
+    """About two draws in three from `valid`."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid),
+                     st.sampled_from(invalid))
+
+
+# "inf" and "nan" are floats to argparse but unknown names in a scenario file
+NUMBERS = mostly(("0.5", "2", "-1", "0", "pi/3", "1e-9"),
+                 ("1e308", "1e309", "inf", "-inf", "nan", "1/0", "x",
+                  "sqrt(-1)", "exp(1000)"))
+RATES = mostly(("0.5", "2", "-1", "0", "1e-9"),
+               ("1e308", "1e309", "inf", "-inf", "nan"))
+DTS = mostly(("0.001", "0.01", "0.3"),
+             ("5", "0", "-0.5", "nan", "inf", "-inf", "1e-300"))
+T_ENDS = mostly(("0.5", "2"), ("0.0001", "0", "-1", "nan", "inf", "1e300"))
+INTEGERS = mostly(("0", "7"), ("-1", "2.5", "1e30", "1e309", "nan"))
+SAMPLE_COUNTS = mostly(("1", "7", "30"), ("0", "-2", "2.5", "1e309"))
+TEXT_VALUES = {
+    "helicity": mostly(("positive", "negative"), ("sideways",)),
+    "h": mostly(("zero", "plane_wave", "0.3*x - t"),
+                ("1/x", "exp(1000*x)", "q")),
+    "s": mostly(("0", "t"), ("exp(t)", "x")),
+    "field": mostly(("zero", "constant", "expr", "drive"), ("bogus",)),
+    "theta_expr": mostly(("0.5 + 0.1*t^2",), ("log(t)", "x")),
+    "phi_expr": mostly(("2*t",), ("1/t", "exp(1000*t)")),
+    "ex": mostly(("0", "0.5", "sin(t)"), ("1e-9*exp(t)", "t/0", "x")),
+    "ey": mostly(("0", "0.3*cos(t)"), ("exp(1000*t)",)),
+    "ez": mostly(("0", "1/(2*q)", "0.3*cos(0.7*t)"), ("nan",)),
+    "paper_literal_ez": mostly(("1/q",), ("t",)),
+    "corrupt_b0": mostly(("0",), ("0.5",)),
+    "name": mostly(("run",), ("no/such/dir/run",)),
+}
+SCALAR_KEYS = ("q", "theta0", "omega1", "phi0", "omega2", "h_energy", "x0",
+               "y0", "z0", "fd_step", "tolerance")
+
+number_lines = st.dictionaries(st.sampled_from(SCALAR_KEYS), NUMBERS,
+                               max_size=4)
+text_lines = st.dictionaries(
+    st.sampled_from(sorted(TEXT_VALUES)), st.none(), max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: TEXT_VALUES[key] for key in keys}))
+scenario_texts = st.builds(
+    lambda numbers, texts, grid, ints, junk: "".join(
+        f"{key} = {value}\n"
+        for key, value in {**numbers, **texts, **grid, **ints}.items())
+    + junk,
+    number_lines, text_lines,
+    st.fixed_dictionaries({"dt": DTS, "t_end": T_ENDS}),
+    st.fixed_dictionaries({}, optional={"seed": INTEGERS,
+                                        "sample_count": SAMPLE_COUNTS}),
+    mostly(("",), ("# comment\n", "no equals sign\n", "bogus = 1\n",
+                   "q = 1\n", "theta0 =\n")))
+
+# option values are joined with "=": argparse reads a separate "-inf" as
+# an option name
+targets = st.one_of(
+    RATES.map(lambda v: [f"--dedt={v}"]),
+    st.tuples(RATES, st.sampled_from(("azimuthal", "polar"))).map(
+        lambda t: [f"--dkdt={t[0]}", f"--mode={t[1]}"]))
+
+
+def option(values):
+    return st.one_of(st.none(), st.none(), values)
+
+
+@st.composite
+def invocations(draw):
+    """(argv with {tmp} placeholders, scenario text or None)."""
+    command = draw(st.sampled_from(("verify", "simulate", "control",
+                                    "figures")))
+    source = draw(mostly(("preset", "file"), ("missing", "directory")))
+    text = draw(scenario_texts) if source == "file" else None
+    scenario = {"preset": draw(st.sampled_from(("free", "fig1", "fig2",
+                                                "fig3", "fig45"))),
+                "file": "{tmp}/gen.scn", "missing": "{tmp}/none.scn",
+                "directory": "{tmp}"}[source]
+    argv = [command, scenario]
+    if command == "control":
+        argv += draw(targets)
+    t_end = draw(option(T_ENDS))
+    if source == "preset" and command != "verify" and t_end is None:
+        t_end = "2"  # the presets' own grids run past 2000 steps
+    if t_end is not None:
+        argv.append(f"--t-end={t_end}")
+    for name, values in (("--dt", DTS),
+                         ("--seed", mostly(("0", "5", str(2 ** 40)),
+                                           ("-1",)))):
+        value = draw(option(values))
+        if value is not None:
+            argv.append(f"{name}={value}")
+    if draw(st.booleans()):
+        argv.append("--si")
+    if draw(mostly((False,), (True,))):
+        argv.append("--paper-literal-field")
+    out = draw(mostly(("{tmp}/out",),
+                      ("{tmp}/missing/out", "{tmp}/existing", "{tmp}")))
+    argv.append(f"--out={out}")
+    return argv, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(invocations())
+def test_exit_code_contract_holds_for_generated_runs(invocation):
+    argv, text = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "existing").write_text("already here\n")
+        if text is not None:
+            (Path(tmp) / "gen.scn").write_text(text)
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert any(line.startswith("error: ")
+                   for line in err.getvalue().splitlines()), err.getvalue()

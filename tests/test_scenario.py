@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from weyldyn.dynamics import ConstantField, DriveField, ExprField, ZeroField
@@ -73,7 +74,8 @@ def test_expr_field_kind_allows_time():
     sc = parse_scenario_text("field = expr\nex = sin(t)\ney = 0\nez = t^2")
     prog = sc.field_program()
     assert isinstance(prog, ExprField)
-    assert prog.field_at(2.0) == pytest.approx((math.sin(2.0), 0.0, 4.0))
+    assert prog.sample(np.array([2.0]))[0] == pytest.approx(
+        (math.sin(2.0), 0.0, 4.0))
 
 
 def test_nonlinear_angle_expressions():
@@ -92,12 +94,12 @@ def test_presets_resolve_and_have_expected_programs():
     fig45 = resolve_scenario("fig45")
     prog = fig45.field_program()
     assert isinstance(prog, ConstantField)
-    assert prog.field_at(0.0) == (0.0, 0.0, 0.5)
+    assert tuple(prog.sample(np.zeros(1))[0]) == (0.0, 0.0, 0.5)
 
 
 def test_fig45_literal_field_doubles_axial_component():
     lit = resolve_scenario("fig45").with_overrides(paper_literal=True)
-    assert lit.field_program().field_at(0.0) == (0.0, 0.0, 1.0)
+    assert tuple(lit.field_program().sample(np.zeros(1))[0]) == (0.0, 0.0, 1.0)
 
 
 def test_literal_flag_requires_literal_components():
@@ -191,6 +193,26 @@ def test_overrides_giving_no_step_are_a_scenario_error():
     with pytest.raises(ScenarioError, match="shorter than one step"):
         free.with_overrides(dt=20.0)
     assert free.with_overrides(dt=0.01, t_end=0.01).grid_end == 0.01
+
+
+@pytest.mark.parametrize("override, fragment", [
+    ({"t_end": math.inf}, "finite"),
+    ({"t_end": math.nan}, "finite"),
+    ({"dt": math.inf}, "finite"),
+    ({"dt": math.nan}, "finite"),
+    ({"t_end": 1e300}, "underflows"),
+])
+def test_overrides_off_any_grid_are_a_scenario_error(override, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        resolve_scenario("free").with_overrides(**override)
+
+
+def test_negative_seed_override_is_a_scenario_error():
+    free = resolve_scenario("free")
+    with pytest.raises(ScenarioError, match="seed override must be "
+                                            "nonnegative"):
+        free.with_overrides(seed=-1)
+    assert free.with_overrides(seed=0).seed == 0
 
 
 def test_grid_end_is_the_last_grid_time():

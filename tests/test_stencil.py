@@ -179,3 +179,24 @@ def test_one_array_call_evaluates_each_stencil_once(key, monkeypatch):
     pot.calls = 0
     field_from_potential_numeric(pot, 1.0, ev)
     assert pot.calls == 1
+
+
+def test_battery_makes_one_call_per_residual_and_field_check(monkeypatch):
+    # the six gauge templates share one call per check: 3 residuals
+    # (base, degenerate, mirror), 2 drive fields and 1 gauge field per route
+    import dataclasses
+
+    from weyldyn import verify
+    from weyldyn.scenario import resolve_scenario
+
+    calls = {}
+    for name in ("weyl_residual", "field_from_potential_numeric",
+                 "drive_field_closed_form", "gauge_family_field"):
+        def counted(*args, _name=name, _fn=getattr(verify, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(verify, name, counted)
+    scenario = dataclasses.replace(resolve_scenario("fig3"), sample_count=100)
+    assert verify.run_verification(scenario).passed
+    assert calls == {"weyl_residual": 3, "field_from_potential_numeric": 3,
+                     "drive_field_closed_form": 2, "gauge_family_field": 1}

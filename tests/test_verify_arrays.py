@@ -56,7 +56,9 @@ def assert_same_report(scenario):
         c.measured for c in slow.checks)
 
 
-@pytest.mark.parametrize("n", [1, 7, 100])
+# 2, 5: fewer degenerate-residual draws than gauge templates; 6, 23, 24,
+# 25: the gauge check's n // 4 draws below, at and just past six
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 23, 24, 25, 100])
 @pytest.mark.parametrize("name", ["free", "fig1", "fig2", "fig3", "fig45"])
 def test_presets_match_scalar_battery(name, n):
     assert_same_report(dataclasses.replace(resolve_scenario(name),
