@@ -13,7 +13,9 @@ from .observables import (KineticMomentum, energy_rate, kinetic_momentum,
                           momentum_noncollinearity, si_rates,
                           uncertainty_relation, velocity)
 from .dynamics import (ConstraintViolation, FieldProgram, ParticleState,
-                       Trajectory, accel_from_field, integrate_trajectory)
+                       Trajectory, compatibility_residual,
+                       integrate_trajectory, phi_ddot_from_field,
+                       theta_ddot_from_field)
 from .scenario import (Scenario, ScenarioError, load_scenario,
                        resolve_scenario, run_scenario)
 from .verify import RunReport, run_verification

@@ -104,9 +104,10 @@ def cmd_verify(args) -> int:
     report = run_verification(scenario)
     extra = _scenario_si_lines(scenario) if args.si else ()
     text = report.format_text(extra)
-    print(text)
     if scenario.out:
+        # written first, so that a failed write prints no report
         Path(scenario.out).write_text(text + "\n")
+    print(text)
     return 0 if report.passed else 1
 
 

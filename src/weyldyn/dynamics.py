@@ -3,19 +3,19 @@
 The drive field acts on the spinor state only through the two angle
 accelerations.  Inverting the closed-form drive field yields
 
-    theta'' = 2 q (Ex sin(phi) - Ey cos(phi))
-    phi''   = -2 q Ez
+    theta'' = 2 q (Ex sin(phi) - Ey cos(phi))     theta_ddot_from_field
+    phi''   = -2 q Ez                              phi_ddot_from_field
 
 while the transverse x-y components must additionally satisfy
 theta' phi' = 2 q (Ex cos(phi) + Ey sin(phi)).  That compatibility gap
-is reported as constraint_residual; fields violating it do not drive
-any member of the family and the integrator refuses to continue past a
-configurable tolerance.  Negative helicity feels the opposite field, so
-E is negated before the inversion.
+(compatibility_residual) is reported as constraint_residual; fields
+violating it do not drive any member of the family and the integrator
+refuses to continue past a configurable tolerance.  Negative helicity
+feels the opposite field, so these take q_eff = q * sign(helicity).
 
 Integration is classic fourth-order Runge-Kutta on the state
-(position, theta, phi, theta', phi') over a uniform grid.  k is always
-evaluated from the integrated rates, never integrated itself.
+(position, theta, phi, theta', phi') over a uniform grid.  k, v, E0 and
+p are evaluated by `observables` from the integrated angles and rates.
 
 The equations are triangular: phi'' needs only Ez, theta'' only phi and
 E, and the position only theta and phi.  So the integrator runs as a
@@ -33,17 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .expressions import Expr, ScalarField
+from .observables import (kinetic_momentum_from_state, localization_from_rates,
+                          require_time_only, velocity_from_angles)
 from .potentials import drive_field_closed_form
 from .spinors import Helicity
 
 __all__ = [
     "ParticleState",
-    "AngleAccel",
     "FieldProgram",
     "ZeroField",
     "ConstantField",
@@ -51,7 +51,9 @@ __all__ = [
     "DriveField",
     "Trajectory",
     "ConstraintViolation",
-    "accel_from_field",
+    "theta_ddot_from_field",
+    "phi_ddot_from_field",
+    "compatibility_residual",
     "grid_steps",
     "integrate_trajectory",
 ]
@@ -74,23 +76,21 @@ class ParticleState:
             raise ValueError("charge q must be nonzero")
 
 
-class AngleAccel(NamedTuple):
-    theta_ddot: float
-    phi_ddot: float
-    constraint_residual: float
+def theta_ddot_from_field(q_eff: float, e, sin_phi, cos_phi):
+    """theta'' = 2 q_eff (Ex sin(phi) - Ey cos(phi)), e rows (..., 3)."""
+    return (2.0 * q_eff) * (e[..., 0] * sin_phi - e[..., 1] * cos_phi)
 
 
-def accel_from_field(state: ParticleState,
-                     e_field: tuple[float, float, float]) -> AngleAccel:
-    """Angle accelerations produced by an applied electric field."""
-    ex, ey, ez = e_field
-    q_eff = state.q * state.helicity.sign
-    sp, cp = math.sin(state.phi), math.cos(state.phi)
-    theta_ddot = 2.0 * q_eff * (ex * sp - ey * cp)
-    phi_ddot = -2.0 * q_eff * ez
-    residual = abs(state.theta_dot * state.phi_dot
-                   - 2.0 * q_eff * (ex * cp + ey * sp))
-    return AngleAccel(theta_ddot, phi_ddot, residual)
+def phi_ddot_from_field(q_eff: float, e):
+    """phi'' = -2 q_eff Ez, e rows (..., 3)."""
+    return (-2.0 * q_eff) * e[..., 2]
+
+
+def compatibility_residual(q_eff: float, e, sin_phi, cos_phi, theta_dot,
+                           phi_dot):
+    """|theta' phi' - 2 q_eff (Ex cos(phi) + Ey sin(phi))|."""
+    drive = (2.0 * q_eff) * (e[..., 0] * cos_phi + e[..., 1] * sin_phi)
+    return np.abs(theta_dot * phi_dot - drive)
 
 
 class FieldProgram:
@@ -225,14 +225,6 @@ class ConstraintViolation(RuntimeError):
         self.nonfinite = nonfinite
 
 
-def _gauge_samples(gauge: ScalarField | None, ts: np.ndarray) -> np.ndarray:
-    if gauge is None:
-        return np.zeros_like(ts)
-    if not gauge.is_time_only:
-        raise ValueError("trajectory gauge function must depend on t only")
-    return gauge.sample_time(ts)
-
-
 def grid_steps(t_end: float, dt: float) -> int:
     """Number of steps n of the uniform grid 0, dt, ..., n*dt on [0, t_end].
 
@@ -266,13 +258,12 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     state or the applied field is not finite.
     """
     n = grid_steps(t_end, dt)
+    require_time_only(gauge, "integrate_trajectory")
     ts = np.arange(n + 1) * dt
     half_ts = np.arange(2 * n + 1) * (0.5 * dt)
     fields = program.sample(half_ts)
 
     q_eff = initial.q * initial.helicity.sign
-    c_theta = 2.0 * q_eff
-    c_phi = -2.0 * q_eff
 
     # rows: theta, phi, theta', phi', x, y, z
     state = np.empty((7, n + 1))
@@ -285,8 +276,8 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
         """Fill the residual over grid points lo..hi-1 and return the
         first of them that fails the run gate, or None."""
         e = fields[2 * lo:2 * hi:2]
-        res = np.abs(theta_dot_a[lo:hi] * phi_dot_a[lo:hi]
-                     - c_theta * (e[:, 0] * cp + e[:, 1] * sp))
+        res = compatibility_residual(q_eff, e, sp, cp, theta_dot_a[lo:hi],
+                                     phi_dot_a[lo:hi])
         residual[lo:hi] = res
         ok = ((res <= constraint_tol) & np.isfinite(state[:, lo:hi]).all(axis=0)
               & np.isfinite(e).all(axis=1))
@@ -303,16 +294,18 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
             e1 = fields[2 * lo + 2:2 * hi + 2:2]
             stage_fields = (e0, em, em, e1)
 
-            pdd_mid = c_phi * em[:, 2]
-            phi_dot_s = _rk4_stages(phi_dot_a, lo, hi, dt, c_phi * e0[:, 2],
-                                    pdd_mid, pdd_mid, c_phi * e1[:, 2])
+            pdd_mid = phi_ddot_from_field(q_eff, em)
+            phi_dot_s = _rk4_stages(phi_dot_a, lo, hi, dt,
+                                    phi_ddot_from_field(q_eff, e0), pdd_mid,
+                                    pdd_mid, phi_ddot_from_field(q_eff, e1))
             phi_s = _rk4_stages(phi_a, lo, hi, dt, *phi_dot_s)
             sp = [np.sin(p) for p in phi_s]
             cp = [np.cos(p) for p in phi_s]
-            theta_ddot_s = [c_theta * (e[:, 0] * s - e[:, 1] * c)
+            theta_ddot_s = [theta_ddot_from_field(q_eff, e, s, c)
                             for e, s, c in zip(stage_fields, sp, cp)]
             theta_dot_s = _rk4_stages(theta_dot_a, lo, hi, dt, *theta_ddot_s)
             theta_s = _rk4_stages(theta_a, lo, hi, dt, *theta_dot_s)
+            # position slopes: the velocity from each stage's sin and cos
             st = [np.sin(t) for t in theta_s]
             _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
             _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
@@ -357,23 +350,19 @@ def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
 def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
               dt: float) -> Trajectory:
     theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
-    sign = initial.helicity.sign
-    st, ct = np.sin(theta_a), np.cos(theta_a)
-    sp, cp = np.sin(phi_a), np.cos(phi_a)
-    s_vals = _gauge_samples(gauge, ts)
-
-    k = 0.5 * np.hypot(st * phi_dot_a, theta_dot_a)
-    e0 = -sign * 0.5 * ct * phi_dot_a - s_vals
-    px = sign * 0.5 * sp * theta_dot_a - s_vals * st * cp
-    py = -sign * 0.5 * cp * theta_dot_a - s_vals * st * sp
-    pz = -sign * 0.5 * phi_dot_a - s_vals * ct
+    vx, vy, vz = velocity_from_angles(theta_a, phi_a)
+    s_vals = np.zeros_like(ts) if gauge is None else gauge.sample_time(ts)
+    km = kinetic_momentum_from_state(theta_a, phi_a, theta_dot_a, phi_dot_a,
+                                     s_vals, initial.helicity)
+    px, py, pz = km.momentum
 
     return Trajectory(
         t=ts, x=xs, y=ys, z=zs,
-        vx=st * cp, vy=st * sp, vz=ct,
+        vx=vx, vy=vy, vz=vz,
         theta=theta_a, phi=phi_a,
         theta_dot=theta_dot_a, phi_dot=phi_dot_a,
-        k=k, e0=e0, px=px, py=py, pz=pz,
+        k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a),
+        e0=km.energy, px=px, py=py, pz=pz,
         ex=fields[:, 0].copy(), ey=fields[:, 1].copy(), ez=fields[:, 2].copy(),
         residual=residual,
         helicity=initial.helicity, q=initial.q, dt=dt,

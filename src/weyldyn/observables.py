@@ -8,9 +8,11 @@ potential by the same gradient, which cancels in the kinetic momentum.
 Natural units (hbar = c = 1) throughout; `si_rates` is the one explicit
 bridge to SI figures.
 
-`velocity_from_angles` and `kinetic_momentum_from_state` take scalars or
-numpy arrays alike (a scalar angle broadcasts against an array one); the
-law-based observables take one time t.
+Each formula is one `*_from_*` function on scalars or numpy arrays, which
+the trajectory, the control fields, the verify battery and the law-based
+observables call.  Vectors are rows (..., 3); np.vecdot rounds as
+`p @ p`, `elementwise_pow` as `**` on a numpy scalar.  Only k has two
+roundings (see `localization_from_rates`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AngleLaw, ScalarField
+from .expressions import AngleLaw, ScalarField, elementwise_pow
 from .spinors import Helicity
 
 __all__ = [
@@ -37,7 +39,10 @@ __all__ = [
     "localization_from_rates",
     "energy_rate",
     "mass_shell_defect",
+    "mass_shell_defect_from_momentum",
     "momentum_noncollinearity",
+    "noncollinearity_from_vectors",
+    "require_time_only",
     "uncertainty_relation",
     "si_rates",
 ]
@@ -54,8 +59,7 @@ def velocity_from_angles(theta, phi):
 
 def velocity(law: AngleLaw, helicity: Helicity, t: float) -> np.ndarray:
     """Local velocity of the spinor; the same for both helicities."""
-    theta, phi = law.angles(t)
-    return velocity_from_angles(theta, phi)
+    return velocity_from_angles(*law.angles(t))
 
 
 @dataclass(frozen=True)
@@ -81,34 +85,31 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     """Kinetic momentum from angles, rates and the gauge value.
 
     Each argument but the helicity may be a scalar or an array (numpy
-    ufuncs); the components broadcast over the arrays given.
+    ufuncs); the components broadcast over the arrays given.  pi is
+    stored as -p, so that `momentum` keeps the signed zeros of p.
     """
     sign = helicity.sign
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     pi_t = -sign * 0.5 * ct * phi_dot - s_value
-    pi_x = -sign * 0.5 * sp * theta_dot + s_value * st * cp
-    pi_y = sign * 0.5 * cp * theta_dot + s_value * st * sp
-    pi_z = sign * 0.5 * phi_dot + s_value * ct
-    return KineticMomentum(pi_t, pi_x, pi_y, pi_z)
+    p_x = sign * 0.5 * sp * theta_dot - s_value * st * cp
+    p_y = -sign * 0.5 * cp * theta_dot - s_value * st * sp
+    p_z = -sign * 0.5 * phi_dot - s_value * ct
+    return KineticMomentum(pi_t, -p_x, -p_y, -p_z)
+
+
+def require_time_only(s: ScalarField | None, user: str) -> None:
+    """Refuse a gauge function of x, y or z, which `user` does not model."""
+    if s is not None and not s.is_time_only:
+        raise ValueError(f"{user} requires a time-only gauge function")
 
 
 def kinetic_momentum(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
                      t: float) -> KineticMomentum:
-    """Kinetic four-momentum at time t.
-
-    The gauge function must depend on time only here; a spatially
-    varying s would make the momentum position dependent, which this
-    observable does not model.
-    """
-    s_value = 0.0
-    if s is not None:
-        if not s.is_time_only:
-            raise ValueError("kinetic_momentum requires a time-only gauge function")
-        s_value = s.value(t=t)
-    theta, phi = law.angles(t)
-    theta_dot, phi_dot = law.rates(t)
-    return kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
+    """Kinetic four-momentum at time t, for a gauge function of t only."""
+    require_time_only(s, "kinetic_momentum")
+    s_value = 0.0 if s is None else s.value(t=t)
+    return kinetic_momentum_from_state(*law.angles(t), *law.rates(t),
                                        s_value, helicity)
 
 
@@ -128,26 +129,30 @@ class LocalizationSample:
         return self.k
 
 
-def localization_from_rates(theta: float, theta_dot: float,
-                            phi_dot: float) -> float:
+def localization_from_rates(theta, theta_dot, phi_dot):
+    """k = (1/2) sqrt(sin(theta)^2 phi'^2 + theta'^2), helicity independent.
+
+    Arrays (the trajectory's k column) go through np.hypot, scalars (the
+    extremum refinement, the verify battery draw by draw) through
+    math.hypot, whose rounding the battery's reports keep (see verify).
+    """
+    if (isinstance(theta, np.ndarray) or isinstance(theta_dot, np.ndarray)
+            or isinstance(phi_dot, np.ndarray)):
+        return 0.5 * np.hypot(np.sin(theta) * phi_dot, theta_dot)
     return 0.5 * math.hypot(math.sin(theta) * phi_dot, theta_dot)
 
 
 def localization_k(law: AngleLaw, t: float) -> LocalizationSample:
-    """k = (1/2) sqrt(sin(theta)^2 phi'^2 + theta'^2), helicity independent."""
-    theta, _ = law.angles(t)
-    theta_dot, phi_dot = law.rates(t)
-    return LocalizationSample(localization_from_rates(theta, theta_dot, phi_dot))
+    """The localization rate k at time t."""
+    return LocalizationSample(localization_from_rates(law.angles(t)[0],
+                                                      *law.rates(t)))
 
 
 def energy_rate(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
                 t: float) -> float:
     """Exact time derivative of the energy pi_t."""
-    s_rate = 0.0
-    if s is not None:
-        if not s.is_time_only:
-            raise ValueError("energy_rate requires a time-only gauge function")
-        s_rate = s.partial("t", t=t)
+    require_time_only(s, "energy_rate")
+    s_rate = 0.0 if s is None else s.partial("t", t=t)
     theta, _ = law.angles(t)
     theta_dot, phi_dot = law.rates(t)
     _, phi_ddot = law.accelerations(t)
@@ -156,12 +161,22 @@ def energy_rate(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
                          - math.cos(theta) * phi_ddot) - s_rate
 
 
+def mass_shell_defect_from_momentum(energy, p):
+    """E0^2 - |p|^2 for momentum rows p (..., 3)."""
+    return elementwise_pow(energy, 2.0) - np.vecdot(p, p)
+
+
+def noncollinearity_from_vectors(p, v):
+    """|p x v| for momentum and velocity rows (..., 3)."""
+    p_cross_v = np.cross(p, v)
+    return np.sqrt(np.vecdot(p_cross_v, p_cross_v))
+
+
 def mass_shell_defect(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
                       t: float) -> float:
     """E0^2 - |p|^2; equals -k^2 independent of s and helicity."""
     km = kinetic_momentum(law, s, helicity, t)
-    p = km.momentum
-    return km.energy ** 2 - float(p @ p)
+    return float(mass_shell_defect_from_momentum(km.energy, km.momentum))
 
 
 def momentum_noncollinearity(law: AngleLaw, s: ScalarField | None,
@@ -172,8 +187,8 @@ def momentum_noncollinearity(law: AngleLaw, s: ScalarField | None,
     collinear with the velocity while the angles are in motion.
     """
     km = kinetic_momentum(law, s, helicity, t)
-    v = velocity(law, helicity, t)
-    return float(np.linalg.norm(np.cross(km.momentum, v)))
+    return float(noncollinearity_from_vectors(km.momentum,
+                                              velocity(law, helicity, t)))
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
     theta_dot, phi_dot = law.rates(ev.t)
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    v = (st * cp, st * sp, ct)
+    v = velocity_from_angles(theta, phi)
     v_dot = (
         ct * cp * theta_dot - st * sp * phi_dot,
         ct * sp * theta_dot + st * cp * phi_dot,
@@ -251,10 +251,9 @@ def energy_control_field(de_dt: float, law: AngleLaw, q: float,
     Valid when the motion is drive free (theta'' = phi'' = theta'*phi'
     = 0), where the gauge-family field with time-only s reduces to
     (1/q) dE/dt v.  Same for both helicities.  t may be one time or an
-    array of times; for an array each component is an array over t, or
-    a scalar where the law keeps that component constant.  Raises
-    ValueError unless the law is drive free at every t (a non-finite rate
-    or acceleration is not).
+    array of times; for an array each component is an array over t.
+    Raises ValueError unless the law is drive free at every t (a
+    non-finite rate or acceleration is not).
     """
     _require_charge(q)
     if not np.all(law.is_drive_free(t, tol=1e-12)):
@@ -262,11 +261,8 @@ def energy_control_field(de_dt: float, law: AngleLaw, q: float,
             "energy control requires a drive-free law "
             "(theta'' = phi'' = theta'*phi' = 0)"
         )
-    theta, phi = law.angles(t)
-    st = np.sin(theta)
     scale = de_dt / q
-    return EMField(e=(scale * (st * np.cos(phi)), scale * (st * np.sin(phi)),
-                      scale * np.cos(theta)))
+    return EMField(e=tuple(scale * velocity_from_angles(*law.angles(t))))
 
 
 def k_control_field(dk_dt: float, mode: str, helicity: Helicity, q: float, *,

@@ -419,9 +419,7 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         law = scenario.law
 
         def k_of(t: float) -> float:
-            theta, _ = law.angles(t)
-            theta_dot, phi_dot = law.rates(t)
-            return localization_from_rates(theta, theta_dot, phi_dot)
+            return localization_from_rates(law.angles(t)[0], *law.rates(t))
 
         t_hi = float(traj.t[-1])
         dt = scenario.dt
@@ -508,9 +506,7 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
         field = energy_control_field(dedt, law, scenario.q, ts)
         fields = np.column_stack([np.broadcast_to(c, ts.shape)
                                   for c in field.e])
-        theta, phi = law.angles(ts)
-        theta_dot, phi_dot = law.rates(ts)
-        e0 = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
+        e0 = kinetic_momentum_from_state(*law.angles(ts), *law.rates(ts),
                                          -dedt * ts, scenario.helicity).energy
         bad = np.flatnonzero(~(np.isfinite(fields).all(axis=1)
                                & np.isfinite(e0)))

@@ -6,8 +6,11 @@ time through `math`/`cmath` and numpy scalars.  The array battery must
 reproduce its report to the last bit of every measured value, and each
 array function must equal these helpers called once per event.
 
-Only the expression layer (`ScalarField`, `AngleLaw`) and the observable
-formulas the old battery imported are shared with the package.
+Only the expression layer (`ScalarField`, `AngleLaw`), the potential
+constructors and `velocity_from_angles` are shared with the package.  The
+kinetic momentum and k are frozen here in the form the old battery
+imported, so that the array battery's observables are held against an
+independent route.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from weyldyn.expressions import AngleLaw, ScalarField
-from weyldyn.observables import (kinetic_momentum_from_state,
-                                 localization_from_rates,
-                                 velocity_from_angles)
+from weyldyn.observables import velocity_from_angles
 from weyldyn.potentials import (base_potential, degenerate_potential,
                                 gauge_potential)
 from weyldyn.spinors import MIRROR_PAULI, PAULI, Event, Helicity
@@ -79,6 +80,24 @@ def weyl_residual(law, h, potential, helicity, ev, step=1e-5):
     for coeff, matrix in zip(b, sigma):
         residual += coeff * (matrix @ center)
     return float(np.sqrt(abs(residual[0]) ** 2 + abs(residual[1]) ** 2))
+
+
+# --- observables -------------------------------------------------------------
+
+def kinetic_momentum(theta, phi, theta_dot, phi_dot, s_value, helicity):
+    """(E0, p): pi_mu in its original form, p = -(pi_x, pi_y, pi_z)."""
+    sign = helicity.sign
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    pi_t = -sign * 0.5 * ct * phi_dot - s_value
+    pi_x = -sign * 0.5 * sp * theta_dot + s_value * st * cp
+    pi_y = sign * 0.5 * cp * theta_dot + s_value * st * sp
+    pi_z = sign * 0.5 * phi_dot + s_value * ct
+    return pi_t, np.array([-pi_x, -pi_y, -pi_z])
+
+
+def localization(theta, theta_dot, phi_dot):
+    return 0.5 * math.hypot(math.sin(theta) * phi_dot, theta_dot)
 
 
 # --- potentials and fields ---------------------------------------------------
@@ -251,18 +270,17 @@ def run_verification(scenario) -> RunReport:
         worst_kappa = max(worst_kappa,
                           float(np.max(np.abs(np.array(kappa[1:]) + v))))
         for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
-            km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
-                                             s_val, hel)
-            p = km.momentum
-            k = localization_from_rates(theta, theta_dot, phi_dot)
-            shell = km.energy ** 2 - float(p @ p)
+            energy, p = kinetic_momentum(theta, phi, theta_dot, phi_dot,
+                                         s_val, hel)
+            k = localization(theta, theta_dot, phi_dot)
+            shell = energy ** 2 - float(p @ p)
             worst_shell = max(worst_shell, abs(shell + k * k))
             worst_cross = max(
                 worst_cross,
                 abs(float(np.linalg.norm(np.cross(p, v))) - k),
             )
             worst_project = max(worst_project,
-                                abs(float(p @ v) - km.energy))
+                                abs(float(p @ v) - energy))
     checks.append(CheckResult("unit_speed", worst_speed, tol_identity))
     checks.append(CheckResult("kappa_is_minus_velocity", worst_kappa,
                               tol_kappa))

@@ -397,6 +397,16 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_with_an_unwritable_out_prints_no_report(tmp_path):
+    # the report is written before it is printed, so stdout stays empty
+    out = tmp_path / "missing" / "r.txt"
+    r = run_cli("verify", "free", "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"error: [Errno 2] No such file or directory: '{out}'"]
+
+
 def test_figures_out_over_an_existing_file_exits_2(tmp_path):
     out = tmp_path / "taken"
     out.write_text("kept\n")

@@ -12,11 +12,17 @@ from weyldyn.dynamics import (
     ExprField,
     ParticleState,
     ZeroField,
-    accel_from_field,
+    compatibility_residual,
     grid_steps,
     integrate_trajectory,
+    phi_ddot_from_field,
+    theta_ddot_from_field,
 )
 from weyldyn.expressions import AngleLaw, ScalarField, eval_expr, parse_expr
+from weyldyn.observables import (energy_rate, kinetic_momentum,
+                                 kinetic_momentum_from_state,
+                                 localization_from_rates, velocity_from_angles)
+from weyldyn.scenario import resolve_scenario, run_scenario
 from weyldyn.spinors import Helicity
 
 POS = Helicity.POSITIVE
@@ -34,19 +40,30 @@ def test_state_rejects_zero_charge():
         make_state(q=0.0)
 
 
+def accel(state, e_field):
+    """(theta'', phi'', residual) of the drive inversion at one state."""
+    e = np.array(e_field, dtype=float)
+    q_eff = state.q * state.helicity.sign
+    sp, cp = np.sin(state.phi), np.cos(state.phi)
+    return (theta_ddot_from_field(q_eff, e, sp, cp),
+            phi_ddot_from_field(q_eff, e),
+            compatibility_residual(q_eff, e, sp, cp, state.theta_dot,
+                                   state.phi_dot))
+
+
 def test_accel_inversion_frozen_values():
     st = make_state(theta=1.0, phi=0.0, theta_dot=2.0, phi_dot=1.0)
-    a = accel_from_field(st, (0.0, 1.0, 3.0))
-    assert a.theta_ddot == -2.0
-    assert a.phi_ddot == -6.0
-    assert a.constraint_residual == 2.0
+    theta_ddot, phi_ddot, residual = accel(st, (0.0, 1.0, 3.0))
+    assert theta_ddot == -2.0
+    assert phi_ddot == -6.0
+    assert residual == 2.0
 
 
 def test_accel_inversion_mirror_flips_sign():
     st = make_state(theta=1.0, phi=0.0, theta_dot=2.0, phi_dot=1.0, helicity=NEG)
-    a = accel_from_field(st, (0.0, 1.0, 3.0))
-    assert a.theta_ddot == 2.0
-    assert a.phi_ddot == 6.0
+    theta_ddot, phi_ddot, _ = accel(st, (0.0, 1.0, 3.0))
+    assert theta_ddot == 2.0
+    assert phi_ddot == 6.0
 
 
 def test_accel_inversion_round_trips_drive_field():
@@ -59,10 +76,10 @@ def test_accel_inversion_round_trips_drive_field():
             td, pd = law.rates(t)
             st = ParticleState((0, 0, 0), theta, phi, td, pd, hel, 1.3)
             f = drive_field_closed_form(law, hel, 1.3, t)
-            a = accel_from_field(st, f.e)
-            assert a.theta_ddot == pytest.approx(0.0, abs=1e-12)
-            assert a.phi_ddot == pytest.approx(0.0, abs=1e-12)
-            assert a.constraint_residual == pytest.approx(0.0, abs=1e-12)
+            theta_ddot, phi_ddot, residual = accel(st, f.e)
+            assert theta_ddot == pytest.approx(0.0, abs=1e-12)
+            assert phi_ddot == pytest.approx(0.0, abs=1e-12)
+            assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_field_programs_reject_magnetic_components():
@@ -214,6 +231,32 @@ def test_gauge_profile_feeds_energy_and_momentum():
     assert tr.e0 == pytest.approx(-2.0 * tr.t, abs=1e-12)
     assert tr.px == pytest.approx(-2.0 * tr.t, abs=1e-12)
     assert tr.pz == pytest.approx(np.zeros_like(tr.t), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["free", "fig45"])
+def test_trajectory_columns_are_the_observables_formulas(name):
+    # the CSV's v, k, E0 and p columns are the observables' array functions
+    # on the integrated angles, to the bit, signed zeros included
+    scenario = resolve_scenario(name)
+    tr = run_scenario(scenario).trajectory
+    km = kinetic_momentum_from_state(tr.theta, tr.phi, tr.theta_dot,
+                                     tr.phi_dot, scenario.s.sample_time(tr.t),
+                                     scenario.helicity)
+    expected = (*velocity_from_angles(tr.theta, tr.phi),
+                localization_from_rates(tr.theta, tr.theta_dot, tr.phi_dot),
+                km.energy, *km.momentum)
+    columns = (tr.vx, tr.vy, tr.vz, tr.k, tr.e0, tr.px, tr.py, tr.pz)
+    for column, value in zip(columns, expected, strict=True):
+        assert column.tobytes() == value.tobytes()
+
+
+def test_spatial_gauge_is_refused_by_every_kinetic_quantity():
+    s = ScalarField.from_text("x + t")
+    with pytest.raises(ValueError, match="time-only gauge"):
+        integrate_trajectory(make_state(), ZeroField(), 1.0, 0.1, gauge=s)
+    for observable in (kinetic_momentum, energy_rate):
+        with pytest.raises(ValueError, match="time-only gauge"):
+            observable(AngleLaw.linear(1.0, 0.5), s, POS, 0.0)
 
 
 def test_trajectory_shape_and_metadata():

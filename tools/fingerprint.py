@@ -1,0 +1,165 @@
+"""Output fingerprints of weyldyn, for checking that a change keeps every byte.
+
+    python3 tools/fingerprint.py > after.txt
+    python3 tools/fingerprint.py --root <other checkout> > before.txt
+    diff before.txt after.txt
+
+Prints one line per CLI run, "run <name> rc=<exit code> <sha256>", where
+the digest covers the exit code, standard output, standard error and
+every file the run wrote.  The runs are:
+
+- `simulate --si` on the five presets;
+- `figures`;
+- `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
+  and 1000;
+- every benchmark op of seeds 1-3, built by `perfbench.workloads`.
+
+Then one line per verify report, "measured <name> <check> <float.hex>",
+for every `CheckResult.measured` of the presets free, fig1, fig3 and
+fig45 and of the benchmark's verify ops of seeds 1-5, at battery seeds
+0-29 and sample_count 7, 100 and 400, and of free and fig45 at seed 5
+with 1000 draws.
+
+The program is imported from `<root>/src` (default: this checkout) and
+run in this process.  Runs write under one fixed directory, `--workdir`,
+which is emptied first: standard output echoes the `--out` paths, so two
+checkouts compare equal only when both write to the same place.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from dataclasses import replace
+from importlib import resources
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+PRESETS = ("free", "fig1", "fig2", "fig3", "fig45")
+BENCH_WORKLOADS = ("simulate", "verify", "control")
+
+
+def _run(cli, argv, written) -> str:
+    """Run one CLI call; return "rc=<exit code> <sha256>", where the digest
+    covers the exit code, the output streams and the files in `written`."""
+    for path in written:
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    digest = hashlib.sha256(f"{rc}\0".encode())
+    digest.update(stdout.getvalue().encode() + b"\0")
+    digest.update(stderr.getvalue().encode() + b"\0")
+    for path in written:
+        files = sorted(path.rglob("*")) if path.is_dir() else [path]
+        for f in files:
+            if f.is_file():
+                digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    return f"rc={rc} {digest.hexdigest()}"
+
+
+def _preset_file(workdir: Path, name: str, sample_count: int) -> str:
+    """The preset with a sample_count line added, as a scenario file."""
+    text = (resources.files("weyldyn")
+            .joinpath(f"presets/{name}.scn").read_text())
+    path = workdir / f"{name}-n{sample_count}.scn"
+    path.write_text(text + f"sample_count = {sample_count}\n")
+    return str(path)
+
+
+def cli_runs(workdir: Path):
+    import weyldyn.cli as cli
+    import workloads
+
+    for name in PRESETS:
+        out = workdir / f"{name}.csv"
+        yield (f"simulate-si:{name}",
+               _run(cli, ("simulate", name, "--si", "--out", str(out)), [out]))
+    figures = workdir / "figures"
+    yield "figures", _run(cli, ("figures", "--out", str(figures)), [figures])
+    for name in PRESETS:
+        for seed in (0, 5):
+            yield (f"verify:{name}:seed{seed}",
+                   _run(cli, ("verify", name, "--seed", str(seed)), []))
+        for count in (1, 7, 100, 1000):
+            scn = _preset_file(workdir, name, count)
+            yield f"verify:{name}:n{count}", _run(cli, ("verify", scn), [])
+    for workload in BENCH_WORKLOADS:
+        for seed in (1, 2, 3):
+            opdir = workdir / f"bench-{workload}-{seed}"
+            opdir.mkdir()
+            for ops in workloads.build(workload, seed, opdir):
+                for op in ops:
+                    written = [Path(op.output)] if op.output else []
+                    yield (f"bench:{workload}:{seed}:{op.shape}:{op.variant}",
+                           _run(cli, op.argv, written))
+
+
+def measured_values(workdir: Path):
+    from weyldyn.scenario import resolve_scenario
+    from weyldyn.verify import run_verification
+    import workloads
+
+    scenarios = [(name, resolve_scenario(name))
+                 for name in ("free", "fig1", "fig3", "fig45")]
+    for seed in (1, 2, 3, 4, 5):
+        opdir = workdir / f"measured-verify-{seed}"
+        opdir.mkdir()
+        for ops in workloads.build("verify", seed, opdir):
+            for op in ops:
+                scenarios.append((f"bench{seed}:{op.shape}:{op.variant}",
+                                  resolve_scenario(op.argv[1])))
+    reports = [(f"{label}:seed{seed}:n{count}",
+                replace(scn, seed=seed, sample_count=count))
+               for label, scn in scenarios
+               for seed in range(30) for count in (7, 100, 400)]
+    reports += [(f"{label}:seed5:n1000",
+                 replace(scn, seed=5, sample_count=1000))
+                for label, scn in scenarios if label in ("free", "fig45")]
+    for label, scn in reports:
+        for check in run_verification(scn).checks:
+            yield f"{label} {check.name} {float(check.measured).hex()}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", type=Path, default=HERE,
+                        help="checkout whose src/ is fingerprinted "
+                             "(default: this one)")
+    parser.add_argument("--workdir", type=Path,
+                        default=Path(tempfile.gettempdir()) / "weyldyn-fp",
+                        help="fixed directory the runs write under")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(HERE / "perfbench"))
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    import weyldyn
+
+    src = (args.root.resolve() / "src").resolve()
+    if src not in Path(weyldyn.__file__).resolve().parents:
+        print(f"error: imported weyldyn from {weyldyn.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+
+    shutil.rmtree(args.workdir, ignore_errors=True)
+    args.workdir.mkdir(parents=True)
+    for name, digest in cli_runs(args.workdir):
+        print(f"run {name} {digest}", flush=True)
+    for line in measured_values(args.workdir):
+        print(f"measured {line}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
