@@ -32,16 +32,12 @@ CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
 FIGURE_PRESETS = ("fig1", "fig2", "fig3", "fig45")
 
 
-_CSV_CHUNK = 1024  # rows formatted per pass; bounds the string temporaries
-
-
 def _write_csv(path: str | Path, header: str, columns) -> None:
     """Write equal-length float columns as rows of repr(float(v))."""
     columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for lo in range(0, len(columns[0]), _CSV_CHUNK):
-            handle.write(csv_rows([c[lo:lo + _CSV_CHUNK] for c in columns]))
+        handle.writelines(csv_rows(columns))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
@@ -135,9 +131,9 @@ def _summarize(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args)
-    out_path = scenario.out or f"{scenario.name}.csv"
+def _simulate_to(scenario: Scenario, out_path: str | Path):
+    """Run the scenario and write its trajectory CSV to out_path; when the
+    run gate trips, write and report the partial one and return None."""
     _note_grid_end(scenario)
     try:
         run = run_scenario(scenario)
@@ -146,8 +142,17 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial trajectory ({len(exc.partial)} samples) written to "
               f"{out_path}", file=sys.stderr)
-        return 1
+        return None
     write_trajectory_csv(run.trajectory, out_path)
+    return run
+
+
+def cmd_simulate(args) -> int:
+    scenario = _load(args)
+    out_path = scenario.out or f"{scenario.name}.csv"
+    run = _simulate_to(scenario, out_path)
+    if run is None:
+        return 1
     print(_summarize(run.summary))
     if args.si:
         print("\n".join(_scenario_si_lines(scenario)))
@@ -189,10 +194,10 @@ def cmd_figures(args) -> int:
     outdir = Path(args.out or "figures")
     outdir.mkdir(parents=True, exist_ok=True)
     for scenario in scenarios:
-        _note_grid_end(scenario)
-        run = run_scenario(scenario)
         path = outdir / f"{scenario.name}.csv"
-        write_trajectory_csv(run.trajectory, path)
+        run = _simulate_to(scenario, path)
+        if run is None:
+            return 1
         print(f"{scenario.name}: {len(run.trajectory)} samples -> {path}")
     return 0
 

@@ -55,6 +55,7 @@ __all__ = [
     "phi_ddot_from_field",
     "compatibility_residual",
     "grid_steps",
+    "MAX_GRID_STEPS",
     "integrate_trajectory",
 ]
 
@@ -225,13 +226,17 @@ class ConstraintViolation(RuntimeError):
         self.nonfinite = nonfinite
 
 
+MAX_GRID_STEPS = 10 ** 7  # a run holds about 257 bytes per step: 2.6 GB
+
+
 def grid_steps(t_end: float, dt: float) -> int:
     """Number of steps n of the uniform grid 0, dt, ..., n*dt on [0, t_end].
 
     n is t_end/dt rounded to the nearest integer, so the grid ends at
     n*dt, which misses t_end when t_end is not a whole number of steps.
-    Raises ValueError when dt or t_end is not finite, the grid has no step
-    or dt is too small for t_end.
+    Raises ValueError when dt or t_end is not finite, the grid has no step,
+    dt is too small for t_end or n exceeds MAX_GRID_STEPS, since a run
+    allocates its whole grid before the first step.
     """
     if not (math.isfinite(dt) and math.isfinite(t_end)):
         raise ValueError("dt and t_end must be finite")
@@ -242,6 +247,8 @@ def grid_steps(t_end: float, dt: float) -> int:
     n = int(round(t_end / dt))
     if n < 1:
         raise ValueError("t_end shorter than one step")
+    if n > MAX_GRID_STEPS:
+        raise ValueError(f"{n} steps exceed the cap of {MAX_GRID_STEPS}")
     return n
 
 

@@ -17,9 +17,11 @@ first use.  The text goes into a fixed-slot uint8 matrix, one slot per
 value, and one boolean-mask compaction turns the matrix into the output
 bytes without a Python string per value.
 
-``csv_rows`` chooses per block of rows: columns constant over the block are
-formatted once, and a block with few varying values is formatted with
-``repr``, whose per-value cost is then below the array path's fixed cost.
+``csv_rows`` writes every table this way, in passes of max(``_PASS_ROWS``,
+ceil(``_PASS_VALUES`` / v)) rows for v columns varying over the table.  A
+column constant within a pass, by bit pattern, is formatted once for it;
+that is decided per pass, as a column may be +0.0 in one stretch and -0.0
+in another.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import functools
 
 import numpy as np
 
-_ARRAY_MIN_VALUES = 2048  # varying values per block below which repr wins
-_PASS_ROWS = 512  # rows per array pass; bounds its temporaries
+_PASS_VALUES = 2048  # least varying values per pass
+_PASS_ROWS = 512  # least rows per pass
 
 _SLOT = 25  # longest repr, -1.2345678901234567e-308, plus a separator
 _E_MIN, _E_MAX = -292, 324  # range of the power of ten 10**-k the digits need
@@ -225,46 +227,28 @@ def _fill(values, flat, start):
     return length
 
 
-def _repr_rows(columns, is_varying) -> bytes:
-    """CSV lines through repr: a constant column is formatted once, a
-    varying one once per distinct bit pattern."""
-    cells = []
-    for i, col in enumerate(columns):
-        if not is_varying[i]:
-            cells.append([repr(float(col[0]))] * len(col))
-            continue
-        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                        dtype=object)
-        cells.append(text[inverse].tolist())
-    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
-
-
-def csv_rows(columns) -> bytes:
-    """CSV lines of equal-length contiguous float64 columns.
+def csv_rows(columns):
+    """CSV lines of equal-length float64 columns, one bytes object per pass.
 
     Each value is written as repr(float(v)); each line ends in a newline.
     """
-    block = np.stack(columns, axis=1)
+    varying = sum(bool((c.view(np.uint64) != c[:1].view(np.uint64)).any())
+                  for c in columns)
+    step = max(_PASS_ROWS, -(-_PASS_VALUES // max(varying, 1)))
+    for lo in range(0, len(columns[0]), step):
+        yield _array_rows(np.stack([c[lo:lo + step] for c in columns], axis=1))
+
+
+def _array_rows(block) -> bytes:
+    """CSV lines of a (rows, columns) block; a column constant over the
+    block is formatted once."""
+    rows, ncols = block.shape
     bits = block.view(np.uint64)
     is_varying = (bits != bits[0]).any(axis=0)
     varying = np.flatnonzero(is_varying)
-    if not len(varying) or len(block) * len(varying) < _ARRAY_MIN_VALUES:
-        return _repr_rows(columns, is_varying)
-    # a narrow block takes more rows per pass, to spread the fixed cost
-    step = max(_PASS_ROWS, -(-_ARRAY_MIN_VALUES // len(varying)))
-    constant = np.flatnonzero(~is_varying)
-    return b"".join(_array_rows(block[lo:lo + step], varying, constant)
-                    for lo in range(0, len(block), step))
-
-
-def _array_rows(block, varying, constant) -> bytes:
-    """CSV lines of a (rows, columns) block; the constant columns are
-    formatted once."""
-    rows, ncols = block.shape
     text = np.full((rows, ncols, _SLOT), _DIGIT, dtype=np.uint8)
     length = np.empty((rows, ncols), dtype=np.int64)
-    for i in constant:
+    for i in np.flatnonzero(~is_varying):
         cell = repr(float(block[0, i])).encode()
         text[:, i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
         length[:, i] = len(cell)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from weyldyn import cli
 from weyldyn.cli import CSV_COLUMNS, write_field_csv, write_trajectory_csv
 from weyldyn.dynamics import Trajectory
 
@@ -283,6 +284,22 @@ def test_module_entry_matches_console_script(tmp_path):
     assert r.returncode == 0
 
 
+def test_figures_run_gate_failure_writes_partial_csv(tmp_path):
+    scn = tmp_path / "ab.scn"
+    # the exponential ramp in Ex breaks compatibility at t = 6.425
+    scn.write_text("name = ab\ntheta0 = pi/3\nfield = expr\n"
+                   "ex = 1e-9*exp(t)\nez = 0.3*cos(0.7*t)\nt_end = 10\n")
+    r = run_cli("figures", str(scn), "--out", "od", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
+    assert "partial trajectory (6426 samples) written to" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    lines = (tmp_path / "od" / "ab.csv").read_text().splitlines()
+    assert lines[0] == HEADER
+    assert len(lines) == 1 + 6426
+
+
 def test_nan_field_fails_the_run_and_writes_partial_csv(tmp_path):
     scn = tmp_path / "nanfield.scn"
     scn.write_text("name = nanfield\nfield = expr\nez = sqrt(t - 1)\n"
@@ -355,6 +372,23 @@ def test_grid_without_a_step_exits_2(tmp_path, args):
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
     assert r.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_above_the_step_cap_exits_2_before_running(tmp_path,
+                                                       monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the oversized grid was run")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "free.csv"
+    assert cli.main(["simulate", "free", "--t-end", "100000",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "exceed the cap" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

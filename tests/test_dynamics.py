@@ -475,6 +475,12 @@ def test_grid_steps_rounds_to_the_nearest_whole_step():
         grid_steps(1.0, 0.0)
 
 
+def test_grid_steps_refuses_a_grid_above_the_cap():
+    assert grid_steps(1e4, 1e-3) == 10 ** 7
+    with pytest.raises(ValueError, match="100000000 steps exceed the cap"):
+        grid_steps(1e5, 1e-3)
+
+
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.001), (1.0, math.inf),
                                        (math.nan, 0.001), (1.0, math.nan),
                                        (-math.inf, 0.001)])

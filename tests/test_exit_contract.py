@@ -7,7 +7,8 @@ configuration), and pair exit 2 with an `error:` line on stderr.
 
 The number pools keep every accepted grid at 2000 steps or fewer: the
 largest finite t_end is 2 and the smallest accepted dt is 0.001, and
-the huge or tiny values are ones the grid check refuses.
+the huge or tiny values are ones the grid check refuses (t_end 1e9 by
+the step cap, for every dt in the pool).
 """
 
 import contextlib
@@ -35,7 +36,8 @@ RATES = mostly(("0.5", "2", "-1", "0", "1e-9"),
                ("1e308", "1e309", "inf", "-inf", "nan"))
 DTS = mostly(("0.001", "0.01", "0.3"),
              ("5", "0", "-0.5", "nan", "inf", "-inf", "1e-300"))
-T_ENDS = mostly(("0.5", "2"), ("0.0001", "0", "-1", "nan", "inf", "1e300"))
+T_ENDS = mostly(("0.5", "2"),
+                ("0.0001", "0", "-1", "nan", "inf", "1e300", "1e9"))
 INTEGERS = mostly(("0", "7"), ("-1", "2.5", "1e30", "1e309", "nan"))
 SAMPLE_COUNTS = mostly(("1", "7", "30"), ("0", "-2", "2.5", "1e309"))
 TEXT_VALUES = {

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weyldyn.expressions import (
     AngleLaw,
@@ -178,12 +178,20 @@ def expr_texts(draw, depth=0):
 
 
 @given(expr_texts())
+@example("(-(-(x)) / ((1 - (2)^2) + 3))")  # the guard (b + 3) is zero
+@example("exp(exp(exp(pi)))")  # overflows
 @settings(max_examples=200, deadline=None)
 def test_print_parse_round_trip(text):
     expr = parse_expr(text)
     again = parse_expr(str(expr))
     bindings = {"x": 0.37, "t": 1.21, "theta": -0.58}
-    a = eval_expr(expr, **bindings)
+    try:
+        a = eval_expr(expr, **bindings)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as raised:
+            eval_expr(again, **bindings)
+        assert str(raised.value) == str(exc)
+        return
     b = eval_expr(again, **bindings)
     assert math.isfinite(a)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)

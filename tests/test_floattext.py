@@ -95,7 +95,7 @@ def test_million_random_bit_patterns_in_one_call():
     rng = np.random.default_rng(7)
     values = rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64,
                           endpoint=False).view(np.float64)
-    got = floattext.csv_rows([values])
+    got = b"".join(floattext.csv_rows([values]))
     assert got == ("\n".join(map(repr, values.tolist())) + "\n").encode()
 
 
@@ -117,20 +117,24 @@ def test_decimal_exponent_formulas_hold_for_every_binary_exponent():
             Fraction(3, 4) * Fraction(2) ** q), q
 
 
-@pytest.mark.parametrize("threshold", [0, 10 ** 9])
-def test_csv_rows_on_both_paths_matches_row_by_row_repr(monkeypatch,
-                                                        threshold):
-    monkeypatch.setattr(floattext, "_ARRAY_MIN_VALUES", threshold)
+@pytest.mark.parametrize("pass_size", [1, 3, None, 10 ** 9])
+def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_size):
+    if pass_size is not None:
+        monkeypatch.setattr(floattext, "_PASS_ROWS", pass_size)
+        monkeypatch.setattr(floattext, "_PASS_VALUES", pass_size)
     rng = np.random.default_rng(3)
     rows = 700
-    columns = [np.arange(rows) * 1e-3,
+    index = np.arange(rows)
+    columns = [index * 1e-3,
                np.full(rows, -0.0),
                rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
                np.full(rows, math.nan),
                np.resize([0.0, -0.0, math.inf, 1e16, 5e-324], rows),
-               np.full(rows, 12.345)]
-    want = "".join(",".join(repr(float(v)) for v in row) + "\n"
-                   for row in zip(*columns)).encode()
-    assert floattext.csv_rows(columns) == want
-    assert floattext.csv_rows([c[:1] for c in columns]) == want[
-        :want.index(b"\n") + 1]
+               np.full(rows, 12.345),
+               np.where(index < 600, 2.5, index * 0.5),  # varies only late
+               np.where(index < 512, 0.0, -0.0)]  # one sign per stretch
+    constant = [np.full(rows, 0.5), np.full(rows, -0.0), np.full(rows, 1e300)]
+    for table in (columns, constant, [c[:1] for c in columns]):
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                       for row in zip(*table)).encode()
+        assert b"".join(floattext.csv_rows(table)) == want
