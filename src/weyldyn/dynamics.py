@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, ScalarField
-from .observables import (kinetic_momentum_from_state, localization_from_rates,
-                          require_time_only, velocity_from_angles)
+from .observables import (angle_trig, kinetic_momentum_from_state,
+                          localization_from_rates, require_time_only,
+                          velocity_from_angles)
 from .potentials import drive_field_closed_form
 from .spinors import Helicity
 
@@ -357,10 +358,11 @@ def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
 def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
               dt: float) -> Trajectory:
     theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
-    vx, vy, vz = velocity_from_angles(theta_a, phi_a)
+    trig = angle_trig(theta_a, phi_a)
+    vx, vy, vz = velocity_from_angles(theta_a, phi_a, trig)
     s_vals = np.zeros_like(ts) if gauge is None else gauge.sample_time(ts)
     km = kinetic_momentum_from_state(theta_a, phi_a, theta_dot_a, phi_dot_a,
-                                     s_vals, initial.helicity)
+                                     s_vals, initial.helicity, trig)
     px, py, pz = km.momentum
 
     return Trajectory(
@@ -368,7 +370,7 @@ def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
         vx=vx, vy=vy, vz=vz,
         theta=theta_a, phi=phi_a,
         theta_dot=theta_dot_a, phi_dot=phi_dot_a,
-        k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a),
+        k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a, trig),
         e0=km.energy, px=px, py=py, pz=pz,
         ex=fields[:, 0].copy(), ey=fields[:, 1].copy(), ez=fields[:, 2].copy(),
         residual=residual,

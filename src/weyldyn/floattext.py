@@ -13,15 +13,21 @@ doubles", 2020), which finds the shortest round-trip decimal with a
 126-bit table of powers of ten and fixed-width integer arithmetic, so it
 runs on whole uint64 arrays; the 64x64 -> 128-bit products are built from
 32-bit limbs, and the 617-entry table is built from Python integers on
-first use.  The text goes into a fixed-slot uint8 matrix, one slot per
-value, and one boolean-mask compaction turns the matrix into the output
-bytes without a Python string per value.
+first use.
 
 ``csv_rows`` writes every table this way, in passes of max(``_PASS_ROWS``,
-ceil(``_PASS_VALUES`` / v)) rows for v columns varying over the table.  A
-column constant within a pass, by bit pattern, is formatted once for it;
-that is decided per pass, as a column may be +0.0 in one stretch and -0.0
-in another.
+ceil(``_PASS_VALUES`` / v)) rows for v columns varying over the table: a
+table with one varying column (a control profile's ``t``) goes in 8192-row
+passes, a wide trajectory table in 512-row passes.  The pass size bounds
+the temporaries, about 200 bytes per formatted value.  Each pass is one
+uint8 text matrix, a row per CSV line.  The columns constant within the
+pass, by bit pattern, are rendered once with their separators into a row
+template, which holds a '0'-filled slot of ``_SLOT`` bytes for each
+varying column.  The template fills every row, only the varying cells are
+formatted, and one boolean-mask compaction keeps each varying cell's text
+and separator and every constant cell, with no Python string per value.
+Constancy is decided per pass, as a column may be +0.0 in one stretch and
+-0.0 in another.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import functools
 
 import numpy as np
 
-_PASS_VALUES = 2048  # least varying values per pass
+_PASS_VALUES = 8192  # least varying values per pass
 _PASS_ROWS = 512  # least rows per pass
 
 _SLOT = 25  # longest repr, -1.2345678901234567e-308, plus a separator
@@ -41,8 +47,6 @@ _M52 = np.uint64((1 << 52) - 1)
 _M63 = np.uint64((1 << 63) - 1)
 _DIGIT, _COMMA, _NEWLINE = ord("0"), ord(","), ord("\n")
 _PLACES = np.arange(17, dtype=np.uint8)[:, None]
-# row l: which bytes of a slot a text of length l and its separator fill
-_KEEP = np.arange(_SLOT) <= np.arange(_SLOT)[:, None]
 
 
 @functools.cache
@@ -118,6 +122,7 @@ def _scaled_interval(bits):
     row = -k - _E_MIN
     g1, g0 = g1_table[row], g0_table[row]
     h = (q + flog2_table[row] + 2).astype(np.uint64)
+    del bq, t, normal, q, row  # dead here; freeing them lowers a pass's peak
     # cp * g / 2**127 for cp = c_x << h, where c_x runs over the rounding
     # interval's lower end 4c - 2 (4c - 1 where irregular), 4c and the
     # upper end 4c + 2; each product is the previous one plus g << e
@@ -125,6 +130,7 @@ def _scaled_interval(bits):
     cph, cpl = cp >> 32, cp & _M32
     y = _mul_hi(g1 >> 32, g1 & _M32, cph, cpl), g1 * cp  # g1 * cp
     x = _mul_hi(g0 >> 32, g0 & _M32, cph, cpl), g0 * cp  # g0 * cp
+    del cp, cph, cpl
     v = [_round_to_odd(*y, x[0])]
     for e in (h + np.uint64(1) - irregular, h + np.uint64(1)):
         y, x = _add_shifted(*y, g1, e), _add_shifted(*x, g0, e)
@@ -159,6 +165,21 @@ def _shortest_digits(bits):
     return d, k
 
 
+def _digit_rows(full):
+    """The 17 ASCII digits of each value in [1e16, 1e17), digit j in row j."""
+    full = full.view(np.int64)
+    m = len(full)
+    quads = np.empty((5, m), dtype=np.uint32)  # four ASCII digits each
+    table = _digit_quads()
+    for i in range(4, 0, -1):
+        top = full // 10000
+        quads[i] = table[full - top * 10000]
+        full = top
+    quads[0] = table[full]
+    digits = quads.view(np.uint8).reshape(5, m, 4).transpose(0, 2, 1)
+    return digits.reshape(20, m)[3:]
+
+
 def _fill(values, flat, start):
     """Write repr(float(v)) of each value at flat[start[i]:]; return lengths.
 
@@ -171,22 +192,12 @@ def _fill(values, flat, start):
     finite = bits < np.uint64(0x7FF0000000000000)
     zero = bits == 0
     # zeros and non-finite values take the digits of 1.0 and are fixed below
-    work = np.where(finite & ~zero, bits, np.uint64(0x3FF0000000000000))
-    d, k = _shortest_digits(work)
+    d, k = _shortest_digits(np.where(finite & ~zero, bits,
+                                     np.uint64(0x3FF0000000000000)))
     n_raw = np.searchsorted(_POW10, d, side="right")
     decpt = k + n_raw
-
     # 17 digits, left-aligned: d * 10**(17 - n_raw) lies in [1e16, 1e17)
-    full = (d * _POW10[17 - n_raw]).view(np.int64)
-    quads = np.empty((5, m), dtype=np.uint32)  # four ASCII digits each
-    table = _digit_quads()
-    for i in range(4, 0, -1):
-        top = full // 10000
-        quads[i] = table[full - top * 10000]
-        full = top
-    quads[0] = table[full]
-    digits = quads.view(np.uint8).reshape(5, m, 4).transpose(0, 2, 1)
-    digits = digits.reshape(20, m)[3:]  # digit j of every value in row j
+    digits = _digit_rows(d * _POW10[17 - n_raw])
     digits[0, zero] = _DIGIT
     n = ((digits != _DIGIT) * _PLACES).max(axis=0) + 1
 
@@ -200,7 +211,8 @@ def _fill(values, flat, start):
     count = np.where(large, np.maximum(n, decpt + 1), n)
 
     first = start + base
-    for places in (slice(0, 9), slice(9, 17)):  # halves bound the index
+    # thirds bound the index arrays
+    for places in (slice(0, 6), slice(6, 12), slice(12, 17)):
         offset = _PLACES[places] + (_PLACES[places] >= dot.astype(np.uint8))
         flat[first + offset] = digits[places]
     flat[start + np.where(small, neg + 1, base + dot)] = ord(".")
@@ -227,36 +239,46 @@ def _fill(values, flat, start):
     return length
 
 
+def _varies(column) -> bool:
+    """Whether a float64 column holds more than one bit pattern."""
+    return bool((column.view(np.uint64) != column[:1].view(np.uint64)).any())
+
+
 def csv_rows(columns):
     """CSV lines of equal-length float64 columns, one bytes object per pass.
 
     Each value is written as repr(float(v)); each line ends in a newline.
     """
-    varying = sum(bool((c.view(np.uint64) != c[:1].view(np.uint64)).any())
-                  for c in columns)
-    step = max(_PASS_ROWS, -(-_PASS_VALUES // max(varying, 1)))
+    step = max(_PASS_ROWS,
+               -(-_PASS_VALUES // max(sum(map(_varies, columns)), 1)))
     for lo in range(0, len(columns[0]), step):
-        yield _array_rows(np.stack([c[lo:lo + step] for c in columns], axis=1))
+        yield _array_rows([c[lo:lo + step] for c in columns])
 
 
-def _array_rows(block) -> bytes:
-    """CSV lines of a (rows, columns) block; a column constant over the
-    block is formatted once."""
-    rows, ncols = block.shape
-    bits = block.view(np.uint64)
-    is_varying = (bits != bits[0]).any(axis=0)
+def _array_rows(columns) -> bytes:
+    """CSV lines of equal-length columns, laid out from their row template."""
+    rows, ncols = len(columns[0]), len(columns)
+    is_varying = list(map(_varies, columns))
     varying = np.flatnonzero(is_varying)
-    text = np.full((rows, ncols, _SLOT), _DIGIT, dtype=np.uint8)
-    length = np.empty((rows, ncols), dtype=np.int64)
-    for i in np.flatnonzero(~is_varying):
-        cell = repr(float(block[0, i])).encode()
-        text[:, i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-        length[:, i] = len(cell)
-    start = np.arange(0, text.size, _SLOT).reshape(rows, ncols)
+    seps = np.full(ncols, _COMMA, dtype=np.uint8)
+    seps[-1] = _NEWLINE
+    cells = [b"0" * _SLOT if vary else
+             repr(float(column[0])).encode() + bytes([sep])
+             for vary, column, sep in zip(is_varying, columns, seps)]
+    widths = [len(cell) for cell in cells]
+    template = np.frombuffer(b"".join(cells), dtype=np.uint8)
+    width = len(template)
+    offset = np.cumsum(widths) - widths
+    text = np.broadcast_to(template, (rows, width)).copy()
     flat = text.reshape(-1)
-    length[:, varying] = _fill(block[:, varying].reshape(-1), flat,
-                               start[:, varying].reshape(-1)).reshape(rows, -1)
-    sep = np.full(ncols, _COMMA, dtype=np.uint8)
-    sep[-1] = _NEWLINE
-    flat[start + length] = sep
-    return text[_KEEP[length]].tobytes()
+    start = np.arange(0, text.size, width)[:, None] + offset[varying]
+    # the varying cells in row order
+    values = np.array([columns[i] for i in varying]).T.reshape(-1)
+    length = _fill(values, flat, start.reshape(-1)).reshape(rows, -1)
+    flat[start + length] = seps[varying]
+    # keep a cell's bytes up to its separator, at its text length; a
+    # constant cell's limit, 255, keeps it whole
+    lim = np.full((rows, ncols), 255, dtype=np.uint8)
+    lim[:, varying] = length
+    pos = (np.arange(width) - np.repeat(offset, widths)).astype(np.uint8)
+    return text[pos <= np.repeat(lim, widths, axis=1)].tobytes()

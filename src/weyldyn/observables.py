@@ -12,7 +12,9 @@ Each formula is one `*_from_*` function on scalars or numpy arrays, which
 the trajectory, the control fields, the verify battery and the law-based
 observables call.  Vectors are rows (..., 3); np.vecdot rounds as
 `p @ p`, `elementwise_pow` as `**` on a numpy scalar.  Only k has two
-roundings (see `localization_from_rates`).
+roundings (see `localization_from_rates`).  The three that take the angles
+also take their sines and cosines, `trig = angle_trig(theta, phi)`, so a
+caller evaluating several of them on the same arrays computes those once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "LocalizationSample",
     "UncertaintySample",
     "SIRates",
+    "angle_trig",
     "velocity",
     "velocity_from_angles",
     "kinetic_momentum",
@@ -50,11 +53,15 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
-def velocity_from_angles(theta, phi):
+def angle_trig(theta, phi):
+    """(sin(theta), cos(theta), sin(phi), cos(phi)), the `trig` argument."""
+    return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+
+
+def velocity_from_angles(theta, phi, trig=None):
     """Unit velocity (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta))."""
-    st = np.sin(theta)
-    return np.array(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
-                                        np.cos(theta)))
+    st, ct, sp, cp = angle_trig(theta, phi) if trig is None else trig
+    return np.array(np.broadcast_arrays(st * cp, st * sp, ct))
 
 
 def velocity(law: AngleLaw, helicity: Helicity, t: float) -> np.ndarray:
@@ -81,7 +88,8 @@ class KineticMomentum:
 
 
 def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
-                                helicity: Helicity) -> KineticMomentum:
+                                helicity: Helicity,
+                                trig=None) -> KineticMomentum:
     """Kinetic momentum from angles, rates and the gauge value.
 
     Each argument but the helicity may be a scalar or an array (numpy
@@ -89,8 +97,7 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     stored as -p, so that `momentum` keeps the signed zeros of p.
     """
     sign = helicity.sign
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct, sp, cp = angle_trig(theta, phi) if trig is None else trig
     pi_t = -sign * 0.5 * ct * phi_dot - s_value
     p_x = sign * 0.5 * sp * theta_dot - s_value * st * cp
     p_y = -sign * 0.5 * cp * theta_dot - s_value * st * sp
@@ -129,16 +136,18 @@ class LocalizationSample:
         return self.k
 
 
-def localization_from_rates(theta, theta_dot, phi_dot):
+def localization_from_rates(theta, theta_dot, phi_dot, trig=None):
     """k = (1/2) sqrt(sin(theta)^2 phi'^2 + theta'^2), helicity independent.
 
     Arrays (the trajectory's k column) go through np.hypot, scalars (the
     extremum refinement, the verify battery draw by draw) through
-    math.hypot, whose rounding the battery's reports keep (see verify).
+    math.hypot, whose rounding the battery's reports keep (see verify);
+    only the array path reads `trig`.
     """
     if (isinstance(theta, np.ndarray) or isinstance(theta_dot, np.ndarray)
             or isinstance(phi_dot, np.ndarray)):
-        return 0.5 * np.hypot(np.sin(theta) * phi_dot, theta_dot)
+        st = np.sin(theta) if trig is None else trig[0]
+        return 0.5 * np.hypot(st * phi_dot, theta_dot)
     return 0.5 * math.hypot(math.sin(theta) * phi_dot, theta_dot)
 
 

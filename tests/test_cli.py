@@ -552,7 +552,8 @@ def test_trajectory_csv_matches_row_writer(tmp_path, rows):
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("rows", [1, 1024, 1025, 3000])
+# 8193 rows cross a pass boundary of a table with one varying column
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 3000, 8193])
 def test_field_csv_matches_row_writer(tmp_path, rows):
     ts = np.arange(rows) * 1e-3
     special = special_column(rows).tolist()
@@ -561,7 +562,10 @@ def test_field_csv_matches_row_writer(tmp_path, rows):
                  for i, s in enumerate(special)]
     as_array = np.column_stack([special_column(rows), np.full(rows, 0.1),
                                 ts[::-1]])
-    for fields in (as_tuples, as_array):
+    # a control profile: only t varies
+    control = np.tile([1.4012585384440734, -0.0, 1.0000000000000002],
+                      (rows, 1))
+    for fields in (as_tuples, as_array, control):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_field_csv(ts, fields, got)
         reference_field_csv(ts, fields, want)

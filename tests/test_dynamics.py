@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -182,6 +183,50 @@ def test_integrator_matches_closed_form_angles():
     assert tr.phi_dot[-1] == pytest.approx(1.5 + 2 * (math.cos(T) - 1),
                                            abs=1e-9)
     assert np.max(np.abs(tr.theta - 1.1)) == 0.0
+
+
+FIG45_TIMES = range(0, 21, 2)
+
+
+def fig45_position_error(dt):
+    """Largest error in x or y of the fig45 run at t = 0, 2, ..., 20.
+
+    theta stays pi/2 and phi = 10 t - t^2/2, so with k = 1/sqrt(pi),
+    c = 50, w = k (t - 10) and the Fresnel differences dC = C(w) - C(-10 k),
+    dS = S(w) - S(-10 k) (DLMF 7.2): x = (cos c dC + sin c dS) / k and
+    y = (sin c dC - cos c dS) / k.  mpmath's Fresnel integrals at 30 digits
+    are the reference: scipy.special.fresnel errs by about ten times the
+    run's error at the preset's dt.
+    """
+    tr = run_scenario(resolve_scenario("fig45").with_overrides(dt=dt)).trajectory
+    with mpmath.workdps(30):
+        k, c = 1 / mpmath.sqrt(mpmath.pi), mpmath.mpf(50)
+        err = 0.0
+        for t in FIG45_TIMES:
+            i = round(t / dt)
+            assert tr.t[i] == pytest.approx(t, abs=1e-12)
+            w, w0 = k * (t - 10), k * -10
+            dc = mpmath.fresnelc(w) - mpmath.fresnelc(w0)
+            ds = mpmath.fresnels(w) - mpmath.fresnels(w0)
+            x = (mpmath.cos(c) * dc + mpmath.sin(c) * ds) / k
+            y = (mpmath.sin(c) * dc - mpmath.cos(c) * ds) / k
+            err = max(err, abs(tr.x[i] - float(x)), abs(tr.y[i] - float(y)))
+    return err
+
+
+def test_fig45_trajectory_converges_at_fourth_order_to_the_fresnel_form():
+    errors = [fig45_position_error(dt) for dt in (0.016, 0.008, 0.004)]
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
+
+
+def test_fig45_preset_matches_the_fresnel_form_to_a_roundoff_floor():
+    # below dt ~ 0.002 the roundoff of the running sums over n steps, not
+    # the truncation, sets the error, so it need not fall with dt; bound it
+    # by 10 n eps (measured 6.8e-12, 1.5 n eps, at the preset's 20,000 steps)
+    scenario = resolve_scenario("fig45")
+    steps = grid_steps(scenario.t_end, scenario.dt)
+    assert fig45_position_error(scenario.dt) <= 10 * steps * np.finfo(float).eps
 
 
 def test_uniform_axial_field_drains_and_restores_k():

@@ -126,15 +126,18 @@ def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_size):
     rows = 700
     index = np.arange(rows)
     columns = [index * 1e-3,
-               np.full(rows, -0.0),
+               np.full(rows, -1.2345678901234567e-308),  # the longest repr
                rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+               np.full(rows, -0.0),
                np.full(rows, math.nan),
                np.resize([0.0, -0.0, math.inf, 1e16, 5e-324], rows),
                np.full(rows, 12.345),
                np.where(index < 600, 2.5, index * 0.5),  # varies only late
                np.where(index < 512, 0.0, -0.0)]  # one sign per stretch
     constant = [np.full(rows, 0.5), np.full(rows, -0.0), np.full(rows, 1e300)]
-    for table in (columns, constant, [c[:1] for c in columns]):
+    # the last column is constant, so the row template ends in the newline
+    constant_last = columns[:3] + [np.full(rows, 2.0)]
+    for table in (columns, constant, constant_last, [c[:1] for c in columns]):
         want = "".join(",".join(repr(float(v)) for v in row) + "\n"
                        for row in zip(*table)).encode()
         assert b"".join(floattext.csv_rows(table)) == want
