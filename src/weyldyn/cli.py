@@ -48,9 +48,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def write_field_csv(ts, fields, path: str | Path) -> None:
-    fields = np.asarray(fields, dtype=np.float64)
-    _write_csv(path, "t,Ex,Ey,Ez", (ts, fields[:, 0], fields[:, 1],
-                                    fields[:, 2]))
+    _write_csv(path, "t,Ex,Ey,Ez", (ts, *np.transpose(fields)))
 
 
 def _with_options(scenario: Scenario, args, out=None) -> Scenario:

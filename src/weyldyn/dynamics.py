@@ -100,6 +100,9 @@ class FieldProgram:
     array of times as a (len(ts), 3) array.  Magnetic drives do not couple
     to the angle dynamics, so any nonzero B is rejected up front."""
 
+    def sample(self, ts) -> np.ndarray:
+        raise NotImplementedError
+
     @staticmethod
     def _check_b(b) -> None:
         if b is not None and any(component != 0 for component in b):

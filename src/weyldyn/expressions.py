@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -258,6 +259,8 @@ def elementwise_pow(a, b) -> np.ndarray:
 _BINOP_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
               "^": elementwise_pow}
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": math.pow}
 
 
 @dataclass(frozen=True)
@@ -277,22 +280,12 @@ class BinOp(Expr):
         # an exact type test: the cheapest check on the scalar hot path
         if a.__class__ is _NDARRAY or b.__class__ is _NDARRAY:
             return _ARRAY_OPS[op](a, b)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise EvaluationError(f"division by zero in '{self}'")
-            return a / b
-        if op == "^":
-            try:
-                return math.pow(a, b)
-            except (ValueError, OverflowError) as exc:
-                raise EvaluationError(f"domain error in '{self}': {exc}") from None
-        raise AssertionError(op)
+        if op == "/" and b == 0:
+            raise EvaluationError(f"division by zero in '{self}'")
+        try:
+            return _SCALAR_OPS[op](a, b)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"domain error in '{self}': {exc}") from None
 
     def diff(self, var):
         u, v = self.left, self.right
@@ -416,12 +409,8 @@ def _tokenize(text: str):
                 break
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character '{stripped[0]}'", at)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 

@@ -51,14 +51,12 @@ __all__ = [
 
 PRESET_NAMES = ("free", "fig1", "fig2", "fig3", "fig45")
 
-_SCALAR_KEYS = ("q", "theta0", "omega1", "phi0", "omega2", "h_energy",
-                "x0", "y0", "z0", "dt", "t_end", "fd_step", "tolerance",
-                "corrupt_b0")
-_INT_KEYS = ("seed", "sample_count")
-_TEXT_KEYS = ("name", "helicity", "h", "s", "field", "out",
-              "theta_expr", "phi_expr", "ex", "ey", "ez",
-              "paper_literal_ex", "paper_literal_ey", "paper_literal_ez")
-_KNOWN_KEYS = frozenset(_SCALAR_KEYS + _INT_KEYS + _TEXT_KEYS)
+_KNOWN_KEYS = frozenset((
+    "q", "theta0", "omega1", "phi0", "omega2", "h_energy", "x0", "y0", "z0",
+    "dt", "t_end", "fd_step", "tolerance", "corrupt_b0", "seed",
+    "sample_count", "name", "helicity", "h", "s", "field", "out",
+    "theta_expr", "phi_expr", "ex", "ey", "ez",
+    "paper_literal_ex", "paper_literal_ey", "paper_literal_ez"))
 
 _FIELD_KINDS = ("zero", "constant", "expr", "drive")
 
@@ -101,25 +99,17 @@ class Scenario:
                        t_end: float | None = None, seed: int | None = None,
                        out: str | None = None,
                        paper_literal: bool | None = None) -> "Scenario":
-        scn = replace(self)
-        if dt is not None:
-            if dt <= 0:
-                raise ScenarioError("dt override must be positive")
-            scn.dt = dt
-        if t_end is not None:
-            if t_end <= 0:
-                raise ScenarioError("t-end override must be positive")
-            scn.t_end = t_end
+        given = dict(dt=dt, t_end=t_end, seed=seed, out=out,
+                     paper_literal=paper_literal)
+        scn = replace(self, **{k: v for k, v in given.items() if v is not None})
+        if dt is not None and dt <= 0:
+            raise ScenarioError("dt override must be positive")
+        if t_end is not None and t_end <= 0:
+            raise ScenarioError("t-end override must be positive")
         if dt is not None or t_end is not None:
             _check_grid(scn.t_end, scn.dt)
-        if seed is not None:
-            if seed < 0:
-                raise ScenarioError("seed override must be nonnegative")
-            scn.seed = seed
-        if out is not None:
-            scn.out = out
-        if paper_literal is not None:
-            scn.paper_literal = paper_literal
+        if seed is not None and seed < 0:
+            raise ScenarioError("seed override must be nonnegative")
         return scn
 
     def active_field_exprs(self):
@@ -381,8 +371,7 @@ def _refine_extremum(fn, a: float, b: float, minimize: bool):
             break
     mid = 0.5 * (lo + hi)
     candidates = [(fn(x), x) for x in (a, mid, b)]
-    best = min(candidates) if minimize else max(candidates)
-    return best[1], best[0]
+    return (min(candidates) if minimize else max(candidates))[0]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:
@@ -422,15 +411,12 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
             return localization_from_rates(law.angles(t)[0], *law.rates(t))
 
         t_hi = float(traj.t[-1])
-        dt = scenario.dt
-        lo = max(0.0, float(traj.t[i_min]) - dt)
-        hi = min(t_hi, float(traj.t[i_min]) + dt)
-        _, k_min_ref = _refine_extremum(k_of, lo, hi, minimize=True)
-        lo = max(0.0, float(traj.t[i_max]) - dt)
-        hi = min(t_hi, float(traj.t[i_max]) + dt)
-        _, k_max_ref = _refine_extremum(k_of, lo, hi, minimize=False)
-        summary["k_min_refined"] = k_min_ref
-        summary["k_max_refined"] = k_max_ref
+        for key, i, minimize in (("k_min_refined", i_min, True),
+                                 ("k_max_refined", i_max, False)):
+            t = float(traj.t[i])
+            summary[key] = _refine_extremum(
+                k_of, max(0.0, t - scenario.dt), min(t_hi, t + scenario.dt),
+                minimize)
 
     # a drain needs a k to drain: free flight keeps k = 0 throughout
     if summary["k_start"] > 1e-6 and summary["k_min"] <= 1e-6:

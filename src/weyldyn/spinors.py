@@ -43,7 +43,7 @@ The array path rounds exactly as one scalar call per draw:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -100,15 +100,9 @@ class Event:
                 raise ValueError(f"non-finite event coordinate {name}")
 
     def shifted(self, axis: str, delta: float) -> "Event":
-        if axis == "x":
-            return Event(self.x + delta, self.y, self.z, self.t)
-        if axis == "y":
-            return Event(self.x, self.y + delta, self.z, self.t)
-        if axis == "z":
-            return Event(self.x, self.y, self.z + delta, self.t)
-        if axis == "t":
-            return Event(self.x, self.y, self.z, self.t + delta)
-        raise ValueError(f"unknown axis '{axis}'")
+        if axis not in STENCIL_AXES:
+            raise ValueError(f"unknown axis '{axis}'")
+        return replace(self, **{axis: getattr(self, axis) + delta})
 
 
 STENCIL_AXES = ("t", "x", "y", "z")

@@ -271,6 +271,32 @@ def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
     assert "1001 samples, dt 0.01" in forward[5][1]
 
 
+CONTROL_FIG45 = ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("simulate", "free"), ("--seed", "7")),
+    (CONTROL_FIG45, ("--seed", "7")),
+    (("figures", "fig3", "--t-end", "1"), ("--seed", "7")),
+    # the k control field comes from the law, not the scenario's program
+    (CONTROL_FIG45, ("--paper-literal-field",)),
+])
+def test_options_without_effect_change_no_output(tmp_path, capsys, argv,
+                                                 option):
+    outputs = []
+    for options in ((), option):
+        out = tmp_path / str(len(outputs))
+        out.mkdir()
+        rc = cli.main([*argv, *options, "--out", str(out / "o")])
+        captured = capsys.readouterr()
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                 if p.is_file()}
+        outputs.append((rc, captured.out.replace(str(out), "<out>"),
+                        captured.err, files))
+    assert outputs[0][0] == 0 and outputs[0][3]
+    assert outputs[1] == outputs[0]
+
+
 def test_module_entry_matches_console_script(tmp_path):
     # the installed console script and python -m route share main()
     import shutil

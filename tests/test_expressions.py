@@ -99,6 +99,19 @@ def test_evaluation_errors_name_the_subexpression():
         eval_expr(parse_expr("1/x"), x=0.0)
 
 
+@pytest.mark.parametrize("text, x, message", [
+    ("x^0.5", -8.0, "domain error in 'x^0.5': math domain error"),
+    ("x^(-1)", 0.0, "domain error in 'x^(-1.0)': math domain error"),
+    ("x^400", 10.0, "domain error in 'x^400.0': math range error"),
+    # a numpy scalar divides to inf with a warning, not ZeroDivisionError
+    ("1/x", np.float64(0.0), "division by zero in '1.0/x'"),
+])
+def test_scalar_evaluation_error_text(text, x, message):
+    with pytest.raises(EvaluationError) as raised:
+        eval_expr(parse_expr(text), x=x)
+    assert str(raised.value) == message
+
+
 DERIVATIVE_CORPUS = [
     ("x", "x", [0.3, 1.7, -2.2]),
     ("x^2", "x", [0.5, -1.3, 2.0]),

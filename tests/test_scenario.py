@@ -215,6 +215,11 @@ def test_negative_seed_override_is_a_scenario_error():
     assert free.with_overrides(seed=0).seed == 0
 
 
+def test_overrides_are_checked_in_order():
+    with pytest.raises(ScenarioError, match="dt override must be positive"):
+        resolve_scenario("free").with_overrides(dt=-1, seed=-1)
+
+
 def test_grid_end_is_the_last_grid_time():
     assert resolve_scenario("free").grid_end == 5.0
     off = parse_scenario_text("theta0 = pi/3\nt_end = 1\ndt = 0.3\n")

@@ -36,6 +36,10 @@ def test_event_shifted():
     ev = Event(1.0, 2.0, 3.0, 4.0)
     assert ev.shifted("x", 0.5) == Event(1.5, 2.0, 3.0, 4.0)
     assert ev.shifted("t", -1.0) == Event(1.0, 2.0, 3.0, 3.0)
+    with pytest.raises(ValueError, match="unknown axis 'w'"):
+        ev.shifted("w", 1.0)
+    with pytest.raises(ValueError, match="non-finite event coordinate x"):
+        Event(1e308, 0, 0, 0).shifted("x", 1e308)
 
 
 def test_frozen_negative_component_values():
