@@ -98,15 +98,10 @@ def compatibility_residual(q_eff: float, e, sin_phi, cos_phi, theta_dot,
 class FieldProgram:
     """Applied electric field history E(t): ``sample(ts)`` gives it on an
     array of times as a (len(ts), 3) array.  Magnetic drives do not couple
-    to the angle dynamics, so any nonzero B is rejected up front."""
+    to the angle dynamics, so a program has no B."""
 
     def sample(self, ts) -> np.ndarray:
         raise NotImplementedError
-
-    @staticmethod
-    def _check_b(b) -> None:
-        if b is not None and any(component != 0 for component in b):
-            raise ValueError("magnetic drive components must vanish")
 
 
 class ZeroField(FieldProgram):
@@ -115,8 +110,7 @@ class ZeroField(FieldProgram):
 
 
 class ConstantField(FieldProgram):
-    def __init__(self, e: tuple[float, float, float], b=None):
-        self._check_b(b)
+    def __init__(self, e: tuple[float, float, float]):
         self.e = (float(e[0]), float(e[1]), float(e[2]))
 
     def sample(self, ts):
@@ -126,8 +120,7 @@ class ConstantField(FieldProgram):
 class ExprField(FieldProgram):
     """Components given as expressions in t."""
 
-    def __init__(self, ex: Expr, ey: Expr, ez: Expr, b=None):
-        self._check_b(b)
+    def __init__(self, ex: Expr, ey: Expr, ez: Expr):
         for component in (ex, ey, ez):
             extra = component.free_variables() - {"t"}
             if extra:

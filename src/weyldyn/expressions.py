@@ -718,9 +718,9 @@ class ScalarField:
         return eval_expr(self._partials[axis], x=x, y=y, z=z, t=t,
                          **self._values)
 
-    def sample_time(self, ts: np.ndarray, x=0.0, y=0.0, z=0.0) -> np.ndarray:
-        """Vectorized values on a time grid at a fixed spatial point."""
-        out = self.expr.evaluate({"x": x, "y": y, "z": z, "t": ts,
+    def sample_time(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized values on a time grid at the origin."""
+        out = self.expr.evaluate({"x": 0.0, "y": 0.0, "z": 0.0, "t": ts,
                                   **self._values})
         return np.zeros_like(ts) + out
 

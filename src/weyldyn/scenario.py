@@ -37,6 +37,7 @@ from .potentials import energy_control_field, k_control_field
 from .spinors import Helicity
 
 __all__ = [
+    "CONTROL_TOL",
     "ControlRun",
     "Scenario",
     "ScenarioError",
@@ -93,14 +94,14 @@ class Scenario:
     seed: int
     out: str | None
     corrupt_b0: float
-    paper_literal: bool = False
 
     def with_overrides(self, *, dt: float | None = None,
                        t_end: float | None = None, seed: int | None = None,
                        out: str | None = None,
-                       paper_literal: bool | None = None) -> "Scenario":
-        given = dict(dt=dt, t_end=t_end, seed=seed, out=out,
-                     paper_literal=paper_literal)
+                       paper_literal: bool = False) -> "Scenario":
+        """A copy with the given values set; paper_literal applies the
+        paper_literal_* components in place of ex/ey/ez."""
+        given = dict(dt=dt, t_end=t_end, seed=seed, out=out)
         scn = replace(self, **{k: v for k, v in given.items() if v is not None})
         if dt is not None and dt <= 0:
             raise ScenarioError("dt override must be positive")
@@ -110,27 +111,23 @@ class Scenario:
             _check_grid(scn.t_end, scn.dt)
         if seed is not None and seed < 0:
             raise ScenarioError("seed override must be nonnegative")
-        return scn
-
-    def active_field_exprs(self):
-        if self.paper_literal:
+        if paper_literal:
             if self.literal_exprs is None:
                 raise ScenarioError(
                     "--paper-literal-field requested but the scenario defines "
                     "no paper_literal_ex/ey/ez components"
                 )
-            return self.literal_exprs
-        return self.field_exprs
+            scn = replace(scn, field_exprs=self.literal_exprs)
+        return scn
 
     def field_program(self) -> FieldProgram:
         if self.field_kind == "zero":
             return ZeroField()
         if self.field_kind == "drive":
             return DriveField(self.law, self.helicity, self.q)
-        exprs = self.active_field_exprs()
         if self.field_kind == "constant":
-            return ConstantField(tuple(eval_expr(e) for e in exprs))
-        return ExprField(*exprs)
+            return ConstantField(tuple(eval_expr(e) for e in self.field_exprs))
+        return ExprField(*self.field_exprs)
 
     def initial_state(self) -> ParticleState:
         theta, phi = self.law.angles(0.0)
@@ -435,14 +432,17 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     return ScenarioRun(scenario=scenario, trajectory=traj, summary=summary)
 
 
+CONTROL_TOL = 1e-6  # largest accepted |measured - target| of a control rate
+
+
 @dataclass
 class ControlRun:
     """A control field profile on the scenario grid and its check.
 
     fields holds one (Ex, Ey, Ez) row per grid time ts; series is the
     controlled quantity on that grid (the energy E0 for an energy target,
-    k for a localization target); measured is its achieved rate, to be
-    held against target.
+    k for a localization target); measured is its achieved rate, which
+    passes when it is within CONTROL_TOL of target.
     """
 
     ts: np.ndarray
@@ -451,6 +451,14 @@ class ControlRun:
     measured: float
     target: float
     label: str
+
+    @property
+    def deviation(self) -> float:
+        return abs(self.measured - self.target)
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= CONTROL_TOL
 
 
 def _control_window(ts, rate_series, initial_sign) -> int:

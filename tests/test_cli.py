@@ -1,6 +1,7 @@
 """Command-line interface: determinism, exit codes, output contracts."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,7 +202,6 @@ def test_plain_figures_prints_nothing_on_stderr(tmp_path):
 
 
 @pytest.mark.parametrize("command", [("simulate",), ("verify",),
-                                     ("control", "--dkdt", "0.5"),
                                      ("figures",)])
 def test_literal_field_without_literal_components_exits_2(tmp_path, command):
     r = run_cli(command[0], "fig1", *command[1:], "--paper-literal-field",
@@ -214,15 +214,39 @@ def test_literal_field_without_literal_components_exits_2(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("option", [("--dt", "0.5"), ("--t-end", "3")])
-def test_verify_refuses_grid_options(tmp_path, option):
-    out = tmp_path / "report.txt"
-    r = run_cli("verify", "free", *option, "--out", str(out))
+@pytest.mark.parametrize("argv, option", [
+    (("verify", "free"), ("--dt", "0.5")),
+    (("verify", "free"), ("--t-end", "3")),
+    (("simulate", "free"), ("--seed", "7")),
+    (("control", "free", "--dedt", "1"), ("--seed", "7")),
+    (("figures", "fig3"), ("--seed", "7")),
+    (("figures", "fig3"), ("--si",)),
+    (("control", "fig45", "--dkdt", "-0.5"), ("--paper-literal-field",)),
+])
+def test_option_a_command_does_not_take_is_a_usage_error(tmp_path, argv,
+                                                         option):
+    r = run_cli(*argv, *option, "--out", str(tmp_path / "out"), cwd=tmp_path)
     assert r.returncode == 2
-    assert r.stderr.startswith("error: ")
-    assert "does not integrate" in r.stderr
+    assert any(line.startswith("weyl-dyn: error: unrecognized arguments: ")
+               and option[0] in line for line in r.stderr.splitlines())
+    assert "Traceback" not in r.stderr
     assert r.stdout == ""
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, options", [
+    ("verify", {"--seed", "--paper-literal-field", "--si"}),
+    ("simulate", {"--dt", "--t-end", "--paper-literal-field", "--si"}),
+    ("control", {"--dt", "--t-end", "--si", "--dedt", "--dkdt", "--mode"}),
+    ("figures", {"--dt", "--t-end", "--paper-literal-field"}),
+])
+def test_help_lists_only_the_options_a_command_takes(capsys, command,
+                                                     options):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"(?m)^  (--[\w-]+)", capsys.readouterr().out)
+    assert sorted(listed) == sorted(options | {"--out"})
 
 
 def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
@@ -269,32 +293,6 @@ def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
     assert "seed 0:" in forward[3][1] and "SI reading" not in forward[3][1]
     assert "1001 samples" in forward[4][1] and "SI reading" in forward[4][1]
     assert "1001 samples, dt 0.01" in forward[5][1]
-
-
-CONTROL_FIG45 = ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2")
-
-
-@pytest.mark.parametrize("argv, option", [
-    (("simulate", "free"), ("--seed", "7")),
-    (CONTROL_FIG45, ("--seed", "7")),
-    (("figures", "fig3", "--t-end", "1"), ("--seed", "7")),
-    # the k control field comes from the law, not the scenario's program
-    (CONTROL_FIG45, ("--paper-literal-field",)),
-])
-def test_options_without_effect_change_no_output(tmp_path, capsys, argv,
-                                                 option):
-    outputs = []
-    for options in ((), option):
-        out = tmp_path / str(len(outputs))
-        out.mkdir()
-        rc = cli.main([*argv, *options, "--out", str(out / "o")])
-        captured = capsys.readouterr()
-        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
-                 if p.is_file()}
-        outputs.append((rc, captured.out.replace(str(out), "<out>"),
-                        captured.err, files))
-    assert outputs[0][0] == 0 and outputs[0][3]
-    assert outputs[1] == outputs[0]
 
 
 def test_module_entry_matches_console_script(tmp_path):
@@ -432,10 +430,8 @@ def test_non_finite_grid_option_exits_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [("verify",), ("simulate",),
-                                     ("control", "--dedt", "1")])
-def test_negative_seed_option_exits_2(tmp_path, command):
-    r = run_cli(command[0], "free", *command[1:], "--seed", "-1", "--out",
+def test_negative_seed_option_exits_2(tmp_path):
+    r = run_cli("verify", "free", "--seed", "-1", "--out",
                 str(tmp_path / "out"), cwd=tmp_path)
     assert r.returncode == 2
     assert r.stderr == "error: seed override must be nonnegative\n"

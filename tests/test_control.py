@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from weyldyn import cli
 from weyldyn.dynamics import ConstantField, integrate_trajectory
 from weyldyn.observables import kinetic_momentum_from_state
 from weyldyn.potentials import energy_control_field, k_control_field
-from weyldyn.scenario import (ControlRun, parse_scenario_text,
+from weyldyn.scenario import (CONTROL_TOL, ControlRun, parse_scenario_text,
                               resolve_scenario, run_control)
 
 
@@ -141,3 +142,22 @@ def test_control_rejections_name_the_problem(text, kwargs, message):
         run_control(parse_scenario_text(text), **kwargs)
     assert str(info.value) == message
 
+
+@pytest.mark.parametrize("dkdt, passed", [(-3.0, True), (-30.0, False)])
+def test_control_passed_is_the_printed_status(tmp_path, capsys, dkdt, passed):
+    # at dt 0.1 a fast polar drain reverses theta' within the first step,
+    # so the measured rate misses the target
+    scn = tmp_path / "polar.scn"
+    scn.write_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\nt_end = 1\n"
+                   "dt = 0.1\n")
+    run = run_control(parse_scenario_text(scn.read_text()), dkdt=dkdt,
+                      mode="polar")
+    assert run.deviation == abs(run.measured - run.target)
+    assert run.passed is passed
+    assert run.passed is (run.deviation <= CONTROL_TOL)
+    rc = cli.main(["control", str(scn), f"--dkdt={dkdt}", "--mode", "polar",
+                   "--out", str(tmp_path / "p.csv")])
+    status = capsys.readouterr().out.splitlines()[1]
+    assert status.startswith("[PASS]" if passed else "[FAIL]")
+    assert status.endswith(f"(|diff| {run.deviation:.3e}, tol 1e-06)")
+    assert rc == (0 if passed else 1)

@@ -83,14 +83,6 @@ def test_accel_inversion_round_trips_drive_field():
             assert residual == pytest.approx(0.0, abs=1e-12)
 
 
-def test_field_programs_reject_magnetic_components():
-    with pytest.raises(ValueError):
-        ConstantField((1.0, 0.0, 0.0), b=(0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        ExprField(parse_expr("0"), parse_expr("0"), parse_expr("0"),
-                  b=(0.0, 1e-3, 0.0))
-
-
 def test_expr_field_rejects_spatial_dependence():
     with pytest.raises(ValueError, match="x"):
         ExprField(parse_expr("x"), parse_expr("0"), parse_expr("0"))

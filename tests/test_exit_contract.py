@@ -88,6 +88,15 @@ def option(values):
     return st.one_of(st.none(), st.none(), values)
 
 
+# the options each command takes, besides --out and control's target
+OPTIONS = {
+    "verify": ("--seed", "--paper-literal-field", "--si"),
+    "simulate": ("--dt", "--t-end", "--paper-literal-field", "--si"),
+    "control": ("--dt", "--t-end", "--si"),
+    "figures": ("--dt", "--t-end", "--paper-literal-field"),
+}
+
+
 @st.composite
 def invocations(draw):
     """(argv with {tmp} placeholders, scenario text or None)."""
@@ -102,20 +111,22 @@ def invocations(draw):
     argv = [command, scenario]
     if command == "control":
         argv += draw(targets)
-    t_end = draw(option(T_ENDS))
-    if source == "preset" and command != "verify" and t_end is None:
-        t_end = "2"  # the presets' own grids run past 2000 steps
-    if t_end is not None:
-        argv.append(f"--t-end={t_end}")
+    takes = OPTIONS[command]
+    if "--t-end" in takes:
+        t_end = draw(option(T_ENDS))
+        if source == "preset" and t_end is None:
+            t_end = "2"  # the presets' own grids run past 2000 steps
+        if t_end is not None:
+            argv.append(f"--t-end={t_end}")
     for name, values in (("--dt", DTS),
                          ("--seed", mostly(("0", "5", str(2 ** 40)),
                                            ("-1",)))):
-        value = draw(option(values))
+        value = draw(option(values)) if name in takes else None
         if value is not None:
             argv.append(f"{name}={value}")
-    if draw(st.booleans()):
+    if "--si" in takes and draw(st.booleans()):
         argv.append("--si")
-    if draw(mostly((False,), (True,))):
+    if "--paper-literal-field" in takes and draw(mostly((False,), (True,))):
         argv.append("--paper-literal-field")
     out = draw(mostly(("{tmp}/out",),
                       ("{tmp}/missing/out", "{tmp}/existing", "{tmp}")))

@@ -103,9 +103,10 @@ def test_fig45_literal_field_doubles_axial_component():
 
 
 def test_literal_flag_requires_literal_components():
-    free = resolve_scenario("free").with_overrides(paper_literal=True)
-    with pytest.raises(ScenarioError, match="paper_literal"):
-        free.active_field_exprs()
+    with pytest.raises(ScenarioError, match="^--paper-literal-field requested "
+                       "but the scenario defines no paper_literal_ex/ey/ez "
+                       "components$"):
+        resolve_scenario("free").with_overrides(paper_literal=True)
 
 
 def test_preserves_law_classification():

@@ -10,6 +10,12 @@ every file the run wrote.  The runs are:
 
 - `simulate --si` on the five presets;
 - `figures`;
+- each option path of the commands on fig45 and free:
+  `verify fig45 --paper-literal-field --si`,
+  `simulate fig45 --paper-literal-field --t-end 2`,
+  `figures fig45 --paper-literal-field --t-end 2`,
+  `control fig45 --dkdt -0.5 --t-end 2 --si` and
+  `control free --dedt 2 --si`;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
@@ -88,6 +94,14 @@ def cli_runs(workdir: Path):
                _run(cli, ("simulate", name, "--si", "--out", str(out)), [out]))
     figures = workdir / "figures"
     yield "figures", _run(cli, ("figures", "--out", str(figures)), [figures])
+    for argv in (("verify", "fig45", "--paper-literal-field", "--si"),
+                 ("simulate", "fig45", "--paper-literal-field", "--t-end", "2"),
+                 ("figures", "fig45", "--paper-literal-field", "--t-end", "2"),
+                 ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2", "--si"),
+                 ("control", "free", "--dedt", "2", "--si")):
+        out = workdir / "options"
+        yield (":".join(["options", *argv]),
+               _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
         for seed in (0, 5):
             yield (f"verify:{name}:seed{seed}",
