@@ -27,6 +27,8 @@ blocks of steps, carrying each block's end state into the next, so the
 temporaries stay small.  After each block a run gate looks for the first
 grid point whose compatibility residual is not within the tolerance, or
 whose state or field is not finite, and ends the run there.
+integrate_angles runs the angle pass and its gate alone, which is all
+the k-control check needs: no position, velocity, momentum or energy.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "grid_steps",
     "MAX_GRID_STEPS",
     "integrate_trajectory",
+    "integrate_angles",
 ]
 
 _BLOCK = 2048  # integration steps per cascade pass; bounds the temporaries
@@ -194,8 +197,13 @@ class Trajectory:
         return float(self.x[-1]), float(self.y[-1]), float(self.z[-1])
 
     def distance_from_start(self) -> np.ndarray:
-        return np.sqrt((self.x - self.x[0]) ** 2 + (self.y - self.y[0]) ** 2
-                       + (self.z - self.z[0]) ** 2)
+        with np.errstate(over="ignore"):
+            dist = np.sqrt((self.x - self.x[0]) ** 2 + (self.y - self.y[0]) ** 2
+                           + (self.z - self.z[0]) ** 2)
+            big = np.isinf(dist)  # a square overflowed: rescale there
+            dx, dy, dz = (c[big] - c[0] for c in (self.x, self.y, self.z))
+            dist[big] = np.hypot(np.hypot(dx, dy), dz)
+        return dist
 
     def speed_drift(self) -> float:
         """Largest deviation of |v| from 1 over the run."""
@@ -205,10 +213,12 @@ class Trajectory:
 
 class ConstraintViolation(RuntimeError):
     """The run gate tripped: the applied field is incompatible with the
-    angle dynamics, or a field or state value is not finite."""
+    angle dynamics, or a field or state value is not finite.  partial is
+    the run up to and including that sample: a Trajectory, or the
+    (t, theta, phi, theta', phi', residual) history of integrate_angles."""
 
     def __init__(self, time: float, residual: float, tolerance: float,
-                 partial: Trajectory, *, nonfinite: bool = False):
+                 partial: Trajectory | tuple, *, nonfinite: bool = False):
         if nonfinite:
             message = (f"non-finite field or state at t = {time:.6g} "
                        f"(compatibility residual {residual:.6g})")
@@ -263,41 +273,63 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     """
     n = grid_steps(t_end, dt)
     require_time_only(gauge, "integrate_trajectory")
-    ts = np.arange(n + 1) * dt
-    half_ts = np.arange(2 * n + 1) * (0.5 * dt)
-    fields = program.sample(half_ts)
-
-    q_eff = initial.q * initial.helicity.sign
-
-    # rows: theta, phi, theta', phi', x, y, z
-    state = np.empty((7, n + 1))
-    theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
-    state[:, 0] = (initial.theta, initial.phi, initial.theta_dot,
-                   initial.phi_dot, *initial.position)
-    residual = np.empty(n + 1)
-
-    def first_bad(lo, hi, sp, cp):
-        """Fill the residual over grid points lo..hi-1 and return the
-        first of them that fails the run gate, or None."""
-        e = fields[2 * lo:2 * hi:2]
-        res = compatibility_residual(q_eff, e, sp, cp, theta_dot_a[lo:hi],
-                                     phi_dot_a[lo:hi])
-        residual[lo:hi] = res
-        ok = ((res <= constraint_tol) & np.isfinite(state[:, lo:hi]).all(axis=0)
-              & np.isfinite(e).all(axis=1))
-        bad = np.flatnonzero(~ok)
-        return lo + int(bad[0]) if len(bad) else None
-
-    # Non-finite values are caught by the gate, not reported as warnings.
+    run = _Cascade(initial, program, n, dt, constraint_tol, rows=7)
+    xs, ys, zs = run.state[4:]
+    # Non-finite values are caught by the gate, not reported as warnings;
+    # the last sample of a partial run may hold inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        bad = None
+        for lo, hi, theta_s, sp, cp in run.angle_blocks():
+            # position slopes: the velocity from each stage's sin and cos
+            st = [np.sin(t) for t in theta_s]
+            _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
+            _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
+            _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
+        return run.finish(lambda *cols: _assemble(*cols, gauge, initial, dt))
+
+
+def integrate_angles(initial: ParticleState, program: FieldProgram,
+                     t_end: float, dt: float, *,
+                     constraint_tol: float = 1e-6):
+    """integrate_trajectory's angle pass alone: (t, theta, phi, theta',
+    phi', residual), its columns bit for bit, with no position, velocity,
+    momentum or energy; raises the same ConstraintViolation."""
+    run = _Cascade(initial, program, grid_steps(t_end, dt), dt,
+                   constraint_tol, rows=4)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in run.angle_blocks():
+            pass
+        return run.finish(lambda t, rows, _, res: (t, *rows, res))
+
+
+class _Cascade:
+    """An n-step run: the half-step field, the state rows (theta, phi,
+    theta', phi', and x, y, z if rows is 7), the residual and the gate."""
+
+    def __init__(self, initial: ParticleState, program: FieldProgram, n: int,
+                 dt: float, constraint_tol: float, rows: int):
+        self.ts = np.arange(n + 1) * dt
+        self.fields = program.sample(np.arange(2 * n + 1) * (0.5 * dt))
+        self.state = np.empty((rows, n + 1))
+        self.state[:, 0] = (initial.theta, initial.phi, initial.theta_dot,
+                            initial.phi_dot, *initial.position)[:rows]
+        self.residual = np.empty(n + 1)
+        self.q_eff = initial.q * initial.helicity.sign
+        self.dt, self.tol = dt, constraint_tol
+        self.bad = None  # the first grid point that fails the gate
+
+    def angle_blocks(self):
+        """Advance rows theta, phi, theta', phi' a block of steps lo..hi-1
+        at a time; yield (lo, hi, theta_s, sp, cp), theta's four RK4 stage
+        values and the sines and cosines of phi's.  Resumed, the caller's
+        rows are advanced too: gate the block and stop at a failure."""
+        theta_a, phi_a, theta_dot_a, phi_dot_a = self.state[:4]
+        fields, q_eff, dt = self.fields, self.q_eff, self.dt
+        n = len(self.ts) - 1
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             e0 = fields[2 * lo:2 * hi:2]
             em = fields[2 * lo + 1:2 * hi + 1:2]
             e1 = fields[2 * lo + 2:2 * hi + 2:2]
-            stage_fields = (e0, em, em, e1)
-
             pdd_mid = phi_ddot_from_field(q_eff, em)
             phi_dot_s = _rk4_stages(phi_dot_a, lo, hi, dt,
                                     phi_ddot_from_field(q_eff, e0), pdd_mid,
@@ -306,34 +338,41 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
             sp = [np.sin(p) for p in phi_s]
             cp = [np.cos(p) for p in phi_s]
             theta_ddot_s = [theta_ddot_from_field(q_eff, e, s, c)
-                            for e, s, c in zip(stage_fields, sp, cp)]
+                            for e, s, c in zip((e0, em, em, e1), sp, cp)]
             theta_dot_s = _rk4_stages(theta_dot_a, lo, hi, dt, *theta_ddot_s)
             theta_s = _rk4_stages(theta_a, lo, hi, dt, *theta_dot_s)
-            # position slopes: the velocity from each stage's sin and cos
-            st = [np.sin(t) for t in theta_s]
-            _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
-            _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
-            _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
+            yield lo, hi, theta_s, sp, cp
+            if self._first_bad(lo, hi, sp[0], cp[0]):
+                return
+        self._first_bad(n, n + 1, np.sin(phi_a[n:]), np.cos(phi_a[n:]))
 
-            bad = first_bad(lo, hi, sp[0], cp[0])
-            if bad is not None:
-                break
-        else:
-            bad = first_bad(n, n + 1, np.sin(phi_a[n:]), np.cos(phi_a[n:]))
+    def _first_bad(self, lo, hi, sp, cp) -> bool:
+        """Fill the residual over grid points lo..hi-1; record the first of
+        them that fails the gate, in any state row, as self.bad."""
+        e = self.fields[2 * lo:2 * hi:2]
+        state = self.state[:, lo:hi]
+        res = compatibility_residual(self.q_eff, e, sp, cp, state[2], state[3])
+        self.residual[lo:hi] = res
+        ok = ((res <= self.tol) & np.isfinite(state).all(axis=0)
+              & np.isfinite(e).all(axis=1))
+        bad = np.flatnonzero(~ok)
+        self.bad = lo + int(bad[0]) if len(bad) else None
+        return self.bad is not None
 
-    filled = n + 1 if bad is None else bad + 1
-    with np.errstate(invalid="ignore", over="ignore"):
-        # the last sample of a partial run may hold inf
-        traj = _assemble(ts[:filled], state[:, :filled],
-                         fields[0:2 * filled:2], residual[:filled], gauge,
-                         initial, dt)
-    if bad is not None:
-        nonfinite = not (np.isfinite(state[:, bad]).all()
-                         and np.isfinite(fields[2 * bad]).all()
-                         and np.isfinite(residual[bad]))
-        raise ConstraintViolation(float(ts[bad]), float(residual[bad]),
-                                  constraint_tol, traj, nonfinite=nonfinite)
-    return traj
+    def finish(self, build):
+        """build(ts, state, fields, residual) over the samples up to and
+        including the first that failed the gate; raise ConstraintViolation
+        carrying it if one did, else return it."""
+        bad = self.bad
+        f = len(self.ts) if bad is None else bad + 1
+        out = build(self.ts[:f], self.state[:, :f], self.fields[0:2 * f:2],
+                    self.residual[:f])
+        if bad is None:
+            return out
+        res = self.residual[bad]
+        cells = (*self.state[:, bad], *self.fields[2 * bad], res)
+        raise ConstraintViolation(float(self.ts[bad]), float(res), self.tol,
+                                  out, nonfinite=not np.isfinite(cells).all())
 
 
 def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):

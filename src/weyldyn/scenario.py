@@ -14,7 +14,8 @@ run_scenario integrates a scenario and summarizes the trajectory;
 run_control computes an energy or localization control profile.  Both
 work on the whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt))
 at once: run_control evaluates the angle law, energy_control_field and
-kinetic_momentum_from_state once each on the array of grid times.
+kinetic_momentum_from_state once each on the array of grid times, and
+its k-control check integrates only the angles (integrate_angles).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .dynamics import (ConstantField, DriveField, ExprField, FieldProgram,
                        ParticleState, Trajectory, ZeroField, grid_steps,
-                       integrate_trajectory)
+                       integrate_angles, integrate_trajectory)
 from .expressions import (AngleLaw, Expr, ExpressionError, ExprLaw,
                           ScalarField, eval_expr, parse_expr,
                           plane_wave_phase)
@@ -485,9 +486,9 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
 
     dkdt: the constant drive field that changes k at that rate, either
     through the azimuth (mode "azimuthal", theta pinned, phi rotating) or
-    through the polar angle (mode "polar", phi pinned).  The profile is
-    integrated forward and k's rate is measured up to the last sample
-    before the driven angle rate changes sign.
+    through the polar angle (mode "polar", phi pinned).  Only the angles
+    are integrated forward, and k's rate is measured up to the last
+    sample before the driven angle rate changes sign.
 
     Raises ValueError when the law does not admit the requested control.
     """
@@ -526,13 +527,13 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
     field = k_control_field(dkdt, mode, scenario.helicity, scenario.q,
                             theta0=law.theta0, phi0=law.phi0)
     program = ConstantField(field.e)
-    traj = integrate_trajectory(scenario.initial_state(), program,
-                                scenario.t_end, scenario.dt,
-                                gauge=scenario.s,
-                                constraint_tol=scenario.tolerance)
+    t, theta, _, theta_dot, phi_dot, _ = integrate_angles(
+        scenario.initial_state(), program, scenario.t_end, scenario.dt,
+        constraint_tol=scenario.tolerance)
+    k = localization_from_rates(theta, theta_dot, phi_dot)
     if mode == "azimuthal":
-        j = _control_window(traj.t, traj.phi_dot, int(np.sign(law.omega2)))
+        j = _control_window(t, phi_dot, int(np.sign(law.omega2)))
     else:
-        j = _control_window(traj.t, traj.theta_dot, int(np.sign(law.omega1)))
-    measured = float((traj.k[j] - traj.k[0]) / (traj.t[j] - traj.t[0]))
-    return ControlRun(ts, program.sample(ts), traj.k, measured, dkdt, "dk/dt")
+        j = _control_window(t, theta_dot, int(np.sign(law.omega1)))
+    measured = float((k[j] - k[0]) / (t[j] - t[0]))
+    return ControlRun(ts, program.sample(ts), k, measured, dkdt, "dk/dt")

@@ -383,6 +383,22 @@ def test_non_finite_run_leaks_no_numpy_warning(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_distance_from_start_near_the_float_limit_is_finite(tmp_path):
+    # the particle circles with radius 1/omega2 = 1e300 next to the largest
+    # float: its positions stay finite, the squares of its displacement
+    # (up to 2e300) overflow
+    scn = tmp_path / "far.scn"
+    scn.write_text("theta0 = pi/2\nomega2 = 1e-300\nx0 = 1.7e308\n"
+                   "dt = 1e300\nt_end = 1e303\n")
+    r = run_cli("simulate", str(scn), "--out", str(tmp_path / "o.csv"))
+    assert r.returncode == 0
+    line, = [s for s in r.stdout.splitlines() if "max |r - r0|" in s]
+    distance = float(line.split("max |r - r0| ")[1].split(",")[0])
+    assert 1e299 < distance < 1e301
+    assert "RuntimeWarning" not in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("args", [
     ("simulate", "free", "--t-end", "0.0001"),
     ("control", "fig45", "--dkdt", "-0.5", "--t-end", "0.0001"),

@@ -98,6 +98,38 @@ def test_azimuthal_k_control_matches_direct_integration():
     assert abs(run.measured + 0.5) <= 1e-6
 
 
+def test_polar_k_control_matches_direct_integration():
+    # theta' falls from 2 through 0 at t = 2, so the window ends before it
+    scenario = parse_scenario_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\n"
+                                   "dt = 0.001\nt_end = 3\n")
+    run = run_control(scenario, dkdt=-0.5, mode="polar")
+    law = scenario.law
+    field = k_control_field(-0.5, "polar", scenario.helicity, scenario.q,
+                            theta0=law.theta0, phi0=law.phi0)
+    traj = integrate_trajectory(scenario.initial_state(),
+                                ConstantField(field.e), scenario.t_end,
+                                scenario.dt, gauge=scenario.s,
+                                constraint_tol=scenario.tolerance)
+    j = int(np.flatnonzero(np.sign(traj.theta_dot) != 1)[0]) - 1
+    assert 1000 < j < 3000
+    assert run.ts.tobytes() == traj.t.tobytes()
+    assert run.fields.tobytes() == np.tile(field.e, (len(traj), 1)).tobytes()
+    assert run.series.tobytes() == traj.k.tobytes()
+    assert run.measured == float((traj.k[j] - traj.k[0])
+                                 / (traj.t[j] - traj.t[0]))
+    assert run.label == "dk/dt" and run.target == -0.5
+
+
+def test_k_control_does_not_integrate_positions():
+    # x passes the largest float after a few steps; k never reads it, so
+    # the check runs to the end (integrate_trajectory would stop at t = dt)
+    scenario = parse_scenario_text("theta0 = pi/2\nx0 = 1.79e308\n"
+                                   "dt = 1e306\nt_end = 1e307\n")
+    run = run_control(scenario, dkdt=0.0, mode="polar")
+    assert len(run.series) == 11 and np.all(run.series == 0.0)
+    assert run.measured == 0.0 and run.passed
+
+
 def test_polar_k_control_reaches_its_rate():
     scenario = parse_scenario_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\n"
                                    "dt = 0.001\nt_end = 3\n")

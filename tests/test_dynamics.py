@@ -15,6 +15,7 @@ from weyldyn.dynamics import (
     ZeroField,
     compatibility_residual,
     grid_steps,
+    integrate_angles,
     integrate_trajectory,
     phi_ddot_from_field,
     theta_ddot_from_field,
@@ -407,6 +408,37 @@ def assert_same_trajectory(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def run_or_violation(integrate, *args):
+    """(result, None) of a finished run, (partial, violation) of a tripped one."""
+    try:
+        return integrate(*args), None
+    except ConstraintViolation as exc:
+        return exc.partial, exc
+
+
+def assert_angle_pass_matches(initial, program, t_end, dt):
+    """integrate_angles ends where integrate_trajectory does, with the same
+    ConstraintViolation if any, and gives its t, angle, rate and residual
+    columns bit for bit, and k from them on a finished run."""
+    full, want = run_or_violation(integrate_trajectory, initial, program,
+                                  t_end, dt)
+    angles, got = run_or_violation(integrate_angles, initial, program,
+                                   t_end, dt)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert str(got) == str(want)
+        assert got.nonfinite == want.nonfinite
+        assert (np.array([got.time, got.residual]).tobytes()
+                == np.array([want.time, want.residual]).tobytes())
+    names = ("t", "theta", "phi", "theta_dot", "phi_dot", "residual")
+    assert len(angles) == len(names)
+    for name, column in zip(names, angles):
+        assert column.tobytes() == getattr(full, name).tobytes(), name
+    if want is None:
+        k = localization_from_rates(angles[1], angles[3], angles[4])
+        assert k.tobytes() == full.k.tobytes()
+
+
 FIG1_LAW = AngleLaw.linear(math.pi / 2, math.sqrt(3), 0.0, math.sqrt(5))
 
 ORACLE_CASES = {
@@ -436,6 +468,7 @@ def test_cascade_matches_scalar_loop_bit_for_bit(case, steps):
     assert violation is None
     assert len(got) == steps + 1
     assert_same_trajectory(got, want)
+    assert_angle_pass_matches(initial, program, steps * dt, dt)
 
 
 def test_cascade_aborts_like_scalar_loop():
@@ -457,6 +490,7 @@ def test_cascade_aborts_like_scalar_loop():
         assert v.residual == residual
         assert len(v.partial) == len(want)
         assert_same_trajectory(v.partial, want)
+        assert_angle_pass_matches(initial, program, t_end, 0.01)
 
 
 def test_non_finite_field_at_start_aborts():
@@ -469,6 +503,7 @@ def test_non_finite_field_at_start_aborts():
     assert v.nonfinite
     assert v.time == 0.0
     assert len(v.partial) == 1
+    assert_angle_pass_matches(make_state(phi_dot=1.0), field, 2.0, 0.01)
 
 
 def test_non_finite_state_midway_aborts_with_finite_history():
@@ -483,6 +518,7 @@ def test_non_finite_state_midway_aborts_with_finite_history():
     assert len(v.partial) == 52
     assert np.isnan(v.partial.phi_dot[-1])
     assert np.isfinite(v.partial.phi_dot[:-1]).all()
+    assert_angle_pass_matches(make_state(phi_dot=1.0), field, 2.0, 0.01)
 
 
 def test_infinite_field_aborts_without_numpy_warnings():
@@ -498,6 +534,8 @@ def test_infinite_field_aborts_without_numpy_warnings():
     last = [p.phi[-1], p.phi_dot[-1], p.k[-1], p.e0[-1], p.pz[-1]]
     assert not np.isfinite(last).all()
     assert np.isfinite(p.k[:-1]).all()
+    assert_angle_pass_matches(make_state(theta=1.0, phi_dot=1.0), field, 1.0,
+                              0.001)
 
 
 def test_grid_steps_rounds_to_the_nearest_whole_step():

@@ -16,6 +16,9 @@ every file the run wrote.  The runs are:
   `figures fig45 --paper-literal-field --t-end 2`,
   `control fig45 --dkdt -0.5 --t-end 2 --si` and
   `control free --dedt 2 --si`;
+- `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
+  omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
+  which the run gate stops at t = 0.001 (exit 1);
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
@@ -102,6 +105,13 @@ def cli_runs(workdir: Path):
         out = workdir / "options"
         yield (":".join(["options", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
+    polar = workdir / "polar.scn"
+    polar.write_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\n"
+                     "dt = 0.001\nt_end = 1\n")
+    out = workdir / "options"
+    yield ("control-gate:polar",
+           _run(cli, ("control", str(polar), "--dkdt", "1e308", "--mode",
+                      "polar", "--out", str(out)), [out]))
     for name in PRESETS:
         for seed in (0, 5):
             yield (f"verify:{name}:seed{seed}",
