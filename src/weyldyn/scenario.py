@@ -40,6 +40,7 @@ from .spinors import Helicity
 __all__ = [
     "CONTROL_TOL",
     "ControlRun",
+    "MAX_SAMPLE_COUNT",
     "Scenario",
     "ScenarioError",
     "ScenarioRun",
@@ -53,12 +54,21 @@ __all__ = [
 
 PRESET_NAMES = ("free", "fig1", "fig2", "fig3", "fig45")
 
-_KNOWN_KEYS = frozenset((
-    "q", "theta0", "omega1", "phi0", "omega2", "h_energy", "x0", "y0", "z0",
-    "dt", "t_end", "fd_step", "tolerance", "corrupt_b0", "seed",
-    "sample_count", "name", "helicity", "h", "s", "field", "out",
-    "theta_expr", "phi_expr", "ex", "ey", "ez",
-    "paper_literal_ex", "paper_literal_ey", "paper_literal_ez"))
+# every key and its default (None: unset), in the order
+# parse_scenario_text reads them; docs/scenario-format.md documents each
+_DEFAULTS = {
+    "q": 1.0, "theta0": 0.0, "omega1": 0.0, "phi0": 0.0, "omega2": 0.0,
+    "h_energy": 1.0, "helicity": "positive",
+    "theta_expr": None, "phi_expr": None, "h": "zero", "s": "0",
+    "field": "zero", "ex": "0", "ey": "0", "ez": "0",
+    "paper_literal_ex": "0", "paper_literal_ey": "0", "paper_literal_ez": "0",
+    "dt": 1e-3, "t_end": 10.0, "fd_step": 1e-5, "tolerance": 1e-6,
+    "sample_count": 100, "seed": 0,
+    "x0": 0.0, "y0": 0.0, "z0": 0.0, "corrupt_b0": 0.0,
+    "name": None, "out": None,
+}
+
+MAX_SAMPLE_COUNT = 10 ** 6  # a battery holds about 865 bytes per draw: 0.9 GB
 
 _FIELD_KINDS = ("zero", "constant", "expr", "drive")
 
@@ -166,58 +176,27 @@ def _split_lines(text: str):
 def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
     entries: dict[str, tuple[int, str]] = {}
     for lineno, key, value in _split_lines(text):
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ScenarioError(f"line {lineno}: unknown key '{key}'")
         if key in entries:
             raise ScenarioError(f"line {lineno}: duplicate key '{key}'")
         entries[key] = (lineno, value)
 
-    def text_of(key, default=None):
-        if key in entries:
-            return entries[key][1]
-        return default
+    def text_of(key):
+        return entries.get(key, (0, _DEFAULTS[key]))[1]
 
     params: dict[str, float] = {}
 
-    def scalar(key, default):
-        if key not in entries:
-            return default
-        lineno, value = entries[key]
+    def value(key, allowed=None):
+        """The key's scalar value, or with allowed, its expression over
+        those variables; an absent scalar or unset key is its default."""
+        lineno, text = entries.get(key, (0, _DEFAULTS[key]))
+        if text is None or (allowed is None and key not in entries):
+            return text
         try:
-            return eval_expr(parse_expr(value, params))
-        except ExpressionError as exc:
-            raise ScenarioError(f"line {lineno}: key '{key}': {exc}") from None
-
-    def integer(key, default):
-        value = scalar(key, float(default))
-        if value != int(value):
-            raise ScenarioError(f"key '{key}' must be an integer")
-        return int(value)
-
-    q = scalar("q", 1.0)
-    if q == 0:
-        raise ScenarioError("key 'q': charge must be nonzero")
-    params["q"] = q
-    for key, default in (("theta0", 0.0), ("omega1", 0.0),
-                         ("phi0", 0.0), ("omega2", 0.0), ("h_energy", 1.0)):
-        params[key] = scalar(key, default)
-
-    helicity_text = text_of("helicity", "positive")
-    try:
-        helicity = Helicity(helicity_text)
-    except ValueError:
-        raise ScenarioError(
-            f"key 'helicity': expected 'positive' or 'negative', "
-            f"got '{helicity_text}'"
-        ) from None
-
-    def parse_value_expr(key, allowed, default=None):
-        value = text_of(key, default)
-        if value is None:
-            return None
-        lineno = entries[key][0] if key in entries else 0
-        try:
-            expr = parse_expr(value, params)
+            expr = parse_expr(text, params)
+            if allowed is None:
+                return eval_expr(expr)
         except ExpressionError as exc:
             raise ScenarioError(f"line {lineno}: key '{key}': {exc}") from None
         extra = expr.free_variables() - allowed
@@ -228,9 +207,31 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
             )
         return expr
 
+    def integer(key):
+        number = value(key)
+        if number != int(number):
+            raise ScenarioError(f"key '{key}' must be an integer")
+        return int(number)
+
+    q = value("q")
+    if q == 0:
+        raise ScenarioError("key 'q': charge must be nonzero")
+    params["q"] = q
+    for key in ("theta0", "omega1", "phi0", "omega2", "h_energy"):
+        params[key] = value(key)
+
+    helicity_text = text_of("helicity")
+    try:
+        helicity = Helicity(helicity_text)
+    except ValueError:
+        raise ScenarioError(
+            f"key 'helicity': expected 'positive' or 'negative', "
+            f"got '{helicity_text}'"
+        ) from None
+
     # angle law: linear by default, expression laws override
-    theta_expr = parse_value_expr("theta_expr", {"t"})
-    phi_expr = parse_value_expr("phi_expr", {"t"})
+    theta_expr = value("theta_expr", {"t"})
+    phi_expr = value("phi_expr", {"t"})
     if theta_expr is not None and ("theta0" in entries or "omega1" in entries):
         raise ScenarioError("key 'theta_expr' conflicts with theta0/omega1")
     if phi_expr is not None and ("phi0" in entries or "omega2" in entries):
@@ -242,20 +243,18 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
         phi=ExprLaw(phi_expr) if phi_expr is not None else linear.phi,
     )
 
-    h_text = text_of("h", "zero")
+    h_text = text_of("h")
     if h_text == "zero" or h_text == "0":
         h = None
     elif h_text == "plane_wave":
         theta_ref, phi_ref = law.angles(0.0)
         h = plane_wave_phase(params["h_energy"], theta_ref, phi_ref)
     else:
-        expr = parse_value_expr("h", {"x", "y", "z", "t"})
-        h = ScalarField(expr)
+        h = ScalarField(value("h", {"x", "y", "z", "t"}))
 
-    s_expr = parse_value_expr("s", {"t"}, default="0")
-    s_field = ScalarField(s_expr)
+    s_field = ScalarField(value("s", {"t"}))
 
-    field_kind = text_of("field", "zero")
+    field_kind = text_of("field")
     if field_kind not in _FIELD_KINDS:
         raise ScenarioError(
             f"key 'field': expected one of {', '.join(_FIELD_KINDS)}, "
@@ -263,6 +262,7 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
         )
     component_keys = ("ex", "ey", "ez")
     literal_keys = ("paper_literal_ex", "paper_literal_ey", "paper_literal_ez")
+    literal_exprs = None
     if field_kind in ("zero", "drive"):
         for key in component_keys + literal_keys:
             if key in entries:
@@ -270,40 +270,32 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
                     f"key '{key}' requires field = constant or field = expr"
                 )
         field_exprs = None
-        literal_exprs = None
     else:
         allowed = set() if field_kind == "constant" else {"t"}
-        field_exprs = tuple(
-            parse_value_expr(key, allowed, default="0")
-            for key in component_keys
-        )
+        field_exprs = tuple(value(key, allowed) for key in component_keys)
         if any(key in entries for key in literal_keys):
-            literal_exprs = tuple(
-                parse_value_expr(key, allowed, default="0")
-                for key in literal_keys
-            )
-        else:
-            literal_exprs = None
+            literal_exprs = tuple(value(key, allowed) for key in literal_keys)
 
-    dt = scalar("dt", 1e-3)
-    t_end = scalar("t_end", 10.0)
-    fd_step = scalar("fd_step", 1e-5)
-    tolerance = scalar("tolerance", 1e-6)
-    for key, value in (("dt", dt), ("t_end", t_end), ("fd_step", fd_step),
-                       ("tolerance", tolerance)):
-        if value <= 0:
+    # every grid and check value is read before any is checked
+    positive = {key: value(key)
+                for key in ("dt", "t_end", "fd_step", "tolerance")}
+    for key, number in positive.items():
+        if number <= 0:
             raise ScenarioError(f"key '{key}' must be positive")
-    _check_grid(t_end, dt)
+    _check_grid(positive["t_end"], positive["dt"])
 
-    sample_count = integer("sample_count", 100)
+    sample_count = integer("sample_count")
     if sample_count < 1:
         raise ScenarioError("key 'sample_count' must be at least 1")
-    seed = integer("seed", 0)
+    if sample_count > MAX_SAMPLE_COUNT:
+        raise ScenarioError(
+            f"key 'sample_count' must be at most {MAX_SAMPLE_COUNT}")
+    seed = integer("seed")
     if seed < 0:
         raise ScenarioError("key 'seed' must be nonnegative")
 
     return Scenario(
-        name=text_of("name", default_name),
+        name=text_of("name") or default_name,
         helicity=helicity,
         q=q,
         law=law,
@@ -312,15 +304,12 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
         field_kind=field_kind,
         field_exprs=field_exprs,
         literal_exprs=literal_exprs,
-        start=(scalar("x0", 0.0), scalar("y0", 0.0), scalar("z0", 0.0)),
-        dt=dt,
-        t_end=t_end,
-        fd_step=fd_step,
-        tolerance=tolerance,
+        start=(value("x0"), value("y0"), value("z0")),
+        **positive,
         sample_count=sample_count,
         seed=seed,
         out=text_of("out"),
-        corrupt_b0=scalar("corrupt_b0", 0.0),
+        corrupt_b0=value("corrupt_b0"),
     )
 
 

@@ -39,7 +39,7 @@ DTS = mostly(("0.001", "0.01", "0.3"),
 T_ENDS = mostly(("0.5", "2"),
                 ("0.0001", "0", "-1", "nan", "inf", "1e300", "1e9"))
 INTEGERS = mostly(("0", "7"), ("-1", "2.5", "1e30", "1e309", "nan"))
-SAMPLE_COUNTS = mostly(("1", "7", "30"), ("0", "-2", "2.5", "1e309"))
+SAMPLE_COUNTS = mostly(("1", "7", "30"), ("0", "-2", "2.5", "1e309", "1e9"))
 TEXT_VALUES = {
     "helicity": mostly(("positive", "negative"), ("sideways",)),
     "h": mostly(("zero", "plane_wave", "0.3*x - t"),

@@ -1,10 +1,13 @@
 """Scenario text format, presets, and the summary produced by a run."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weyldyn import scenario
 from weyldyn.dynamics import ConstantField, DriveField, ExprField, ZeroField
 from weyldyn.scenario import (
     PRESET_NAMES,
@@ -52,11 +55,32 @@ def test_scalar_values_accept_expressions_and_earlier_keys():
         ("field = magnetic", "expected one of zero, constant, expr, drive"),
         ("dt = 0", "'dt' must be positive"),
         ("t_end = -1", "'t_end' must be positive"),
+        ("sample_count = 1e9", "'sample_count' must be at most 1000000"),
     ],
 )
 def test_parse_rejections_name_the_problem(text, fragment):
     with pytest.raises(ScenarioError, match=fragment.replace("(", "\\(")):
         parse_scenario_text(text)
+
+
+# files with two errors: the checks run in a fixed order, so the first
+# error reported is pinned word for word
+@pytest.mark.parametrize("text, message", [
+    ("dt = 0\nt_end = x", "line 2: key 't_end': unbound variable 'x'"),
+    ("field = constant\nex = t\ndt = -1",
+     "key 'ex': variables not allowed here: t"),
+    ("theta_expr = x\nomega1 = 1",
+     "key 'theta_expr': variables not allowed here: x"),
+    ("q = 0\nhelicity = sideways", "key 'q': charge must be nonzero"),
+    ("q = 0\nbogus = 1", "line 2: unknown key 'bogus'"),
+    ("tolerance = 0\ndt = 1\nt_end = 0.4", "key 'tolerance' must be positive"),
+    ("sample_count = 0\nseed = 2.5", "key 'sample_count' must be at least 1"),
+    ("seed = -1\nx0 = y", "key 'seed' must be nonnegative"),
+])
+def test_first_of_two_errors_is_reported(text, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_text(text)
+    assert str(info.value) == message
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -233,3 +257,40 @@ def test_free_flight_reports_no_k_drain():
     assert s["k_min"] == 0.0 and s["k_start"] == 0.0
     assert s["k_zero_time"] is None
     assert s["k_recovery_time"] is None
+
+
+def _documented_defaults():
+    """{key: default} from the key tables of docs/scenario-format.md; a
+    row lists one or more keys and either one default for all of them,
+    one default per key, or `unset` (None)."""
+    doc = Path(__file__).parent.parent / "docs" / "scenario-format.md"
+    documented = {}
+    for row in doc.read_text().splitlines():
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        if not row.startswith("| `") or len(cells) != 3:
+            continue
+        keys = re.findall(r"`(\w+)`", cells[0])
+        defaults = ([None] if cells[1] == "unset"
+                    else re.findall(r"`([^`]*)`", cells[1]))
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert keys and len(defaults) == len(keys), row
+        for key, default in zip(keys, defaults):
+            assert key not in documented, f"{key} documented twice"
+            documented[key] = default
+    return documented
+
+
+def test_documented_keys_and_defaults_match_the_parser():
+    documented = _documented_defaults()
+    table = scenario._DEFAULTS
+    assert set(documented) == set(table)
+    for key, default in documented.items():
+        expected = table[key]
+        if default is None or expected is None:
+            assert default is expected, key
+            continue
+        try:
+            assert float(default) == float(expected), key
+        except ValueError:
+            assert default == expected, key
