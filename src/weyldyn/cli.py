@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ConstraintViolation, Trajectory
-from .expressions import ExpressionError
 from .floattext import csv_rows
 from .observables import si_rates
-from .scenario import (CONTROL_TOL, Scenario, ScenarioError, resolve_scenario,
-                       run_control, run_scenario)
+from .scenario import (CONTROL_TOL, Scenario, resolve_scenario, run_control,
+                       run_scenario)
 from .verify import run_verification
 
 CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
@@ -55,9 +54,8 @@ def write_field_csv(ts, fields, path: str | Path) -> None:
 
 
 def _with_options(scenario: Scenario, args, out=None) -> Scenario:
-    return scenario.with_overrides(
-        dt=args.dt, t_end=args.t_end, seed=args.seed, out=out,
-        paper_literal=args.paper_literal_field)
+    return scenario.with_overrides(dt=args.dt, t_end=args.t_end,
+                                   seed=args.seed, out=out)
 
 
 def _load(args) -> Scenario:
@@ -82,16 +80,10 @@ def _note_grid_end(scenario: Scenario) -> None:
               file=sys.stderr)
 
 
-def _scenario_si_lines(scenario: Scenario) -> list[str]:
-    e0 = scenario.field_program().sample(np.zeros(1))[0]
-    return _si_lines(e0, scenario.q)
-
-
 def cmd_verify(args) -> int:
     scenario = _load(args)
     report = run_verification(scenario)
-    extra = _scenario_si_lines(scenario) if args.si else ()
-    text = report.format_text(extra)
+    text = report.format_text()
     if scenario.out:
         # written first, so that a failed write prints no report
         Path(scenario.out).write_text(text + "\n")
@@ -147,7 +139,8 @@ def cmd_simulate(args) -> int:
         return 1
     print(_summarize(run.summary))
     if args.si:
-        print("\n".join(_scenario_si_lines(scenario)))
+        e0 = scenario.field_program().sample(np.zeros(1))[0]
+        print("\n".join(_si_lines(e0, scenario.q)))
     print(f"wrote {out_path}")
     return 0
 
@@ -156,15 +149,7 @@ def cmd_control(args) -> int:
     scenario = _load(args)
     out_path = scenario.out or f"{scenario.name}_control.csv"
     _note_grid_end(scenario)
-    try:
-        run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt,
-                          mode=args.mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConstraintViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt, mode=args.mode)
     write_field_csv(run.ts, run.fields, out_path)
     status = "PASS" if run.passed else "FAIL"
     print(f"control profile written to {out_path}")
@@ -202,16 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="spinor trajectory toolkit: verify, simulate, control",
     )
     # the values of the options a command does not take
-    parser.set_defaults(dt=None, t_end=None, seed=None,
-                        paper_literal_field=False, si=False)
+    parser.set_defaults(dt=None, t_end=None, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
         "--dt": dict(type=float),
         "--t-end": dict(dest="t_end", type=float),
         "--seed": dict(type=int),
-        "--paper-literal-field": dict(
-            action="store_true", help="use the literally stated control "
-                                      "field instead of the reconciled one"),
         "--si": dict(action="store_true",
                      help="append SI energy-rate readings to reports"),
     }
@@ -229,10 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("verify", cmd_verify, "run the verification battery",
-            "--seed", "--paper-literal-field", "--si")
+    command("verify", cmd_verify, "run the verification battery", "--seed")
     command("simulate", cmd_simulate, "integrate and write CSV",
-            "--dt", "--t-end", "--paper-literal-field", "--si")
+            "--dt", "--t-end", "--si")
     p_ctl = command("control", cmd_control, "emit and validate a control field",
                     "--dt", "--t-end", "--si")
     group = p_ctl.add_mutually_exclusive_group(required=True)
@@ -244,19 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
                        default="azimuthal",
                        help="which angle realizes the k schedule")
     command("figures", cmd_figures, "write the figure datasets",
-            "--dt", "--t-end", "--paper-literal-field",
-            scenario_required=False)
+            "--dt", "--t-end", scenario_required=False)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # scenario, expression and control refusals are all ValueErrors
     try:
         return args.func(args)
-    except (ScenarioError, ExpressionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConstraintViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -246,11 +246,13 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
 
 def energy_control_field(de_dt: float, law: AngleLaw, q: float,
                          t) -> EMField:
-    """Field along the velocity that changes the energy at rate de_dt.
+    """Field (1/q) de_dt v along the velocity, which changes the energy
+    at rate de_dt.
 
     Valid when the motion is drive free (theta'' = phi'' = theta'*phi'
-    = 0), where the gauge-family field with time-only s reduces to
-    (1/q) dE/dt v.  Same for both helicities.  t may be one time or an
+    = 0).  The gauge-family field of s = -de_dt t is this field plus
+    -(s/q) dv/dt: both give q E.v = de_dt, and they coincide only when
+    dv/dt = 0.  Same for both helicities.  t may be one time or an
     array of times; for an array each component is an array over t.
     Raises ValueError unless the law is drive free at every t (a
     non-finite rate or acceleration is not).

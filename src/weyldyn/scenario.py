@@ -52,7 +52,7 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-PRESET_NAMES = ("free", "fig1", "fig2", "fig3", "fig45")
+PRESET_NAMES = ("free", "fig1", "fig2", "fig3", "fig45", "fig45_literal")
 
 # every key and its default (None: unset), in the order
 # parse_scenario_text reads them; docs/scenario-format.md documents each
@@ -61,7 +61,6 @@ _DEFAULTS = {
     "h_energy": 1.0, "helicity": "positive",
     "theta_expr": None, "phi_expr": None, "h": "zero", "s": "0",
     "field": "zero", "ex": "0", "ey": "0", "ez": "0",
-    "paper_literal_ex": "0", "paper_literal_ey": "0", "paper_literal_ez": "0",
     "dt": 1e-3, "t_end": 10.0, "fd_step": 1e-5, "tolerance": 1e-6,
     "sample_count": 100, "seed": 0,
     "x0": 0.0, "y0": 0.0, "z0": 0.0, "corrupt_b0": 0.0,
@@ -95,7 +94,6 @@ class Scenario:
     s: ScalarField
     field_kind: str
     field_exprs: tuple[Expr, Expr, Expr] | None
-    literal_exprs: tuple[Expr, Expr, Expr] | None
     start: tuple[float, float, float]
     dt: float
     t_end: float
@@ -108,10 +106,8 @@ class Scenario:
 
     def with_overrides(self, *, dt: float | None = None,
                        t_end: float | None = None, seed: int | None = None,
-                       out: str | None = None,
-                       paper_literal: bool = False) -> "Scenario":
-        """A copy with the given values set; paper_literal applies the
-        paper_literal_* components in place of ex/ey/ez."""
+                       out: str | None = None) -> "Scenario":
+        """A copy with the given values set."""
         given = dict(dt=dt, t_end=t_end, seed=seed, out=out)
         scn = replace(self, **{k: v for k, v in given.items() if v is not None})
         if dt is not None and dt <= 0:
@@ -122,13 +118,6 @@ class Scenario:
             _check_grid(scn.t_end, scn.dt)
         if seed is not None and seed < 0:
             raise ScenarioError("seed override must be nonnegative")
-        if paper_literal:
-            if self.literal_exprs is None:
-                raise ScenarioError(
-                    "--paper-literal-field requested but the scenario defines "
-                    "no paper_literal_ex/ey/ez components"
-                )
-            scn = replace(scn, field_exprs=self.literal_exprs)
         return scn
 
     def field_program(self) -> FieldProgram:
@@ -187,18 +176,23 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
 
     params: dict[str, float] = {}
 
+    def named(key, fn, *args):
+        """fn(*args), with an expression error reported against the key."""
+        try:
+            return fn(*args)
+        except ExpressionError as exc:
+            lineno = entries.get(key, (0,))[0]
+            raise ScenarioError(f"line {lineno}: key '{key}': {exc}") from None
+
     def value(key, allowed=None):
         """The key's scalar value, or with allowed, its expression over
         those variables; an absent scalar or unset key is its default."""
-        lineno, text = entries.get(key, (0, _DEFAULTS[key]))
+        text = text_of(key)
         if text is None or (allowed is None and key not in entries):
             return text
-        try:
-            expr = parse_expr(text, params)
-            if allowed is None:
-                return eval_expr(expr)
-        except ExpressionError as exc:
-            raise ScenarioError(f"line {lineno}: key '{key}': {exc}") from None
+        expr = named(key, parse_expr, text, params)
+        if allowed is None:
+            return named(key, eval_expr, expr)
         extra = expr.free_variables() - allowed
         if extra:
             names = ", ".join(sorted(extra))
@@ -239,20 +233,23 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
     linear = AngleLaw.linear(params["theta0"], params["omega1"],
                              params["phi0"], params["omega2"])
     law = AngleLaw(
-        theta=ExprLaw(theta_expr) if theta_expr is not None else linear.theta,
-        phi=ExprLaw(phi_expr) if phi_expr is not None else linear.phi,
+        theta=(linear.theta if theta_expr is None
+               else named("theta_expr", ExprLaw, theta_expr)),
+        phi=(linear.phi if phi_expr is None
+             else named("phi_expr", ExprLaw, phi_expr)),
     )
 
     h_text = text_of("h")
     if h_text == "zero" or h_text == "0":
         h = None
     elif h_text == "plane_wave":
-        theta_ref, phi_ref = law.angles(0.0)
+        theta_ref = named("theta_expr", law.theta.value, 0.0)
+        phi_ref = named("phi_expr", law.phi.value, 0.0)
         h = plane_wave_phase(params["h_energy"], theta_ref, phi_ref)
     else:
-        h = ScalarField(value("h", {"x", "y", "z", "t"}))
+        h = named("h", ScalarField, value("h", {"x", "y", "z", "t"}))
 
-    s_field = ScalarField(value("s", {"t"}))
+    s_field = named("s", ScalarField, value("s", {"t"}))
 
     field_kind = text_of("field")
     if field_kind not in _FIELD_KINDS:
@@ -261,10 +258,8 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
             f"got '{field_kind}'"
         )
     component_keys = ("ex", "ey", "ez")
-    literal_keys = ("paper_literal_ex", "paper_literal_ey", "paper_literal_ez")
-    literal_exprs = None
     if field_kind in ("zero", "drive"):
-        for key in component_keys + literal_keys:
+        for key in component_keys:
             if key in entries:
                 raise ScenarioError(
                     f"key '{key}' requires field = constant or field = expr"
@@ -273,8 +268,6 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
     else:
         allowed = set() if field_kind == "constant" else {"t"}
         field_exprs = tuple(value(key, allowed) for key in component_keys)
-        if any(key in entries for key in literal_keys):
-            literal_exprs = tuple(value(key, allowed) for key in literal_keys)
 
     # every grid and check value is read before any is checked
     positive = {key: value(key)
@@ -303,7 +296,6 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
         s=s_field,
         field_kind=field_kind,
         field_exprs=field_exprs,
-        literal_exprs=literal_exprs,
         start=(value("x0"), value("y0"), value("z0")),
         **positive,
         sample_count=sample_count,

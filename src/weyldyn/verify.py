@@ -75,7 +75,7 @@ class RunReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def format_text(self, extra_lines=()) -> str:
+    def format_text(self) -> str:
         lines = [f"scenario '{self.scenario_name}' seed {self.seed}: "
                  f"verification report"]
         for check in self.checks:
@@ -83,7 +83,6 @@ class RunReport:
             lines.append(f"  [{status}] {check.name:<28} "
                          f"measured {check.measured:.3e}  "
                          f"tol {check.tolerance:.1e}")
-        lines.extend(extra_lines)
         n_pass = sum(1 for c in self.checks if c.passed)
         overall = "PASS" if self.passed else "FAIL"
         lines.append(f"overall: {overall} ({n_pass}/{len(self.checks)} checks)")

@@ -293,7 +293,7 @@ def test_criterion_08_drain_and_recovery(report):
     # the drain point can come out exactly straight, radius infinite
     r_peak = math.inf if min_turn == 0.0 else 1.0 / min_turn
 
-    lit = run_scenario(resolve_scenario("fig45").with_overrides(paper_literal=True))
+    lit = run_scenario(resolve_scenario("fig45_literal"))
     k_lit_mid = float(lit.trajectory.k[round(5.0 / lit.trajectory.dt)])
     i1, i2 = round(1.0 / lit.trajectory.dt), round(4.0 / lit.trajectory.dt)
     slope = (lit.trajectory.k[i2] - lit.trajectory.k[i1]) / (lit.trajectory.t[i2]

@@ -78,8 +78,7 @@ def test_simulate_si_flag_reports_rates(tmp_path):
 
 
 def test_simulate_literal_field_variant(tmp_path):
-    r = run_cli("simulate", "fig45", "--paper-literal-field",
-                "--out", str(tmp_path / "f.csv"))
+    r = run_cli("simulate", "fig45_literal", "--out", str(tmp_path / "f.csv"))
     assert r.returncode == 0
     assert "k min" in r.stdout
     # the literal component drains twice as fast: zero crossing at t = 5
@@ -201,17 +200,16 @@ def test_plain_figures_prints_nothing_on_stderr(tmp_path):
     assert len(r.stdout.splitlines()) == 4
 
 
-@pytest.mark.parametrize("command", [("simulate",), ("verify",),
-                                     ("figures",)])
-def test_literal_field_without_literal_components_exits_2(tmp_path, command):
-    r = run_cli(command[0], "fig1", *command[1:], "--paper-literal-field",
-                "--out", str(tmp_path / "out"), cwd=tmp_path)
+def test_paper_literal_key_in_a_file_is_unknown(tmp_path):
+    # the literal field is the fig45_literal preset, not a second field
+    scn = tmp_path / "lit.scn"
+    scn.write_text("field = constant\nez = 1/(2*q)\npaper_literal_ez = 1/q\n")
+    r = run_cli("simulate", str(scn), "--out", str(tmp_path / "out"),
+                cwd=tmp_path)
     assert r.returncode == 2
-    assert r.stderr == ("error: --paper-literal-field requested but the "
-                        "scenario defines no paper_literal_ex/ey/ez "
-                        "components\n")
+    assert r.stderr == "error: line 3: unknown key 'paper_literal_ez'\n"
     assert r.stdout == ""
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [scn]
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -222,6 +220,10 @@ def test_literal_field_without_literal_components_exits_2(tmp_path, command):
     (("figures", "fig3"), ("--seed", "7")),
     (("figures", "fig3"), ("--si",)),
     (("control", "fig45", "--dkdt", "-0.5"), ("--paper-literal-field",)),
+    (("simulate", "fig1"), ("--paper-literal-field",)),
+    (("verify", "fig1"), ("--paper-literal-field",)),
+    (("figures", "fig1"), ("--paper-literal-field",)),
+    (("verify", "free"), ("--si",)),
 ])
 def test_option_a_command_does_not_take_is_a_usage_error(tmp_path, argv,
                                                          option):
@@ -235,10 +237,10 @@ def test_option_a_command_does_not_take_is_a_usage_error(tmp_path, argv,
 
 
 @pytest.mark.parametrize("command, options", [
-    ("verify", {"--seed", "--paper-literal-field", "--si"}),
-    ("simulate", {"--dt", "--t-end", "--paper-literal-field", "--si"}),
+    ("verify", {"--seed"}),
+    ("simulate", {"--dt", "--t-end", "--si"}),
     ("control", {"--dt", "--t-end", "--si", "--dedt", "--dkdt", "--mode"}),
-    ("figures", {"--dt", "--t-end", "--paper-literal-field"}),
+    ("figures", {"--dt", "--t-end"}),
 ])
 def test_help_lists_only_the_options_a_command_takes(capsys, command,
                                                      options):
@@ -259,7 +261,7 @@ def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
     calls = [
         ("control", str(polar), "--dkdt", "0.3", "--mode", "polar"),
         ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2"),
-        ("verify", "free", "--seed", "3", "--si"),
+        ("verify", "free", "--seed", "3"),
         ("verify", "free"),
         ("simulate", "fig3", "--t-end", "1", "--si"),
         ("simulate", "fig3", "--dt", "0.01"),
@@ -289,10 +291,10 @@ def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
     assert [rc for rc, *_ in forward.values()] == [0] * len(calls)
     assert "[PASS] target dk/dt 0.3" in forward[0][1]
     assert "[PASS] target dk/dt -0.5" in forward[1][1]
-    assert "seed 3:" in forward[2][1] and "SI reading" in forward[2][1]
-    assert "seed 0:" in forward[3][1] and "SI reading" not in forward[3][1]
+    assert "seed 3:" in forward[2][1] and "seed 0:" in forward[3][1]
     assert "1001 samples" in forward[4][1] and "SI reading" in forward[4][1]
-    assert "1001 samples, dt 0.01" in forward[5][1]
+    assert ("1001 samples, dt 0.01" in forward[5][1]
+            and "SI reading" not in forward[5][1])
 
 
 def test_module_entry_matches_console_script(tmp_path):

@@ -51,7 +51,6 @@ TEXT_VALUES = {
     "ex": mostly(("0", "0.5", "sin(t)"), ("1e-9*exp(t)", "t/0", "x")),
     "ey": mostly(("0", "0.3*cos(t)"), ("exp(1000*t)",)),
     "ez": mostly(("0", "1/(2*q)", "0.3*cos(0.7*t)"), ("nan",)),
-    "paper_literal_ez": mostly(("1/q",), ("t",)),
     "corrupt_b0": mostly(("0",), ("0.5",)),
     "name": mostly(("run",), ("no/such/dir/run",)),
 }
@@ -90,10 +89,10 @@ def option(values):
 
 # the options each command takes, besides --out and control's target
 OPTIONS = {
-    "verify": ("--seed", "--paper-literal-field", "--si"),
-    "simulate": ("--dt", "--t-end", "--paper-literal-field", "--si"),
+    "verify": ("--seed",),
+    "simulate": ("--dt", "--t-end", "--si"),
     "control": ("--dt", "--t-end", "--si"),
-    "figures": ("--dt", "--t-end", "--paper-literal-field"),
+    "figures": ("--dt", "--t-end"),
 }
 
 
@@ -105,7 +104,8 @@ def invocations(draw):
     source = draw(mostly(("preset", "file"), ("missing", "directory")))
     text = draw(scenario_texts) if source == "file" else None
     scenario = {"preset": draw(st.sampled_from(("free", "fig1", "fig2",
-                                                "fig3", "fig45"))),
+                                                "fig3", "fig45",
+                                                "fig45_literal"))),
                 "file": "{tmp}/gen.scn", "missing": "{tmp}/none.scn",
                 "directory": "{tmp}"}[source]
     argv = [command, scenario]
@@ -126,8 +126,6 @@ def invocations(draw):
             argv.append(f"{name}={value}")
     if "--si" in takes and draw(st.booleans()):
         argv.append("--si")
-    if "--paper-literal-field" in takes and draw(mostly((False,), (True,))):
-        argv.append("--paper-literal-field")
     out = draw(mostly(("{tmp}/out",),
                       ("{tmp}/missing/out", "{tmp}/existing", "{tmp}")))
     argv.append(f"--out={out}")

@@ -243,6 +243,33 @@ def test_energy_control_projects_to_requested_rate():
             assert q * float(ramp.e_vec @ v) == pytest.approx(c, rel=1e-10)
 
 
+@pytest.mark.parametrize("law, rotating", [
+    (AngleLaw.linear(0.7, 1.5, 0.3, 0.0), True),
+    (AngleLaw.linear(0.7, 0.0, 0.3, 0.0), False),
+])
+def test_energy_control_differs_from_gauge_ramp_by_s_v_dot(law, rotating):
+    # E_gauge = -(1/q)(v ds/dt + s dv/dt) with s = -dedt t, so the gauge
+    # ramp is the energy control field plus -(s/q) dv/dt: they coincide
+    # only for a static law
+    dedt, q, t = 2.0, 1.0, 2.0
+    s = -dedt * t
+    f = energy_control_field(dedt, law, q, t)
+    ramp = gauge_family_field(law, ScalarField.from_text(f"-{dedt}*t"), q,
+                              Event(0.0, 0.0, 0.0, t))
+    theta, phi = law.angles(t)
+    theta_dot, phi_dot = law.rates(t)
+    v_dot = np.array([
+        math.cos(theta) * math.cos(phi) * theta_dot
+        - math.sin(theta) * math.sin(phi) * phi_dot,
+        math.cos(theta) * math.sin(phi) * theta_dot
+        + math.sin(theta) * math.cos(phi) * phi_dot,
+        -math.sin(theta) * theta_dot,
+    ])
+    assert (np.linalg.norm(v_dot) > 1.0) == rotating
+    difference = np.array(ramp.e_vec) - np.array(f.e_vec)
+    assert difference == pytest.approx(-(s / q) * v_dot, abs=1e-12)
+
+
 def test_azimuthal_k_control_frozen_and_cross_checked():
     f = k_control_field(-0.5, "azimuthal", POS, 1.0, theta0=math.pi / 2)
     assert f.e == (0.0, 0.0, 0.5)

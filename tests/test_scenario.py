@@ -56,6 +56,14 @@ def test_scalar_values_accept_expressions_and_earlier_keys():
         ("dt = 0", "'dt' must be positive"),
         ("t_end = -1", "'t_end' must be positive"),
         ("sample_count = 1e9", "'sample_count' must be at most 1000000"),
+        # expression errors met while building the law, phase and gauge
+        ("h = plane_wave\ntheta_expr = 1/t",
+         "line 2: key 'theta_expr': division by zero in '1.0/t'"),
+        ("h = plane_wave\nphi_expr = 1e309",
+         "line 2: key 'phi_expr': non-finite result from 'inf'"),
+        ("theta_expr = t^t", "line 1: key 'theta_expr': cannot differentiate"),
+        ("h = t^t", "line 1: key 'h': cannot differentiate"),
+        ("s = t^t", "line 1: key 's': cannot differentiate"),
     ],
 )
 def test_parse_rejections_name_the_problem(text, fragment):
@@ -111,7 +119,8 @@ def test_nonlinear_angle_expressions():
 
 
 def test_presets_resolve_and_have_expected_programs():
-    assert PRESET_NAMES == ("free", "fig1", "fig2", "fig3", "fig45")
+    assert PRESET_NAMES == ("free", "fig1", "fig2", "fig3", "fig45",
+                            "fig45_literal")
     assert isinstance(resolve_scenario("free").field_program(), ZeroField)
     assert isinstance(resolve_scenario("fig1").field_program(), DriveField)
     assert isinstance(resolve_scenario("fig3").field_program(), DriveField)
@@ -122,15 +131,21 @@ def test_presets_resolve_and_have_expected_programs():
 
 
 def test_fig45_literal_field_doubles_axial_component():
-    lit = resolve_scenario("fig45").with_overrides(paper_literal=True)
+    lit = resolve_scenario("fig45_literal")
+    assert lit.name == "fig45_literal"
     assert tuple(lit.field_program().sample(np.zeros(1))[0]) == (0.0, 0.0, 1.0)
+    # the fig45 run with its axial field doubled
+    fig45 = resolve_scenario("fig45")
+    assert (lit.law, lit.q, lit.dt, lit.t_end, lit.field_kind) == (
+        fig45.law, fig45.q, fig45.dt, fig45.t_end, fig45.field_kind)
+    assert tuple(fig45.field_program().sample(np.zeros(1))[0]) == (
+        0.0, 0.0, 0.5)
 
 
-def test_literal_flag_requires_literal_components():
-    with pytest.raises(ScenarioError, match="^--paper-literal-field requested "
-                       "but the scenario defines no paper_literal_ex/ey/ez "
-                       "components$"):
-        resolve_scenario("free").with_overrides(paper_literal=True)
+def test_paper_literal_keys_are_unknown():
+    with pytest.raises(ScenarioError, match="^line 2: unknown key "
+                       "'paper_literal_ez'$"):
+        parse_scenario_text("field = constant\npaper_literal_ez = 1/q")
 
 
 def test_preserves_law_classification():

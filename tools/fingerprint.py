@@ -10,11 +10,11 @@ every file the run wrote.  The runs are:
 
 - `simulate --si` on the five presets;
 - `figures`;
-- each option path of the commands on fig45 and free:
-  `verify fig45 --paper-literal-field --si`,
-  `simulate fig45 --paper-literal-field --t-end 2`,
-  `figures fig45 --paper-literal-field --t-end 2`,
-  `control fig45 --dkdt -0.5 --t-end 2 --si` and
+- `verify`, `simulate --t-end 2` and `figures --t-end 2` on the fig45
+  run with the literally stated field ez = 1/q (the keys of the
+  fig45_literal preset, written to the workdir so that every checkout
+  reads the same file);
+- `control fig45 --dkdt -0.5 --t-end 2 --si` and
   `control free --dedt 2 --si`;
 - `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
   omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
@@ -50,6 +50,20 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 PRESETS = ("free", "fig1", "fig2", "fig3", "fig45")
+LITERAL = """name = fig45_literal
+helicity = positive
+q = 1
+theta0 = pi/2
+omega1 = 0
+phi0 = 0
+omega2 = 10
+field = constant
+ex = 0
+ey = 0
+ez = 1/q
+dt = 0.001
+t_end = 20
+"""
 BENCH_WORKLOADS = ("simulate", "verify", "control")
 
 
@@ -97,9 +111,11 @@ def cli_runs(workdir: Path):
                _run(cli, ("simulate", name, "--si", "--out", str(out)), [out]))
     figures = workdir / "figures"
     yield "figures", _run(cli, ("figures", "--out", str(figures)), [figures])
-    for argv in (("verify", "fig45", "--paper-literal-field", "--si"),
-                 ("simulate", "fig45", "--paper-literal-field", "--t-end", "2"),
-                 ("figures", "fig45", "--paper-literal-field", "--t-end", "2"),
+    literal = workdir / "fig45_literal.scn"
+    literal.write_text(LITERAL)
+    for argv in (("verify", str(literal)),
+                 ("simulate", str(literal), "--t-end", "2"),
+                 ("figures", str(literal), "--t-end", "2"),
                  ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2", "--si"),
                  ("control", "free", "--dedt", "2", "--si")):
         out = workdir / "options"
