@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
         return 1
     print(_summarize(run.summary))
     if args.si:
-        e0 = scenario.field_program().sample(np.zeros(1))[0]
+        e0 = scenario.program.sample(np.zeros(1))[0]
         print("\n".join(_si_lines(e0, scenario.q)))
     print(f"wrote {out_path}")
     return 0

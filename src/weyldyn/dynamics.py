@@ -26,7 +26,8 @@ per-step loop, so results are bit-identical to it; it works in fixed
 blocks of steps, carrying each block's end state into the next, so the
 temporaries stay small.  After each block a run gate looks for the first
 grid point whose compatibility residual is not within the tolerance, or
-whose state or field is not finite, and ends the run there.
+whose state or field is not finite, and ends the run there; the energy
+and momentum assembled from the state must be finite too.
 integrate_angles runs the angle pass and its gate alone, which is all
 the k-control check needs: no position, velocity, momentum or energy.
 """
@@ -213,7 +214,8 @@ class Trajectory:
 
 class ConstraintViolation(RuntimeError):
     """The run gate tripped: the applied field is incompatible with the
-    angle dynamics, or a field or state value is not finite.  partial is
+    angle dynamics, or a field, state, energy or momentum value is not
+    finite.  partial is
     the run up to and including that sample: a Trajectory, or the
     (t, theta, phi, theta', phi', residual) history of integrate_angles."""
 
@@ -269,7 +271,8 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     Raises ConstraintViolation (carrying the partial trajectory up to and
     including the offending sample) at the first grid point where the
     x-y compatibility residual is not within constraint_tol, or where the
-    state or the applied field is not finite.
+    state, the applied field, the energy E0 or the momentum p is not
+    finite.
     """
     n = grid_steps(t_end, dt)
     require_time_only(gauge, "integrate_trajectory")
@@ -284,7 +287,8 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
             _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
             _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
             _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
-        return run.finish(lambda *cols: _assemble(*cols, gauge, initial, dt))
+        return run.finish(lambda *cols: _assemble(*cols, gauge, initial, dt),
+                          lambda tr: (tr.e0, tr.px, tr.py, tr.pz))
 
 
 def integrate_angles(initial: ParticleState, program: FieldProgram,
@@ -359,20 +363,30 @@ class _Cascade:
         self.bad = lo + int(bad[0]) if len(bad) else None
         return self.bad is not None
 
-    def finish(self, build):
+    def finish(self, build, gated=lambda out: ()):
         """build(ts, state, fields, residual) over the samples up to and
-        including the first that failed the gate; raise ConstraintViolation
-        carrying it if one did, else return it."""
-        bad = self.bad
-        f = len(self.ts) if bad is None else bad + 1
-        out = build(self.ts[:f], self.state[:, :f], self.fields[0:2 * f:2],
-                    self.residual[:f])
+        including the first that failed the gate, or whose columns
+        gated(built) are not finite; raise ConstraintViolation carrying it
+        if one did, else return it."""
+        def built(f):
+            return build(self.ts[:f], self.state[:, :f],
+                         self.fields[0:2 * f:2], self.residual[:f])
+
+        bad, nonfinite = self.bad, False
+        out = built(len(self.ts) if bad is None else bad + 1)
+        columns = gated(out)
+        if columns:
+            late = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+            if len(late) and (bad is None or late[0] < bad):
+                bad, nonfinite = int(late[0]), True
+                out = built(bad + 1)
         if bad is None:
             return out
         res = self.residual[bad]
         cells = (*self.state[:, bad], *self.fields[2 * bad], res)
-        raise ConstraintViolation(float(self.ts[bad]), float(res), self.tol,
-                                  out, nonfinite=not np.isfinite(cells).all())
+        raise ConstraintViolation(
+            float(self.ts[bad]), float(res), self.tol, out,
+            nonfinite=nonfinite or not np.isfinite(cells).all())
 
 
 def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):

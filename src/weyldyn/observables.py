@@ -71,20 +71,11 @@ def velocity(law: AngleLaw, helicity: Helicity, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KineticMomentum:
-    """Components pi_mu = psi^dag (-i d_mu - b_mu) psi of the family."""
+    """pi_mu = psi^dag (-i d_mu - b_mu) psi of the family, as the energy
+    E0 = pi_t and the momentum p = -(pi_x, pi_y, pi_z), stacked (3, ...)."""
 
-    pi_t: float
-    pi_x: float
-    pi_y: float
-    pi_z: float
-
-    @property
-    def energy(self) -> float:
-        return self.pi_t
-
-    @property
-    def momentum(self) -> np.ndarray:
-        return np.array([-self.pi_x, -self.pi_y, -self.pi_z])
+    energy: float | np.ndarray
+    momentum: np.ndarray
 
 
 def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
@@ -93,8 +84,8 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     """Kinetic momentum from angles, rates and the gauge value.
 
     Each argument but the helicity may be a scalar or an array (numpy
-    ufuncs); the components broadcast over the arrays given.  pi is
-    stored as -p, so that `momentum` keeps the signed zeros of p.
+    ufuncs); the components broadcast over the arrays given.  p is
+    computed as such, not as -pi, so that it keeps its signed zeros.
     """
     sign = helicity.sign
     st, ct, sp, cp = angle_trig(theta, phi) if trig is None else trig
@@ -102,7 +93,7 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     p_x = sign * 0.5 * sp * theta_dot - s_value * st * cp
     p_y = -sign * 0.5 * cp * theta_dot - s_value * st * sp
     p_z = -sign * 0.5 * phi_dot - s_value * ct
-    return KineticMomentum(pi_t, -p_x, -p_y, -p_z)
+    return KineticMomentum(pi_t, np.array(np.broadcast_arrays(p_x, p_y, p_z)))
 
 
 def require_time_only(s: ScalarField | None, user: str) -> None:

@@ -7,8 +7,9 @@ expressions over "pi" and previously defined scalars (q, theta0,
 omega1, phi0, omega2, h_energy), so files can say things like
 "omega1 = sqrt(3)" or "ez = 1/(2*q)".  Unknown keys are rejected so
 typos fail loudly, and so is a grid (t_end, dt) without a single step.
-The full format is documented in docs/scenario-format.md; packaged
-presets live in presets/.
+The run's start state (the law at t = 0) and field program are built
+once, at parse, so every command refuses the same files.  The format is
+documented in docs/scenario-format.md; packaged presets live in presets/.
 
 run_scenario integrates a scenario and summarizes the trajectory;
 run_control computes an energy or localization control profile.  Both
@@ -30,9 +31,8 @@ import numpy as np
 from .dynamics import (ConstantField, DriveField, ExprField, FieldProgram,
                        ParticleState, Trajectory, ZeroField, grid_steps,
                        integrate_angles, integrate_trajectory)
-from .expressions import (AngleLaw, Expr, ExpressionError, ExprLaw,
-                          ScalarField, eval_expr, parse_expr,
-                          plane_wave_phase)
+from .expressions import (AngleLaw, ExpressionError, ExprLaw, ScalarField,
+                          eval_expr, parse_expr, plane_wave_phase)
 from .observables import kinetic_momentum_from_state, localization_from_rates
 from .potentials import energy_control_field, k_control_field
 from .spinors import Helicity
@@ -92,9 +92,8 @@ class Scenario:
     law: AngleLaw
     h: ScalarField | None
     s: ScalarField
-    field_kind: str
-    field_exprs: tuple[Expr, Expr, Expr] | None
-    start: tuple[float, float, float]
+    program: FieldProgram
+    initial: ParticleState
     dt: float
     t_end: float
     fd_step: float
@@ -120,22 +119,6 @@ class Scenario:
             raise ScenarioError("seed override must be nonnegative")
         return scn
 
-    def field_program(self) -> FieldProgram:
-        if self.field_kind == "zero":
-            return ZeroField()
-        if self.field_kind == "drive":
-            return DriveField(self.law, self.helicity, self.q)
-        if self.field_kind == "constant":
-            return ConstantField(tuple(eval_expr(e) for e in self.field_exprs))
-        return ExprField(*self.field_exprs)
-
-    def initial_state(self) -> ParticleState:
-        theta, phi = self.law.angles(0.0)
-        theta_dot, phi_dot = self.law.rates(0.0)
-        return ParticleState(position=self.start, theta=theta, phi=phi,
-                             theta_dot=theta_dot, phi_dot=phi_dot,
-                             helicity=self.helicity, q=self.q)
-
     @property
     def grid_end(self) -> float:
         """Last grid time n*dt, which misses t_end when t_end/dt is not whole."""
@@ -144,7 +127,7 @@ class Scenario:
     @property
     def preserves_law(self) -> bool:
         """True when the applied program reproduces the nominal law."""
-        return self.field_kind in ("zero", "drive")
+        return isinstance(self.program, (ZeroField, DriveField))
 
 
 def _split_lines(text: str):
@@ -239,13 +222,16 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
              else named("phi_expr", ExprLaw, phi_expr)),
     )
 
+    # the start angles and rates: the law's one evaluation at t = 0
+    (theta, theta_dot), (phi, phi_dot) = (
+        (named(key, part.value, 0.0), named(key, part.derivative, 0.0))
+        for key, part in (("theta_expr", law.theta), ("phi_expr", law.phi)))
+
     h_text = text_of("h")
     if h_text == "zero" or h_text == "0":
         h = None
     elif h_text == "plane_wave":
-        theta_ref = named("theta_expr", law.theta.value, 0.0)
-        phi_ref = named("phi_expr", law.phi.value, 0.0)
-        h = plane_wave_phase(params["h_energy"], theta_ref, phi_ref)
+        h = plane_wave_phase(params["h_energy"], theta, phi)
     else:
         h = named("h", ScalarField, value("h", {"x", "y", "z", "t"}))
 
@@ -264,10 +250,13 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
                 raise ScenarioError(
                     f"key '{key}' requires field = constant or field = expr"
                 )
-        field_exprs = None
+        program = (ZeroField() if field_kind == "zero"
+                   else DriveField(law, helicity, q))
+    elif field_kind == "constant":
+        program = ConstantField(tuple(named(key, eval_expr, value(key, set()))
+                                      for key in component_keys))
     else:
-        allowed = set() if field_kind == "constant" else {"t"}
-        field_exprs = tuple(value(key, allowed) for key in component_keys)
+        program = ExprField(*(value(key, {"t"}) for key in component_keys))
 
     # every grid and check value is read before any is checked
     positive = {key: value(key)
@@ -294,9 +283,11 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
         law=law,
         h=h,
         s=s_field,
-        field_kind=field_kind,
-        field_exprs=field_exprs,
-        start=(value("x0"), value("y0"), value("z0")),
+        program=program,
+        initial=ParticleState(
+            position=(value("x0"), value("y0"), value("z0")), theta=theta,
+            phi=phi, theta_dot=theta_dot, phi_dot=phi_dot, helicity=helicity,
+            q=q),
         **positive,
         sample_count=sample_count,
         seed=seed,
@@ -354,9 +345,8 @@ def _refine_extremum(fn, a: float, b: float, minimize: bool):
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:
-    program = scenario.field_program()
     traj = integrate_trajectory(
-        scenario.initial_state(), program, scenario.t_end, scenario.dt,
+        scenario.initial, scenario.program, scenario.t_end, scenario.dt,
         gauge=scenario.s, constraint_tol=scenario.tolerance,
     )
 
@@ -471,10 +461,14 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
     are integrated forward, and k's rate is measured up to the last
     sample before the driven angle rate changes sign.
 
-    Raises ValueError when the law does not admit the requested control.
+    Raises ValueError, before any work, on a non-finite target, and when
+    the law does not admit the requested control.
     """
     if (dedt is None) == (dkdt is None):
         raise ValueError("run_control takes exactly one of dedt and dkdt")
+    target = dkdt if dedt is None else dedt
+    if not math.isfinite(target):
+        raise ValueError(f"control target must be finite, got {target!r}")
     law = scenario.law
     ts = np.arange(grid_steps(scenario.t_end, scenario.dt) + 1) * scenario.dt
 
@@ -509,7 +503,7 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
                             theta0=law.theta0, phi0=law.phi0)
     program = ConstantField(field.e)
     t, theta, _, theta_dot, phi_dot, _ = integrate_angles(
-        scenario.initial_state(), program, scenario.t_end, scenario.dt,
+        scenario.initial, program, scenario.t_end, scenario.dt,
         constraint_tol=scenario.tolerance)
     k = localization_from_rates(theta, theta_dot, phi_dot)
     if mode == "azimuthal":

@@ -352,6 +352,51 @@ def test_law_evaluation_error_exits_2_without_traceback(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
+# the start state and the constant field are evaluated once, at parse
+BROKEN_FILES = {
+    "law": ("theta_expr = 1/t\nt_end = 1\n",
+            "error: line 1: key 'theta_expr': division by zero in '1.0/t'"),
+    "constant": ("field = constant\nez = exp(1000)\nt_end = 1\n",
+                 "error: line 2: key 'ez': domain error in 'exp(1000.0)': "
+                 "math range error"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FILES))
+def test_start_or_field_error_is_one_exit_2_for_every_command(
+        tmp_path, monkeypatch, capsys, case):
+    text, message = BROKEN_FILES[case]
+    (tmp_path / "broken.scn").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["verify"], ["simulate"], ["control", "--dedt", "1"],
+                 ["figures"]):
+        argv.insert(1, "broken.scn")
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", message + "\n"), argv
+    assert [p.name for p in tmp_path.iterdir()] == ["broken.scn"]
+
+
+@pytest.mark.parametrize("gauge, rows, time", [("exp(1000*t)", 711, "0.71"),
+                                               ("1e309", 1, "0")])
+def test_non_finite_energy_or_momentum_ends_the_run(tmp_path, capsys, gauge,
+                                                    rows, time):
+    # E0 and p take the gauge value s, which the state gate does not see
+    scn = tmp_path / "gauge.scn"
+    scn.write_text(f"theta0 = 1\nomega2 = 1\ns = {gauge}\nt_end = 1\n")
+    out = tmp_path / "gauge.csv"
+    assert cli.main(["simulate", str(scn), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: non-finite field or state at "
+                                   f"t = {time} ")
+    assert f"partial trajectory ({rows} samples)" in captured.err
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(table) == rows
+    assert np.isfinite(table[:-1]).all()
+    e0_and_p = table[-1, CSV_COLUMNS.index("E0"):CSV_COLUMNS.index("pz") + 1]
+    assert not np.isfinite(e0_and_p).all()
+
+
 def test_verify_overflow_exits_2_without_warning(tmp_path):
     # the phase overflows on some draws before exp() itself fails on one
     scn = tmp_path / "explaw.scn"

@@ -87,7 +87,7 @@ def test_azimuthal_k_control_matches_direct_integration():
     law = scenario.law
     field = k_control_field(-0.5, "azimuthal", scenario.helicity, scenario.q,
                             theta0=law.theta0)
-    traj = integrate_trajectory(scenario.initial_state(),
+    traj = integrate_trajectory(scenario.initial,
                                 ConstantField(field.e), scenario.t_end,
                                 scenario.dt, gauge=scenario.s,
                                 constraint_tol=scenario.tolerance)
@@ -106,7 +106,7 @@ def test_polar_k_control_matches_direct_integration():
     law = scenario.law
     field = k_control_field(-0.5, "polar", scenario.helicity, scenario.q,
                             theta0=law.theta0, phi0=law.phi0)
-    traj = integrate_trajectory(scenario.initial_state(),
+    traj = integrate_trajectory(scenario.initial,
                                 ConstantField(field.e), scenario.t_end,
                                 scenario.dt, gauge=scenario.s,
                                 constraint_tol=scenario.tolerance)
@@ -145,9 +145,9 @@ NOT_DRIVE_FREE = ("energy control requires a drive-free law "
     ("theta0 = pi/2\nomega1 = sqrt(3)\nomega2 = sqrt(5)\n", {"dedt": 1.0},
      NOT_DRIVE_FREE),
     ("theta_expr = 0.3 + t^2\n", {"dedt": 1.0}, NOT_DRIVE_FREE),
-    # theta has a zero derivative, so only its value is nan before t = 1
-    ("theta_expr = 1 + 0*sqrt(t - 1)\nt_end = 2\n", {"dedt": 1.0},
-     "energy control profile is not finite at t = 0.0"),
+    # theta has a zero derivative, so only its value is nan after t = 1
+    ("theta_expr = 1 + 0*sqrt(1 - t)\nt_end = 2\n", {"dedt": 1.0},
+     "energy control profile is not finite at t = 1.0010000000000001"),
     ("theta0 = 1\nomega1 = 1\nomega2 = 2\n", {"dkdt": 0.5},
      "azimuthal control requires omega1 = 0 (theta pinned)"),
     ("theta0 = 1\nomega2 = 0\n", {"dkdt": 0.5},
@@ -168,11 +168,26 @@ NOT_DRIVE_FREE = ("energy control requires a drive-free law "
     ("theta0 = 1\n", {}, "run_control takes exactly one of dedt and dkdt"),
     ("theta0 = 1\n", {"dedt": 1.0, "dkdt": 1.0},
      "run_control takes exactly one of dedt and dkdt"),
+    ("theta0 = 1\n", {"dedt": float("nan")},
+     "control target must be finite, got nan"),
+    ("theta0 = 1\nomega2 = 2\n", {"dkdt": -float("inf")},
+     "control target must be finite, got -inf"),
 ])
 def test_control_rejections_name_the_problem(text, kwargs, message):
     with pytest.raises(ValueError) as info:
         run_control(parse_scenario_text(text), **kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("target", [("--dkdt", "nan"), ("--dedt", "nan")])
+def test_non_finite_target_exits_2_without_a_profile(tmp_path, capsys, target):
+    # refused before any work, for either target: no run gate, no CSV
+    out = tmp_path / "profile.csv"
+    rc = cli.main(["control", "fig45", *target, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "error: control target must be finite, got nan\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dkdt, passed", [(-3.0, True), (-30.0, False)])

@@ -28,12 +28,11 @@ def test_minimal_scenario_defaults():
     assert (sc.dt, sc.t_end) == (1e-3, 10.0)
     assert (sc.fd_step, sc.tolerance) == (1e-5, 1e-6)
     assert (sc.sample_count, sc.seed) == (100, 0)
-    assert sc.field_kind == "zero"
+    assert isinstance(sc.program, ZeroField)
     assert sc.h is None
     assert sc.s.is_zero
-    assert sc.start == (0.0, 0.0, 0.0)
+    assert sc.initial.position == (0.0, 0.0, 0.0)
     assert sc.law.theta0 == pytest.approx(math.pi / 3)
-    assert isinstance(sc.field_program(), ZeroField)
 
 
 def test_scalar_values_accept_expressions_and_earlier_keys():
@@ -62,6 +61,15 @@ def test_scalar_values_accept_expressions_and_earlier_keys():
         ("h = plane_wave\nphi_expr = 1e309",
          "line 2: key 'phi_expr': non-finite result from 'inf'"),
         ("theta_expr = t^t", "line 1: key 'theta_expr': cannot differentiate"),
+        # the start state: the law's values and rates at t = 0
+        ("theta_expr = 1/t", "line 1: key 'theta_expr': division by zero"),
+        ("phi0 = 1\ntheta_expr = sqrt(t)",
+         "line 2: key 'theta_expr': division by zero"),
+        ("phi_expr = 1e309", "line 1: key 'phi_expr': non-finite result"),
+        # constant components are numbers, evaluated like every other
+        ("field = constant\nez = exp(1000)",
+         "line 2: key 'ez': domain error in 'exp"),
+        ("field = constant\nex = 1/0", "line 2: key 'ex': division by zero"),
         ("h = t^t", "line 1: key 'h': cannot differentiate"),
         ("s = t^t", "line 1: key 's': cannot differentiate"),
     ],
@@ -104,7 +112,7 @@ def test_plane_wave_phase_key():
 
 def test_expr_field_kind_allows_time():
     sc = parse_scenario_text("field = expr\nex = sin(t)\ney = 0\nez = t^2")
-    prog = sc.field_program()
+    prog = sc.program
     assert isinstance(prog, ExprField)
     assert prog.sample(np.array([2.0]))[0] == pytest.approx(
         (math.sin(2.0), 0.0, 4.0))
@@ -121,11 +129,11 @@ def test_nonlinear_angle_expressions():
 def test_presets_resolve_and_have_expected_programs():
     assert PRESET_NAMES == ("free", "fig1", "fig2", "fig3", "fig45",
                             "fig45_literal")
-    assert isinstance(resolve_scenario("free").field_program(), ZeroField)
-    assert isinstance(resolve_scenario("fig1").field_program(), DriveField)
-    assert isinstance(resolve_scenario("fig3").field_program(), DriveField)
+    assert isinstance(resolve_scenario("free").program, ZeroField)
+    assert isinstance(resolve_scenario("fig1").program, DriveField)
+    assert isinstance(resolve_scenario("fig3").program, DriveField)
     fig45 = resolve_scenario("fig45")
-    prog = fig45.field_program()
+    prog = fig45.program
     assert isinstance(prog, ConstantField)
     assert tuple(prog.sample(np.zeros(1))[0]) == (0.0, 0.0, 0.5)
 
@@ -133,13 +141,13 @@ def test_presets_resolve_and_have_expected_programs():
 def test_fig45_literal_field_doubles_axial_component():
     lit = resolve_scenario("fig45_literal")
     assert lit.name == "fig45_literal"
-    assert tuple(lit.field_program().sample(np.zeros(1))[0]) == (0.0, 0.0, 1.0)
+    assert tuple(lit.program.sample(np.zeros(1))[0]) == (0.0, 0.0, 1.0)
     # the fig45 run with its axial field doubled
     fig45 = resolve_scenario("fig45")
-    assert (lit.law, lit.q, lit.dt, lit.t_end, lit.field_kind) == (
-        fig45.law, fig45.q, fig45.dt, fig45.t_end, fig45.field_kind)
-    assert tuple(fig45.field_program().sample(np.zeros(1))[0]) == (
-        0.0, 0.0, 0.5)
+    assert (lit.law, lit.q, lit.dt, lit.t_end, lit.initial) == (
+        fig45.law, fig45.q, fig45.dt, fig45.t_end, fig45.initial)
+    assert isinstance(lit.program, ConstantField)
+    assert tuple(fig45.program.sample(np.zeros(1))[0]) == (0.0, 0.0, 0.5)
 
 
 def test_paper_literal_keys_are_unknown():
@@ -156,7 +164,7 @@ def test_preserves_law_classification():
 
 def test_initial_state_matches_law_at_zero():
     sc = resolve_scenario("fig1")
-    st = sc.initial_state()
+    st = sc.initial
     assert (st.theta, st.phi) == sc.law.angles(0.0)
     assert (st.theta_dot, st.phi_dot) == sc.law.rates(0.0)
     assert st.helicity is sc.helicity

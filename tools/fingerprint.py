@@ -19,6 +19,12 @@ every file the run wrote.  The runs are:
 - `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
   omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
   which the run gate stops at t = 0.001 (exit 1);
+- error paths, on scenario files written to the workdir: `verify`,
+  `simulate`, `control --dedt 1` and `figures` on a law that cannot be
+  evaluated at t = 0 (theta_expr = 1/t) and on a constant field component
+  that overflows (ez = exp(1000)); `simulate` with the gauge
+  s = exp(1000*t), whose energy and momentum overflow at t = 0.71; and
+  `control fig45 --dkdt nan` and `control free --dedt nan`;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
@@ -128,6 +134,22 @@ def cli_runs(workdir: Path):
     yield ("control-gate:polar",
            _run(cli, ("control", str(polar), "--dkdt", "1e308", "--mode",
                       "polar", "--out", str(out)), [out]))
+    broken = {"law": "theta_expr = 1/t\n",
+              "constant": "field = constant\nez = exp(1000)\n",
+              "gauge": "theta0 = 1\nomega2 = 1\ns = exp(1000*t)\n"}
+    for name, text in broken.items():
+        (workdir / f"{name}.scn").write_text(text + "t_end = 1\n")
+    law, constant, gauge = (str(workdir / f"{name}.scn") for name in broken)
+    out = workdir / "errors"
+    for argv in (*((command, scn, *target) for scn in (law, constant)
+                   for command, *target in (("verify",), ("simulate",),
+                                            ("control", "--dedt", "1"),
+                                            ("figures",))),
+                 ("simulate", gauge),
+                 ("control", "fig45", "--dkdt", "nan"),
+                 ("control", "free", "--dedt", "nan")):
+        yield (":".join(["error", *argv]),
+               _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
         for seed in (0, 5):
             yield (f"verify:{name}:seed{seed}",
