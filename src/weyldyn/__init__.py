@@ -8,10 +8,11 @@ from .potentials import (EMField, FourPotentialField, base_potential,
                          energy_control_field, field_from_potential_numeric,
                          gauge_family_field, gauge_potential, k_control_field,
                          kappa_vector)
-from .observables import (KineticMomentum, energy_rate, kinetic_momentum,
-                          localization_k, mass_shell_defect,
-                          momentum_noncollinearity, si_rates,
-                          uncertainty_relation, velocity)
+from .observables import (KineticMomentum, energy_rate_from_state,
+                          kinetic_momentum_from_state, localization_from_rates,
+                          mass_shell_defect_from_momentum,
+                          noncollinearity_from_vectors, si_rates,
+                          uncertainty_relation, velocity_from_angles)
 from .dynamics import (ConstraintViolation, FieldProgram, ParticleState,
                        Trajectory, compatibility_residual,
                        integrate_trajectory, phi_ddot_from_field,

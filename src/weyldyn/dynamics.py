@@ -41,8 +41,7 @@ import numpy as np
 
 from .expressions import Expr, ScalarField
 from .observables import (angle_trig, kinetic_momentum_from_state,
-                          localization_from_rates, require_time_only,
-                          velocity_from_angles)
+                          localization_from_rates, velocity_from_angles)
 from .potentials import drive_field_closed_form
 from .spinors import Helicity
 
@@ -215,13 +214,17 @@ class Trajectory:
 class ConstraintViolation(RuntimeError):
     """The run gate tripped: the applied field is incompatible with the
     angle dynamics, or a field, state, energy or momentum value is not
-    finite.  partial is
-    the run up to and including that sample: a Trajectory, or the
-    (t, theta, phi, theta', phi', residual) history of integrate_angles."""
+    finite (nonfinite; observables when only the energy or momentum is).
+    partial is the run up to and including that sample: a Trajectory, or
+    the (t, theta, phi, theta', phi', residual) history of
+    integrate_angles."""
 
     def __init__(self, time: float, residual: float, tolerance: float,
-                 partial: Trajectory | tuple, *, nonfinite: bool = False):
-        if nonfinite:
+                 partial: Trajectory | tuple, *, nonfinite: bool = False,
+                 observables: bool = False):
+        if observables:
+            message = f"non-finite energy or momentum at t = {time:.6g}"
+        elif nonfinite:
             message = (f"non-finite field or state at t = {time:.6g} "
                        f"(compatibility residual {residual:.6g})")
         else:
@@ -275,7 +278,9 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     finite.
     """
     n = grid_steps(t_end, dt)
-    require_time_only(gauge, "integrate_trajectory")
+    if gauge is not None and not gauge.is_time_only:
+        raise ValueError(
+            "integrate_trajectory requires a time-only gauge function")
     run = _Cascade(initial, program, n, dt, constraint_tol, rows=7)
     xs, ys, zs = run.state[4:]
     # Non-finite values are caught by the gate, not reported as warnings;
@@ -372,13 +377,13 @@ class _Cascade:
             return build(self.ts[:f], self.state[:, :f],
                          self.fields[0:2 * f:2], self.residual[:f])
 
-        bad, nonfinite = self.bad, False
+        bad, observables = self.bad, False
         out = built(len(self.ts) if bad is None else bad + 1)
         columns = gated(out)
         if columns:
             late = np.flatnonzero(~np.isfinite(columns).all(axis=0))
             if len(late) and (bad is None or late[0] < bad):
-                bad, nonfinite = int(late[0]), True
+                bad, observables = int(late[0]), True
                 out = built(bad + 1)
         if bad is None:
             return out
@@ -386,7 +391,8 @@ class _Cascade:
         cells = (*self.state[:, bad], *self.fields[2 * bad], res)
         raise ConstraintViolation(
             float(self.ts[bad]), float(res), self.tol, out,
-            nonfinite=nonfinite or not np.isfinite(cells).all())
+            nonfinite=observables or not np.isfinite(cells).all(),
+            observables=observables)
 
 
 def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):

@@ -41,6 +41,7 @@ __all__ = [
     "BinOp",
     "ExpressionError",
     "ParseError",
+    "MAX_DEPTH",
     "EvaluationError",
     "DifferentiationError",
     "parse_expr",
@@ -415,12 +416,21 @@ def _tokenize(text: str):
     return tokens
 
 
+# levels of one expression; its second derivative is about 6x deeper, and
+# Python's default recursion limit is 1000 frames
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth), the tree and the
+    number of nodes on its longest root-to-leaf path."""
+
     def __init__(self, tokens, text: str, parameters: Mapping[str, float]):
         self.tokens = tokens
         self.text = text
         self.parameters = parameters
         self.index = 0
+        self.nesting = 0  # factor rules open: parentheses, calls, "-", "^"
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -438,70 +448,80 @@ class _Parser:
             raise ParseError(f"expected '{symbol}'", pos)
         self.advance()
 
+    def nest(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply", pos)
+        return depth
+
     def parse(self) -> Expr:
-        expr = self.expr()
+        expr, _ = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected '{value}'", pos)
         return expr
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def chain(self, ops, operand):
+        """operand (op operand)*, left-associative."""
+        node, depth = operand()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                node = BinOp(value, node, self.term())
-            else:
-                return node
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in ops:
+                return node, depth
+            self.advance()
+            right, right_depth = operand()
+            node = BinOp(value, node, right)
+            depth = self.nest(1 + max(depth, right_depth), pos)
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                node = BinOp(value, node, self.factor())
-            else:
-                return node
+    def expr(self):
+        return self.chain(("+", "-"), self.term)
 
-    def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+    def term(self):
+        return self.chain(("*", "/"), self.factor)
+
+    def factor(self):
+        kind, value, pos = self.peek()
+        self.nesting = self.nest(self.nesting + 1, pos)
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            arg, depth = self.factor()
+            result = Neg(arg), self.nest(depth + 1, pos)
+        else:
+            result = self.power()
+        self.nesting -= 1
+        return result
 
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, value, _ = self.peek()
+    def power(self):
+        base, depth = self.atom()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, exponent_depth = self.factor()
+            return (BinOp("^", base, exponent),
+                    self.nest(1 + max(depth, exponent_depth), pos))
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, value, pos = self.advance()
         if kind == "number":
-            return Const(float(value))
+            return Const(float(value)), 1
         if kind == "name":
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":
                 if value not in _FUNCTIONS:
                     raise ParseError(f"unknown function '{value}'", pos)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(value, arg)
+                return Call(value, arg), self.nest(depth + 1, pos)
             if value == "pi":
-                return Const(math.pi)
+                return Const(math.pi), 1
             if value in VARIABLES:
-                return Var(value)
+                return Var(value), 1
             if value in self.parameters:
                 bound = self.parameters[value]
                 if isinstance(bound, Expr):
-                    return bound
-                return Const(float(bound))
+                    return bound, 1
+                return Const(float(bound)), 1
             raise ParseError(f"unknown identifier '{value}'", pos)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -519,7 +539,9 @@ def parse_expr(text: str, parameters: Mapping[str, float] | None = None) -> Expr
     they are folded to their numeric values at parse time.  A parameter
     whose value is an Expr (say Var("a")) is inserted as that node
     instead, which keeps the name symbolic.  Raises
-    ParseError with a byte offset on malformed input.
+    ParseError with a byte offset on malformed input, and on an expression
+    nested more than MAX_DEPTH levels deep, counted both as rules open
+    while it is read and as nodes on a path of the finished tree.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
@@ -608,30 +630,6 @@ class AngleLaw:
     @property
     def is_linear(self) -> bool:
         return isinstance(self.theta, LinearLaw) and isinstance(self.phi, LinearLaw)
-
-    def _linear_only(self, name):
-        if not self.is_linear:
-            raise TypeError(f"{name} is defined for linear laws only")
-
-    @property
-    def theta0(self) -> float:
-        self._linear_only("theta0")
-        return self.theta.offset
-
-    @property
-    def omega1(self) -> float:
-        self._linear_only("omega1")
-        return self.theta.rate
-
-    @property
-    def phi0(self) -> float:
-        self._linear_only("phi0")
-        return self.phi.offset
-
-    @property
-    def omega2(self) -> float:
-        self._linear_only("omega2")
-        return self.phi.rate
 
     def angles(self, t):
         return self.theta.value(t), self.phi.value(t)

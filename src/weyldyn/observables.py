@@ -9,8 +9,7 @@ Natural units (hbar = c = 1) throughout; `si_rates` is the one explicit
 bridge to SI figures.
 
 Each formula is one `*_from_*` function on scalars or numpy arrays, which
-the trajectory, the control fields, the verify battery and the law-based
-observables call.  Vectors are rows (..., 3); np.vecdot rounds as
+the trajectory, the control fields and the verify battery call.  Vectors are rows (..., 3); np.vecdot rounds as
 `p @ p`, `elementwise_pow` as `**` on a numpy scalar.  Only k has two
 roundings (see `localization_from_rates`).  The three that take the angles
 also take their sines and cosines, `trig = angle_trig(theta, phi)`, so a
@@ -24,28 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AngleLaw, ScalarField, elementwise_pow
+from .expressions import elementwise_pow
 from .spinors import Helicity
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "KineticMomentum",
-    "LocalizationSample",
-    "UncertaintySample",
     "SIRates",
     "angle_trig",
-    "velocity",
     "velocity_from_angles",
-    "kinetic_momentum",
     "kinetic_momentum_from_state",
-    "localization_k",
     "localization_from_rates",
-    "energy_rate",
-    "mass_shell_defect",
+    "energy_rate_from_state",
     "mass_shell_defect_from_momentum",
-    "momentum_noncollinearity",
     "noncollinearity_from_vectors",
-    "require_time_only",
     "uncertainty_relation",
     "si_rates",
 ]
@@ -62,11 +53,6 @@ def velocity_from_angles(theta, phi, trig=None):
     """Unit velocity (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta))."""
     st, ct, sp, cp = angle_trig(theta, phi) if trig is None else trig
     return np.array(np.broadcast_arrays(st * cp, st * sp, ct))
-
-
-def velocity(law: AngleLaw, helicity: Helicity, t: float) -> np.ndarray:
-    """Local velocity of the spinor; the same for both helicities."""
-    return velocity_from_angles(*law.angles(t))
 
 
 @dataclass(frozen=True)
@@ -96,37 +82,6 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     return KineticMomentum(pi_t, np.array(np.broadcast_arrays(p_x, p_y, p_z)))
 
 
-def require_time_only(s: ScalarField | None, user: str) -> None:
-    """Refuse a gauge function of x, y or z, which `user` does not model."""
-    if s is not None and not s.is_time_only:
-        raise ValueError(f"{user} requires a time-only gauge function")
-
-
-def kinetic_momentum(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
-                     t: float) -> KineticMomentum:
-    """Kinetic four-momentum at time t, for a gauge function of t only."""
-    require_time_only(s, "kinetic_momentum")
-    s_value = 0.0 if s is None else s.value(t=t)
-    return kinetic_momentum_from_state(*law.angles(t), *law.rates(t),
-                                       s_value, helicity)
-
-
-@dataclass(frozen=True)
-class LocalizationSample:
-    """Transverse momentum scale k and the associated mass-like invariant.
-
-    The shell defect is negative, so the invariant mass is imaginary;
-    m_star_magnitude is its modulus (equal to k) and the imaginary
-    character is carried here in words, not in a complex type.
-    """
-
-    k: float
-
-    @property
-    def m_star_magnitude(self) -> float:
-        return self.k
-
-
 def localization_from_rates(theta, theta_dot, phi_dot, trig=None):
     """k = (1/2) sqrt(sin(theta)^2 phi'^2 + theta'^2), helicity independent.
 
@@ -142,23 +97,12 @@ def localization_from_rates(theta, theta_dot, phi_dot, trig=None):
     return 0.5 * math.hypot(math.sin(theta) * phi_dot, theta_dot)
 
 
-def localization_k(law: AngleLaw, t: float) -> LocalizationSample:
-    """The localization rate k at time t."""
-    return LocalizationSample(localization_from_rates(law.angles(t)[0],
-                                                      *law.rates(t)))
-
-
-def energy_rate(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
-                t: float) -> float:
-    """Exact time derivative of the energy pi_t."""
-    require_time_only(s, "energy_rate")
-    s_rate = 0.0 if s is None else s.partial("t", t=t)
-    theta, _ = law.angles(t)
-    theta_dot, phi_dot = law.rates(t)
-    _, phi_ddot = law.accelerations(t)
-    sign = helicity.sign
-    return sign * 0.5 * (math.sin(theta) * theta_dot * phi_dot
-                         - math.cos(theta) * phi_ddot) - s_rate
+def energy_rate_from_state(theta, theta_dot, phi_dot, phi_ddot, s_rate,
+                           helicity: Helicity):
+    """dE0/dt, the exact time derivative of the energy pi_t, from the polar
+    angle, the rates, phi'' and the gauge rate ds/dt."""
+    return helicity.sign * 0.5 * (np.sin(theta) * theta_dot * phi_dot
+                                  - np.cos(theta) * phi_ddot) - s_rate
 
 
 def mass_shell_defect_from_momentum(energy, p):
@@ -172,32 +116,7 @@ def noncollinearity_from_vectors(p, v):
     return np.sqrt(np.vecdot(p_cross_v, p_cross_v))
 
 
-def mass_shell_defect(law: AngleLaw, s: ScalarField | None, helicity: Helicity,
-                      t: float) -> float:
-    """E0^2 - |p|^2; equals -k^2 independent of s and helicity."""
-    km = kinetic_momentum(law, s, helicity, t)
-    return float(mass_shell_defect_from_momentum(km.energy, km.momentum))
-
-
-def momentum_noncollinearity(law: AngleLaw, s: ScalarField | None,
-                             helicity: Helicity, t: float) -> float:
-    """|p x v|, the momentum component transverse to the motion.
-
-    Coincides with the localization rate k: the momentum is never
-    collinear with the velocity while the angles are in motion.
-    """
-    km = kinetic_momentum(law, s, helicity, t)
-    return float(noncollinearity_from_vectors(km.momentum,
-                                              velocity(law, helicity, t)))
-
-
-@dataclass(frozen=True)
-class UncertaintySample:
-    p0d: float
-    d_delta_p: float
-
-
-def uncertainty_relation(p0d: float) -> UncertaintySample:
+def uncertainty_relation(p0d: float) -> float:
     """Positive root x of 2 p0d x + x^2 = 1 for the scaled spread x = d dp.
 
     p0d is the (dimensionless) product of the mean momentum and the
@@ -207,8 +126,7 @@ def uncertainty_relation(p0d: float) -> UncertaintySample:
     """
     if p0d < 0:
         raise ValueError("p0d must be nonnegative")
-    x = 1.0 / (p0d + math.sqrt(1.0 + p0d * p0d))
-    return UncertaintySample(p0d=p0d, d_delta_p=x)
+    return 1.0 / (p0d + math.sqrt(1.0 + p0d * p0d))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ expressions over "pi" and previously defined scalars (q, theta0,
 omega1, phi0, omega2, h_energy), so files can say things like
 "omega1 = sqrt(3)" or "ez = 1/(2*q)".  Unknown keys are rejected so
 typos fail loudly, and so is a grid (t_end, dt) without a single step.
-The run's start state (the law at t = 0) and field program are built
-once, at parse, so every command refuses the same files.  The format is
-documented in docs/scenario-format.md; packaged presets live in presets/.
+The run's start state (the law at t = 0), field program and any constant
+h or s are evaluated once, at parse, so every command refuses the same
+files.  The format is documented in docs/scenario-format.md; packaged
+presets live in presets/.
 
 run_scenario integrates a scenario and summarizes the trajectory;
 run_control computes an energy or localization control profile.  Both
@@ -126,8 +127,10 @@ class Scenario:
 
     @property
     def preserves_law(self) -> bool:
-        """True when the applied program reproduces the nominal law."""
-        return isinstance(self.program, (ZeroField, DriveField))
+        """True when the applied program reproduces the nominal law: its
+        drive field does, and a zero field does a law of constant rates."""
+        return (isinstance(self.program, DriveField)
+                or (isinstance(self.program, ZeroField) and self.law.is_linear))
 
 
 def _split_lines(text: str):
@@ -184,6 +187,13 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
             )
         return expr
 
+    def scalar_field(key, allowed):
+        """The key's ScalarField; one with no variables is evaluated now."""
+        expr = value(key, allowed)
+        if not expr.free_variables():
+            named(key, eval_expr, expr)
+        return named(key, ScalarField, expr)
+
     def integer(key):
         number = value(key)
         if number != int(number):
@@ -233,9 +243,9 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
     elif h_text == "plane_wave":
         h = plane_wave_phase(params["h_energy"], theta, phi)
     else:
-        h = named("h", ScalarField, value("h", {"x", "y", "z", "t"}))
+        h = scalar_field("h", {"x", "y", "z", "t"})
 
-    s_field = named("s", ScalarField, value("s", {"t"}))
+    s_field = scalar_field("s", {"t"})
 
     field_kind = text_of("field")
     if field_kind not in _FIELD_KINDS:
@@ -488,27 +498,28 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
 
     if not law.is_linear:
         raise ValueError("k control requires a linear angle law")
+    omega1, omega2 = law.theta.rate, law.phi.rate
     if mode == "azimuthal":
-        if law.omega1 != 0:
+        if omega1 != 0:
             raise ValueError(
                 "azimuthal control requires omega1 = 0 (theta pinned)")
-        if law.omega2 <= 0:
+        if omega2 <= 0:
             raise ValueError("azimuthal control requires omega2 > 0")
     elif mode == "polar":
-        if law.omega2 != 0:
+        if omega2 != 0:
             raise ValueError("polar control requires omega2 = 0 (phi pinned)")
-        if law.omega1 < 0:
+        if omega1 < 0:
             raise ValueError("polar control requires omega1 >= 0")
     field = k_control_field(dkdt, mode, scenario.helicity, scenario.q,
-                            theta0=law.theta0, phi0=law.phi0)
+                            theta0=law.theta.offset, phi0=law.phi.offset)
     program = ConstantField(field.e)
     t, theta, _, theta_dot, phi_dot, _ = integrate_angles(
         scenario.initial, program, scenario.t_end, scenario.dt,
         constraint_tol=scenario.tolerance)
     k = localization_from_rates(theta, theta_dot, phi_dot)
     if mode == "azimuthal":
-        j = _control_window(t, phi_dot, int(np.sign(law.omega2)))
+        j = _control_window(t, phi_dot, int(np.sign(omega2)))
     else:
-        j = _control_window(t, theta_dot, int(np.sign(law.omega1)))
+        j = _control_window(t, theta_dot, int(np.sign(omega1)))
     measured = float((k[j] - k[0]) / (t[j] - t[0]))
     return ControlRun(ts, program.sample(ts), k, measured, dkdt, "dk/dt")

@@ -70,6 +70,16 @@ def test_simulate_summary_mentions_extrema(tmp_path):
     assert "speed drift" in r.stdout
 
 
+def test_refined_extrema_only_for_a_run_that_follows_the_law(
+        tmp_path, monkeypatch, capsys):
+    # a zero field leaves theta'' = 0, so this run does not follow its law
+    (tmp_path / "zero.scn").write_text("theta_expr = 1 + t^2\nt_end = 2\n")
+    monkeypatch.chdir(tmp_path)
+    for name, refined in (("zero.scn", False), ("free", True)):
+        assert cli.main(["simulate", name, "--t-end", "2"]) == 0
+        assert ("k extrema refined" in capsys.readouterr().out) == refined
+
+
 def test_simulate_si_flag_reports_rates(tmp_path):
     r = run_cli("simulate", "fig45", "--si", "--out", str(tmp_path / "f.csv"))
     assert r.returncode == 0
@@ -352,14 +362,45 @@ def test_law_evaluation_error_exits_2_without_traceback(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
-# the start state and the constant field are evaluated once, at parse
+# the start state, the constant field and a constant s or h are evaluated
+# once, at parse, and every expression is held to the depth bound
 BROKEN_FILES = {
     "law": ("theta_expr = 1/t\nt_end = 1\n",
             "error: line 1: key 'theta_expr': division by zero in '1.0/t'"),
     "constant": ("field = constant\nez = exp(1000)\nt_end = 1\n",
                  "error: line 2: key 'ez': domain error in 'exp(1000.0)': "
                  "math range error"),
+    "gauge": ("theta0 = 1\nomega2 = 1\nt_end = 1\ns = 1e309\n",
+              "error: line 4: key 's': non-finite result from 'inf'"),
+    "phase": ("theta0 = 1\nomega2 = 1\nt_end = 1\nh = 1e309\n",
+              "error: line 4: key 'h': non-finite result from 'inf'"),
+    "deep": (f"theta_expr = {'(' * 400}t{')' * 400}\n",
+             "error: line 1: key 'theta_expr': expression nested too deeply "
+             "(offset 64)"),
 }
+
+
+@pytest.mark.parametrize("key", ["theta_expr", "ez", "s"])
+def test_expression_at_the_depth_bound_runs_and_one_deeper_exits_2(
+        tmp_path, monkeypatch, capsys, key):
+    # 63 nested calls or a 63-term quotient chain are 64 levels deep
+    prefix = {"theta_expr": "", "ez": "field = expr\n",
+              "s": "theta0 = 1\nomega2 = 1\n"}[key]
+    monkeypatch.chdir(tmp_path)
+    line = prefix.count("\n") + 1
+    for n in (63, 64):
+        for text in ("tan(" * n + "t" + ")" * n, "/".join(["(t+2)"] * n)):
+            Path("deep.scn").write_text(f"{prefix}{key} = {text}\n"
+                                        "t_end = 0.1\ndt = 0.01\n")
+            for command in ("verify", "simulate"):
+                rc = cli.main([command, "deep.scn", "--out", "out"])
+                err = capsys.readouterr().err
+                if n == 63:
+                    assert rc in (0, 1) and "error" not in err
+                else:
+                    assert rc == 2
+                    assert err.startswith(f"error: line {line}: key '{key}': "
+                                          "expression nested too deeply")
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_FILES))
@@ -376,22 +417,19 @@ def test_start_or_field_error_is_one_exit_2_for_every_command(
     assert [p.name for p in tmp_path.iterdir()] == ["broken.scn"]
 
 
-@pytest.mark.parametrize("gauge, rows, time", [("exp(1000*t)", 711, "0.71"),
-                                               ("1e309", 1, "0")])
-def test_non_finite_energy_or_momentum_ends_the_run(tmp_path, capsys, gauge,
-                                                    rows, time):
+def test_non_finite_energy_or_momentum_ends_the_run(tmp_path, capsys):
     # E0 and p take the gauge value s, which the state gate does not see
     scn = tmp_path / "gauge.scn"
-    scn.write_text(f"theta0 = 1\nomega2 = 1\ns = {gauge}\nt_end = 1\n")
+    scn.write_text("theta0 = 1\nomega2 = 1\ns = exp(1000*t)\nt_end = 1\n")
     out = tmp_path / "gauge.csv"
     assert cli.main(["simulate", str(scn), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: non-finite field or state at "
-                                   f"t = {time} ")
-    assert f"partial trajectory ({rows} samples)" in captured.err
+    assert captured.err.startswith(
+        "error: non-finite energy or momentum at t = 0.71\n")
+    assert "partial trajectory (711 samples)" in captured.err
     table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    assert len(table) == rows
+    assert len(table) == 711
     assert np.isfinite(table[:-1]).all()
     e0_and_p = table[-1, CSV_COLUMNS.index("E0"):CSV_COLUMNS.index("pz") + 1]
     assert not np.isfinite(e0_and_p).all()

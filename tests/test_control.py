@@ -86,7 +86,7 @@ def test_azimuthal_k_control_matches_direct_integration():
     run = run_control(scenario, dkdt=-0.5)
     law = scenario.law
     field = k_control_field(-0.5, "azimuthal", scenario.helicity, scenario.q,
-                            theta0=law.theta0)
+                            theta0=law.theta.offset)
     traj = integrate_trajectory(scenario.initial,
                                 ConstantField(field.e), scenario.t_end,
                                 scenario.dt, gauge=scenario.s,
@@ -105,7 +105,7 @@ def test_polar_k_control_matches_direct_integration():
     run = run_control(scenario, dkdt=-0.5, mode="polar")
     law = scenario.law
     field = k_control_field(-0.5, "polar", scenario.helicity, scenario.q,
-                            theta0=law.theta0, phi0=law.phi0)
+                            theta0=law.theta.offset, phi0=law.phi.offset)
     traj = integrate_trajectory(scenario.initial,
                                 ConstantField(field.e), scenario.t_end,
                                 scenario.dt, gauge=scenario.s,

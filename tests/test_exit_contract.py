@@ -41,13 +41,14 @@ T_ENDS = mostly(("0.5", "2"),
                 ("0.0001", "0", "-1", "nan", "inf", "1e300", "1e9"))
 INTEGERS = mostly(("0", "7"), ("-1", "2.5", "1e30", "1e309", "nan"))
 SAMPLE_COUNTS = mostly(("1", "7", "30"), ("0", "-2", "2.5", "1e309", "1e9"))
+DEEP = "(" * 400 + "t" + ")" * 400  # past the parser's depth bound
 TEXT_VALUES = {
     "helicity": mostly(("positive", "negative"), ("sideways",)),
     "h": mostly(("zero", "plane_wave", "0.3*x - t"),
-                ("1/x", "exp(1000*x)", "q")),
-    "s": mostly(("0", "t"), ("exp(t)", "x", "exp(1000*t)")),
+                ("1/x", "exp(1000*x)", "q", "1e309")),
+    "s": mostly(("0", "t"), ("exp(t)", "x", "exp(1000*t)", "1e309")),
     "field": mostly(("zero", "constant", "expr", "drive"), ("bogus",)),
-    "theta_expr": mostly(("0.5 + 0.1*t^2",), ("log(t)", "x")),
+    "theta_expr": mostly(("0.5 + 0.1*t^2",), ("log(t)", "x", DEEP)),
     "phi_expr": mostly(("2*t",), ("1/t", "exp(1000*t)")),
     "ex": mostly(("0", "0.5", "sin(t)"), ("1e-9*exp(t)", "t/0", "x")),
     "ey": mostly(("0", "0.3*cos(t)"), ("exp(1000*t)",)),
@@ -138,6 +139,9 @@ def invocations(draw):
 # the energy and momentum overflow at t = 0.71 while the state stays finite
 @example((["simulate", "{tmp}/gen.scn", "--out={tmp}/out"],
           "theta0 = 1\nomega2 = 1\ns = exp(1000*t)\ndt = 0.001\nt_end = 2\n"))
+# too deep to evaluate: a parse error, not a RecursionError
+@example((["verify", "{tmp}/gen.scn", "--out={tmp}/out"],
+          f"theta_expr = {DEEP}\n"))
 def test_exit_code_contract_holds_for_generated_runs(invocation):
     argv, text = invocation
     with tempfile.TemporaryDirectory() as tmp:

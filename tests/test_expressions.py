@@ -16,6 +16,7 @@ from weyldyn.expressions import (
     ExpressionError,
     ExprLaw,
     LinearLaw,
+    MAX_DEPTH,
     Neg,
     ParseError,
     ScalarField,
@@ -90,6 +91,34 @@ def test_parse_errors_carry_offsets(text, offset):
 def test_unknown_identifier_message_names_it():
     with pytest.raises(ParseError, match="'q'"):
         parse_expr("sin(q)")
+
+
+# an expression n levels deep, by shape: parser nesting or tree depth
+DEEP = {
+    "parentheses": lambda n: "(" * (n - 1) + "t" + ")" * (n - 1),
+    "calls": lambda n: "tan(" * (n - 1) + "t" + ")" * (n - 1),
+    "minus": lambda n: "-" * (n - 1) + "t",
+    "powers": lambda n: "2^" * (n - 1) + "t",
+    "sum chain": lambda n: "+".join(["t"] * n),
+    "quotient chain": lambda n: "/".join(["(t+2)"] * (n - 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_depth_bound_is_exact(shape):
+    deepest = parse_expr(DEEP[shape](MAX_DEPTH))
+    # the second derivative of the deepest tree still evaluates
+    eval_expr(diff_expr(diff_expr(deepest, "t"), "t"), t=np.array([0.5]))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr(DEEP[shape](MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("text", ["(" * 400 + "t" + ")" * 400,
+                                  "+".join(["t"] * 3000), "-" * 2000 + "t"],
+                         ids=["parentheses", "sum chain", "minus"])
+def test_deep_expression_is_a_parse_error_not_a_recursion_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr(text)
 
 
 def test_evaluation_errors_name_the_subexpression():
@@ -239,12 +268,10 @@ def test_expr_law_rejects_spatial_variables():
         ExprLaw.from_text("x + t")
 
 
-def test_angle_law_linear_accessors():
+def test_angle_law_linear_parts():
     law = AngleLaw.linear(0.5, 1.5, 0.25, -2.0)
-    assert law.theta0 == 0.5
-    assert law.omega1 == 1.5
-    assert law.phi0 == 0.25
-    assert law.omega2 == -2.0
+    assert law.theta == LinearLaw(0.5, 1.5)
+    assert law.phi == LinearLaw(0.25, -2.0)
     th, ph = law.angles(2.0)
     assert th == pytest.approx(3.5)
     assert ph == pytest.approx(-3.75)
@@ -257,12 +284,6 @@ def test_angle_law_drive_free_detection():
     assert not AngleLaw.linear(0.3, 2.0, 0.1, 4.0).is_drive_free(1.0)
     quad = AngleLaw(ExprLaw.from_text("t^2"), LinearLaw(0.0, 0.0))
     assert not quad.is_drive_free(1.0)
-
-
-def test_angle_law_nonlinear_accessors_raise():
-    quad = AngleLaw(ExprLaw.from_text("t^2"), LinearLaw(0.0, 0.0))
-    with pytest.raises(TypeError):
-        quad.theta0
 
 
 def test_plane_wave_phase_frozen_values():

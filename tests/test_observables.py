@@ -9,16 +9,13 @@ from hypothesis import given, settings, strategies as st
 from weyldyn.expressions import AngleLaw, ScalarField
 from weyldyn.observables import (
     SPEED_OF_LIGHT,
-    energy_rate,
-    kinetic_momentum,
+    energy_rate_from_state,
     kinetic_momentum_from_state,
     localization_from_rates,
-    localization_k,
-    mass_shell_defect,
-    momentum_noncollinearity,
+    mass_shell_defect_from_momentum,
+    noncollinearity_from_vectors,
     si_rates,
     uncertainty_relation,
-    velocity,
     velocity_from_angles,
 )
 from weyldyn.spinors import Helicity
@@ -28,12 +25,10 @@ NEG = Helicity.NEGATIVE
 ROTATING = AngleLaw.linear(math.pi / 2, math.sqrt(3), 0.0, math.sqrt(5))
 
 
-def test_velocity_is_unit_and_helicity_blind():
+def test_velocity_is_unit():
     for t in (0.0, 0.4, 1.9):
-        vp = velocity(ROTATING, POS, t)
-        vn = velocity(ROTATING, NEG, t)
-        assert np.array_equal(vp, vn)
-        assert np.linalg.norm(vp) == pytest.approx(1.0, abs=1e-12)
+        v = velocity_from_angles(*ROTATING.angles(t))
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_velocity_from_angles_vectorized():
@@ -57,30 +52,26 @@ def test_momentum_projection_recovers_energy():
     assert float(np.dot(km.momentum, v)) == pytest.approx(km.energy, abs=1e-12)
 
 
-def test_kinetic_momentum_requires_time_only_gauge():
-    with pytest.raises(ValueError):
-        kinetic_momentum(ROTATING, ScalarField.from_text("x"), POS, 0.0)
-
-
-def test_kinetic_momentum_matches_state_form():
+def test_kinetic_momentum_broadcasts_over_times():
+    # one call on an array of times gives each time's scalar call, bit for bit
     s = ScalarField.from_text("2*t - 1")
-    for t in (0.0, 0.7, 1.5):
-        km = kinetic_momentum(ROTATING, s, POS, t)
-        theta, phi = ROTATING.angles(t)
-        td, pd = ROTATING.rates(t)
-        direct = kinetic_momentum_from_state(theta, phi, td, pd,
-                                             s.value(t=t), POS)
-        assert km.energy == pytest.approx(direct.energy, abs=1e-14)
-        assert km.momentum == pytest.approx(direct.momentum, abs=1e-14)
+    ts = np.array([0.0, 0.7, 1.5])
+    km = kinetic_momentum_from_state(*ROTATING.angles(ts), *ROTATING.rates(ts),
+                                     s.sample_time(ts), POS)
+    for i, t in enumerate(ts):
+        one = kinetic_momentum_from_state(*ROTATING.angles(float(t)),
+                                          *ROTATING.rates(float(t)),
+                                          s.value(t=float(t)), POS)
+        assert km.energy[i] == one.energy
+        assert np.array_equal(km.momentum[:, i], one.momentum)
 
 
 def test_localization_frozen_values():
     # rotating law at t = 0: k = sqrt(2); polar-only piece alone: sqrt(3)/2
-    assert localization_k(ROTATING, 0.0).k == pytest.approx(math.sqrt(2), abs=1e-12)
+    k = localization_from_rates(ROTATING.angles(0.0)[0], *ROTATING.rates(0.0))
+    assert k == pytest.approx(math.sqrt(2), abs=1e-12)
     assert localization_from_rates(math.pi, math.sqrt(3), math.sqrt(5)) == (
         pytest.approx(math.sqrt(3) / 2, abs=1e-12))
-    assert localization_k(ROTATING, 0.0).m_star_magnitude == (
-        pytest.approx(math.sqrt(2), abs=1e-12))
 
 
 def test_localization_scales_with_rates():
@@ -89,43 +80,51 @@ def test_localization_scales_with_rates():
 
 
 def test_energy_rate_frozen_value():
-    law = AngleLaw.linear(math.pi / 4, 1.0, 0.0, 1.0)
-    assert energy_rate(law, None, POS, 0.0) == pytest.approx(math.sqrt(2) / 4,
-                                                             rel=1e-12)
-    assert energy_rate(law, None, NEG, 0.0) == pytest.approx(-math.sqrt(2) / 4,
-                                                             rel=1e-12)
+    # theta = pi/4, theta' = phi' = 1, phi'' = 0, no gauge
+    for hel, expected in ((POS, math.sqrt(2) / 4), (NEG, -math.sqrt(2) / 4)):
+        assert energy_rate_from_state(math.pi / 4, 1.0, 1.0, 0.0, 0.0,
+                                      hel) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_rate_includes_gauge_drain():
-    law = AngleLaw.linear(math.pi / 2)
+    # a frozen law under s = 3t: the energy drains at ds/dt = 3
     s = ScalarField.from_text("3*t")
-    assert energy_rate(law, s, POS, 1.0) == pytest.approx(-3.0, abs=1e-12)
+    assert energy_rate_from_state(math.pi / 2, 0.0, 0.0, 0.0,
+                                  s.partial("t", t=1.0),
+                                  POS) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_energy_rate_matches_finite_difference_of_energy():
     s = ScalarField.from_text("0.5*t^2")
     h = 1e-6
-    for t in (0.3, 1.1):
-        e_hi = kinetic_momentum(ROTATING, s, POS, t + h).energy
-        e_lo = kinetic_momentum(ROTATING, s, POS, t - h).energy
-        fd = (e_hi - e_lo) / (2 * h)
-        assert energy_rate(ROTATING, s, POS, t) == pytest.approx(fd, abs=1e-6)
+    ts = np.array([0.3, 1.1])
+    energy = [kinetic_momentum_from_state(*ROTATING.angles(ts + d),
+                                          *ROTATING.rates(ts + d),
+                                          s.sample_time(ts + d), POS).energy
+              for d in (h, -h)]
+    fd = (energy[0] - energy[1]) / (2 * h)
+    rate = energy_rate_from_state(ROTATING.angles(ts)[0], *ROTATING.rates(ts),
+                                  ROTATING.accelerations(ts)[1],
+                                  s.partial("t", t=ts), POS)
+    assert rate == pytest.approx(fd, abs=1e-6)
 
 
 def test_mass_shell_frozen_values():
     # equator with phi spinning at 10: k = 5, defect -25, gauge independent
-    law = AngleLaw.linear(math.pi / 2, 0.0, 0.0, 10.0)
-    assert mass_shell_defect(law, None, POS, 0.4) == pytest.approx(-25.0, abs=1e-10)
-    assert mass_shell_defect(law, ScalarField.from_text("2"), POS, 0.4) == (
-        pytest.approx(-25.0, abs=1e-10))
-    law1 = AngleLaw.linear(math.pi / 2, 0.0, 0.0, 2.0)
-    assert mass_shell_defect(law1, ScalarField.from_text("2"), POS, 1.3) == (
+    for s_value in (0.0, 2.0):
+        km = kinetic_momentum_from_state(math.pi / 2, 4.0, 0.0, 10.0, s_value,
+                                         POS)
+        assert mass_shell_defect_from_momentum(km.energy, km.momentum) == (
+            pytest.approx(-25.0, abs=1e-10))
+    km = kinetic_momentum_from_state(math.pi / 2, 2.6, 0.0, 2.0, 2.0, POS)
+    assert mass_shell_defect_from_momentum(km.energy, km.momentum) == (
         pytest.approx(-1.0, abs=1e-12))
 
 
 def test_noncollinearity_frozen_value():
-    law = AngleLaw.linear(math.pi / 2, 0.0, 0.0, 10.0)
-    assert momentum_noncollinearity(law, ScalarField.from_text("-3"), POS, 0.0) == (
+    km = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
+    v = velocity_from_angles(math.pi / 2, 0.0)
+    assert noncollinearity_from_vectors(km.momentum, v) == (
         pytest.approx(5.0, abs=1e-12))
 
 
@@ -148,20 +147,20 @@ def test_shell_and_transversality_identities(theta, phi, td, pd, sval, hel):
 
 
 def test_uncertainty_frozen_points():
-    assert uncertainty_relation(0.0).d_delta_p == 1.0
-    assert uncertainty_relation(0.75).d_delta_p == pytest.approx(0.5, abs=1e-15)
-    assert uncertainty_relation(1e6).d_delta_p < 1e-6
+    assert uncertainty_relation(0.0) == 1.0
+    assert uncertainty_relation(0.75) == pytest.approx(0.5, abs=1e-15)
+    assert uncertainty_relation(1e6) < 1e-6
 
 
 def test_uncertainty_solves_quadratic_at_machine_precision():
     for p0d in [0.0, 1e-8, 0.3, 1.0, 7.5, 1e3, 1e6]:
-        x = uncertainty_relation(p0d).d_delta_p
+        x = uncertainty_relation(p0d)
         assert abs(2 * p0d * x + x * x - 1.0) <= 1e-12
 
 
 def test_uncertainty_strictly_decreasing():
     grid = np.linspace(0.0, 50.0, 1000)
-    vals = [uncertainty_relation(float(p)).d_delta_p for p in grid]
+    vals = [uncertainty_relation(float(p)) for p in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

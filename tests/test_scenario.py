@@ -32,13 +32,13 @@ def test_minimal_scenario_defaults():
     assert sc.h is None
     assert sc.s.is_zero
     assert sc.initial.position == (0.0, 0.0, 0.0)
-    assert sc.law.theta0 == pytest.approx(math.pi / 3)
+    assert sc.law.theta.offset == pytest.approx(math.pi / 3)
 
 
 def test_scalar_values_accept_expressions_and_earlier_keys():
     sc = parse_scenario_text("q = 2\ntheta0 = q/4\nomega1 = sqrt(3)")
-    assert sc.law.theta0 == 0.5
-    assert sc.law.omega1 == pytest.approx(math.sqrt(3))
+    assert sc.law.theta.offset == 0.5
+    assert sc.law.theta.rate == pytest.approx(math.sqrt(3))
 
 
 @pytest.mark.parametrize(
@@ -101,7 +101,7 @@ def test_first_of_two_errors_is_reported(text, message):
 
 def test_comments_and_blank_lines_are_ignored():
     sc = parse_scenario_text("# heading\n\ntheta0 = pi/2  \n# tail\n")
-    assert sc.law.theta0 == pytest.approx(math.pi / 2)
+    assert sc.law.theta.offset == pytest.approx(math.pi / 2)
 
 
 def test_plane_wave_phase_key():
@@ -160,6 +160,10 @@ def test_preserves_law_classification():
     assert resolve_scenario("free").preserves_law
     assert resolve_scenario("fig1").preserves_law
     assert not resolve_scenario("fig45").preserves_law
+    # a zero field keeps only a law whose rates are constant
+    assert not parse_scenario_text("theta_expr = 1 + t^2").preserves_law
+    assert parse_scenario_text("theta_expr = 1 + t^2\n"
+                               "field = drive").preserves_law
 
 
 def test_initial_state_matches_law_at_zero():
@@ -184,7 +188,7 @@ def test_load_scenario_from_file(tmp_path):
     p.write_text("name = roundtrip\ntheta0 = pi/2\nomega2 = 4\n# note\n")
     sc = load_scenario(p)
     assert sc.name == "roundtrip"
-    assert sc.law.omega2 == 4.0
+    assert sc.law.phi.rate == 4.0
     assert resolve_scenario(str(p)).name == "roundtrip"
 
 

@@ -6,7 +6,8 @@
 
 Prints one line per CLI run, "run <name> rc=<exit code> <sha256>", where
 the digest covers the exit code, standard output, standard error and
-every file the run wrote.  The runs are:
+every file the run wrote; an exception that escapes `cli.main` takes the
+exit code's place as its class name.  The runs are:
 
 - `simulate --si` on the five presets;
 - `figures`;
@@ -21,9 +22,13 @@ every file the run wrote.  The runs are:
   which the run gate stops at t = 0.001 (exit 1);
 - error paths, on scenario files written to the workdir: `verify`,
   `simulate`, `control --dedt 1` and `figures` on a law that cannot be
-  evaluated at t = 0 (theta_expr = 1/t) and on a constant field component
-  that overflows (ez = exp(1000)); `simulate` with the gauge
-  s = exp(1000*t), whose energy and momentum overflow at t = 0.71; and
+  evaluated at t = 0 (theta_expr = 1/t), on a constant field component
+  that overflows (ez = exp(1000)), on a law nested past the parser's
+  depth bound (theta_expr in 400 parentheses), and on a constant gauge
+  or phase that is not finite (s = 1e309, h = 1e309, with theta0 = 1 and
+  omega2 = 1); `simulate` with the gauge s = exp(1000*t), whose energy
+  and momentum overflow at t = 0.71; `simulate` under a zero field on the
+  law theta_expr = 1 + t^2, which the run does not follow; and
   `control fig45 --dkdt nan` and `control free --dedt nan`;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
@@ -87,6 +92,8 @@ def _run(cli, argv, written) -> str:
             rc = cli.main(list(argv))
         except SystemExit as exc:
             rc = exc.code
+        except Exception as exc:  # an escaped error is an outcome too
+            rc = type(exc).__name__
     digest = hashlib.sha256(f"{rc}\0".encode())
     digest.update(stdout.getvalue().encode() + b"\0")
     digest.update(stderr.getvalue().encode() + b"\0")
@@ -136,18 +143,26 @@ def cli_runs(workdir: Path):
                       "polar", "--out", str(out)), [out]))
     broken = {"law": "theta_expr = 1/t\n",
               "constant": "field = constant\nez = exp(1000)\n",
-              "gauge": "theta0 = 1\nomega2 = 1\ns = exp(1000*t)\n"}
+              "gauge": "theta0 = 1\nomega2 = 1\ns = exp(1000*t)\n",
+              "deep": f"theta_expr = {'(' * 400}t{')' * 400}\n",
+              "infgauge": "theta0 = 1\nomega2 = 1\ns = 1e309\n",
+              "infphase": "theta0 = 1\nomega2 = 1\nh = 1e309\n",
+              "zerofield": "theta_expr = 1 + t^2\n"}
     for name, text in broken.items():
         (workdir / f"{name}.scn").write_text(text + "t_end = 1\n")
-    law, constant, gauge = (str(workdir / f"{name}.scn") for name in broken)
+    law, constant, gauge, *refused, zerofield = (
+        str(workdir / f"{name}.scn") for name in broken)
+    commands = (("verify",), ("simulate",), ("control", "--dedt", "1"),
+                ("figures",))
     out = workdir / "errors"
     for argv in (*((command, scn, *target) for scn in (law, constant)
-                   for command, *target in (("verify",), ("simulate",),
-                                            ("control", "--dedt", "1"),
-                                            ("figures",))),
+                   for command, *target in commands),
                  ("simulate", gauge),
                  ("control", "fig45", "--dkdt", "nan"),
-                 ("control", "free", "--dedt", "nan")):
+                 ("control", "free", "--dedt", "nan"),
+                 *((command, scn, *target) for scn in refused
+                   for command, *target in commands),
+                 ("simulate", zerofield)):
         yield (":".join(["error", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
