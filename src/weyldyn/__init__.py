@@ -3,7 +3,7 @@
 from .expressions import (AngleLaw, ExprLaw, LinearLaw, ScalarField,
                           diff_expr, eval_expr, parse_expr, plane_wave_phase)
 from .spinors import Event, Helicity, Spinor, build_spinor, weyl_residual
-from .potentials import (EMField, FourPotentialField, base_potential,
+from .potentials import (FourPotentialField, base_potential,
                          degenerate_potential, drive_field_closed_form,
                          energy_control_field, field_from_potential_numeric,
                          gauge_family_field, gauge_potential, k_control_field,

@@ -149,7 +149,8 @@ def cmd_control(args) -> int:
     scenario = _load(args)
     out_path = scenario.out or f"{scenario.name}_control.csv"
     _note_grid_end(scenario)
-    run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt, mode=args.mode)
+    run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt,
+                      mode=args.mode or "azimuthal")
     write_field_csv(run.ts, run.fields, out_path)
     status = "PASS" if run.passed else "FAIL"
     print(f"control profile written to {out_path}")
@@ -221,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--dkdt", type=float, default=None,
                        help="target localization rate change")
     p_ctl.add_argument("--mode", choices=("azimuthal", "polar"),
-                       default="azimuthal",
-                       help="which angle realizes the k schedule")
+                       help="which angle realizes the k schedule "
+                            "(with --dkdt only; default azimuthal)")
     command("figures", cmd_figures, "write the figure datasets",
             "--dt", "--t-end", scenario_required=False)
     return parser
@@ -231,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "mode", None) and args.dedt is not None:
+        parser.error("argument --mode: not allowed with argument --dedt")
     # scenario, expression and control refusals are all ValueErrors
     try:
         return args.func(args)

@@ -154,10 +154,8 @@ class DriveField(FieldProgram):
         self.q = q
 
     def sample(self, ts):
-        field = drive_field_closed_form(self.law, self.helicity, self.q, ts)
-        out = np.empty((len(ts), 3))
-        out[:, 0], out[:, 1] = field.e[:2]
-        out[:, 2] = np.zeros_like(ts) + field.e[2]  # a zero Ez is +0.0
+        out = drive_field_closed_form(self.law, self.helicity, self.q, ts)
+        out[:, 2] += 0.0  # a zero Ez is +0.0
         return out
 
 

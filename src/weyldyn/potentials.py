@@ -18,11 +18,13 @@ route).  Tests hold the two routes against each other.
 `field_from_potential_numeric`, `drive_field_closed_form`,
 `gauge_family_field` and `energy_control_field` take one event (or
 time) or an event of equal-shape arrays (or an array of times), one
-entry per draw.  They return arrays over the draws, through numpy
-ufuncs in the scalar operation order, so each entry rounds exactly as a
-scalar call would (np.sin and np.cos equal math.sin and math.cos).  A
-component that does not vary over the draws may come back as a scalar;
-`EMField.e_vec`, `b_vec` and `e_norm` are for one point.
+entry per draw.  They compute through numpy ufuncs in the scalar
+operation order, so each entry rounds exactly as a scalar call would
+(np.sin and np.cos equal math.sin and math.cos).  A field is a float
+array of rows (..., 3): shape (3,) at one time or event, (n, 3) over n
+times or draws, the layout `FieldProgram.sample` and the integrator
+use.  The numeric route and `gauge_family_field` return (E, B); the
+drive and control fields have B = 0 and return E alone.
 
 `field_from_potential_numeric` differences the components on the
 stencil of `spinors.on_stencil`: for an array event it calls
@@ -40,12 +42,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expressions import AngleLaw, ScalarField
-from .observables import velocity_from_angles
+from .observables import angle_trig, velocity_from_angles
 from .spinors import Event, Helicity, on_stencil
 
 __all__ = [
     "FourPotentialField",
-    "EMField",
     "base_potential",
     "degenerate_potential",
     "gauge_potential",
@@ -63,24 +64,10 @@ def _require_charge(q: float) -> None:
         raise ValueError("charge q must be nonzero")
 
 
-@dataclass(frozen=True)
-class EMField:
-    """Electric and magnetic field values at a point, natural units."""
-
-    e: tuple[float, float, float]
-    b: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    @property
-    def e_vec(self) -> np.ndarray:
-        return np.array(self.e)
-
-    @property
-    def b_vec(self) -> np.ndarray:
-        return np.array(self.b)
-
-    @property
-    def e_norm(self) -> float:
-        return float(np.linalg.norm(self.e))
+def _rows(t, x, y, z) -> np.ndarray:
+    """Field rows (..., 3) from components, broadcast over the times t;
+    signed zeros are kept."""
+    return np.stack(np.broadcast_arrays(t, x, y, z)[1:], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,17 +95,11 @@ class FourPotentialField:
         if self.kind != "base" and self.gauge is None:
             raise ValueError(f"kind '{self.kind}' requires a gauge function")
 
-    @property
-    def provenance(self) -> str:
-        if self.kind == "base":
-            return f"base_{self.helicity.value}"
-        return self.kind
-
     def components(self, ev: Event) -> tuple[float, float, float, float]:
         b0 = b1 = b2 = b3 = 0.0
+        theta, phi = self.law.angles(ev.t)
         if self.kind != "gauge_only":
             sign = self.helicity.sign
-            theta, phi = self.law.angles(ev.t)
             theta_dot, phi_dot = self.law.rates(ev.t)
             b0 = 0.5 * phi_dot
             b1 = sign * 0.5 * np.sin(phi) * theta_dot
@@ -132,11 +113,11 @@ class FourPotentialField:
                 b3 += self.h.partial("z", *args)
         if self.gauge is not None:
             s = self.gauge.value(ev.x, ev.y, ev.z, ev.t)
-            k0, k1, k2, k3 = kappa_vector(self.law, ev.t)
-            b0 += k0 * s
-            b1 += k1 * s
-            b2 += k2 * s
-            b3 += k3 * s
+            vx, vy, vz = velocity_from_angles(theta, phi)  # kappa = (1, -v)
+            b0 += s
+            b1 += -vx * s
+            b2 += -vy * s
+            b3 += -vz * s
         return b0 + self.b0_offset, b1, b2, b3
 
 
@@ -168,8 +149,8 @@ def kappa_vector(law: AngleLaw, t) -> tuple[float, float, float, float]:
 
 
 def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
-                                 step: float = 1e-5) -> EMField:
-    """E and B from central differences of the potential components."""
+                                 step: float = 1e-5):
+    """(E, B) rows from central differences of the potential components."""
     _require_charge(q)
     if step <= 0:
         raise ValueError("step must be positive")
@@ -187,12 +168,12 @@ def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
     bx = -(dy[3] - dz[2]) / q
     by = -(dz[1] - dx[3]) / q
     bz = -(dx[2] - dy[1]) / q
-    return EMField(e=(ex, ey, ez), b=(bx, by, bz))
+    return _rows(ev.t, ex, ey, ez), _rows(ev.t, bx, by, bz)
 
 
 def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
-                            t) -> EMField:
-    """Electric field that steers the angle history; B vanishes.
+                            t) -> np.ndarray:
+    """Electric field rows that steer the angle history; B vanishes.
 
     This is the field generated by the base potential.  It is zero
     exactly when theta'' = phi'' = theta'*phi' = 0, i.e. when at most
@@ -208,12 +189,11 @@ def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
     ex = scale * (cp * theta_dot * phi_dot + sp * theta_ddot)
     ey = scale * (sp * theta_dot * phi_dot - cp * theta_ddot)
     ez = -scale * phi_ddot
-    return EMField(e=(ex, ey, ez))
+    return _rows(t, ex, ey, ez)
 
 
-def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
-                       ev: Event) -> EMField:
-    """Fields of the kappa * s potential.
+def gauge_family_field(law: AngleLaw, s: ScalarField, q: float, ev: Event):
+    """(E, B) rows of the kappa * s potential.
 
     E = -(1/q) (v ds/dt + grad s + s dv/dt), B = (1/q) (grad s x v).
     Helicity independent, because kappa is.  B vanishes whenever s
@@ -222,9 +202,8 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
     _require_charge(q)
     theta, phi = law.angles(ev.t)
     theta_dot, phi_dot = law.rates(ev.t)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    v = velocity_from_angles(theta, phi)
+    trig = st, ct, sp, cp = angle_trig(theta, phi)
+    v = velocity_from_angles(theta, phi, trig=trig)
     v_dot = (
         ct * cp * theta_dot - st * sp * phi_dot,
         ct * sp * theta_dot + st * cp * phi_dot,
@@ -235,27 +214,26 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float,
     s_t = s.partial("t", *args)
     grad = (s.partial("x", *args), s.partial("y", *args), s.partial("z", *args))
 
-    e = tuple(-(v[i] * s_t + grad[i] + s_val * v_dot[i]) / q for i in range(3))
+    e = (-(v[i] * s_t + grad[i] + s_val * v_dot[i]) / q for i in range(3))
     b = (
         (grad[1] * v[2] - grad[2] * v[1]) / q,
         (grad[2] * v[0] - grad[0] * v[2]) / q,
         (grad[0] * v[1] - grad[1] * v[0]) / q,
     )
-    return EMField(e=e, b=b)
+    return _rows(ev.t, *e), _rows(ev.t, *b)
 
 
 def energy_control_field(de_dt: float, law: AngleLaw, q: float,
-                         t) -> EMField:
-    """Field (1/q) de_dt v along the velocity, which changes the energy
-    at rate de_dt.
+                         t) -> np.ndarray:
+    """Field rows (1/q) de_dt v along the velocity, which changes the
+    energy at rate de_dt.
 
     Valid when the motion is drive free (theta'' = phi'' = theta'*phi'
     = 0).  The gauge-family field of s = -de_dt t is this field plus
     -(s/q) dv/dt: both give q E.v = de_dt, and they coincide only when
-    dv/dt = 0.  Same for both helicities.  t may be one time or an
-    array of times; for an array each component is an array over t.
-    Raises ValueError unless the law is drive free at every t (a
-    non-finite rate or acceleration is not).
+    dv/dt = 0.  Same for both helicities.  Raises ValueError unless the
+    law is drive free at every t (a non-finite rate or acceleration is
+    not).
     """
     _require_charge(q)
     if not np.all(law.is_drive_free(t, tol=1e-12)):
@@ -264,36 +242,46 @@ def energy_control_field(de_dt: float, law: AngleLaw, q: float,
             "(theta'' = phi'' = theta'*phi' = 0)"
         )
     scale = de_dt / q
-    return EMField(e=tuple(scale * velocity_from_angles(*law.angles(t))))
+    return _rows(t, *(scale * velocity_from_angles(*law.angles(t))))
 
 
-def k_control_field(dk_dt: float, mode: str, helicity: Helicity, q: float, *,
-                    theta0: float | None = None,
-                    phi0: float | None = None) -> EMField:
-    """Drive field that changes the localization rate k at rate dk_dt.
+def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
+                    helicity: Helicity, q: float) -> np.ndarray:
+    """Constant drive field (3,) that changes the localization rate k at
+    rate dk_dt, for a linear law that admits the mode.
 
-    mode "azimuthal": theta pinned at theta0 in (0, pi), phi rotates
-    with phi' = 2k/sin(theta0) > 0; the field is axial,
-    E = -(1/(q sin(theta0))) dk_dt z_hat.
+    mode "azimuthal": theta pinned at theta0 in (0, pi) (omega1 = 0),
+    phi rotating with phi' = omega2 = 2k/sin(theta0) > 0; the field is
+    axial, E = -(1/(q sin(theta0))) dk_dt z_hat.
 
-    mode "polar": phi pinned at phi0, theta rotates with theta' = 2k;
-    the field lies in the x-y plane, E = (1/q) dk_dt (sin(phi0),
-    -cos(phi0), 0).
+    mode "polar": phi pinned at phi0 (omega2 = 0), theta rotating with
+    theta' = omega1 = 2k >= 0; the field lies in the x-y plane,
+    E = (1/q) dk_dt (sin(phi0), -cos(phi0), 0).
 
-    Negative helicity flips the sign, as for every drive field.
+    Negative helicity flips the sign, as for every drive field.  Raises
+    ValueError when the law or the mode does not admit k control.
     """
     _require_charge(q)
+    if not law.is_linear:
+        raise ValueError("k control requires a linear angle law")
+    theta0, omega1 = law.theta.offset, law.theta.rate
+    phi0, omega2 = law.phi.offset, law.phi.rate
     sign = helicity.sign
     if mode == "azimuthal":
-        if theta0 is None:
-            raise ValueError("azimuthal mode requires theta0")
+        if omega1 != 0:
+            raise ValueError(
+                "azimuthal control requires omega1 = 0 (theta pinned)")
+        if omega2 <= 0:
+            raise ValueError("azimuthal control requires omega2 > 0")
         if not 0.0 < theta0 < math.pi:
             raise ValueError("theta0 must lie strictly inside (0, pi)")
         ez = -dk_dt / (q * math.sin(theta0))
-        return EMField(e=(0.0, 0.0, sign * ez))
+        return np.array([0.0, 0.0, sign * ez])
     if mode == "polar":
-        if phi0 is None:
-            raise ValueError("polar mode requires phi0")
+        if omega2 != 0:
+            raise ValueError("polar control requires omega2 = 0 (phi pinned)")
+        if omega1 < 0:
+            raise ValueError("polar control requires omega1 >= 0")
         scale = sign * dk_dt / q
-        return EMField(e=(scale * math.sin(phi0), -scale * math.cos(phi0), 0.0))
+        return np.array([scale * math.sin(phi0), -scale * math.cos(phi0), 0.0])
     raise ValueError(f"unknown control mode '{mode}'")

@@ -443,13 +443,12 @@ class ControlRun:
         return self.deviation <= CONTROL_TOL
 
 
-def _control_window(ts, rate_series, initial_sign) -> int:
+def _control_window(rate_series) -> int:
     """Last sample index before the driven rate changes sign."""
-    if initial_sign == 0:
-        return len(ts) - 1
+    initial_sign = np.sign(rate_series[0])
     flips = np.flatnonzero(np.sign(rate_series) != initial_sign)
-    if len(flips) == 0:
-        return len(ts) - 1
+    if initial_sign == 0 or len(flips) == 0:
+        return len(rate_series) - 1
     return max(1, int(flips[0]) - 1)
 
 
@@ -483,9 +482,7 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
     ts = np.arange(grid_steps(scenario.t_end, scenario.dt) + 1) * scenario.dt
 
     if dedt is not None:
-        field = energy_control_field(dedt, law, scenario.q, ts)
-        fields = np.column_stack([np.broadcast_to(c, ts.shape)
-                                  for c in field.e])
+        fields = energy_control_field(dedt, law, scenario.q, ts)
         e0 = kinetic_momentum_from_state(*law.angles(ts), *law.rates(ts),
                                          -dedt * ts, scenario.helicity).energy
         bad = np.flatnonzero(~(np.isfinite(fields).all(axis=1)
@@ -496,30 +493,12 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
         measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
         return ControlRun(ts, fields, e0, measured, dedt, "dE0/dt")
 
-    if not law.is_linear:
-        raise ValueError("k control requires a linear angle law")
-    omega1, omega2 = law.theta.rate, law.phi.rate
-    if mode == "azimuthal":
-        if omega1 != 0:
-            raise ValueError(
-                "azimuthal control requires omega1 = 0 (theta pinned)")
-        if omega2 <= 0:
-            raise ValueError("azimuthal control requires omega2 > 0")
-    elif mode == "polar":
-        if omega2 != 0:
-            raise ValueError("polar control requires omega2 = 0 (phi pinned)")
-        if omega1 < 0:
-            raise ValueError("polar control requires omega1 >= 0")
-    field = k_control_field(dkdt, mode, scenario.helicity, scenario.q,
-                            theta0=law.theta.offset, phi0=law.phi.offset)
-    program = ConstantField(field.e)
+    program = ConstantField(k_control_field(dkdt, mode, law,
+                                            scenario.helicity, scenario.q))
     t, theta, _, theta_dot, phi_dot, _ = integrate_angles(
         scenario.initial, program, scenario.t_end, scenario.dt,
         constraint_tol=scenario.tolerance)
     k = localization_from_rates(theta, theta_dot, phi_dot)
-    if mode == "azimuthal":
-        j = _control_window(t, phi_dot, int(np.sign(omega2)))
-    else:
-        j = _control_window(t, theta_dot, int(np.sign(omega1)))
+    j = _control_window(phi_dot if mode == "azimuthal" else theta_dot)
     measured = float((k[j] - k[0]) / (t[j] - t[0]))
     return ControlRun(ts, program.sample(ts), k, measured, dkdt, "dk/dt")

@@ -254,11 +254,11 @@ def _run_checks(scenario: Scenario) -> list:
     laws, ev = _law(draws[:, :4]), _event(draws[:, 4:])
     drive, drive_b = [], []
     for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
-        numeric = field_from_potential_numeric(base_potential(laws, None, hel),
-                                               q, ev, step)
+        numeric_e, numeric_b = field_from_potential_numeric(
+            base_potential(laws, None, hel), q, ev, step)
         closed = drive_field_closed_form(laws, hel, q, ev.t)
-        drive += [np.abs(a - b) for a, b in zip(numeric.e, closed.e)]
-        drive_b += [np.abs(b) for b in numeric.b]
+        drive.append(np.abs(numeric_e - closed))
+        drive_b.append(np.abs(numeric_b))
     checks.append(CheckResult("drive_field_cross_check", _worst(*drive),
                               tol_field))
     checks.append(CheckResult("drive_field_b_zero", _worst(*drive_b),
@@ -270,8 +270,7 @@ def _run_checks(scenario: Scenario) -> list:
     numeric = field_from_potential_numeric(
         gauge_potential(laws, helicity, family), q, ev, step)
     closed = gauge_family_field(laws, family, q, ev)
-    gauge = [np.abs(a - b) for a, b in zip(numeric.e + numeric.b,
-                                           closed.e + closed.b)]
+    gauge = [np.abs(a - b) for a, b in zip(numeric, closed)]
     checks.append(CheckResult("gauge_field_cross_check", _worst(*gauge),
                               tol_field))
     return checks

@@ -17,8 +17,8 @@ def reference_energy_control(scenario, dedt):
     law = scenario.law
     n = int(round(scenario.t_end / scenario.dt))
     ts = np.arange(n + 1) * scenario.dt
-    fields = np.array([energy_control_field(dedt, law, scenario.q,
-                                            float(t)).e for t in ts])
+    fields = np.array([energy_control_field(dedt, law, scenario.q, float(t))
+                       for t in ts])
     e0 = np.empty(len(ts))
     for i, t in enumerate(ts):
         theta, phi = law.angles(float(t))
@@ -84,15 +84,14 @@ def test_theta_rotating_profile_is_not_constant():
 def test_azimuthal_k_control_matches_direct_integration():
     scenario = resolve_scenario("fig45")
     run = run_control(scenario, dkdt=-0.5)
-    law = scenario.law
-    field = k_control_field(-0.5, "azimuthal", scenario.helicity, scenario.q,
-                            theta0=law.theta.offset)
+    field = k_control_field(-0.5, "azimuthal", scenario.law,
+                            scenario.helicity, scenario.q)
     traj = integrate_trajectory(scenario.initial,
-                                ConstantField(field.e), scenario.t_end,
+                                ConstantField(field), scenario.t_end,
                                 scenario.dt, gauge=scenario.s,
                                 constraint_tol=scenario.tolerance)
     assert np.array_equal(run.ts, traj.t)
-    assert np.array_equal(run.fields, np.tile(field.e, (len(traj.t), 1)))
+    assert np.array_equal(run.fields, np.tile(field, (len(traj.t), 1)))
     assert np.array_equal(run.series, traj.k)
     assert run.label == "dk/dt" and run.target == -0.5
     assert abs(run.measured + 0.5) <= 1e-6
@@ -103,17 +102,16 @@ def test_polar_k_control_matches_direct_integration():
     scenario = parse_scenario_text("theta0 = 0.5\nomega1 = 2\nphi0 = 1\n"
                                    "dt = 0.001\nt_end = 3\n")
     run = run_control(scenario, dkdt=-0.5, mode="polar")
-    law = scenario.law
-    field = k_control_field(-0.5, "polar", scenario.helicity, scenario.q,
-                            theta0=law.theta.offset, phi0=law.phi.offset)
+    field = k_control_field(-0.5, "polar", scenario.law, scenario.helicity,
+                            scenario.q)
     traj = integrate_trajectory(scenario.initial,
-                                ConstantField(field.e), scenario.t_end,
+                                ConstantField(field), scenario.t_end,
                                 scenario.dt, gauge=scenario.s,
                                 constraint_tol=scenario.tolerance)
     j = int(np.flatnonzero(np.sign(traj.theta_dot) != 1)[0]) - 1
     assert 1000 < j < 3000
     assert run.ts.tobytes() == traj.t.tobytes()
-    assert run.fields.tobytes() == np.tile(field.e, (len(traj), 1)).tobytes()
+    assert run.fields.tobytes() == np.tile(field, (len(traj), 1)).tobytes()
     assert run.series.tobytes() == traj.k.tobytes()
     assert run.measured == float((traj.k[j] - traj.k[0])
                                  / (traj.t[j] - traj.t[0]))

@@ -76,8 +76,8 @@ def test_accel_inversion_round_trips_drive_field():
             theta, phi = law.angles(t)
             td, pd = law.rates(t)
             st = ParticleState((0, 0, 0), theta, phi, td, pd, hel, 1.3)
-            f = drive_field_closed_form(law, hel, 1.3, t)
-            theta_ddot, phi_ddot, residual = accel(st, f.e)
+            e = drive_field_closed_form(law, hel, 1.3, t)
+            theta_ddot, phi_ddot, residual = accel(st, e)
             assert theta_ddot == pytest.approx(0.0, abs=1e-12)
             assert phi_ddot == pytest.approx(0.0, abs=1e-12)
             assert residual == pytest.approx(0.0, abs=1e-12)
@@ -99,7 +99,7 @@ def test_field_program_sampling_consistency():
         (ExprField(*exprs),
          lambda t: tuple(eval_expr(c, t=t) for c in exprs)),
         (DriveField(law, POS, 1.0),
-         lambda t: drive_field_closed_form(law, POS, 1.0, t).e),
+         lambda t: drive_field_closed_form(law, POS, 1.0, t)),
     ]
     ts = np.linspace(0.0, 2.0, 9)
     for prog, reference in progs:

@@ -4,7 +4,9 @@
 valid and invalid alike.  It must return 0, 1 or 2, let no exception
 escape (a stray numpy RuntimeWarning is an error under the test
 configuration), pair exit 2 with an `error:` line on stderr, and leave
-no inf or nan in a CSV it wrote when it exits 0.
+no inf or nan in a CSV it wrote when it exits 0.  The one option set
+argparse refuses, `control --dedt` with `--mode`, exits 2 through the
+parser's usage error and writes no CSV.
 
 The number pools keep every accepted grid at 2000 steps or fewer: the
 largest finite t_end is 2 and the smallest accepted dt is 0.001, and
@@ -81,8 +83,12 @@ scenario_texts = st.builds(
 # an option name
 targets = st.one_of(
     RATES.map(lambda v: [f"--dedt={v}"]),
+    RATES.map(lambda v: [f"--dkdt={v}"]),
     st.tuples(RATES, st.sampled_from(("azimuthal", "polar"))).map(
-        lambda t: [f"--dkdt={t[0]}", f"--mode={t[1]}"]))
+        lambda t: [f"--dkdt={t[0]}", f"--mode={t[1]}"]),
+    # a usage error: --mode goes only with --dkdt
+    st.tuples(RATES, st.sampled_from(("azimuthal", "polar"))).map(
+        lambda t: [f"--dedt={t[0]}", f"--mode={t[1]}"]))
 
 
 def option(values):
@@ -142,8 +148,12 @@ def invocations(draw):
 # too deep to evaluate: a parse error, not a RecursionError
 @example((["verify", "{tmp}/gen.scn", "--out={tmp}/out"],
           f"theta_expr = {DEEP}\n"))
+@example((["control", "free", "--dedt=1", "--mode=polar", "--out={tmp}/out"],
+          None))
 def test_exit_code_contract_holds_for_generated_runs(invocation):
     argv, text = invocation
+    usage_error = (any(arg.startswith("--dedt=") for arg in argv)
+                   and any(arg.startswith("--mode=") for arg in argv))
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "existing").write_text("already here\n")
         if text is not None:
@@ -151,13 +161,21 @@ def test_exit_code_contract_holds_for_generated_runs(invocation):
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                assert usage_error, err.getvalue()
+                rc = exc.code
         written = [path.read_bytes() for path in Path(tmp).rglob("*")
                    if path.is_file()]
     assert rc in (0, 1, 2)
+    csvs = [data for data in written if data.startswith(b"t,")]
     if rc == 0:
-        csvs = [data for data in written if data.startswith(b"t,")]
         assert not any(b"inf" in data or b"nan" in data for data in csvs)
-    if rc == 2:
+    if usage_error:
+        assert rc == 2 and not csvs
+        assert ("weyl-dyn: error: argument --mode: not allowed with "
+                "argument --dedt") in err.getvalue().splitlines()
+    elif rc == 2:
         assert any(line.startswith("error: ")
                    for line in err.getvalue().splitlines()), err.getvalue()

@@ -1,7 +1,8 @@
 """Potential families, their degeneracy direction, and field extraction.
 
 Every closed-form field here is checked against a second, independent
-route: central differences on the generating four-potential.
+route: central differences on the generating four-potential.  Fields are
+float rows (..., 3).
 """
 
 import math
@@ -11,7 +12,6 @@ import pytest
 
 from weyldyn.expressions import AngleLaw, ExprLaw, LinearLaw, ScalarField
 from weyldyn.potentials import (
-    EMField,
     base_potential,
     degenerate_potential,
     drive_field_closed_form,
@@ -28,14 +28,6 @@ POS = Helicity.POSITIVE
 NEG = Helicity.NEGATIVE
 ROTATING = AngleLaw.linear(math.pi / 2, math.sqrt(3), 0.0, math.sqrt(5))
 ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
-
-
-def test_em_field_helpers():
-    f = EMField((3.0, 0.0, 4.0), (0.0, 1.0, 0.0))
-    assert f.e_norm == 5.0
-    assert f.e_vec.tolist() == [3.0, 0.0, 4.0]
-    assert f.b_vec.tolist() == [0.0, 1.0, 0.0]
-    assert EMField((1.0, 0.0, 0.0)).b == (0.0, 0.0, 0.0)
 
 
 def test_base_potential_frozen_polar_sweep():
@@ -56,15 +48,6 @@ def test_base_potential_mirror_flips_spatial_rate_terms():
     neg = base_potential(law, None, NEG).components(ORIGIN)
     assert neg[0] == pos[0]
     assert neg[2] == -pos[2]
-
-
-def test_provenance_labels():
-    base = base_potential(ROTATING, None, POS)
-    assert base.provenance == "base_positive"
-    shifted = degenerate_potential(base, ScalarField.from_text("t"))
-    assert shifted.provenance == "degenerate"
-    pure = gauge_potential(ROTATING, POS, ScalarField.from_text("t"))
-    assert pure.provenance == "gauge_only"
 
 
 def test_degenerate_requires_base():
@@ -99,28 +82,27 @@ def test_degenerate_shift_is_kappa_times_s():
 
 
 def test_drive_field_frozen_start_value():
-    f = drive_field_closed_form(ROTATING, POS, 1.0, 0.0)
-    assert f.e[0] == pytest.approx(math.sqrt(15) / 2, abs=1e-12)
-    assert f.e[1] == pytest.approx(0.0, abs=1e-12)
-    assert f.e[2] == pytest.approx(0.0, abs=1e-12)
-    assert f.b == (0.0, 0.0, 0.0)
+    e = drive_field_closed_form(ROTATING, POS, 1.0, 0.0)
+    assert e[0] == pytest.approx(math.sqrt(15) / 2, abs=1e-12)
+    assert e[1] == pytest.approx(0.0, abs=1e-12)
+    assert e[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_drive_field_rotates_in_plane():
     q = 2.0
     for t in (0.3, 1.7, 4.1):
-        f = drive_field_closed_form(ROTATING, POS, q, t)
+        e = drive_field_closed_form(ROTATING, POS, q, t)
         amp = math.sqrt(15) / (2 * q)
         phi = math.sqrt(5) * t
-        assert f.e[0] == pytest.approx(amp * math.cos(phi), rel=1e-12)
-        assert f.e[1] == pytest.approx(amp * math.sin(phi), rel=1e-12)
-        assert f.e[2] == pytest.approx(0.0, abs=1e-12)
+        assert e[0] == pytest.approx(amp * math.cos(phi), rel=1e-12)
+        assert e[1] == pytest.approx(amp * math.sin(phi), rel=1e-12)
+        assert e[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_drive_field_helicity_antisymmetry():
     for t in (0.0, 0.9, 2.2):
-        ep = drive_field_closed_form(ROTATING, POS, 1.5, t).e_vec
-        en = drive_field_closed_form(ROTATING, NEG, 1.5, t).e_vec
+        ep = drive_field_closed_form(ROTATING, POS, 1.5, t)
+        en = drive_field_closed_form(ROTATING, NEG, 1.5, t)
         assert en == pytest.approx(-ep, abs=1e-14)
 
 
@@ -130,10 +112,11 @@ def test_drive_free_laws_make_zero_drive_field():
         AngleLaw.linear(0.4, 0.0, 0.3, 5.0),
         AngleLaw.linear(0.4, 0.0, 0.3, 0.0),
     ):
-        f = drive_field_closed_form(law, POS, 1.0, 1.3)
-        assert f.e == (0.0, 0.0, 0.0)
+        e = drive_field_closed_form(law, POS, 1.0, 1.3)
+        assert e.tolist() == [0.0, 0.0, 0.0]
     # and a genuinely driven law does not
-    assert drive_field_closed_form(ROTATING, POS, 1.0, 0.0).e_norm > 0.5
+    e = drive_field_closed_form(ROTATING, POS, 1.0, 0.0)
+    assert np.linalg.norm(e) > 0.5
 
 
 @pytest.mark.parametrize("helicity", [POS, NEG])
@@ -152,9 +135,10 @@ def test_drive_field_matches_numeric_route(helicity, law):
     q = 1.7
     for t in (0.0, 0.6, 1.9):
         closed = drive_field_closed_form(law, helicity, q, t)
-        numeric = field_from_potential_numeric(pot, q, Event(0.2, -0.1, 0.5, t))
-        assert closed.e_vec == pytest.approx(numeric.e_vec, abs=1e-6)
-        assert numeric.b_vec == pytest.approx(np.zeros(3), abs=1e-6)
+        numeric_e, numeric_b = field_from_potential_numeric(
+            pot, q, Event(0.2, -0.1, 0.5, t))
+        assert closed == pytest.approx(numeric_e, abs=1e-6)
+        assert numeric_b == pytest.approx(np.zeros(3), abs=1e-6)
 
 
 def test_phase_term_contributes_no_field():
@@ -165,26 +149,26 @@ def test_phase_term_contributes_no_field():
     with_h = base_potential(law, h, POS)
     without = base_potential(law, None, POS)
     ev = Event(0.3, 0.1, -0.4, 0.8)
-    fa = field_from_potential_numeric(with_h, 1.0, ev)
-    fb = field_from_potential_numeric(without, 1.0, ev)
-    assert fa.e_vec == pytest.approx(fb.e_vec, abs=1e-7)
-    assert fa.b_vec == pytest.approx(fb.b_vec, abs=1e-7)
+    ea, ba = field_from_potential_numeric(with_h, 1.0, ev)
+    eb, bb = field_from_potential_numeric(without, 1.0, ev)
+    assert ea == pytest.approx(eb, abs=1e-7)
+    assert ba == pytest.approx(bb, abs=1e-7)
 
 
 def test_gauge_family_time_ramp_frozen_value():
     # static velocity along x, s = t: uniform pull opposite the motion
     law = AngleLaw.linear(math.pi / 2, 0.0, 0.0, 0.0)
-    f = gauge_family_field(law, ScalarField.from_text("t"), 1.0, ORIGIN)
-    assert f.e_vec == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
-    assert f.b_vec == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+    e, b = gauge_family_field(law, ScalarField.from_text("t"), 1.0, ORIGIN)
+    assert e == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
+    assert b == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_gauge_family_spatial_ramp_frozen_value():
     # static velocity along x, s = z: electric push down, magnetic along y
     law = AngleLaw.linear(math.pi / 2, 0.0, 0.0, 0.0)
-    f = gauge_family_field(law, ScalarField.from_text("z"), 1.0, ORIGIN)
-    assert f.e_vec == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
-    assert f.b_vec == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+    e, b = gauge_family_field(law, ScalarField.from_text("z"), 1.0, ORIGIN)
+    assert e == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
+    assert b == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -197,26 +181,27 @@ def test_gauge_family_matches_numeric_route(s_text):
     pot = gauge_potential(ROTATING, POS, s)
     for t in (0.0, 0.8, 1.7):
         ev = Event(0.4, -0.2, 0.3, t)
-        closed = gauge_family_field(ROTATING, s, q, ev)
-        numeric = field_from_potential_numeric(pot, q, ev)
-        assert closed.e_vec == pytest.approx(numeric.e_vec, abs=1e-6)
-        assert closed.b_vec == pytest.approx(numeric.b_vec, abs=1e-6)
+        closed_e, closed_b = gauge_family_field(ROTATING, s, q, ev)
+        numeric_e, numeric_b = field_from_potential_numeric(pot, q, ev)
+        assert closed_e == pytest.approx(numeric_e, abs=1e-6)
+        assert closed_b == pytest.approx(numeric_b, abs=1e-6)
 
 
 def test_gauge_family_is_helicity_independent():
     s = ScalarField.from_text("x - 2*y + 0.5*t")
     ev = Event(0.4, -0.2, 0.3, 1.1)
-    fp = field_from_potential_numeric(gauge_potential(ROTATING, POS, s), 1.0, ev)
-    fn = field_from_potential_numeric(gauge_potential(ROTATING, NEG, s), 1.0, ev)
-    assert fp.e_vec == pytest.approx(fn.e_vec, abs=1e-12)
-    assert fp.b_vec == pytest.approx(fn.b_vec, abs=1e-12)
+    ep, bp = field_from_potential_numeric(gauge_potential(ROTATING, POS, s),
+                                          1.0, ev)
+    en, bn = field_from_potential_numeric(gauge_potential(ROTATING, NEG, s),
+                                          1.0, ev)
+    assert ep == pytest.approx(en, abs=1e-12)
+    assert bp == pytest.approx(bn, abs=1e-12)
 
 
 def test_energy_control_frozen_value():
     law = AngleLaw.linear(math.pi / 2)
-    f = energy_control_field(2.0, law, 1.0, 0.0)
-    assert f.e_vec == pytest.approx([2.0, 0.0, 0.0], abs=1e-12)
-    assert f.b == (0.0, 0.0, 0.0)
+    e = energy_control_field(2.0, law, 1.0, 0.0)
+    assert e == pytest.approx([2.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_energy_control_requires_drive_free_law():
@@ -230,17 +215,18 @@ def test_energy_control_projects_to_requested_rate():
     for law in (AngleLaw.linear(0.8, 1.5), AngleLaw.linear(1.1, 0.0, 0.4, 2.0)):
         for t in (0.0, 0.6, 1.4):
             c, q = 2.5, 1.3
-            f = energy_control_field(c, law, q, t)
+            e = energy_control_field(c, law, q, t)
             theta, phi = law.angles(t)
             v = np.array([
                 math.sin(theta) * math.cos(phi),
                 math.sin(theta) * math.sin(phi),
                 math.cos(theta),
             ])
-            assert q * float(f.e_vec @ v) == pytest.approx(c, rel=1e-12)
-            ramp = gauge_family_field(law, ScalarField.from_text(f"-{c}*t"), q,
-                                      Event(0.0, 0.0, 0.0, t))
-            assert q * float(ramp.e_vec @ v) == pytest.approx(c, rel=1e-10)
+            assert q * float(e @ v) == pytest.approx(c, rel=1e-12)
+            ramp, _ = gauge_family_field(
+                law, ScalarField.from_text(f"-{c}*t"), q,
+                Event(0.0, 0.0, 0.0, t))
+            assert q * float(ramp @ v) == pytest.approx(c, rel=1e-10)
 
 
 @pytest.mark.parametrize("law, rotating", [
@@ -253,9 +239,9 @@ def test_energy_control_differs_from_gauge_ramp_by_s_v_dot(law, rotating):
     # only for a static law
     dedt, q, t = 2.0, 1.0, 2.0
     s = -dedt * t
-    f = energy_control_field(dedt, law, q, t)
-    ramp = gauge_family_field(law, ScalarField.from_text(f"-{dedt}*t"), q,
-                              Event(0.0, 0.0, 0.0, t))
+    e = energy_control_field(dedt, law, q, t)
+    ramp, _ = gauge_family_field(law, ScalarField.from_text(f"-{dedt}*t"), q,
+                                 Event(0.0, 0.0, 0.0, t))
     theta, phi = law.angles(t)
     theta_dot, phi_dot = law.rates(t)
     v_dot = np.array([
@@ -266,55 +252,106 @@ def test_energy_control_differs_from_gauge_ramp_by_s_v_dot(law, rotating):
         -math.sin(theta) * theta_dot,
     ])
     assert (np.linalg.norm(v_dot) > 1.0) == rotating
-    difference = np.array(ramp.e_vec) - np.array(f.e_vec)
+    difference = ramp - e
     assert difference == pytest.approx(-(s / q) * v_dot, abs=1e-12)
 
 
 def test_azimuthal_k_control_frozen_and_cross_checked():
-    f = k_control_field(-0.5, "azimuthal", POS, 1.0, theta0=math.pi / 2)
-    assert f.e == (0.0, 0.0, 0.5)
+    e = k_control_field(-0.5, "azimuthal",
+                        AngleLaw.linear(math.pi / 2, 0.0, 0.0, 1.0), POS, 1.0)
+    assert e.tolist() == [0.0, 0.0, 0.5]
     # quadratic azimuthal law with matching dk/dt gives the same field
     theta0, alpha, q = 0.9, 0.12, 1.4
     law = AngleLaw(LinearLaw(theta0, 0.0),
                    ExprLaw.from_text(f"0.4*t + {alpha / 2}*t^2"))
     dk_dt = 0.5 * math.sin(theta0) * alpha
-    ctrl = k_control_field(dk_dt, "azimuthal", POS, q, theta0=theta0)
+    ctrl = k_control_field(dk_dt, "azimuthal",
+                           AngleLaw.linear(theta0, 0.0, 0.0, 0.4), POS, q)
     for t in (0.0, 1.0, 2.5):
         drive = drive_field_closed_form(law, POS, q, t)
-        assert ctrl.e_vec == pytest.approx(drive.e_vec, abs=1e-12)
+        assert ctrl == pytest.approx(drive, abs=1e-12)
 
 
 def test_polar_k_control_frozen_and_cross_checked():
-    f = k_control_field(1.0, "polar", POS, 1.0, phi0=0.0)
-    assert f.e == (0.0, -1.0, 0.0)
+    e = k_control_field(1.0, "polar", AngleLaw.linear(0.5, 0.2, 0.0, 0.0),
+                        POS, 1.0)
+    assert e.tolist() == [0.0, -1.0, 0.0]
     phi0, alpha, q = 0.7, 0.3, 2.0
     law = AngleLaw(ExprLaw.from_text(f"0.5 + 0.2*t + {alpha / 2}*t^2"),
                    LinearLaw(phi0, 0.0))
-    ctrl = k_control_field(0.5 * alpha, "polar", POS, q, phi0=phi0)
+    ctrl = k_control_field(0.5 * alpha, "polar",
+                           AngleLaw.linear(0.5, 0.2, phi0, 0.0), POS, q)
     for t in (0.0, 1.0, 2.5):
         drive = drive_field_closed_form(law, POS, q, t)
-        assert ctrl.e_vec == pytest.approx(drive.e_vec, abs=1e-12)
+        assert ctrl == pytest.approx(drive, abs=1e-12)
 
 
 def test_k_control_helicity_antisymmetry():
-    fp = k_control_field(0.7, "azimuthal", POS, 1.0, theta0=1.0)
-    fn = k_control_field(0.7, "azimuthal", NEG, 1.0, theta0=1.0)
-    assert fn.e_vec == pytest.approx(-fp.e_vec, abs=1e-14)
+    law = AngleLaw.linear(1.0, 0.0, 0.0, 1.0)
+    ep = k_control_field(0.7, "azimuthal", law, POS, 1.0)
+    en = k_control_field(0.7, "azimuthal", law, NEG, 1.0)
+    assert en == pytest.approx(-ep, abs=1e-14)
 
 
 def test_k_control_rejects_polar_angle_endpoints():
     for bad in (0.0, math.pi, -0.2, math.pi + 0.1):
-        with pytest.raises(ValueError):
-            k_control_field(1.0, "azimuthal", POS, 1.0, theta0=bad)
+        with pytest.raises(ValueError, match="strictly inside"):
+            k_control_field(1.0, "azimuthal",
+                            AngleLaw.linear(bad, 0.0, 0.0, 1.0), POS, 1.0)
 
 
-def test_k_control_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        k_control_field(1.0, "sideways", POS, 1.0, theta0=1.0)
+@pytest.mark.parametrize("mode, law, message", [
+    ("azimuthal", AngleLaw(ExprLaw.from_text("1 + 0.1*t"), LinearLaw(0.0, 1.0)),
+     "k control requires a linear angle law"),
+    ("azimuthal", AngleLaw.linear(1.0, 0.5, 0.0, 1.0),
+     r"azimuthal control requires omega1 = 0 \(theta pinned\)"),
+    ("azimuthal", AngleLaw.linear(1.0, 0.0, 0.0, -1.0),
+     "azimuthal control requires omega2 > 0"),
+    ("azimuthal", AngleLaw.linear(1.0, 0.0, 0.0, 0.0),
+     "azimuthal control requires omega2 > 0"),
+    ("azimuthal", AngleLaw.linear(0.0, 0.0, 0.0, 1.0),
+     r"theta0 must lie strictly inside \(0, pi\)"),
+    ("polar", AngleLaw.linear(1.0, 1.0, 0.0, 0.5),
+     r"polar control requires omega2 = 0 \(phi pinned\)"),
+    ("polar", AngleLaw.linear(1.0, -1.0, 0.0, 0.0),
+     "polar control requires omega1 >= 0"),
+    ("sideways", AngleLaw.linear(1.0, 0.0, 0.0, 1.0),
+     "unknown control mode 'sideways'"),
+])
+def test_k_control_refuses_laws_that_cannot_realize_the_mode(mode, law,
+                                                             message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        k_control_field(0.5, mode, law, POS, 1.0)
+
+
+def test_field_functions_return_rows():
+    # E is (3,) at one time or event and (n, 3) over n draws; only the
+    # numeric route and the gauge family return a B beside it
+    law = AngleLaw.linear(1.1, 0.0, 0.4, 0.0)
+    s = ScalarField.from_text("x - 2*y + 0.5*t")
+    ts = np.array([0.0, 0.5, 1.5, 2.0])
+    events = Event(ts + 0.1, ts - 0.2, 0.3 * ts, ts)
+    for ev, shape in ((Event(0.1, -0.2, 0.3, 0.5), (3,)), (events, (4, 3))):
+        e, b = field_from_potential_numeric(gauge_potential(law, POS, s), 1.0,
+                                            ev)
+        assert e.shape == b.shape == shape
+        e, b = gauge_family_field(law, s, 1.0, ev)
+        assert e.shape == b.shape == shape
+        for e in (drive_field_closed_form(ROTATING, POS, 1.0, ev.t),
+                  energy_control_field(2.0, law, 1.0, ev.t)):
+            assert isinstance(e, np.ndarray) and e.shape == shape
+    e = k_control_field(0.5, "azimuthal", AngleLaw.linear(1.0, 0.0, 0.0, 1.0),
+                        POS, 1.0)
+    assert isinstance(e, np.ndarray) and e.shape == (3,)
+    # constant expression angles evaluate to scalars, yet the field has
+    # one row per time
+    still = AngleLaw(ExprLaw.from_text("1"), ExprLaw.from_text("0.5"))
+    assert drive_field_closed_form(still, POS, 1.0, ts).shape == (4, 3)
+    assert energy_control_field(1.0, still, 1.0, ts).shape == (4, 3)
 
 
 def test_zero_charge_rejected():
     with pytest.raises(ValueError):
         drive_field_closed_form(ROTATING, POS, 0.0, 0.0)
     with pytest.raises(ValueError):
-        k_control_field(1.0, "polar", POS, 0.0, phi0=0.0)
+        k_control_field(1.0, "polar", AngleLaw.linear(0.5, 0.2), POS, 0.0)

@@ -206,23 +206,21 @@ def test_degenerate_residual_and_components_over_arrays(law, h, helicity,
 def test_kappa_and_drive_field_over_arrays(law, h, helicity):
     t = COLS[3]
     kappa = np.broadcast_arrays(*kappa_vector(law, t))
-    field = np.broadcast_arrays(*drive_field_closed_form(law, helicity, -1.5,
-                                                         t).e)
+    field = drive_field_closed_form(law, helicity, -1.5, t)
     for i, ti in enumerate(t.tolist()):
         assert [k[i] for k in kappa] == list(oracle.kappa_vector(law, ti))
-        assert [f[i] for f in field] == list(
+        assert field[i].tolist() == list(
             oracle.drive_field_closed_form(law, helicity, -1.5, ti))
 
 
 @pytest.mark.parametrize("law, h, helicity", CASES)
 def test_numeric_field_of_base_potential_over_arrays(law, h, helicity):
     pot = base_potential(law, h, helicity)
-    field = field_from_potential_numeric(pot, 0.7, EVENTS, 1e-4)
-    e, b = np.broadcast_arrays(*field.e), np.broadcast_arrays(*field.b)
+    e, b = field_from_potential_numeric(pot, 0.7, EVENTS, 1e-4)
     for i, ev in enumerate(EVENT_LIST):
         oe, ob = oracle.field_from_potential_numeric(pot, 0.7, ev, 1e-4)
-        assert [c[i] for c in e] == list(oe)
-        assert [c[i] for c in b] == list(ob)
+        assert e[i].tolist() == list(oe)
+        assert b[i].tolist() == list(ob)
 
 
 @pytest.mark.parametrize("text", oracle.GAUGE_FORMS)
@@ -233,12 +231,11 @@ def test_gauge_fields_over_arrays(text):
     numeric = field_from_potential_numeric(gauge_potential(law, NEG, bound),
                                            -2.0, EVENTS)
     closed = gauge_family_field(law, bound, -2.0, EVENTS)
-    got = [np.broadcast_arrays(*f) for f in (numeric.e, numeric.b, closed.e,
-                                             closed.b)]
+    got = [*numeric, *closed]
     for i, ev in enumerate(EVENT_LIST):
         single = AngleLaw.linear(*coeffs[:, i].tolist())
         oe, ob = oracle.field_from_potential_numeric(
             gauge_potential(single, NEG, singles[i]), -2.0, ev)
         ce, cb = oracle.gauge_family_field(single, singles[i], -2.0, ev)
-        for arrays, values in zip(got, (oe, ob, ce, cb)):
-            assert [a[i] for a in arrays] == list(values)
+        for rows, values in zip(got, (oe, ob, ce, cb)):
+            assert rows[i].tolist() == list(values)

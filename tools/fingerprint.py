@@ -30,6 +30,12 @@ exit code's place as its class name.  The runs are:
   and momentum overflow at t = 0.71; `simulate` under a zero field on the
   law theta_expr = 1 + t^2, which the run does not follow; and
   `control fig45 --dkdt nan` and `control free --dedt nan`;
+- k-control refusals, `control --dkdt 0.5`: on fig1 (omega1 != 0), on
+  fig45 with `--mode polar` (omega2 != 0), and on scenario files written
+  to the workdir: theta0 = 1 and omega2 = -1 (omega2 <= 0), omega2 = 1
+  with theta0 = 0 (theta0 outside (0, pi)), theta0 = 1 and omega1 = -1
+  with `--mode polar` (omega1 < 0), and theta_expr = 1 + 0.1*t (not a
+  linear law); then `control free --dedt 1 --mode polar`, a usage error;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
@@ -163,6 +169,20 @@ def cli_runs(workdir: Path):
                  *((command, scn, *target) for scn in refused
                    for command, *target in commands),
                  ("simulate", zerofield)):
+        yield (":".join(["error", *argv]),
+               _run(cli, (*argv, "--out", str(out)), [out]))
+    k_refused = [("control", "fig1", "--dkdt", "0.5"),
+                 ("control", "fig45", "--dkdt", "0.5", "--mode", "polar")]
+    for name, text, mode in (
+            ("omega2neg", "theta0 = 1\nomega2 = -1\n", ()),
+            ("theta0zero", "omega2 = 1\n", ()),
+            ("omega1neg", "theta0 = 1\nomega1 = -1\n", ("--mode", "polar")),
+            ("exprlaw", "theta_expr = 1 + 0.1*t\n", ())):
+        scn = workdir / f"{name}.scn"
+        scn.write_text(text + "t_end = 1\n")
+        k_refused.append(("control", str(scn), "--dkdt", "0.5", *mode))
+    for argv in (*k_refused,
+                 ("control", "free", "--dedt", "1", "--mode", "polar")):
         yield (":".join(["error", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
