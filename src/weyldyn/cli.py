@@ -150,7 +150,7 @@ def cmd_control(args) -> int:
     out_path = scenario.out or f"{scenario.name}_control.csv"
     _note_grid_end(scenario)
     run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt,
-                      mode=args.mode or "azimuthal")
+                      mode=args.mode)
     write_field_csv(run.ts, run.fields, out_path)
     status = "PASS" if run.passed else "FAIL"
     print(f"control profile written to {out_path}")

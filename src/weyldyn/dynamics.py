@@ -134,7 +134,7 @@ class ExprField(FieldProgram):
     def sample(self, ts):
         out = np.empty((len(ts), 3))
         for i, component in enumerate(self.exprs):
-            out[:, i] = np.zeros_like(ts) + component.evaluate({"t": ts})
+            out[:, i] = component.evaluate({"t": ts})
         return out
 
 
@@ -279,11 +279,11 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     if gauge is not None and not gauge.is_time_only:
         raise ValueError(
             "integrate_trajectory requires a time-only gauge function")
-    run = _Cascade(initial, program, n, dt, constraint_tol, rows=7)
-    xs, ys, zs = run.state[4:]
     # Non-finite values are caught by the gate, not reported as warnings;
     # the last sample of a partial run may hold inf.
     with np.errstate(invalid="ignore", over="ignore"):
+        run = _Cascade(initial, program, n, dt, constraint_tol, rows=7)
+        xs, ys, zs = run.state[4:]
         for lo, hi, theta_s, sp, cp in run.angle_blocks():
             # position slopes: the velocity from each stage's sin and cos
             st = [np.sin(t) for t in theta_s]
@@ -300,9 +300,9 @@ def integrate_angles(initial: ParticleState, program: FieldProgram,
     """integrate_trajectory's angle pass alone: (t, theta, phi, theta',
     phi', residual), its columns bit for bit, with no position, velocity,
     momentum or energy; raises the same ConstraintViolation."""
-    run = _Cascade(initial, program, grid_steps(t_end, dt), dt,
-                   constraint_tol, rows=4)
     with np.errstate(invalid="ignore", over="ignore"):
+        run = _Cascade(initial, program, grid_steps(t_end, dt), dt,
+                       constraint_tol, rows=4)
         for _ in run.angle_blocks():
             pass
         return run.finish(lambda t, rows, _, res: (t, *rows, res))
@@ -412,11 +412,15 @@ def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
               dt: float) -> Trajectory:
     theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
     trig = angle_trig(theta_a, phi_a)
-    vx, vy, vz = velocity_from_angles(theta_a, phi_a, trig)
+    # each row array becomes one contiguous (3, n) copy, which the CSV
+    # writer reads without copying; the rows are dropped (del km) before
+    # the columns below are built, where memory peaks
+    vx, vy, vz = velocity_from_angles(theta_a, phi_a, trig).T.copy()
     s_vals = np.zeros_like(ts) if gauge is None else gauge.sample_time(ts)
     km = kinetic_momentum_from_state(theta_a, phi_a, theta_dot_a, phi_dot_a,
                                      s_vals, initial.helicity, trig)
-    px, py, pz = km.momentum
+    e0, (px, py, pz) = km.energy, km.momentum.T.copy()
+    del km
 
     return Trajectory(
         t=ts, x=xs, y=ys, z=zs,
@@ -424,7 +428,7 @@ def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
         theta=theta_a, phi=phi_a,
         theta_dot=theta_dot_a, phi_dot=phi_dot_a,
         k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a, trig),
-        e0=km.energy, px=px, py=py, pz=pz,
+        e0=e0, px=px, py=py, pz=pz,
         ex=fields[:, 0].copy(), ey=fields[:, 1].copy(), ez=fields[:, 2].copy(),
         residual=residual,
         helicity=initial.helicity, q=initial.q, dt=dt,

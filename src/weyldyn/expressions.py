@@ -11,9 +11,9 @@ laws, phase functions h(x, y, z, t) and gauge functions s(x, y, z, t):
 
 "^" is right associative and binds tighter than unary minus, so "-x^2"
 reads as -(x^2) and "2^-2" is 0.25.  Known functions: sin, cos, tan,
-exp, sqrt, abs.  Variables: x, y, z, t, theta, phi.  The name "pi" and
-any caller supplied parameters are folded to numeric constants at parse
-time.  The full grammar lives in docs/expression-grammar.md.
+exp, sqrt, abs.  Variables: x, y, z, t.  The name "pi" and any caller
+supplied parameters are folded to numeric constants at parse time.  The
+full grammar lives in docs/expression-grammar.md.
 
 Derivatives are built symbolically over the same node set, so a parsed
 expression, its derivative, and the printed round trip all evaluate
@@ -55,7 +55,7 @@ __all__ = [
     "elementwise_pow",
 ]
 
-VARIABLES = ("x", "y", "z", "t", "theta", "phi")
+VARIABLES = ("x", "y", "z", "t")
 
 Number = Union[float, np.ndarray]
 
@@ -681,10 +681,6 @@ class ScalarField:
         self._values: dict = {}
 
     @classmethod
-    def zero(cls) -> "ScalarField":
-        return cls(Const(0.0))
-
-    @classmethod
     def from_text(cls, text: str, parameters: Mapping[str, float] | None = None,
                   bound=()):
         symbols = {name: Var(name) for name in bound}
@@ -702,10 +698,6 @@ class ScalarField:
     @property
     def is_time_only(self) -> bool:
         return self.free_variables() <= {"t"}
-
-    @property
-    def is_zero(self) -> bool:
-        return isinstance(self.expr, Const) and self.expr.value == 0.0
 
     def value(self, x=0.0, y=0.0, z=0.0, t=0.0):
         return eval_expr(self.expr, x=x, y=y, z=z, t=t, **self._values)

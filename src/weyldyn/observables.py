@@ -9,10 +9,11 @@ Natural units (hbar = c = 1) throughout; `si_rates` is the one explicit
 bridge to SI figures.
 
 Each formula is one `*_from_*` function on scalars or numpy arrays, which
-the trajectory, the control fields and the verify battery call.  Vectors are rows (..., 3); np.vecdot rounds as
-`p @ p`, `elementwise_pow` as `**` on a numpy scalar.  Only k has two
-roundings (see `localization_from_rates`).  The three that take the angles
-also take their sines and cosines, `trig = angle_trig(theta, phi)`, so a
+the trajectory, the control fields and the verify battery call.  Vectors
+are rows (..., 3) (`vector_rows`); np.vecdot rounds as `p @ p`,
+`elementwise_pow` as `**` on a numpy scalar.  Only k has two roundings
+(see `localization_from_rates`).  The three that take the angles also
+take their sines and cosines, `trig = angle_trig(theta, phi)`, so a
 caller evaluating several of them on the same arrays computes those once.
 """
 
@@ -31,10 +32,10 @@ __all__ = [
     "KineticMomentum",
     "SIRates",
     "angle_trig",
+    "vector_rows",
     "velocity_from_angles",
     "kinetic_momentum_from_state",
     "localization_from_rates",
-    "energy_rate_from_state",
     "mass_shell_defect_from_momentum",
     "noncollinearity_from_vectors",
     "uncertainty_relation",
@@ -49,16 +50,22 @@ def angle_trig(theta, phi):
     return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
 
 
+def vector_rows(*components):
+    """Rows (..., 3) of the last three components, broadcast over all of
+    them (a leading array of times sets the shape); signed zeros are kept."""
+    return np.stack(np.broadcast_arrays(*components)[-3:], axis=-1)
+
+
 def velocity_from_angles(theta, phi, trig=None):
     """Unit velocity (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta))."""
     st, ct, sp, cp = angle_trig(theta, phi) if trig is None else trig
-    return np.array(np.broadcast_arrays(st * cp, st * sp, ct))
+    return vector_rows(st * cp, st * sp, ct)
 
 
 @dataclass(frozen=True)
 class KineticMomentum:
     """pi_mu = psi^dag (-i d_mu - b_mu) psi of the family, as the energy
-    E0 = pi_t and the momentum p = -(pi_x, pi_y, pi_z), stacked (3, ...)."""
+    E0 = pi_t and the momentum p = -(pi_x, pi_y, pi_z), as rows (..., 3)."""
 
     energy: float | np.ndarray
     momentum: np.ndarray
@@ -79,7 +86,7 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     p_x = sign * 0.5 * sp * theta_dot - s_value * st * cp
     p_y = -sign * 0.5 * cp * theta_dot - s_value * st * sp
     p_z = -sign * 0.5 * phi_dot - s_value * ct
-    return KineticMomentum(pi_t, np.array(np.broadcast_arrays(p_x, p_y, p_z)))
+    return KineticMomentum(pi_t, vector_rows(p_x, p_y, p_z))
 
 
 def localization_from_rates(theta, theta_dot, phi_dot, trig=None):
@@ -95,14 +102,6 @@ def localization_from_rates(theta, theta_dot, phi_dot, trig=None):
         st = np.sin(theta) if trig is None else trig[0]
         return 0.5 * np.hypot(st * phi_dot, theta_dot)
     return 0.5 * math.hypot(math.sin(theta) * phi_dot, theta_dot)
-
-
-def energy_rate_from_state(theta, theta_dot, phi_dot, phi_ddot, s_rate,
-                           helicity: Helicity):
-    """dE0/dt, the exact time derivative of the energy pi_t, from the polar
-    angle, the rates, phi'' and the gauge rate ds/dt."""
-    return helicity.sign * 0.5 * (np.sin(theta) * theta_dot * phi_dot
-                                  - np.cos(theta) * phi_ddot) - s_rate
 
 
 def mass_shell_defect_from_momentum(energy, p):

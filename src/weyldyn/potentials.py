@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expressions import AngleLaw, ScalarField
-from .observables import angle_trig, velocity_from_angles
+from .observables import angle_trig, vector_rows, velocity_from_angles
 from .spinors import Event, Helicity, on_stencil
 
 __all__ = [
@@ -62,12 +62,6 @@ __all__ = [
 def _require_charge(q: float) -> None:
     if q == 0:
         raise ValueError("charge q must be nonzero")
-
-
-def _rows(t, x, y, z) -> np.ndarray:
-    """Field rows (..., 3) from components, broadcast over the times t;
-    signed zeros are kept."""
-    return np.stack(np.broadcast_arrays(t, x, y, z)[1:], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -113,11 +107,11 @@ class FourPotentialField:
                 b3 += self.h.partial("z", *args)
         if self.gauge is not None:
             s = self.gauge.value(ev.x, ev.y, ev.z, ev.t)
-            vx, vy, vz = velocity_from_angles(theta, phi)  # kappa = (1, -v)
+            v = velocity_from_angles(theta, phi)  # kappa = (1, -v)
             b0 += s
-            b1 += -vx * s
-            b2 += -vy * s
-            b3 += -vz * s
+            b1 += -v[..., 0] * s
+            b2 += -v[..., 1] * s
+            b3 += -v[..., 2] * s
         return b0 + self.b0_offset, b1, b2, b3
 
 
@@ -144,8 +138,8 @@ def gauge_potential(law: AngleLaw, helicity: Helicity,
 
 def kappa_vector(law: AngleLaw, t) -> tuple[float, float, float, float]:
     """Degeneracy direction (1, -v); identical for both helicities."""
-    vx, vy, vz = velocity_from_angles(*law.angles(t))
-    return 1.0, -vx, -vy, -vz
+    v = velocity_from_angles(*law.angles(t))
+    return 1.0, -v[..., 0], -v[..., 1], -v[..., 2]
 
 
 def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
@@ -168,7 +162,7 @@ def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
     bx = -(dy[3] - dz[2]) / q
     by = -(dz[1] - dx[3]) / q
     bz = -(dx[2] - dy[1]) / q
-    return _rows(ev.t, ex, ey, ez), _rows(ev.t, bx, by, bz)
+    return vector_rows(ev.t, ex, ey, ez), vector_rows(ev.t, bx, by, bz)
 
 
 def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
@@ -189,7 +183,7 @@ def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
     ex = scale * (cp * theta_dot * phi_dot + sp * theta_ddot)
     ey = scale * (sp * theta_dot * phi_dot - cp * theta_ddot)
     ez = -scale * phi_ddot
-    return _rows(t, ex, ey, ez)
+    return vector_rows(t, ex, ey, ez)
 
 
 def gauge_family_field(law: AngleLaw, s: ScalarField, q: float, ev: Event):
@@ -214,13 +208,14 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float, ev: Event):
     s_t = s.partial("t", *args)
     grad = (s.partial("x", *args), s.partial("y", *args), s.partial("z", *args))
 
-    e = (-(v[i] * s_t + grad[i] + s_val * v_dot[i]) / q for i in range(3))
+    e = (-(v[..., i] * s_t + grad[i] + s_val * v_dot[i]) / q
+         for i in range(3))
     b = (
-        (grad[1] * v[2] - grad[2] * v[1]) / q,
-        (grad[2] * v[0] - grad[0] * v[2]) / q,
-        (grad[0] * v[1] - grad[1] * v[0]) / q,
+        (grad[1] * v[..., 2] - grad[2] * v[..., 1]) / q,
+        (grad[2] * v[..., 0] - grad[0] * v[..., 2]) / q,
+        (grad[0] * v[..., 1] - grad[1] * v[..., 0]) / q,
     )
-    return _rows(ev.t, *e), _rows(ev.t, *b)
+    return vector_rows(ev.t, *e), vector_rows(ev.t, *b)
 
 
 def energy_control_field(de_dt: float, law: AngleLaw, q: float,
@@ -241,8 +236,8 @@ def energy_control_field(de_dt: float, law: AngleLaw, q: float,
             "energy control requires a drive-free law "
             "(theta'' = phi'' = theta'*phi' = 0)"
         )
-    scale = de_dt / q
-    return _rows(t, *(scale * velocity_from_angles(*law.angles(t))))
+    theta, phi, _ = np.broadcast_arrays(*law.angles(t), t)
+    return (de_dt / q) * velocity_from_angles(theta, phi)
 
 
 def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
@@ -275,7 +270,9 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
             raise ValueError("azimuthal control requires omega2 > 0")
         if not 0.0 < theta0 < math.pi:
             raise ValueError("theta0 must lie strictly inside (0, pi)")
-        ez = -dk_dt / (q * math.sin(theta0))
+        # where q sin(theta0) underflows to 0, ez is +-inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ez = np.divide(-dk_dt, q * math.sin(theta0))
         return np.array([0.0, 0.0, sign * ez])
     if mode == "polar":
         if omega2 != 0:

@@ -456,7 +456,7 @@ def _control_window(rate_series) -> int:
 @np.errstate(over="ignore", invalid="ignore")
 def run_control(scenario: Scenario, *, dedt: float | None = None,
                 dkdt: float | None = None,
-                mode: str = "azimuthal") -> ControlRun:
+                mode: str | None = None) -> ControlRun:
     """Control profile for an energy rate dedt or a k rate dkdt.
 
     dedt: the field along the velocity of a drive-free law, which leaves
@@ -466,15 +466,19 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
 
     dkdt: the constant drive field that changes k at that rate, either
     through the azimuth (mode "azimuthal", theta pinned, phi rotating) or
-    through the polar angle (mode "polar", phi pinned).  Only the angles
-    are integrated forward, and k's rate is measured up to the last
-    sample before the driven angle rate changes sign.
+    through the polar angle (mode "polar", phi pinned); mode None is
+    azimuthal.  Only the angles are integrated forward, and k's rate is
+    measured up to the last sample before the driven angle rate changes
+    sign.
 
-    Raises ValueError, before any work, on a non-finite target, and when
-    the law does not admit the requested control.
+    Raises ValueError, before any work, on a mode given with dedt, on a
+    non-finite target, and when the law does not admit the requested
+    control.
     """
     if (dedt is None) == (dkdt is None):
         raise ValueError("run_control takes exactly one of dedt and dkdt")
+    if dedt is not None and mode is not None:
+        raise ValueError("run_control takes a mode only with dkdt")
     target = dkdt if dedt is None else dedt
     if not math.isfinite(target):
         raise ValueError(f"control target must be finite, got {target!r}")
@@ -493,6 +497,7 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
         measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
         return ControlRun(ts, fields, e0, measured, dedt, "dE0/dt")
 
+    mode = "azimuthal" if mode is None else mode
     program = ConstantField(k_control_field(dkdt, mode, law,
                                             scenario.helicity, scenario.q))
     t, theta, _, theta_dot, phi_dot, _ = integrate_angles(

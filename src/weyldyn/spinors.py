@@ -17,8 +17,8 @@ the massless four-component (Dirac) setting, but that wrapper is out of
 scope for this package.
 
 `Event` may carry equal-shape arrays, one entry per draw, and then
-`spinor_components`, `build_spinor` and `weyl_residual` return arrays
-over the draws; a scalar event gives scalars through the same code.
+`build_spinor` and `weyl_residual` return arrays over the draws; a
+scalar event gives scalars through the same code.
 
 Central differences read a function on a stencil of 9 events: the event
 itself, then its shifts by +step and -step along t, x, y and z
@@ -53,10 +53,6 @@ from .expressions import AngleLaw, ScalarField, elementwise_pow
 __all__ = [
     "Helicity",
     "Event",
-    "Spinor",
-    "PAULI",
-    "MIRROR_PAULI",
-    "spinor_components",
     "build_spinor",
     "stencil",
     "on_stencil",
@@ -71,18 +67,6 @@ class Helicity(Enum):
     @property
     def sign(self) -> int:
         return 1 if self is Helicity.POSITIVE else -1
-
-
-_SIGMA0 = np.eye(2, dtype=complex)
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-#: (identity, sigma_x, sigma_y, sigma_z)
-PAULI = (_SIGMA0, _SIGMA1, _SIGMA2, _SIGMA3)
-
-#: mirrored set used by the negative helicity equation: spatial signs flipped
-MIRROR_PAULI = (_SIGMA0, -_SIGMA1, -_SIGMA2, -_SIGMA3)
 
 
 @dataclass(frozen=True)
@@ -146,20 +130,6 @@ def on_stencil(fn, ev: Event, step: float, centre: bool = True) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Spinor:
-    c1: complex
-    c2: complex
-    helicity: Helicity
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.c1, self.c2], dtype=complex)
-
-
 def _complex(re, im):
     if np.ndim(re) == 0 and np.ndim(im) == 0:
         return complex(re, im)
@@ -191,16 +161,11 @@ def _spinor_parts(law: AngleLaw, h: ScalarField | None, helicity: Helicity,
     return c1r * hr, c1r * hi, c2r * hr - c2i * hi, c2r * hi + c2i * hr
 
 
-def spinor_components(theta, phi, helicity: Helicity):
-    """Unit spinor for the given angles, before the overall phase."""
-    c1r, c1i, c2r, c2i = _unit_parts(theta, phi, helicity)
-    return _complex(c1r, c1i), _complex(c2r, c2i)
-
-
 def build_spinor(law: AngleLaw, h: ScalarField | None, helicity: Helicity,
-                 ev: Event) -> Spinor:
+                 ev: Event):
+    """The spinor (c1, c2) at the event, with its phase e^{i h}."""
     c1r, c1i, c2r, c2i = _spinor_parts(law, h, helicity, ev)
-    return Spinor(_complex(c1r, c1i), _complex(c2r, c2i), helicity)
+    return _complex(c1r, c1i), _complex(c2r, c2i)
 
 
 def weyl_residual(law: AngleLaw, h: ScalarField | None, potential,

@@ -225,20 +225,19 @@ def _run_checks(scenario: Scenario) -> list:
     theta, phi = laws.angles(t)
     theta_dot, phi_dot = laws.rates(t)
     v = velocity_from_angles(theta, phi)
-    v_rows = np.ascontiguousarray(v.T)
-    speed = np.abs(np.sqrt(np.vecdot(v_rows, v_rows)) - 1.0)
-    kappa = np.abs(np.array(kappa_vector(laws, t)[1:]) + v)
+    speed = np.abs(np.sqrt(np.vecdot(v, v)) - 1.0)
+    kappa = np.abs(np.stack(kappa_vector(laws, t)[1:], axis=-1) + v)
     k = np.array(list(map(localization_from_rates, theta.tolist(),
                           theta_dot.tolist(), phi_dot.tolist())))
     shell, cross, project = [], [], []
     for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
         km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
                                          s_val, hel)
-        p = np.ascontiguousarray(km.momentum.T)
+        p = km.momentum
         shell.append(np.abs(mass_shell_defect_from_momentum(km.energy, p)
                             + k * k))
-        cross.append(np.abs(noncollinearity_from_vectors(p, v_rows) - k))
-        project.append(np.abs(np.vecdot(p, v_rows) - km.energy))
+        cross.append(np.abs(noncollinearity_from_vectors(p, v) - k))
+        project.append(np.abs(np.vecdot(p, v) - km.energy))
     checks.append(CheckResult("unit_speed", _worst(speed), tol_identity))
     checks.append(CheckResult("kappa_is_minus_velocity", _worst(kappa),
                               tol_kappa))

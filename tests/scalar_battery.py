@@ -8,9 +8,9 @@ array function must equal these helpers called once per event.
 
 Only the expression layer (`ScalarField`, `AngleLaw`), the potential
 constructors and `velocity_from_angles` are shared with the package.  The
-kinetic momentum and k are frozen here in the form the old battery
-imported, so that the array battery's observables are held against an
-independent route.
+Pauli matrices are written out here, and the kinetic momentum and k are
+frozen in the form the old battery imported, so that the array battery's
+residuals and observables are held against an independent route.
 """
 
 from __future__ import annotations
@@ -25,11 +25,19 @@ from weyldyn.expressions import AngleLaw, ScalarField
 from weyldyn.observables import velocity_from_angles
 from weyldyn.potentials import (base_potential, degenerate_potential,
                                 gauge_potential)
-from weyldyn.spinors import MIRROR_PAULI, PAULI, Event, Helicity
+from weyldyn.spinors import Event, Helicity
 from weyldyn.verify import CheckResult, RunReport
 
 GAUGE_FORMS = ("a", "a*t", "a*sin(b*t)", "a*x + b*y + c*z + d*t", "a*z",
                "a*t + b*t^2")
+
+# (identity, sigma_x, sigma_y, sigma_z), and the mirrored set of the
+# negative helicity equation, its spatial signs flipped
+PAULI = (np.eye(2, dtype=complex),
+         np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]], dtype=complex),
+         np.array([[1, 0], [0, -1]], dtype=complex))
+MIRROR_PAULI = (PAULI[0], -PAULI[1], -PAULI[2], -PAULI[3])
 
 
 # --- spinors ---------------------------------------------------------------

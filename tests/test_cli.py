@@ -623,6 +623,20 @@ def test_cli_holds_no_control_physics():
         assert not hasattr(cli, name), name
 
 
+def test_expr_and_constant_fields_write_the_same_signed_zero(tmp_path,
+                                                           capsys):
+    ez = {}
+    for kind in ("constant", "expr"):
+        scn = tmp_path / f"{kind}.scn"
+        scn.write_text(f"theta0 = 1\nomega2 = 1\nfield = {kind}\nez = -0\n"
+                       "t_end = 0.01\n")
+        out = tmp_path / f"{kind}.csv"
+        assert cli.main(["simulate", str(scn), "--out", str(out)]) == 0
+        ez[kind] = [line.split(b",")[16]
+                    for line in out.read_bytes().splitlines()[1:]]
+    assert ez["expr"] == ez["constant"] == [b"-0.0"] * 11
+
+
 # --- CSV writers against the row-by-row writers they replaced -----------
 
 def reference_trajectory_csv(traj, path):

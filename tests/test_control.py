@@ -1,10 +1,13 @@
 """Control profiles computed in-process by run_control."""
 
+import math
+
 import numpy as np
 import pytest
 
 from weyldyn import cli
-from weyldyn.dynamics import ConstantField, integrate_trajectory
+from weyldyn.dynamics import (ConstantField, ConstraintViolation,
+                              integrate_trajectory)
 from weyldyn.observables import kinetic_momentum_from_state
 from weyldyn.potentials import energy_control_field, k_control_field
 from weyldyn.scenario import (CONTROL_TOL, ControlRun, parse_scenario_text,
@@ -118,6 +121,20 @@ def test_polar_k_control_matches_direct_integration():
     assert run.label == "dk/dt" and run.target == -0.5
 
 
+def test_underflowing_azimuthal_field_stops_the_run_at_t_0():
+    # q sin(theta0) underflows to 0: the field is inf, or nan for a zero
+    # rate, and the run gate ends the run where it starts
+    scenario = parse_scenario_text("theta0 = 1e-200\nomega2 = 1\n"
+                                   "q = 1e-200\nt_end = 1\n")
+    for dkdt, ez in ((-0.5, math.inf), (0.0, math.nan)):
+        field = k_control_field(dkdt, "azimuthal", scenario.law,
+                                scenario.helicity, scenario.q)
+        np.testing.assert_array_equal(field, [0.0, 0.0, ez])
+        with pytest.raises(ConstraintViolation) as info:
+            run_control(scenario, dkdt=dkdt)
+        assert info.value.time == 0.0 and info.value.nonfinite
+
+
 def test_k_control_does_not_integrate_positions():
     # x passes the largest float after a few steps; k never reads it, so
     # the check runs to the end (integrate_trajectory would stop at t = dt)
@@ -166,6 +183,10 @@ NOT_DRIVE_FREE = ("energy control requires a drive-free law "
     ("theta0 = 1\n", {}, "run_control takes exactly one of dedt and dkdt"),
     ("theta0 = 1\n", {"dedt": 1.0, "dkdt": 1.0},
      "run_control takes exactly one of dedt and dkdt"),
+    ("theta0 = 1\n", {"dedt": 1.0, "mode": "sideways"},
+     "run_control takes a mode only with dkdt"),
+    ("theta0 = 1\n", {"dedt": 1.0, "mode": "azimuthal"},
+     "run_control takes a mode only with dkdt"),
     ("theta0 = 1\n", {"dedt": float("nan")},
      "control target must be finite, got nan"),
     ("theta0 = 1\nomega2 = 2\n", {"dkdt": -float("inf")},

@@ -279,9 +279,9 @@ def test_trajectory_columns_are_the_observables_formulas(name):
     km = kinetic_momentum_from_state(tr.theta, tr.phi, tr.theta_dot,
                                      tr.phi_dot, scenario.s.sample_time(tr.t),
                                      scenario.helicity)
-    expected = (*velocity_from_angles(tr.theta, tr.phi),
+    expected = (*velocity_from_angles(tr.theta, tr.phi).T,
                 localization_from_rates(tr.theta, tr.theta_dot, tr.phi_dot),
-                km.energy, *km.momentum)
+                km.energy, *km.momentum.T)
     columns = (tr.vx, tr.vy, tr.vz, tr.k, tr.e0, tr.px, tr.py, tr.pz)
     for column, value in zip(columns, expected, strict=True):
         assert column.tobytes() == value.tobytes()

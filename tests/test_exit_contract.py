@@ -150,6 +150,16 @@ def invocations(draw):
           f"theta_expr = {DEEP}\n"))
 @example((["control", "free", "--dedt=1", "--mode=polar", "--out={tmp}/out"],
           None))
+# q sin(theta0) underflows to 0: an infinite field, not a ZeroDivisionError
+@example((["control", "{tmp}/gen.scn", "--dkdt=-0.5", "--out={tmp}/out"],
+          "theta0 = 1e-200\nomega2 = 1\nq = 1e-200\nt_end = 1\n"))
+# drive fields that overflow, or are nan, at t = 0: no RuntimeWarning
+@example((["simulate", "{tmp}/gen.scn", "--out={tmp}/out"],
+          "theta0 = 1\nomega1 = 3\nomega2 = 3\nfield = drive\nq = 1e-308\n"
+          "t_end = 1\n"))
+@example((["simulate", "{tmp}/gen.scn", "--out={tmp}/out"],
+          "theta_expr = sqrt(1e-300+t)\nphi_expr = 0\nfield = drive\n"
+          "t_end = 1\n"))
 def test_exit_code_contract_holds_for_generated_runs(invocation):
     argv, text = invocation
     usage_error = (any(arg.startswith("--dedt=") for arg in argv)

@@ -30,7 +30,7 @@ def test_minimal_scenario_defaults():
     assert (sc.sample_count, sc.seed) == (100, 0)
     assert isinstance(sc.program, ZeroField)
     assert sc.h is None
-    assert sc.s.is_zero
+    assert str(sc.s.expr) == "0.0"
     assert sc.initial.position == (0.0, 0.0, 0.0)
     assert sc.law.theta.offset == pytest.approx(math.pi / 3)
 

@@ -11,13 +11,17 @@ from weyldyn.potentials import base_potential, degenerate_potential
 from weyldyn.spinors import (
     Event,
     Helicity,
-    Spinor,
     build_spinor,
-    spinor_components,
     weyl_residual,
 )
 
 SQ2 = math.sqrt(2) / 2
+
+
+def unit_spinor(theta, phi, helicity):
+    """(c1, c2) of fixed angles and no phase."""
+    return build_spinor(AngleLaw.linear(theta, 0.0, phi, 0.0), None, helicity,
+                        Event(0.0, 0.0, 0.0, 0.0))
 
 
 def test_helicity_signs():
@@ -43,7 +47,7 @@ def test_event_shifted():
 
 
 def test_frozen_negative_component_values():
-    c1, c2 = spinor_components(math.pi / 2, math.pi / 2, Helicity.NEGATIVE)
+    c1, c2 = unit_spinor(math.pi / 2, math.pi / 2, Helicity.NEGATIVE)
     assert c1.real == pytest.approx(-SQ2, abs=1e-12)
     assert c1.imag == pytest.approx(0.0, abs=1e-12)
     assert c2.real == pytest.approx(0.0, abs=1e-12)
@@ -51,7 +55,7 @@ def test_frozen_negative_component_values():
 
 
 def test_frozen_positive_pole_values():
-    c1, c2 = spinor_components(math.pi, 0.0, Helicity.POSITIVE)
+    c1, c2 = unit_spinor(math.pi, 0.0, Helicity.POSITIVE)
     assert abs(c1) == pytest.approx(0.0, abs=1e-12)
     assert c2 == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
@@ -63,7 +67,7 @@ def test_frozen_positive_pole_values():
 )
 @settings(max_examples=200, deadline=None)
 def test_unit_norm_everywhere(theta, phi, helicity):
-    c1, c2 = spinor_components(theta, phi, helicity)
+    c1, c2 = unit_spinor(theta, phi, helicity)
     assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) <= 1e-14
 
 
@@ -75,16 +79,10 @@ def test_build_spinor_applies_phase():
     phased = build_spinor(law, h, Helicity.POSITIVE, ev)
     factor = complex(math.cos(h.value(ev.x, ev.y, ev.z, ev.t)),
                      math.sin(h.value(ev.x, ev.y, ev.z, ev.t)))
-    assert phased.c1 == pytest.approx(bare.c1 * factor, abs=1e-14)
-    assert phased.c2 == pytest.approx(bare.c2 * factor, abs=1e-14)
-    assert phased.norm_sq == pytest.approx(1.0, abs=1e-14)
-
-
-def test_spinor_as_vector():
-    sp = Spinor(0.6, 0.8j, Helicity.POSITIVE)
-    v = sp.as_vector()
-    assert v.shape == (2,)
-    assert v[0] == 0.6 and v[1] == 0.8j
+    assert phased[0] == pytest.approx(bare[0] * factor, abs=1e-14)
+    assert phased[1] == pytest.approx(bare[1] * factor, abs=1e-14)
+    assert abs(phased[0]) ** 2 + abs(phased[1]) ** 2 == pytest.approx(
+        1.0, abs=1e-14)
 
 
 PLANE_LAW = AngleLaw.linear(math.pi / 3, 0.0, math.pi / 5, 0.0)

@@ -19,8 +19,7 @@ from weyldyn.potentials import (base_potential, degenerate_potential,
                                 gauge_family_field, gauge_potential,
                                 kappa_vector)
 from weyldyn.scenario import parse_scenario_text, resolve_scenario
-from weyldyn.spinors import (Event, Helicity, build_spinor, spinor_components,
-                             weyl_residual)
+from weyldyn.spinors import Event, Helicity, build_spinor, weyl_residual
 from weyldyn.verify import run_verification
 
 POS, NEG = Helicity.POSITIVE, Helicity.NEGATIVE
@@ -145,9 +144,10 @@ def test_event_accepts_arrays_and_rejects_non_finite_entries():
 
 
 @pytest.mark.parametrize("helicity", [POS, NEG])
-def test_spinor_components_over_arrays(helicity):
+def test_build_spinor_over_angle_arrays(helicity):
     theta, phi = COLS[0] * 2, COLS[1] * 3
-    c1, c2 = spinor_components(theta, phi, helicity)
+    c1, c2 = build_spinor(AngleLaw.linear(theta, 0.0, phi, 0.0), None,
+                          helicity, Event(0.0, 0.0, 0.0, 0.0))
     for i in range(len(theta)):
         o1, o2 = oracle.spinor_components(theta[i], phi[i], helicity)
         assert (c1[i], c2[i]) == (o1, o2)
@@ -155,10 +155,10 @@ def test_spinor_components_over_arrays(helicity):
 
 @pytest.mark.parametrize("law, h, helicity", CASES)
 def test_build_spinor_over_arrays(law, h, helicity):
-    sp = build_spinor(law, h, helicity, EVENTS)
+    c1, c2 = build_spinor(law, h, helicity, EVENTS)
     expected = per_event(lambda ev, i: oracle.build_spinor(law, h, helicity,
                                                            ev))
-    assert list(zip(sp.c1.tolist(), sp.c2.tolist())) == expected
+    assert list(zip(c1.tolist(), c2.tolist())) == expected
 
 
 def test_weyl_residual_over_many_events():

@@ -36,6 +36,14 @@ exit code's place as its class name.  The runs are:
   with theta0 = 0 (theta0 outside (0, pi)), theta0 = 1 and omega1 = -1
   with `--mode polar` (omega1 < 0), and theta_expr = 1 + 0.1*t (not a
   linear law); then `control free --dedt 1 --mode polar`, a usage error;
+- non-finite fields at t = 0, on scenario files written to the workdir:
+  `control --dkdt=-0.5` on theta0 = 1e-200, omega2 = 1, q = 1e-200,
+  where q sin(theta0) underflows to 0 and the azimuthal field is
+  infinite; `simulate` under the drive field of theta0 = 1, omega1 = 3,
+  omega2 = 3 with q = 1e-308 (the field overflows) and of theta_expr =
+  sqrt(1e-300+t), phi_expr = 0 (the field is nan); all three exit 1;
+- `simulate` on theta0 = 1, omega2 = 1 with ez = -0 as `field = expr`
+  and as `field = constant`, which both write Ez -0.0;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
@@ -184,6 +192,21 @@ def cli_runs(workdir: Path):
     for argv in (*k_refused,
                  ("control", "free", "--dedt", "1", "--mode", "polar")):
         yield (":".join(["error", *argv]),
+               _run(cli, (*argv, "--out", str(out)), [out]))
+    edges = {"kunderflow": "theta0 = 1e-200\nomega2 = 1\nq = 1e-200\n",
+             "driveinf": "theta0 = 1\nomega1 = 3\nomega2 = 3\n"
+                         "field = drive\nq = 1e-308\n",
+             "drivenan": "theta_expr = sqrt(1e-300+t)\nphi_expr = 0\n"
+                         "field = drive\n",
+             "exprzero": "theta0 = 1\nomega2 = 1\nfield = expr\nez = -0\n",
+             "constzero": "theta0 = 1\nomega2 = 1\nfield = constant\n"
+                          "ez = -0\n"}
+    for name, text in edges.items():
+        (workdir / f"{name}.scn").write_text(text + "t_end = 1\n")
+    kunderflow, *simulated = (str(workdir / f"{name}.scn") for name in edges)
+    for argv in (("control", kunderflow, "--dkdt=-0.5"),
+                 *(("simulate", scn) for scn in simulated)):
+        yield (":".join(["edge", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
         for seed in (0, 5):
