@@ -161,27 +161,20 @@ class DriveField(FieldProgram):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled integration result with per-sample observables."""
+    """Uniformly sampled integration result with per-sample observables;
+    the position r, velocity v, momentum p and field e are rows (n, 3)."""
 
     t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    vz: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     theta_dot: np.ndarray
     phi_dot: np.ndarray
     k: np.ndarray
     e0: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
-    pz: np.ndarray
-    ex: np.ndarray
-    ey: np.ndarray
-    ez: np.ndarray
+    p: np.ndarray
+    e: np.ndarray
     residual: np.ndarray
     helicity: Helicity = Helicity.POSITIVE
     q: float = 1.0
@@ -192,20 +185,21 @@ class Trajectory:
 
     @property
     def endpoint(self) -> tuple[float, float, float]:
-        return float(self.x[-1]), float(self.y[-1]), float(self.z[-1])
+        return tuple(self.r[-1].tolist())
 
     def distance_from_start(self) -> np.ndarray:
         with np.errstate(over="ignore"):
-            dist = np.sqrt((self.x - self.x[0]) ** 2 + (self.y - self.y[0]) ** 2
-                           + (self.z - self.z[0]) ** 2)
+            d = self.r - self.r[0]
+            dist = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)
             big = np.isinf(dist)  # a square overflowed: rescale there
-            dx, dy, dz = (c[big] - c[0] for c in (self.x, self.y, self.z))
+            dx, dy, dz = d[big].T
             dist[big] = np.hypot(np.hypot(dx, dy), dz)
         return dist
 
     def speed_drift(self) -> float:
         """Largest deviation of |v| from 1 over the run."""
-        speed = np.sqrt(self.vx ** 2 + self.vy ** 2 + self.vz ** 2)
+        v = self.v
+        speed = np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)
         return float(np.max(np.abs(speed - 1.0)))
 
 
@@ -236,7 +230,7 @@ class ConstraintViolation(RuntimeError):
         self.nonfinite = nonfinite
 
 
-MAX_GRID_STEPS = 10 ** 7  # a run holds about 257 bytes per step: 2.6 GB
+MAX_GRID_STEPS = 10 ** 7  # a run holds about 248 bytes per step: 2.5 GB
 
 
 def grid_steps(t_end: float, dt: float) -> int:
@@ -291,7 +285,8 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
             _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
             _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
         return run.finish(lambda *cols: _assemble(*cols, gauge, initial, dt),
-                          lambda tr: (tr.e0, tr.px, tr.py, tr.pz))
+                          lambda tr: (np.isfinite(tr.e0)
+                                      & np.isfinite(tr.p).all(axis=1)))
 
 
 def integrate_angles(initial: ParticleState, program: FieldProgram,
@@ -366,10 +361,10 @@ class _Cascade:
         self.bad = lo + int(bad[0]) if len(bad) else None
         return self.bad is not None
 
-    def finish(self, build, gated=lambda out: ()):
+    def finish(self, build, finite=None):
         """build(ts, state, fields, residual) over the samples up to and
-        including the first that failed the gate, or whose columns
-        gated(built) are not finite; raise ConstraintViolation carrying it
+        including the first that failed the gate, or where the per-sample
+        mask finite(built) is False; raise ConstraintViolation carrying it
         if one did, else return it."""
         def built(f):
             return build(self.ts[:f], self.state[:, :f],
@@ -377,9 +372,8 @@ class _Cascade:
 
         bad, observables = self.bad, False
         out = built(len(self.ts) if bad is None else bad + 1)
-        columns = gated(out)
-        if columns:
-            late = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+        if finite is not None:
+            late = np.flatnonzero(~finite(out))
             if len(late) and (bad is None or late[0] < bad):
                 bad, observables = int(late[0]), True
                 out = built(bad + 1)
@@ -410,26 +404,17 @@ def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
 
 def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
               dt: float) -> Trajectory:
-    theta_a, phi_a, theta_dot_a, phi_dot_a, xs, ys, zs = state
+    theta_a, phi_a, theta_dot_a, phi_dot_a = state[:4]
     trig = angle_trig(theta_a, phi_a)
-    # each row array becomes one contiguous (3, n) copy, which the CSV
-    # writer reads without copying; the rows are dropped (del km) before
-    # the columns below are built, where memory peaks
-    vx, vy, vz = velocity_from_angles(theta_a, phi_a, trig).T.copy()
     s_vals = np.zeros_like(ts) if gauge is None else gauge.sample_time(ts)
     km = kinetic_momentum_from_state(theta_a, phi_a, theta_dot_a, phi_dot_a,
                                      s_vals, initial.helicity, trig)
-    e0, (px, py, pz) = km.energy, km.momentum.T.copy()
-    del km
-
     return Trajectory(
-        t=ts, x=xs, y=ys, z=zs,
-        vx=vx, vy=vy, vz=vz,
-        theta=theta_a, phi=phi_a,
-        theta_dot=theta_dot_a, phi_dot=phi_dot_a,
+        t=ts, r=state[4:].T, v=velocity_from_angles(theta_a, phi_a, trig),
+        theta=theta_a, phi=phi_a, theta_dot=theta_dot_a, phi_dot=phi_dot_a,
         k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a, trig),
-        e0=e0, px=px, py=py, pz=pz,
-        ex=fields[:, 0].copy(), ey=fields[:, 1].copy(), ez=fields[:, 2].copy(),
-        residual=residual,
+        e0=km.energy, p=km.momentum,
+        # a copy, so that the run's half-step field can be freed
+        e=fields.copy(), residual=residual,
         helicity=initial.helicity, q=initial.q, dt=dt,
     )

@@ -709,10 +709,11 @@ class ScalarField:
                          **self._values)
 
     def sample_time(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized values on a time grid at the origin."""
+        """Vectorized values on a time grid at the origin, as a read-only
+        view; signed zeros are kept."""
         out = self.expr.evaluate({"x": 0.0, "y": 0.0, "z": 0.0, "t": ts,
                                   **self._values})
-        return np.zeros_like(ts) + out
+        return np.broadcast_to(out, np.shape(ts))
 
     def __repr__(self):
         return f"ScalarField({str(self.expr)!r})"

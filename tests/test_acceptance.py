@@ -230,7 +230,7 @@ def test_criterion_05_free_motion_geometry(report):
         center = np.array([math.cos(theta0) * math.cos(phi0),
                            math.cos(theta0) * math.sin(phi0),
                            -math.sin(theta0)]) / omega1
-        pts = np.stack([tr.x, tr.y, tr.z], axis=1)
+        pts = tr.r
         radii = np.linalg.norm(pts - center, axis=1)
         worst_radius = max(worst_radius, float(np.max(np.abs(radii - 1.0 / omega1))))
         worst_close = max(worst_close, float(np.linalg.norm(pts[-1] - pts[0])))
@@ -240,9 +240,9 @@ def test_criterion_05_free_motion_geometry(report):
     n_turn = 3000
     st = ParticleState((0.0, 0.0, 0.0), theta0, 0.0, 0.0, omega2, POS, 1.0)
     tr = integrate_trajectory(st, ZeroField(), 2 * period, period / n_turn)
-    radial = np.hypot(tr.x, tr.y - math.sin(theta0) / omega2)
+    radial = np.hypot(tr.r[:, 0], tr.r[:, 1] - math.sin(theta0) / omega2)
     helix_radius_err = float(np.max(np.abs(radial - math.sin(theta0) / omega2)))
-    advance = tr.z[n_turn] - tr.z[0]
+    advance = tr.r[n_turn, 2] - tr.r[0, 2]
     advance_err = abs(advance - 2 * math.pi * math.cos(theta0) / omega2)
     # coil-to-coil gap measured perpendicular to the winding direction
     gap_err = abs(advance * math.sin(theta0)
@@ -281,7 +281,7 @@ def test_criterion_08_drain_and_recovery(report):
     k_mid = float(tr.k[round(10.0 / tr.dt)])
     k_end_err = abs(tr.k[-1] - 5.0)
 
-    v = np.stack([tr.vx, tr.vy, tr.vz], axis=1)
+    v = tr.v
     a = (v[2:] - v[:-2]) / (2 * tr.dt)
     a_norm = np.linalg.norm(a, axis=1)
     r_start = 1.0 / a_norm[0]
@@ -311,12 +311,14 @@ def test_criterion_09_force_laws(report):
     # straight-line momentum growth: finite differences agree exactly
     run = run_scenario(resolve_scenario("fig45"))
     tr = run.trajectory
-    p = np.stack([tr.px, tr.py, tr.pz], axis=1)
+    p = tr.p
     fd_p = (p[2:] - p[:-2]) / (2 * tr.dt)
-    qe = tr.q * np.stack([tr.ex, tr.ey, tr.ez], axis=1)[1:-1]
+    qe = tr.q * tr.e[1:-1]
     worst_linear = float(np.max(np.abs(fd_p - qe)))
     fd_e = (tr.e0[2:] - tr.e0[:-2]) / (2 * tr.dt)
-    qev = tr.q * (tr.ex * tr.vx + tr.ey * tr.vy + tr.ez * tr.vz)[1:-1]
+    e, v = tr.e, tr.v
+    qev = tr.q * (e[:, 0] * v[:, 0] + e[:, 1] * v[:, 1]
+                  + e[:, 2] * v[:, 2])[1:-1]
     worst_linear = max(worst_linear, float(np.max(np.abs(fd_e - qev))))
 
     # curved momentum history: difference order must be second

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from weyldyn import cli
 from weyldyn.cli import CSV_COLUMNS, write_field_csv, write_trajectory_csv
 from weyldyn.dynamics import Trajectory
+from weyldyn.scenario import _split_lines
 
 HEADER = ("t,x,y,z,vx,vy,vz,theta,phi,k,E0,px,py,pz,"
           "Ex,Ey,Ez,constraint_residual")
@@ -187,6 +189,21 @@ def test_figures_writes_named_preset(tmp_path):
     assert csv.read_text().splitlines()[0] == HEADER
 
 
+def test_figure_copies_differ_from_their_source_only_by_name():
+    # figures writes these presets' CSVs as copies of their sources'
+    presets = resources.files("weyldyn") / "presets"
+
+    def keys(name):
+        text = (presets / f"{name}.scn").read_text()
+        return {key: value for _, key, value in _split_lines(text)}
+
+    for copy, source in cli.FIGURE_COPIES.items():
+        copy_keys, source_keys = keys(copy), keys(source)
+        assert copy_keys.pop("name") == copy
+        assert source_keys.pop("name") == source
+        assert copy_keys == source_keys
+
+
 def test_figures_applies_grid_overrides(tmp_path):
     r = run_cli("figures", "fig3", "--t-end", "1", "--out", str(tmp_path))
     assert r.returncode == 0
@@ -208,6 +225,16 @@ def test_plain_figures_prints_nothing_on_stderr(tmp_path):
     assert r.returncode == 0
     assert r.stderr == ""
     assert len(r.stdout.splitlines()) == 4
+
+
+def test_figures_copies_fig1_as_fig2_with_its_own_lines(tmp_path):
+    r = run_cli("figures", "--t-end", "1.0005", "--out", str(tmp_path))
+    assert r.returncode == 0
+    assert (tmp_path / "fig2.csv").read_bytes() == (
+        tmp_path / "fig1.csv").read_bytes()
+    assert f"fig2: 101 samples -> {tmp_path / 'fig2.csv'}" in r.stdout
+    # each preset notes the off-grid end, the copied one too
+    assert r.stderr.count("note: t_end 1.0005") == 4
 
 
 def test_paper_literal_key_in_a_file_is_unknown(tmp_path):
@@ -640,9 +667,8 @@ def test_expr_and_constant_fields_write_the_same_signed_zero(tmp_path,
 # --- CSV writers against the row-by-row writers they replaced -----------
 
 def reference_trajectory_csv(traj, path):
-    columns = (traj.t, traj.x, traj.y, traj.z, traj.vx, traj.vy, traj.vz,
-               traj.theta, traj.phi, traj.k, traj.e0, traj.px, traj.py,
-               traj.pz, traj.ex, traj.ey, traj.ez, traj.residual)
+    columns = (traj.t, *traj.r.T, *traj.v.T, traj.theta, traj.phi, traj.k,
+               traj.e0, *traj.p.T, *traj.e.T, traj.residual)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in zip(*columns):
@@ -682,7 +708,11 @@ def test_trajectory_csv_matches_row_writer(tmp_path, rows):
             columns[name] = np.arange(rows) * 1e-3  # all distinct
         else:
             columns[name] = rng.choice([1.5, -2.25, 1e300, -1e-300], rows)
-    traj = Trajectory(**columns)
+    rows = {name: np.column_stack([columns.pop(f"{name}{axis}")
+                                   for axis in ("x", "y", "z")])
+            for name in ("v", "p", "e")}
+    rows["r"] = np.column_stack([columns.pop(axis) for axis in ("x", "y", "z")])
+    traj = Trajectory(**columns, **rows)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trajectory_csv(traj, got)
     reference_trajectory_csv(traj, want)

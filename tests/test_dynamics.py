@@ -123,7 +123,7 @@ def test_free_polar_spin_traces_closed_circle(omega1):
         math.cos(theta0) * math.sin(phi0),
         -math.sin(theta0),
     ]) / omega1
-    pts = np.stack([tr.x, tr.y, tr.z], axis=1)
+    pts = tr.r
     radii = np.linalg.norm(pts - center, axis=1)
     assert np.max(np.abs(radii - 1.0 / omega1)) < 1e-6
     assert np.linalg.norm(pts[-1] - pts[0]) < 1e-6
@@ -139,10 +139,10 @@ def test_free_azimuthal_spin_traces_helix():
     tr = integrate_trajectory(st, ZeroField(), 2 * period, dt)
 
     center = np.array([0.0, math.sin(theta0) / omega2])
-    radial = np.hypot(tr.x - center[0], tr.y - center[1])
+    radial = np.hypot(tr.r[:, 0] - center[0], tr.r[:, 1] - center[1])
     assert np.max(np.abs(radial - math.sin(theta0) / omega2)) < 1e-8
 
-    advance = tr.z[n_turn] - tr.z[0]
+    advance = tr.r[n_turn, 2] - tr.r[0, 2]
     assert advance == pytest.approx(2 * math.pi * math.cos(theta0) / omega2,
                                     abs=1e-9)
     # gap between successive coils, measured perpendicular to the velocity
@@ -155,7 +155,7 @@ def test_integrator_is_fourth_order():
         f = ExprField(parse_expr("0"), parse_expr("0"), parse_expr("sin(t)"))
         st = ParticleState((0, 0, 0), 1.1, 0.3, 0.0, 1.5, POS, 1.0)
         tr = integrate_trajectory(st, f, 4.0, dt)
-        return np.array([tr.x[-1], tr.y[-1], tr.z[-1], tr.phi[-1], tr.phi_dot[-1]])
+        return np.array([*tr.r[-1], tr.phi[-1], tr.phi_dot[-1]])
 
     ref = endpoint(1e-3)
     err_coarse = np.max(np.abs(endpoint(0.02) - ref))
@@ -202,7 +202,8 @@ def fig45_position_error(dt):
             ds = mpmath.fresnels(w) - mpmath.fresnels(w0)
             x = (mpmath.cos(c) * dc + mpmath.sin(c) * ds) / k
             y = (mpmath.sin(c) * dc - mpmath.cos(c) * ds) / k
-            err = max(err, abs(tr.x[i] - float(x)), abs(tr.y[i] - float(y)))
+            err = max(err, abs(tr.r[i, 0] - float(x)),
+                      abs(tr.r[i, 1] - float(y)))
     return err
 
 
@@ -266,8 +267,25 @@ def test_gauge_profile_feeds_energy_and_momentum():
     tr = integrate_trajectory(st, ZeroField(), 2.0, 0.01,
                               gauge=ScalarField.from_text("2*t"))
     assert tr.e0 == pytest.approx(-2.0 * tr.t, abs=1e-12)
-    assert tr.px == pytest.approx(-2.0 * tr.t, abs=1e-12)
-    assert tr.pz == pytest.approx(np.zeros_like(tr.t), abs=1e-12)
+    assert tr.p[:, 0] == pytest.approx(-2.0 * tr.t, abs=1e-12)
+    assert tr.p[:, 2] == pytest.approx(np.zeros_like(tr.t), abs=1e-12)
+
+
+@pytest.mark.parametrize("helicity", [POS, NEG])
+def test_gauge_minus_t_keeps_its_signed_zero_in_energy_and_momentum(helicity):
+    # s = -t is -0.0 at t = 0: E0 and p at every grid time are the scalar
+    # formula fed s.value(t), bit for bit, signed zeros included
+    s = ScalarField.from_text("-t")
+    st = make_state(theta=1.0, phi=0.5, theta_dot=0.0, phi_dot=2.0,
+                    helicity=helicity)
+    tr = integrate_trajectory(st, ZeroField(), 0.5, 0.001, gauge=s)
+    for i, t in enumerate(tr.t.tolist()):
+        km = kinetic_momentum_from_state(
+            float(tr.theta[i]), float(tr.phi[i]), float(tr.theta_dot[i]),
+            float(tr.phi_dot[i]), s.value(t=t), helicity)
+        assert (np.float64(tr.e0[i]).tobytes()
+                == np.float64(km.energy).tobytes()), t
+        assert tr.p[i].tobytes() == km.momentum.tobytes(), t
 
 
 @pytest.mark.parametrize("name", ["free", "fig45"])
@@ -279,10 +297,10 @@ def test_trajectory_columns_are_the_observables_formulas(name):
     km = kinetic_momentum_from_state(tr.theta, tr.phi, tr.theta_dot,
                                      tr.phi_dot, scenario.s.sample_time(tr.t),
                                      scenario.helicity)
-    expected = (*velocity_from_angles(tr.theta, tr.phi).T,
+    expected = (velocity_from_angles(tr.theta, tr.phi),
                 localization_from_rates(tr.theta, tr.theta_dot, tr.phi_dot),
-                km.energy, *km.momentum.T)
-    columns = (tr.vx, tr.vy, tr.vz, tr.k, tr.e0, tr.px, tr.py, tr.pz)
+                km.energy, km.momentum)
+    columns = (tr.v, tr.k, tr.e0, tr.p)
     for column, value in zip(columns, expected, strict=True):
         assert column.tobytes() == value.tobytes()
 
@@ -300,9 +318,9 @@ def test_trajectory_shape_and_metadata():
     assert tr.helicity is NEG
     assert tr.q == -1.5
     assert tr.dt == 0.1
-    assert tr.endpoint == (tr.x[-1], tr.y[-1], tr.z[-1])
+    assert tr.endpoint == tuple(tr.r[-1])
     assert tr.distance_from_start()[0] == 0.0
-    vnorm = np.sqrt(tr.vx**2 + tr.vy**2 + tr.vz**2)
+    vnorm = np.sqrt(np.sum(tr.v**2, axis=1))
     assert vnorm == pytest.approx(np.ones_like(vnorm), abs=1e-12)
 
 
@@ -394,9 +412,8 @@ def reference_integrate(initial, program, t_end, dt, constraint_tol=1e-6):
     return traj, violation
 
 
-TRAJECTORY_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi",
-                      "theta_dot", "phi_dot", "k", "e0", "px", "py", "pz",
-                      "ex", "ey", "ez", "residual")
+TRAJECTORY_COLUMNS = ("t", "r", "v", "theta", "phi", "theta_dot", "phi_dot",
+                      "k", "e0", "p", "e", "residual")
 
 
 def assert_same_trajectory(got, want):
@@ -527,7 +544,7 @@ def test_infinite_field_aborts_without_numpy_warnings():
         integrate_trajectory(make_state(theta=1.0, phi_dot=1.0), field,
                              1.0, 0.001)
     p = exc.value.partial
-    last = [p.phi[-1], p.phi_dot[-1], p.k[-1], p.e0[-1], p.pz[-1]]
+    last = [p.phi[-1], p.phi_dot[-1], p.k[-1], p.e0[-1], p.p[-1, 2]]
     assert not np.isfinite(last).all()
     assert np.isfinite(p.k[:-1]).all()
     assert_angle_pass_matches(make_state(theta=1.0, phi_dot=1.0), field, 1.0,

@@ -12,6 +12,10 @@ The number pools keep every accepted grid at 2000 steps or fewer: the
 largest finite t_end is 2 and the smallest accepted dt is 0.001, and
 the huge or tiny values are ones the grid check refuses (t_end 1e9 by
 the step cap, for every dt in the pool).
+
+A second property writes scenario files whose keys hold expressions
+generated from docs/expression-grammar.md, on a fixed 100-step grid, and
+runs all four commands on each.
 """
 
 import contextlib
@@ -160,8 +164,17 @@ def invocations(draw):
 @example((["simulate", "{tmp}/gen.scn", "--out={tmp}/out"],
           "theta_expr = sqrt(1e-300+t)\nphi_expr = 0\nfield = drive\n"
           "t_end = 1\n"))
+# |E| = 1e308 at t = 0: its square overflows in the --si reading
+@example((["control", "{tmp}/gen.scn", "--dedt=1e308", "--si",
+           "--out={tmp}/out"], "dt = 0.001\nt_end = 0.5\n"))
 def test_exit_code_contract_holds_for_generated_runs(invocation):
-    argv, text = invocation
+    check_exit_contract(*invocation)
+
+
+def check_exit_contract(argv, text):
+    """Run cli.main on argv, its {tmp} placeholders set to a fresh
+    directory that holds the scenario text (if any) as gen.scn, and check
+    the exit-code contract."""
     usage_error = (any(arg.startswith("--dedt=") for arg in argv)
                    and any(arg.startswith("--mode=") for arg in argv))
     with tempfile.TemporaryDirectory() as tmp:
@@ -189,3 +202,61 @@ def test_exit_code_contract_holds_for_generated_runs(invocation):
     elif rc == 2:
         assert any(line.startswith("error: ")
                    for line in err.getvalue().splitlines()), err.getvalue()
+
+
+# --- scenario files from docs/expression-grammar.md ------------------------
+
+GRAMMAR_NUMBERS = st.sampled_from(("0", "1", "0.5", "3", "pi", "1e308",
+                                   "1e-308", "5e-324"))
+FUNCTIONS = ("sin", "cos", "tan", "exp", "sqrt", "abs")
+
+
+def expressions(variables):
+    """Expressions of the grammar over the given variables: numbers, the
+    six functions, + - * / ^ (parenthesized) and unary minus; absent
+    (None) one time in two."""
+    leaves = (st.one_of(GRAMMAR_NUMBERS, st.sampled_from(variables))
+              if variables else GRAMMAR_NUMBERS)
+    return st.one_of(st.none(), st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/^"),
+                  inner),
+        inner.map("-{}".format)), max_leaves=5))
+
+
+# the variables a key allows: none in a number or a constant field, t in
+# an angle law, a field component or the gauge s, all four in the phase h
+EXPRESSIONS = {variables: expressions(variables)
+               for variables in ("", "t", "xyzt")}
+
+
+@st.composite
+def grammar_scenario_texts(draw):
+    """A scenario file of a 100-step grid whose keys, each present or not,
+    hold generated expressions over only the variables the key allows."""
+    field = draw(st.sampled_from(("drive", "expr", "constant", "zero")))
+    allowed = {"q": "", "s": "t", "h": "xyzt"}
+    allowed |= ({"theta_expr": "t"} if draw(st.booleans())
+                else {"theta0": "", "omega1": ""})
+    allowed |= ({"phi_expr": "t"} if draw(st.booleans())
+                else {"phi0": "", "omega2": ""})
+    if field in ("expr", "constant"):
+        allowed |= dict.fromkeys(("ex", "ey", "ez"),
+                                 "t" if field == "expr" else "")
+    lines = [f"field = {field}\n", "dt = 0.01\nt_end = 1\nsample_count = 7\n"]
+    for key, variables in allowed.items():
+        value = draw(EXPRESSIONS[variables])
+        if value is not None:
+            lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grammar_scenario_texts(),
+       st.sampled_from((("--dedt=1",), ("--dkdt=-0.5",),
+                        ("--dkdt=0.5", "--mode=polar"))))
+def test_exit_code_contract_holds_for_grammar_generated_files(text, target):
+    for command in (("verify",), ("simulate", "--si"),
+                    ("control", *target, "--si"), ("figures",)):
+        check_exit_contract([command[0], "{tmp}/gen.scn", *command[1:],
+                             "--out={tmp}/out"], text)

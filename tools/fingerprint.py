@@ -44,6 +44,8 @@ exit code's place as its class name.  The runs are:
   sqrt(1e-300+t), phi_expr = 0 (the field is nan); all three exit 1;
 - `simulate` on theta0 = 1, omega2 = 1 with ez = -0 as `field = expr`
   and as `field = constant`, which both write Ez -0.0;
+- `simulate` with the gauge s = -t, which is -0.0 at t = 0, so that E0,
+  py and pz there are 0.0 as the scalar formula gives them;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
@@ -200,7 +202,8 @@ def cli_runs(workdir: Path):
                          "field = drive\n",
              "exprzero": "theta0 = 1\nomega2 = 1\nfield = expr\nez = -0\n",
              "constzero": "theta0 = 1\nomega2 = 1\nfield = constant\n"
-                          "ez = -0\n"}
+                          "ez = -0\n",
+             "gaugesign": "s = -t\n"}
     for name, text in edges.items():
         (workdir / f"{name}.scn").write_text(text + "t_end = 1\n")
     kunderflow, *simulated = (str(workdir / f"{name}.scn") for name in edges)
