@@ -3,11 +3,9 @@
 from .expressions import (AngleLaw, ExprLaw, LinearLaw, ScalarField,
                           diff_expr, eval_expr, parse_expr, plane_wave_phase)
 from .spinors import Event, Helicity, build_spinor, weyl_residual
-from .potentials import (FourPotentialField, base_potential,
-                         degenerate_potential, drive_field_closed_form,
+from .potentials import (FourPotentialField, drive_field_closed_form,
                          energy_control_field, field_from_potential_numeric,
-                         gauge_family_field, gauge_potential, k_control_field,
-                         kappa_vector)
+                         gauge_family_field, k_control_field)
 from .observables import (KineticMomentum, kinetic_momentum_from_state,
                           localization_from_rates,
                           mass_shell_defect_from_momentum,

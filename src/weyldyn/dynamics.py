@@ -276,14 +276,7 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     # Non-finite values are caught by the gate, not reported as warnings;
     # the last sample of a partial run may hold inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        run = _Cascade(initial, program, n, dt, constraint_tol, rows=7)
-        xs, ys, zs = run.state[4:]
-        for lo, hi, theta_s, sp, cp in run.angle_blocks():
-            # position slopes: the velocity from each stage's sin and cos
-            st = [np.sin(t) for t in theta_s]
-            _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
-            _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
-            _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
+        run = _Cascade(initial, program, n, dt, constraint_tol, positions=True)
         return run.finish(lambda *cols: _assemble(*cols, gauge, initial, dt),
                           lambda tr: (np.isfinite(tr.e0)
                                       & np.isfinite(tr.p).all(axis=1)))
@@ -297,36 +290,31 @@ def integrate_angles(initial: ParticleState, program: FieldProgram,
     momentum or energy; raises the same ConstraintViolation."""
     with np.errstate(invalid="ignore", over="ignore"):
         run = _Cascade(initial, program, grid_steps(t_end, dt), dt,
-                       constraint_tol, rows=4)
-        for _ in run.angle_blocks():
-            pass
+                       constraint_tol, positions=False)
         return run.finish(lambda t, rows, _, res: (t, *rows, res))
 
 
 class _Cascade:
-    """An n-step run: the half-step field, the state rows (theta, phi,
-    theta', phi', and x, y, z if rows is 7), the residual and the gate."""
+    """An n-step run, advanced and gated as it is built: the half-step
+    field, the state rows (theta, phi, theta', phi', and x, y, z with
+    positions), the residual and the first grid point that fails the
+    gate, after which nothing is advanced."""
 
     def __init__(self, initial: ParticleState, program: FieldProgram, n: int,
-                 dt: float, constraint_tol: float, rows: int):
+                 dt: float, constraint_tol: float, positions: bool):
         self.ts = np.arange(n + 1) * dt
-        self.fields = program.sample(np.arange(2 * n + 1) * (0.5 * dt))
+        self.fields = fields = program.sample(
+            np.arange(2 * n + 1) * (0.5 * dt))
+        rows = 7 if positions else 4
         self.state = np.empty((rows, n + 1))
         self.state[:, 0] = (initial.theta, initial.phi, initial.theta_dot,
                             initial.phi_dot, *initial.position)[:rows]
         self.residual = np.empty(n + 1)
-        self.q_eff = initial.q * initial.helicity.sign
-        self.dt, self.tol = dt, constraint_tol
-        self.bad = None  # the first grid point that fails the gate
+        self.q_eff = q_eff = initial.q * initial.helicity.sign
+        self.tol = constraint_tol
+        self.bad = None
 
-    def angle_blocks(self):
-        """Advance rows theta, phi, theta', phi' a block of steps lo..hi-1
-        at a time; yield (lo, hi, theta_s, sp, cp), theta's four RK4 stage
-        values and the sines and cosines of phi's.  Resumed, the caller's
-        rows are advanced too: gate the block and stop at a failure."""
         theta_a, phi_a, theta_dot_a, phi_dot_a = self.state[:4]
-        fields, q_eff, dt = self.fields, self.q_eff, self.dt
-        n = len(self.ts) - 1
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             e0 = fields[2 * lo:2 * hi:2]
@@ -343,7 +331,12 @@ class _Cascade:
                             for e, s, c in zip((e0, em, em, e1), sp, cp)]
             theta_dot_s = _rk4_stages(theta_dot_a, lo, hi, dt, *theta_ddot_s)
             theta_s = _rk4_stages(theta_a, lo, hi, dt, *theta_dot_s)
-            yield lo, hi, theta_s, sp, cp
+            if positions:  # slopes: the velocity from each stage's sin, cos
+                xs, ys, zs = self.state[4:]
+                st = [np.sin(t) for t in theta_s]
+                _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
+                _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
+                _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
             if self._first_bad(lo, hi, sp[0], cp[0]):
                 return
         self._first_bad(n, n + 1, np.sin(phi_a[n:]), np.cos(phi_a[n:]))

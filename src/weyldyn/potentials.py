@@ -4,7 +4,9 @@ A spinor with angle history (theta, phi) and phase h solves its Weyl
 equation for a specific base four-potential.  That potential is not
 unique: adding kappa * s for any real function s(x, y, z, t), where
 kappa = (1, -v) and v is the unit velocity set by the angles, gives
-another exact potential for the same spinor.  Fields are read off a
+another exact potential for the same spinor.  `FourPotentialField`
+holds either part or both: the spinor's own when it is given a
+helicity, kappa * s when it is given a gauge s.  Fields are read off a
 potential through the usual assignment
 
     U = b0 / q,   A = -(b1, b2, b3) / q,
@@ -14,13 +16,13 @@ either numerically (central differences on the potential, the slow but
 assumption-free route) or through the closed forms below (the fast
 route).  Tests hold the two routes against each other.
 
-`FourPotentialField.components`, `kappa_vector`,
-`field_from_potential_numeric`, `drive_field_closed_form`,
-`gauge_family_field` and `energy_control_field` take one event (or
-time) or an event of equal-shape arrays (or an array of times), one
-entry per draw.  They compute through numpy ufuncs in the scalar
-operation order, so each entry rounds exactly as a scalar call would
-(np.sin and np.cos equal math.sin and math.cos).  A field is a float
+`FourPotentialField.components`, `field_from_potential_numeric`,
+`drive_field_closed_form`, `gauge_family_field` and
+`energy_control_field` take one event (or time) or an event of
+equal-shape arrays (or an array of times), one entry per draw.  They
+compute through numpy ufuncs in the scalar operation order, so each
+entry rounds exactly as a scalar call would (np.sin and np.cos equal
+math.sin and math.cos).  A field is a float
 array of rows (..., 3): shape (3,) at one time or event, (n, 3) over n
 times or draws, the layout `FieldProgram.sample` and the integrator
 use.  The numeric route and `gauge_family_field` return (E, B); the
@@ -37,7 +39,7 @@ a time, t+, t-, x+, x-, y+, y-, z+, z-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +49,6 @@ from .spinors import Event, Helicity, on_stencil
 
 __all__ = [
     "FourPotentialField",
-    "base_potential",
-    "degenerate_potential",
-    "gauge_potential",
-    "kappa_vector",
     "field_from_potential_numeric",
     "drive_field_closed_form",
     "gauge_family_field",
@@ -66,11 +64,12 @@ def _require_charge(q: float) -> None:
 
 @dataclass(frozen=True)
 class FourPotentialField:
-    """Four-potential attached to a spinor family.
+    """Four-potential of a spinor family: its own part, and kappa * gauge.
 
-    kind is one of "base", "degenerate", "gauge_only".  The base kind
-    carries the angle-law and phase-gradient terms; degenerate adds
-    kappa * gauge on top; gauge_only is the kappa * gauge part alone.
+    With a helicity, the potential holds the spinor's own part, the
+    angle-law and phase-gradient terms of that helicity and phase h;
+    with a gauge, it holds kappa * gauge as well.  helicity=None is the
+    kappa * gauge part alone, which needs a gauge and takes no h.
     b0_offset is a diagnostic hook that shifts the time component by a
     constant, used to demonstrate that the residual check catches a
     corrupted potential.
@@ -78,21 +77,21 @@ class FourPotentialField:
 
     law: AngleLaw
     h: ScalarField | None
-    helicity: Helicity
-    kind: str = "base"
+    helicity: Helicity | None
     gauge: ScalarField | None = None
     b0_offset: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("base", "degenerate", "gauge_only"):
-            raise ValueError(f"unknown potential kind '{self.kind}'")
-        if self.kind != "base" and self.gauge is None:
-            raise ValueError(f"kind '{self.kind}' requires a gauge function")
+        if self.helicity is None and (self.gauge is None
+                                      or self.h is not None):
+            raise ValueError("a potential without a helicity is the "
+                             "kappa * gauge part alone: it needs a gauge "
+                             "and takes no phase h")
 
     def components(self, ev: Event) -> tuple[float, float, float, float]:
         b0 = b1 = b2 = b3 = 0.0
         theta, phi = self.law.angles(ev.t)
-        if self.kind != "gauge_only":
+        if self.helicity is not None:
             sign = self.helicity.sign
             theta_dot, phi_dot = self.law.rates(ev.t)
             b0 = 0.5 * phi_dot
@@ -113,33 +112,6 @@ class FourPotentialField:
             b2 += -v[..., 1] * s
             b3 += -v[..., 2] * s
         return b0 + self.b0_offset, b1, b2, b3
-
-
-def base_potential(law: AngleLaw, h: ScalarField | None,
-                   helicity: Helicity) -> FourPotentialField:
-    """Exact four-potential of the spinor family with the given phase."""
-    return FourPotentialField(law=law, h=h, helicity=helicity, kind="base")
-
-
-def degenerate_potential(base: FourPotentialField,
-                         s: ScalarField) -> FourPotentialField:
-    """Shift a potential along the degeneracy direction kappa by s."""
-    if base.kind != "base":
-        raise ValueError("degenerate_potential expects a base potential")
-    return replace(base, kind="degenerate", gauge=s)
-
-
-def gauge_potential(law: AngleLaw, helicity: Helicity,
-                    s: ScalarField) -> FourPotentialField:
-    """The pure kappa * s potential; generates the gauge-family fields."""
-    return FourPotentialField(law=law, h=None, helicity=helicity,
-                              kind="gauge_only", gauge=s)
-
-
-def kappa_vector(law: AngleLaw, t) -> tuple[float, float, float, float]:
-    """Degeneracy direction (1, -v); identical for both helicities."""
-    v = velocity_from_angles(*law.angles(t))
-    return 1.0, -v[..., 0], -v[..., 1], -v[..., 2]
 
 
 def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,

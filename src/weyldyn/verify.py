@@ -3,9 +3,10 @@
 Every check here has an independent route to the same number: spinor
 residuals go through finite differences of the actual Weyl operator,
 field closed forms are held against numerical differentiation of their
-potentials, and the algebraic identities are sampled over freshly drawn
-laws and gauge functions rather than the scenario alone.  The battery
-is deterministic for a fixed seed.
+potentials, kappa = (1, -v) against the spinor that annihilates it,
+and the algebraic identities are sampled over freshly drawn laws and
+gauge functions rather than the scenario alone.  The battery is
+deterministic for a fixed seed.
 
 Each check draws its random numbers as one block, in the order a loop of
 one draw at a time would draw them, and evaluates all its draws with a
@@ -37,7 +38,7 @@ worst-of reduction keeps NaN.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +46,10 @@ from .expressions import AngleLaw, ScalarField
 from .observables import (kinetic_momentum_from_state, localization_from_rates,
                           mass_shell_defect_from_momentum,
                           noncollinearity_from_vectors, velocity_from_angles)
-from .potentials import (base_potential, degenerate_potential,
-                         drive_field_closed_form, field_from_potential_numeric,
-                         gauge_family_field, gauge_potential, kappa_vector)
+from .potentials import (FourPotentialField, drive_field_closed_form,
+                         field_from_potential_numeric, gauge_family_field)
 from .scenario import Scenario
-from .spinors import Event, Helicity, weyl_residual
+from .spinors import Event, Helicity, build_spinor, weyl_residual
 
 __all__ = ["CheckResult", "RunReport", "run_verification"]
 
@@ -162,6 +162,19 @@ def _replay_non_finite(values, evaluate_draw) -> None:
             evaluate_draw(i)
 
 
+def _kappa_residual(v, spinor, sign) -> np.ndarray:
+    """|(sigma . v) psi - sign psi|, with v rows (..., 3) and psi = (c1,
+    c2), in real/imaginary pairs with the Pauli products written out; 0
+    where psi annihilates kappa = (1, -v), kappa_mu sigma^mu psi = 0."""
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    (ar, ai), (br, bi) = ((c.real, c.imag) for c in spinor)
+    up_re = vz * ar + (vx * br + vy * bi) - sign * ar
+    up_im = vz * ai + (vx * bi - vy * br) - sign * ai
+    lo_re = (vx * ar - vy * ai) - vz * br - sign * br
+    lo_im = (vx * ai + vy * ar) - vz * bi - sign * bi
+    return np.hypot(np.hypot(up_re, up_im), np.hypot(lo_re, lo_im))
+
+
 def run_verification(scenario: Scenario) -> RunReport:
     with np.errstate(all="ignore"):
         checks = _run_checks(scenario)
@@ -185,9 +198,8 @@ def _run_checks(scenario: Scenario) -> list:
 
     # residual of the scenario's own spinor/potential pair; the
     # corrupt_b0 hook lands here so a corrupted file visibly fails
-    base = base_potential(law, h, helicity)
-    if scenario.corrupt_b0:
-        base = replace(base, b0_offset=scenario.corrupt_b0)
+    base = FourPotentialField(law, h, helicity,
+                              b0_offset=scenario.corrupt_b0)
     draws = _draw(rng, n, 0, 4)
     res = weyl_residual(law, h, base, helicity, _event(draws), step)
     _replay_non_finite(res, lambda i: weyl_residual(
@@ -197,13 +209,12 @@ def _run_checks(scenario: Scenario) -> list:
     # the same spinor must keep solving after a shift along kappa, for
     # arbitrary gauge functions including spatially varying ones; draw
     # i uses gauge template i % 6
-    clean_base = base_potential(law, h, helicity)
     draws = _draw(rng, n, 0, 8)
     family = _GaugeFamily(draws[:, :4])
-    res = weyl_residual(law, h, degenerate_potential(clean_base, family),
+    res = weyl_residual(law, h, FourPotentialField(law, h, helicity, family),
                         helicity, _event(draws[:, 4:]), step)
     _replay_non_finite(res, lambda i: weyl_residual(
-        law, h, degenerate_potential(clean_base, _gauge(
+        law, h, FourPotentialField(law, h, helicity, _gauge(
             _gauge_templates()[i % _FORMS], draws[i, :4])),
         helicity, _event(draws[i, 4:]), step))
     checks.append(CheckResult("residual_degenerate", _worst(res),
@@ -214,8 +225,8 @@ def _run_checks(scenario: Scenario) -> list:
              else Helicity.POSITIVE)
     draws = _draw(rng, m, 1, 4)
     laws = _law(draws[:, :4])
-    res = weyl_residual(laws, None, base_potential(laws, None, other), other,
-                        _event(draws[:, 4:]), step)
+    res = weyl_residual(laws, None, FourPotentialField(laws, None, other),
+                        other, _event(draws[:, 4:]), step)
     checks.append(CheckResult("residual_mirror_family", _worst(res),
                               tol_residual))
 
@@ -226,11 +237,14 @@ def _run_checks(scenario: Scenario) -> list:
     theta_dot, phi_dot = laws.rates(t)
     v = velocity_from_angles(theta, phi)
     speed = np.abs(np.sqrt(np.vecdot(v, v)) - 1.0)
-    kappa = np.abs(np.stack(kappa_vector(laws, t)[1:], axis=-1) + v)
+    # psi from the half angles of a frozen law, v from the whole angles
+    frozen = AngleLaw.linear(theta, 0.0, phi, 0.0)
     k = np.array(list(map(localization_from_rates, theta.tolist(),
                           theta_dot.tolist(), phi_dot.tolist())))
-    shell, cross, project = [], [], []
+    kappa, shell, cross, project = [], [], [], []
     for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
+        psi = build_spinor(frozen, None, hel, Event(0.0, 0.0, 0.0, 0.0))
+        kappa.append(_kappa_residual(v, psi, hel.sign))
         km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
                                          s_val, hel)
         p = km.momentum
@@ -239,7 +253,7 @@ def _run_checks(scenario: Scenario) -> list:
         cross.append(np.abs(noncollinearity_from_vectors(p, v) - k))
         project.append(np.abs(np.vecdot(p, v) - km.energy))
     checks.append(CheckResult("unit_speed", _worst(speed), tol_identity))
-    checks.append(CheckResult("kappa_is_minus_velocity", _worst(kappa),
+    checks.append(CheckResult("kappa_is_minus_velocity", _worst(*kappa),
                               tol_kappa))
     checks.append(CheckResult("mass_shell_identity", _worst(*shell),
                               tol_identity))
@@ -254,7 +268,7 @@ def _run_checks(scenario: Scenario) -> list:
     drive, drive_b = [], []
     for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
         numeric_e, numeric_b = field_from_potential_numeric(
-            base_potential(laws, None, hel), q, ev, step)
+            FourPotentialField(laws, None, hel), q, ev, step)
         closed = drive_field_closed_form(laws, hel, q, ev.t)
         drive.append(np.abs(numeric_e - closed))
         drive_b.append(np.abs(numeric_b))
@@ -267,7 +281,7 @@ def _run_checks(scenario: Scenario) -> list:
     laws, family = _law(draws[:, :4]), _GaugeFamily(draws[:, 4:8])
     ev = _event(draws[:, 8:])
     numeric = field_from_potential_numeric(
-        gauge_potential(laws, helicity, family), q, ev, step)
+        FourPotentialField(laws, None, None, family), q, ev, step)
     closed = gauge_family_field(laws, family, q, ev)
     gauge = [np.abs(a - b) for a, b in zip(numeric, closed)]
     checks.append(CheckResult("gauge_field_cross_check", _worst(*gauge),

@@ -6,25 +6,24 @@ time through `math`/`cmath` and numpy scalars.  The array battery must
 reproduce its report to the last bit of every measured value, and each
 array function must equal these helpers called once per event.
 
-Only the expression layer (`ScalarField`, `AngleLaw`), the potential
-constructors and `velocity_from_angles` are shared with the package.  The
-Pauli matrices are written out here, and the kinetic momentum and k are
-frozen in the form the old battery imported, so that the array battery's
-residuals and observables are held against an independent route.
+Only the expression layer (`ScalarField`, `AngleLaw`),
+`FourPotentialField` and `velocity_from_angles` are shared with the
+package.  The Pauli matrices are written out here, and the kinetic
+momentum and k are frozen in the form the old battery imported, so that
+the array battery's residuals and observables are held against an
+independent route.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from weyldyn.expressions import AngleLaw, ScalarField
 from weyldyn.observables import velocity_from_angles
-from weyldyn.potentials import (base_potential, degenerate_potential,
-                                gauge_potential)
+from weyldyn.potentials import FourPotentialField
 from weyldyn.spinors import Event, Helicity
 from weyldyn.verify import CheckResult, RunReport
 
@@ -104,6 +103,17 @@ def kinetic_momentum(theta, phi, theta_dot, phi_dot, s_value, helicity):
     return pi_t, np.array([-pi_x, -pi_y, -pi_z])
 
 
+def kappa_residual(v, spinor, sign):
+    """|(sigma . v) psi - sign psi|, real/imaginary pairs written out."""
+    vx, vy, vz = v
+    (ar, ai), (br, bi) = ((c.real, c.imag) for c in spinor)
+    up_re = vz * ar + (vx * br + vy * bi) - sign * ar
+    up_im = vz * ai + (vx * bi - vy * br) - sign * ai
+    lo_re = (vx * ar - vy * ai) - vz * br - sign * br
+    lo_im = (vx * ai + vy * ar) - vz * bi - sign * bi
+    return float(np.hypot(np.hypot(up_re, up_im), np.hypot(lo_re, lo_im)))
+
+
 def localization(theta, theta_dot, phi_dot):
     return 0.5 * math.hypot(math.sin(theta) * phi_dot, theta_dot)
 
@@ -119,7 +129,7 @@ def kappa_vector(law, t):
 
 def components(pot, ev):
     b0 = b1 = b2 = b3 = 0.0
-    if pot.kind != "gauge_only":
+    if pot.helicity is not None:
         sign = pot.helicity.sign
         theta, phi = pot.law.angles(ev.t)
         theta_dot, phi_dot = pot.law.rates(ev.t)
@@ -234,9 +244,8 @@ def run_verification(scenario) -> RunReport:
     tol_kappa = 1e-14
     checks = []
 
-    base = base_potential(scenario.law, scenario.h, scenario.helicity)
-    if scenario.corrupt_b0:
-        base = replace(base, b0_offset=scenario.corrupt_b0)
+    base = FourPotentialField(scenario.law, scenario.h, scenario.helicity,
+                              b0_offset=scenario.corrupt_b0)
     worst = 0.0
     for _ in range(n):
         ev = random_event(rng)
@@ -244,11 +253,11 @@ def run_verification(scenario) -> RunReport:
                                          scenario.helicity, ev, step))
     checks.append(CheckResult("residual_base", worst, tol_residual))
 
-    clean_base = base_potential(scenario.law, scenario.h, scenario.helicity)
     worst = 0.0
     for i in range(n):
         s = random_gauge(rng, i)
-        pot = degenerate_potential(clean_base, s)
+        pot = FourPotentialField(scenario.law, scenario.h,
+                                 scenario.helicity, s)
         ev = random_event(rng)
         worst = max(worst, weyl_residual(scenario.law, scenario.h, pot,
                                          scenario.helicity, ev, step))
@@ -259,7 +268,7 @@ def run_verification(scenario) -> RunReport:
     worst = 0.0
     for _ in range(max(1, n // 4)):
         law = random_law(rng)
-        pot = base_potential(law, None, other)
+        pot = FourPotentialField(law, None, other)
         ev = random_event(rng)
         worst = max(worst, weyl_residual(law, None, pot, other, ev, step))
     checks.append(CheckResult("residual_mirror_family", worst, tol_residual))
@@ -274,10 +283,11 @@ def run_verification(scenario) -> RunReport:
         theta_dot, phi_dot = law.rates(t)
         v = velocity_from_angles(theta, phi)
         worst_speed = max(worst_speed, abs(float(np.linalg.norm(v)) - 1.0))
-        kappa = kappa_vector(law, t)
-        worst_kappa = max(worst_kappa,
-                          float(np.max(np.abs(np.array(kappa[1:]) + v))))
+        frozen = AngleLaw.linear(theta, 0.0, phi, 0.0)
         for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
+            psi = build_spinor(frozen, None, hel, Event(0.0, 0.0, 0.0, 0.0))
+            worst_kappa = max(worst_kappa,
+                              kappa_residual(v, psi, hel.sign))
             energy, p = kinetic_momentum(theta, phi, theta_dot, phi_dot,
                                          s_val, hel)
             k = localization(theta, theta_dot, phi_dot)
@@ -304,7 +314,7 @@ def run_verification(scenario) -> RunReport:
         law = random_law(rng)
         ev = random_event(rng)
         for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
-            pot = base_potential(law, None, hel)
+            pot = FourPotentialField(law, None, hel)
             e_num, b_num = field_from_potential_numeric(pot, scenario.q, ev,
                                                         step)
             e_closed = drive_field_closed_form(law, hel, scenario.q, ev.t)
@@ -323,7 +333,7 @@ def run_verification(scenario) -> RunReport:
         law = random_law(rng)
         s = random_gauge(rng, i)
         ev = random_event(rng)
-        pot = gauge_potential(law, scenario.helicity, s)
+        pot = FourPotentialField(law, None, None, s)
         e_num, b_num = field_from_potential_numeric(pot, scenario.q, ev, step)
         e_closed, b_closed = gauge_family_field(law, s, scenario.q, ev)
         deviation = max(

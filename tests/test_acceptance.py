@@ -24,16 +24,13 @@ from weyldyn.observables import (
     velocity_from_angles,
 )
 from weyldyn.potentials import (
-    base_potential,
-    degenerate_potential,
+    FourPotentialField,
     drive_field_closed_form,
     field_from_potential_numeric,
     gauge_family_field,
-    gauge_potential,
-    kappa_vector,
 )
 from weyldyn.scenario import resolve_scenario, run_scenario
-from weyldyn.spinors import Event, Helicity, weyl_residual
+from weyldyn.spinors import Event, Helicity, build_spinor, weyl_residual
 
 POS = Helicity.POSITIVE
 NEG = Helicity.NEGATIVE
@@ -72,14 +69,12 @@ def test_criterion_01_wave_equation_residuals(report):
     worst = 0.0
     for law, h, s in families:
         for hel in BOTH:
-            pot = base_potential(law, h, hel)
-            if s is not None:
-                pot = degenerate_potential(pot, s)
+            pot = FourPotentialField(law, h, hel, s)
             for ev in random_events(rng, 50):
                 worst = max(worst, weyl_residual(law, h, pot, hel, ev, step=1e-5))
 
     law, h, _ = families[0]
-    pot = base_potential(law, h, POS)
+    pot = FourPotentialField(law, h, POS)
     ev = Event(0.4, 0.1, -0.3, 0.9)
     order = math.log2(weyl_residual(law, h, pot, POS, ev, step=1e-2)
                       / weyl_residual(law, h, pot, POS, ev, step=5e-3))
@@ -97,7 +92,7 @@ def test_criterion_02_potential_degeneracy(report):
     for text in gauges:
         s = ScalarField.from_text(text)
         for hel in BOTH:
-            shifted = degenerate_potential(base_potential(ROTATING, None, hel), s)
+            shifted = FourPotentialField(ROTATING, None, hel, s)
             for ev in random_events(rng, 20):
                 worst = max(worst, weyl_residual(ROTATING, None, shifted, hel, ev))
     ok = worst < 1e-6
@@ -119,9 +114,13 @@ def test_criterion_03_kinematic_identities(report):
         v = velocity_from_angles(theta, phi)
         worst_speed = max(worst_speed, abs(float(np.linalg.norm(v)) - 1.0))
 
-        kap = kappa_vector(AngleLaw.linear(theta, 0.0, phi, 0.0), 0.0)
-        worst_kappa = max(worst_kappa, abs(kap[0] - 1.0),
-                          float(np.max(np.abs(np.array(kap[1:]) + v))))
+        # the spinor annihilates kappa = (1, -v): (sigma . v) psi = +-psi
+        vx, vy, vz = v
+        sigma_v = np.array([[vz, vx - 1j * vy], [vx + 1j * vy, -vz]])
+        psi = np.array(build_spinor(AngleLaw.linear(theta, 0.0, phi, 0.0),
+                                    None, hel, Event(0.0, 0.0, 0.0, 0.0)))
+        worst_kappa = max(worst_kappa, float(
+            np.linalg.norm(sigma_v @ psi - hel.sign * psi)))
 
         km = kinetic_momentum_from_state(theta, phi, td, pd, sval, hel)
         p = km.momentum
@@ -153,7 +152,7 @@ def test_criterion_04_field_cross_validation(report):
     worst_e = worst_b = 0.0
     for law in laws:
         for hel in BOTH:
-            pot = base_potential(law, None, hel)
+            pot = FourPotentialField(law, None, hel)
             for t in (0.0, 0.6, 1.9):
                 closed = drive_field_closed_form(law, hel, 1.7, t)
                 numeric_e, numeric_b = field_from_potential_numeric(
@@ -164,7 +163,7 @@ def test_criterion_04_field_cross_validation(report):
     worst_g = 0.0
     for text in ("t", "z", "x - 2*y + 0.5*t", "0.3*x*t"):
         s = ScalarField.from_text(text)
-        pot = gauge_potential(ROTATING, POS, s)
+        pot = FourPotentialField(ROTATING, None, None, s)
         for t in (0.0, 0.8, 1.7):
             ev = Event(0.4, -0.2, 0.3, t)
             closed_e, closed_b = gauge_family_field(ROTATING, s, 1.3, ev)
@@ -178,7 +177,8 @@ def test_criterion_04_field_cross_validation(report):
 
     worst_ctrl = 0.0
     static = AngleLaw.linear(1.1, 0.0, 0.4, 0.0)
-    ramp = gauge_potential(static, POS, ScalarField.from_text("-2.5*t"))
+    ramp = FourPotentialField(static, None, None,
+                              ScalarField.from_text("-2.5*t"))
     for t in (0.0, 0.7, 1.6):
         closed = energy_control_field(2.5, static, 1.3, t)
         numeric_e, _ = field_from_potential_numeric(ramp, 1.3,
@@ -197,7 +197,7 @@ def test_criterion_04_field_cross_validation(report):
     po = k_control_field(0.5 * alpha, "polar",
                          AngleLaw.linear(0.5, 0.2, 0.7, 0.0), POS, 1.7)
     for ctrl, law in ((az, quad_phi), (po, quad_theta)):
-        pot = base_potential(law, None, POS)
+        pot = FourPotentialField(law, None, POS)
         for t in (0.0, 0.8, 2.1):
             numeric_e, _ = field_from_potential_numeric(
                 pot, 1.7, Event(0.1, 0.2, -0.3, t))

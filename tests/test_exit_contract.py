@@ -14,8 +14,10 @@ the huge or tiny values are ones the grid check refuses (t_end 1e9 by
 the step cap, for every dt in the pool).
 
 A second property writes scenario files whose keys hold expressions
-generated from docs/expression-grammar.md, on a fixed 100-step grid, and
-runs all four commands on each.
+generated from docs/expression-grammar.md, on a 100-step grid, and runs
+all four commands on each: `control` with a target drawn from the same
+rates, and the commands that take `--dt` and `--t-end` with values drawn
+from the same pools, so that the grid stays at 2000 steps or fewer.
 """
 
 import contextlib
@@ -85,11 +87,13 @@ scenario_texts = st.builds(
 
 # option values are joined with "=": argparse reads a separate "-inf" as
 # an option name
-targets = st.one_of(
+CONTROL_TARGETS = (
     RATES.map(lambda v: [f"--dedt={v}"]),
     RATES.map(lambda v: [f"--dkdt={v}"]),
     st.tuples(RATES, st.sampled_from(("azimuthal", "polar"))).map(
-        lambda t: [f"--dkdt={t[0]}", f"--mode={t[1]}"]),
+        lambda t: [f"--dkdt={t[0]}", f"--mode={t[1]}"]))
+targets = st.one_of(
+    *CONTROL_TARGETS,
     # a usage error: --mode goes only with --dkdt
     st.tuples(RATES, st.sampled_from(("azimuthal", "polar"))).map(
         lambda t: [f"--dedt={t[0]}", f"--mode={t[1]}"]))
@@ -252,11 +256,15 @@ def grammar_scenario_texts(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(grammar_scenario_texts(),
-       st.sampled_from((("--dedt=1",), ("--dkdt=-0.5",),
-                        ("--dkdt=0.5", "--mode=polar"))))
-def test_exit_code_contract_holds_for_grammar_generated_files(text, target):
-    for command in (("verify",), ("simulate", "--si"),
-                    ("control", *target, "--si"), ("figures",)):
+@given(grammar_scenario_texts(), st.one_of(*CONTROL_TARGETS),
+       st.tuples(option(DTS), option(T_ENDS)))
+def test_exit_code_contract_holds_for_grammar_generated_files(text, target,
+                                                              grid):
+    dt, t_end = grid
+    grid = ([f"--dt={dt}"] if dt is not None else []) + (
+        [f"--t-end={t_end}"] if t_end is not None else [])
+    for command in (("verify",), ("simulate", *grid, "--si"),
+                    ("control", *target, *grid, "--si"),
+                    ("figures", *grid)):
         check_exit_contract([command[0], "{tmp}/gen.scn", *command[1:],
                              "--out={tmp}/out"], text)

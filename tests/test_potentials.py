@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from weyldyn.expressions import AngleLaw, ExprLaw, LinearLaw, ScalarField
+from weyldyn.observables import velocity_from_angles
 from weyldyn.potentials import (
-    base_potential,
-    degenerate_potential,
+    FourPotentialField,
     drive_field_closed_form,
     energy_control_field,
     field_from_potential_numeric,
     gauge_family_field,
-    gauge_potential,
     k_control_field,
-    kappa_vector,
 )
 from weyldyn.spinors import Event, Helicity
 
@@ -33,7 +31,7 @@ ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
 def test_base_potential_frozen_polar_sweep():
     # theta grows at sqrt(3), phi pinned at zero: only the y component survives
     law = AngleLaw.linear(0.0, math.sqrt(3), 0.0, 0.0)
-    pot = base_potential(law, None, POS)
+    pot = FourPotentialField(law, None, POS)
     for t in (0.0, 0.7, 2.3):
         b0, b1, b2, b3 = pot.components(Event(0.1, -0.2, 0.4, t))
         assert b0 == pytest.approx(0.0, abs=1e-15)
@@ -44,39 +42,47 @@ def test_base_potential_frozen_polar_sweep():
 
 def test_base_potential_mirror_flips_spatial_rate_terms():
     law = AngleLaw.linear(0.0, math.sqrt(3), 0.0, 0.0)
-    pos = base_potential(law, None, POS).components(ORIGIN)
-    neg = base_potential(law, None, NEG).components(ORIGIN)
+    pos = FourPotentialField(law, None, POS).components(ORIGIN)
+    neg = FourPotentialField(law, None, NEG).components(ORIGIN)
     assert neg[0] == pos[0]
     assert neg[2] == -pos[2]
 
 
-def test_degenerate_requires_base():
-    base = base_potential(ROTATING, None, POS)
-    shifted = degenerate_potential(base, ScalarField.from_text("x"))
-    with pytest.raises(ValueError):
-        degenerate_potential(shifted, ScalarField.from_text("t"))
+@pytest.mark.parametrize("h, gauge", [
+    (None, None),
+    (ScalarField.from_text("x"), ScalarField.from_text("t")),
+], ids=["no gauge", "a phase h"])
+def test_kappa_part_alone_needs_a_gauge_and_no_phase(h, gauge):
+    with pytest.raises(ValueError, match="kappa \\* gauge part alone"):
+        FourPotentialField(ROTATING, h, None, gauge)
+
+
+def kappa(law, t):
+    # the kappa * s part with s = 1 is kappa itself
+    unit = FourPotentialField(law, None, None, ScalarField.from_text("1"))
+    return unit.components(Event(0.0, 0.0, 0.0, t))
 
 
 def test_kappa_frozen_value_and_unit_speed():
-    kap = kappa_vector(ROTATING, 0.0)
+    kap = kappa(ROTATING, 0.0)
     assert kap[0] == 1.0
     assert kap[1] == pytest.approx(-1.0, abs=1e-12)
     assert kap[2] == pytest.approx(0.0, abs=1e-12)
     assert kap[3] == pytest.approx(0.0, abs=1e-12)
     for t in np.linspace(0.0, 3.0, 7):
-        k0, kx, ky, kz = kappa_vector(ROTATING, float(t))
+        k0, kx, ky, kz = kappa(ROTATING, float(t))
         assert k0 == 1.0
         assert math.hypot(kx, math.hypot(ky, kz)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_shift_is_kappa_times_s():
     s = ScalarField.from_text("x - 2*y + 0.5*t")
-    base = base_potential(ROTATING, None, POS)
-    shifted = degenerate_potential(base, s)
+    base = FourPotentialField(ROTATING, None, POS)
+    shifted = FourPotentialField(ROTATING, None, POS, s)
     ev = Event(0.3, -0.4, 0.2, 1.1)
     b = np.array(base.components(ev))
     d = np.array(shifted.components(ev))
-    kap = np.array(kappa_vector(ROTATING, ev.t))
+    kap = np.array([1.0, *-velocity_from_angles(*ROTATING.angles(ev.t))])
     sval = s.value(ev.x, ev.y, ev.z, ev.t)
     assert d == pytest.approx(b + kap * sval, abs=1e-12)
 
@@ -131,7 +137,7 @@ def test_drive_free_laws_make_zero_drive_field():
     ],
 )
 def test_drive_field_matches_numeric_route(helicity, law):
-    pot = base_potential(law, None, helicity)
+    pot = FourPotentialField(law, None, helicity)
     q = 1.7
     for t in (0.0, 0.6, 1.9):
         closed = drive_field_closed_form(law, helicity, q, t)
@@ -146,8 +152,8 @@ def test_phase_term_contributes_no_field():
 
     law = AngleLaw.linear(math.pi / 3, 0.0, math.pi / 5, 0.0)
     h = plane_wave_phase(2.0, math.pi / 3, math.pi / 5)
-    with_h = base_potential(law, h, POS)
-    without = base_potential(law, None, POS)
+    with_h = FourPotentialField(law, h, POS)
+    without = FourPotentialField(law, None, POS)
     ev = Event(0.3, 0.1, -0.4, 0.8)
     ea, ba = field_from_potential_numeric(with_h, 1.0, ev)
     eb, bb = field_from_potential_numeric(without, 1.0, ev)
@@ -178,24 +184,13 @@ def test_gauge_family_spatial_ramp_frozen_value():
 def test_gauge_family_matches_numeric_route(s_text):
     s = ScalarField.from_text(s_text)
     q = 1.3
-    pot = gauge_potential(ROTATING, POS, s)
+    pot = FourPotentialField(ROTATING, None, None, s)
     for t in (0.0, 0.8, 1.7):
         ev = Event(0.4, -0.2, 0.3, t)
         closed_e, closed_b = gauge_family_field(ROTATING, s, q, ev)
         numeric_e, numeric_b = field_from_potential_numeric(pot, q, ev)
         assert closed_e == pytest.approx(numeric_e, abs=1e-6)
         assert closed_b == pytest.approx(numeric_b, abs=1e-6)
-
-
-def test_gauge_family_is_helicity_independent():
-    s = ScalarField.from_text("x - 2*y + 0.5*t")
-    ev = Event(0.4, -0.2, 0.3, 1.1)
-    ep, bp = field_from_potential_numeric(gauge_potential(ROTATING, POS, s),
-                                          1.0, ev)
-    en, bn = field_from_potential_numeric(gauge_potential(ROTATING, NEG, s),
-                                          1.0, ev)
-    assert ep == pytest.approx(en, abs=1e-12)
-    assert bp == pytest.approx(bn, abs=1e-12)
 
 
 def test_energy_control_frozen_value():
@@ -332,8 +327,8 @@ def test_field_functions_return_rows():
     ts = np.array([0.0, 0.5, 1.5, 2.0])
     events = Event(ts + 0.1, ts - 0.2, 0.3 * ts, ts)
     for ev, shape in ((Event(0.1, -0.2, 0.3, 0.5), (3,)), (events, (4, 3))):
-        e, b = field_from_potential_numeric(gauge_potential(law, POS, s), 1.0,
-                                            ev)
+        e, b = field_from_potential_numeric(
+            FourPotentialField(law, None, None, s), 1.0, ev)
         assert e.shape == b.shape == shape
         e, b = gauge_family_field(law, s, 1.0, ev)
         assert e.shape == b.shape == shape

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weyldyn.expressions import AngleLaw, ScalarField, plane_wave_phase
-from weyldyn.potentials import base_potential, degenerate_potential
+from weyldyn.potentials import FourPotentialField
 from weyldyn.spinors import (
     Event,
     Helicity,
@@ -99,20 +99,20 @@ EVENTS = [
 
 @pytest.mark.parametrize("helicity", [Helicity.POSITIVE, Helicity.NEGATIVE])
 def test_plane_wave_pair_satisfies_wave_equation(helicity):
-    pot = base_potential(PLANE_LAW, PLANE_H, helicity)
+    pot = FourPotentialField(PLANE_LAW, PLANE_H, helicity)
     for ev in EVENTS:
         assert weyl_residual(PLANE_LAW, PLANE_H, pot, helicity, ev) < 1e-8
 
 
 @pytest.mark.parametrize("helicity", [Helicity.POSITIVE, Helicity.NEGATIVE])
 def test_rotating_pair_satisfies_wave_equation(helicity):
-    pot = base_potential(ROTATING_LAW, None, helicity)
+    pot = FourPotentialField(ROTATING_LAW, None, helicity)
     for ev in EVENTS:
         assert weyl_residual(ROTATING_LAW, None, pot, helicity, ev) < 1e-8
 
 
 def test_corrupted_time_component_shows_up_in_residual():
-    pot = base_potential(PLANE_LAW, PLANE_H, Helicity.POSITIVE)
+    pot = FourPotentialField(PLANE_LAW, PLANE_H, Helicity.POSITIVE)
     bad = dataclasses.replace(pot, b0_offset=0.1)
     for ev in EVENTS:
         r = weyl_residual(PLANE_LAW, PLANE_H, bad, Helicity.POSITIVE, ev)
@@ -120,7 +120,7 @@ def test_corrupted_time_component_shows_up_in_residual():
 
 
 def test_residual_finite_difference_order():
-    pot = base_potential(PLANE_LAW, PLANE_H, Helicity.POSITIVE)
+    pot = FourPotentialField(PLANE_LAW, PLANE_H, Helicity.POSITIVE)
     ev = Event(0.4, 0.1, -0.3, 0.9)
     r_coarse = weyl_residual(PLANE_LAW, PLANE_H, pot, Helicity.POSITIVE, ev, step=1e-2)
     r_fine = weyl_residual(PLANE_LAW, PLANE_H, pot, Helicity.POSITIVE, ev, step=5e-3)
@@ -141,7 +141,6 @@ GAUGE_CHOICES = [
 @pytest.mark.parametrize("helicity", [Helicity.POSITIVE, Helicity.NEGATIVE])
 def test_gauge_shift_preserves_solutions(s_text, helicity):
     s = ScalarField.from_text(s_text)
-    base = base_potential(ROTATING_LAW, None, helicity)
-    shifted = degenerate_potential(base, s)
+    shifted = FourPotentialField(ROTATING_LAW, None, helicity, s)
     for ev in EVENTS:
         assert weyl_residual(ROTATING_LAW, None, shifted, helicity, ev) < 1e-6

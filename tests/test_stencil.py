@@ -10,8 +10,7 @@ import pytest
 import scalar_battery as oracle
 from weyldyn import spinors
 from weyldyn.expressions import AngleLaw, ScalarField
-from weyldyn.potentials import (base_potential, degenerate_potential,
-                                field_from_potential_numeric, gauge_potential)
+from weyldyn.potentials import FourPotentialField, field_from_potential_numeric
 from weyldyn.scenario import parse_scenario_text
 from weyldyn.spinors import (STENCIL_AXES, Event, Helicity, on_stencil,
                              stencil, weyl_residual)
@@ -93,7 +92,7 @@ def test_scalar_event_is_evaluated_one_row_at_a_time_in_order():
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_residual_over_draws_matches_scalar_calls(key, n):
     law, h, helicity = CASES[key]
-    pot = base_potential(law, h, helicity)
+    pot = FourPotentialField(law, h, helicity)
     ev, singles, _ = draws(n)
     got = weyl_residual(law, h, pot, helicity, ev)
     assert got.shape == (n,)
@@ -108,7 +107,7 @@ def test_residual_over_draws_matches_scalar_calls(key, n):
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_numeric_field_over_draws_matches_scalar_calls(key, n):
     law, h, helicity = CASES[key]
-    pot = base_potential(law, h, helicity)
+    pot = FourPotentialField(law, h, helicity)
     ev, singles, _ = draws(n)
     got = field_from_potential_numeric(pot, -1.5, ev)
     for i, e in enumerate(singles):
@@ -124,11 +123,11 @@ def test_numeric_field_over_draws_matches_scalar_calls(key, n):
 def test_degenerate_potentials_over_draws_match_scalar_calls(key, text, n):
     law, h, helicity = CASES[key]
     ev, singles, coeffs = draws(n)
-    base = base_potential(law, h, helicity)
     template = ScalarField.from_text(text, bound="abcd")
-    pot = degenerate_potential(base, template.bind(**dict(zip("abcd",
-                                                              coeffs))))
-    pots = [degenerate_potential(base, s) for s in singles_of(text, coeffs)]
+    pot = FourPotentialField(law, h, helicity,
+                             template.bind(**dict(zip("abcd", coeffs))))
+    pots = [FourPotentialField(law, h, helicity, s)
+            for s in singles_of(text, coeffs)]
     got = weyl_residual(law, h, pot, helicity, ev)
     assert bits(got) == bits([oracle.weyl_residual(law, h, p, helicity, e)
                               for p, e in zip(pots, singles)])
@@ -145,13 +144,13 @@ def test_gauge_potentials_over_drawn_laws_match_scalar_calls(text, n):
     ev, singles, coeffs = draws(n, seed=8)
     law_coeffs = np.random.default_rng(n).uniform(-3.0, 3.0, size=(4, n))
     template = ScalarField.from_text(text, bound="abcd")
-    pot = gauge_potential(AngleLaw.linear(*law_coeffs), NEG,
-                          template.bind(**dict(zip("abcd", coeffs))))
+    pot = FourPotentialField(AngleLaw.linear(*law_coeffs), None, None,
+                             template.bind(**dict(zip("abcd", coeffs))))
     field = field_from_potential_numeric(pot, -2.0, ev)
     for i, (s, e) in enumerate(zip(singles_of(text, coeffs), singles)):
         law = AngleLaw.linear(*law_coeffs[:, i].tolist())
         oe, ob = oracle.field_from_potential_numeric(
-            gauge_potential(law, NEG, s), -2.0, e)
+            FourPotentialField(law, None, None, s), -2.0, e)
         assert field_entry(field, i) == bits(oe + ob)
 
 
@@ -172,7 +171,7 @@ def test_one_array_call_evaluates_each_stencil_once(key, monkeypatch):
     monkeypatch.setattr(spinors, "_spinor_parts",
                         lambda *args: calls.append(args[-1]) or parts(*args))
     ev, _, _ = draws(7)
-    pot = CountingPotential(base_potential(law, h, helicity))
+    pot = CountingPotential(FourPotentialField(law, h, helicity))
     weyl_residual(law, h, pot, helicity, ev)
     assert [e.t.shape for e in calls] == [(9, 7)]
     assert pot.calls == 1  # the centre, for the potential term

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from weyldyn import verify
 from weyldyn.scenario import parse_scenario_text, resolve_scenario
 from weyldyn.verify import CheckResult, RunReport, run_verification
 
@@ -59,6 +60,27 @@ def test_corrupted_potential_fails_base_residual():
     assert not by_name["residual_base"].passed
     # the degeneracy and identity checks are built on the honest potential
     assert by_name["unit_speed"].passed
+
+
+def test_kappa_check_measures_rounding():
+    # the spinor from half angles against v from whole angles: not the
+    # same formula twice, so the residual is rounding, not exactly zero
+    sc = dataclasses.replace(resolve_scenario("fig45"), sample_count=400)
+    kappa = {c.name: c for c in run_verification(sc).checks}[
+        "kappa_is_minus_velocity"]
+    assert 0.0 < kappa.measured <= kappa.tolerance
+
+
+def test_kappa_check_fails_on_the_wrong_eigenvalue(monkeypatch):
+    residual = verify._kappa_residual
+    monkeypatch.setattr(verify, "_kappa_residual",
+                        lambda v, psi, sign: residual(v, psi, -sign))
+    by_name = {c.name: c for c in run_verification(
+        resolve_scenario("free")).checks}
+    kappa = by_name.pop("kappa_is_minus_velocity")
+    assert not kappa.passed
+    assert kappa.measured == pytest.approx(2.0, abs=1e-12)
+    assert all(c.passed for c in by_name.values())
 
 
 def test_mirror_check_covers_opposite_helicity():

@@ -13,11 +13,9 @@ import pytest
 import scalar_battery as oracle
 from weyldyn.expressions import (AngleLaw, EvaluationError, ScalarField,
                                  plane_wave_phase)
-from weyldyn.potentials import (base_potential, degenerate_potential,
-                                drive_field_closed_form,
+from weyldyn.potentials import (FourPotentialField, drive_field_closed_form,
                                 field_from_potential_numeric,
-                                gauge_family_field, gauge_potential,
-                                kappa_vector)
+                                gauge_family_field)
 from weyldyn.scenario import parse_scenario_text, resolve_scenario
 from weyldyn.spinors import Event, Helicity, build_spinor, weyl_residual
 from weyldyn.verify import run_verification
@@ -166,7 +164,7 @@ def test_weyl_residual_over_many_events():
     # the array square on about one value in a thousand
     cols = np.random.default_rng(9).uniform(-2.0, 2.0, size=(4, 3000))
     law, h, helicity = CASES[2]
-    pot = base_potential(law, h, helicity)
+    pot = FourPotentialField(law, h, helicity)
     got = weyl_residual(law, h, pot, helicity, Event(*cols))
     expected = [oracle.weyl_residual(law, h, pot, helicity,
                                      Event(*map(float, col)))
@@ -176,7 +174,7 @@ def test_weyl_residual_over_many_events():
 
 @pytest.mark.parametrize("law, h, helicity", CASES)
 def test_weyl_residual_over_arrays(law, h, helicity):
-    pot = base_potential(law, h, helicity)
+    pot = FourPotentialField(law, h, helicity)
     got = weyl_residual(law, h, pot, helicity, EVENTS, 1e-4)
     expected = per_event(lambda ev, i: oracle.weyl_residual(
         law, h, pot, helicity, ev, 1e-4))
@@ -190,22 +188,24 @@ def test_weyl_residual_over_arrays(law, h, helicity):
 def test_degenerate_residual_and_components_over_arrays(law, h, helicity,
                                                         text):
     bound, singles = gauges(text)
-    base = base_potential(law, h, helicity)
-    pot = degenerate_potential(base, bound)
+    pot = FourPotentialField(law, h, helicity, bound)
     got = weyl_residual(law, h, pot, helicity, EVENTS)
     expected = per_event(lambda ev, i: oracle.weyl_residual(
-        law, h, degenerate_potential(base, singles[i]), helicity, ev))
+        law, h, FourPotentialField(law, h, helicity, singles[i]), helicity,
+        ev))
     assert bits(got) == bits(expected)
     comps = np.broadcast_arrays(*pot.components(EVENTS))
     for i, ev in enumerate(EVENT_LIST):
-        single = degenerate_potential(base, singles[i])
+        single = FourPotentialField(law, h, helicity, singles[i])
         assert [c[i] for c in comps] == list(oracle.components(single, ev))
 
 
 @pytest.mark.parametrize("law, h, helicity", CASES)
 def test_kappa_and_drive_field_over_arrays(law, h, helicity):
     t = COLS[3]
-    kappa = np.broadcast_arrays(*kappa_vector(law, t))
+    # the kappa * s part with s = 1 is kappa itself
+    unit = FourPotentialField(law, None, None, ScalarField.from_text("1"))
+    kappa = np.broadcast_arrays(*unit.components(EVENTS))
     field = drive_field_closed_form(law, helicity, -1.5, t)
     for i, ti in enumerate(t.tolist()):
         assert [k[i] for k in kappa] == list(oracle.kappa_vector(law, ti))
@@ -215,7 +215,7 @@ def test_kappa_and_drive_field_over_arrays(law, h, helicity):
 
 @pytest.mark.parametrize("law, h, helicity", CASES)
 def test_numeric_field_of_base_potential_over_arrays(law, h, helicity):
-    pot = base_potential(law, h, helicity)
+    pot = FourPotentialField(law, h, helicity)
     e, b = field_from_potential_numeric(pot, 0.7, EVENTS, 1e-4)
     for i, ev in enumerate(EVENT_LIST):
         oe, ob = oracle.field_from_potential_numeric(pot, 0.7, ev, 1e-4)
@@ -228,14 +228,14 @@ def test_gauge_fields_over_arrays(text):
     coeffs = RNG.uniform(-3.0, 3.0, size=(4, 40))
     law = AngleLaw.linear(*coeffs)
     bound, singles = gauges(text)
-    numeric = field_from_potential_numeric(gauge_potential(law, NEG, bound),
-                                           -2.0, EVENTS)
+    numeric = field_from_potential_numeric(
+        FourPotentialField(law, None, None, bound), -2.0, EVENTS)
     closed = gauge_family_field(law, bound, -2.0, EVENTS)
     got = [*numeric, *closed]
     for i, ev in enumerate(EVENT_LIST):
         single = AngleLaw.linear(*coeffs[:, i].tolist())
         oe, ob = oracle.field_from_potential_numeric(
-            gauge_potential(single, NEG, singles[i]), -2.0, ev)
+            FourPotentialField(single, None, None, singles[i]), -2.0, ev)
         ce, cb = oracle.gauge_family_field(single, singles[i], -2.0, ev)
         for rows, values in zip(got, (oe, ob, ce, cb)):
             assert rows[i].tolist() == list(values)

@@ -48,6 +48,8 @@ exit code's place as its class name.  The runs are:
   py and pz there are 0.0 as the scalar formula gives them;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
+- `verify` on fig45 with `corrupt_b0 = 0.001` (a file written to the
+  workdir), whose shifted potential fails `residual_base` (exit 1);
 - every benchmark op of seeds 1-3, built by `perfbench.workloads`.
 
 Then one line per verify report, "measured <name> <check> <float.hex>",
@@ -121,12 +123,12 @@ def _run(cli, argv, written) -> str:
     return f"rc={rc} {digest.hexdigest()}"
 
 
-def _preset_file(workdir: Path, name: str, sample_count: int) -> str:
-    """The preset with a sample_count line added, as a scenario file."""
+def _preset_file(workdir: Path, name: str, tag: str, line: str) -> str:
+    """The preset with `line` added, as the scenario file <name>-<tag>.scn."""
     text = (resources.files("weyldyn")
             .joinpath(f"presets/{name}.scn").read_text())
-    path = workdir / f"{name}-n{sample_count}.scn"
-    path.write_text(text + f"sample_count = {sample_count}\n")
+    path = workdir / f"{name}-{tag}.scn"
+    path.write_text(text + line + "\n")
     return str(path)
 
 
@@ -216,8 +218,11 @@ def cli_runs(workdir: Path):
             yield (f"verify:{name}:seed{seed}",
                    _run(cli, ("verify", name, "--seed", str(seed)), []))
         for count in (1, 7, 100, 1000):
-            scn = _preset_file(workdir, name, count)
+            scn = _preset_file(workdir, name, f"n{count}",
+                               f"sample_count = {count}")
             yield f"verify:{name}:n{count}", _run(cli, ("verify", scn), [])
+    scn = _preset_file(workdir, "fig45", "corrupt", "corrupt_b0 = 0.001")
+    yield "verify:fig45:corrupt_b0", _run(cli, ("verify", scn), [])
     for workload in BENCH_WORKLOADS:
         for seed in (1, 2, 3):
             opdir = workdir / f"bench-{workload}-{seed}"
