@@ -14,8 +14,7 @@ refuses to continue past a configurable tolerance.  Negative helicity
 feels the opposite field, so these take q_eff = q * sign(helicity).
 
 Integration is classic fourth-order Runge-Kutta on the state
-(position, theta, phi, theta', phi') over a uniform grid.  k, v, E0 and
-p are evaluated by `observables` from the integrated angles and rates.
+(position, theta, phi, theta', phi') over a uniform grid.
 
 The equations are triangular: phi'' needs only Ez, theta'' only phi and
 E, and the position only theta and phi.  So the integrator runs as a
@@ -24,10 +23,11 @@ whole-array expression and each update a sequential running sum
 (np.add.accumulate).  It keeps the operation order of the scalar
 per-step loop, so results are bit-identical to it; it works in fixed
 blocks of steps, carrying each block's end state into the next, so the
-temporaries stay small.  After each block a run gate looks for the first
-grid point whose compatibility residual is not within the tolerance, or
-whose state or field is not finite, and ends the run there; the energy
-and momentum assembled from the state must be finite too.
+temporaries stay small.  Each block's k, v, E0 and p come from
+`observables`, on the sines and cosines of its first RK4 stage, and one
+run gate per block ends the run at the first grid point whose
+compatibility residual is not within the tolerance, or whose state,
+field, energy or momentum is not finite.
 integrate_angles runs the angle pass and its gate alone, which is all
 the k-control check needs: no position, velocity, momentum or energy.
 """
@@ -230,7 +230,7 @@ class ConstraintViolation(RuntimeError):
         self.nonfinite = nonfinite
 
 
-MAX_GRID_STEPS = 10 ** 7  # a run holds about 248 bytes per step: 2.5 GB
+MAX_GRID_STEPS = 10 ** 7  # a run holds about 202 bytes per step: 2.0 GB
 
 
 def grid_steps(t_end: float, dt: float) -> int:
@@ -276,10 +276,8 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     # Non-finite values are caught by the gate, not reported as warnings;
     # the last sample of a partial run may hold inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        run = _Cascade(initial, program, n, dt, constraint_tol, positions=True)
-        return run.finish(lambda *cols: _assemble(*cols, gauge, initial, dt),
-                          lambda tr: (np.isfinite(tr.e0)
-                                      & np.isfinite(tr.p).all(axis=1)))
+        return _Cascade(initial, program, n, dt, constraint_tol,
+                        positions=True, gauge=gauge).finish()
 
 
 def integrate_angles(initial: ParticleState, program: FieldProgram,
@@ -289,19 +287,20 @@ def integrate_angles(initial: ParticleState, program: FieldProgram,
     phi', residual), its columns bit for bit, with no position, velocity,
     momentum or energy; raises the same ConstraintViolation."""
     with np.errstate(invalid="ignore", over="ignore"):
-        run = _Cascade(initial, program, grid_steps(t_end, dt), dt,
-                       constraint_tol, positions=False)
-        return run.finish(lambda t, rows, _, res: (t, *rows, res))
+        return _Cascade(initial, program, grid_steps(t_end, dt), dt,
+                        constraint_tol, positions=False).finish()
 
 
 class _Cascade:
     """An n-step run, advanced and gated as it is built: the half-step
-    field, the state rows (theta, phi, theta', phi', and x, y, z with
-    positions), the residual and the first grid point that fails the
-    gate, after which nothing is advanced."""
+    field, the state rows (theta, phi, theta', phi'; with positions x, y,
+    z, and k, v, E0 and p), the residual, and the first grid point that
+    fails the gate, after which nothing is advanced."""
 
     def __init__(self, initial: ParticleState, program: FieldProgram, n: int,
-                 dt: float, constraint_tol: float, positions: bool):
+                 dt: float, constraint_tol: float, positions: bool,
+                 gauge: ScalarField | None = None):
+        self.initial, self.dt, self.gauge = initial, dt, gauge
         self.ts = np.arange(n + 1) * dt
         self.fields = fields = program.sample(
             np.arange(2 * n + 1) * (0.5 * dt))
@@ -310,9 +309,12 @@ class _Cascade:
         self.state[:, 0] = (initial.theta, initial.phi, initial.theta_dot,
                             initial.phi_dot, *initial.position)[:rows]
         self.residual = np.empty(n + 1)
+        self.positions = positions
+        if positions:
+            self.k, self.e0 = np.empty(n + 1), np.empty(n + 1)
+            self.v, self.p = np.empty((n + 1, 3)), np.empty((n + 1, 3))
         self.q_eff = q_eff = initial.q * initial.helicity.sign
-        self.tol = constraint_tol
-        self.bad = None
+        self.tol, self.bad, self.observables = constraint_tol, None, False
 
         theta_a, phi_a, theta_dot_a, phi_dot_a = self.state[:4]
         for lo in range(0, n, _BLOCK):
@@ -331,53 +333,69 @@ class _Cascade:
                             for e, s, c in zip((e0, em, em, e1), sp, cp)]
             theta_dot_s = _rk4_stages(theta_dot_a, lo, hi, dt, *theta_ddot_s)
             theta_s = _rk4_stages(theta_a, lo, hi, dt, *theta_dot_s)
+            trig = (None, None, sp[0], cp[0])
             if positions:  # slopes: the velocity from each stage's sin, cos
                 xs, ys, zs = self.state[4:]
                 st = [np.sin(t) for t in theta_s]
+                ct = [np.cos(t) for t in theta_s]
                 _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
                 _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
-                _rk4_stages(zs, lo, hi, dt, *(np.cos(t) for t in theta_s))
-            if self._first_bad(lo, hi, sp[0], cp[0]):
+                _rk4_stages(zs, lo, hi, dt, *ct)
+                trig = (st[0], ct[0], sp[0], cp[0])
+            if self._gate(lo, hi, trig):
                 return
-        self._first_bad(n, n + 1, np.sin(phi_a[n:]), np.cos(phi_a[n:]))
+        self._gate(n, n + 1, angle_trig(theta_a[n:], phi_a[n:]))
 
-    def _first_bad(self, lo, hi, sp, cp) -> bool:
-        """Fill the residual over grid points lo..hi-1; record the first of
-        them that fails the gate, in any state row, as self.bad."""
+    def _gate(self, lo, hi, trig) -> bool:
+        """Fill the residual (and k, v, E0, p) at grid points lo..hi-1 from
+        their state and trig = angle_trig(theta, phi); the first failing
+        the gate is self.bad, and self.observables if only E0 or p fail."""
         e = self.fields[2 * lo:2 * hi:2]
         state = self.state[:, lo:hi]
-        res = compatibility_residual(self.q_eff, e, sp, cp, state[2], state[3])
+        theta, phi, theta_dot, phi_dot = state[:4]
+        res = compatibility_residual(self.q_eff, e, trig[2], trig[3],
+                                     theta_dot, phi_dot)
         self.residual[lo:hi] = res
-        ok = ((res <= self.tol) & np.isfinite(state).all(axis=0)
-              & np.isfinite(e).all(axis=1))
-        bad = np.flatnonzero(~ok)
-        self.bad = lo + int(bad[0]) if len(bad) else None
+        passed = ok = ((res <= self.tol) & np.isfinite(state).all(axis=0)
+                       & np.isfinite(e).all(axis=1))
+        if self.positions:
+            s = (0.0 if self.gauge is None
+                 else self.gauge.sample_time(self.ts[lo:hi]))
+            km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
+                                             s, self.initial.helicity, trig)
+            self.e0[lo:hi], self.p[lo:hi] = km.energy, km.momentum
+            self.v[lo:hi] = velocity_from_angles(theta, phi, trig)
+            self.k[lo:hi] = localization_from_rates(theta, theta_dot, phi_dot,
+                                                    trig)
+            passed = ok & (np.isfinite(km.energy)
+                           & np.isfinite(km.momentum).all(axis=1))
+        bad = np.flatnonzero(~passed)
+        if len(bad):
+            self.bad, self.observables = lo + int(bad[0]), bool(ok[bad[0]])
         return self.bad is not None
 
-    def finish(self, build, finite=None):
-        """build(ts, state, fields, residual) over the samples up to and
-        including the first that failed the gate, or where the per-sample
-        mask finite(built) is False; raise ConstraintViolation carrying it
-        if one did, else return it."""
-        def built(f):
-            return build(self.ts[:f], self.state[:, :f],
-                         self.fields[0:2 * f:2], self.residual[:f])
-
-        bad, observables = self.bad, False
-        out = built(len(self.ts) if bad is None else bad + 1)
-        if finite is not None:
-            late = np.flatnonzero(~finite(out))
-            if len(late) and (bad is None or late[0] < bad):
-                bad, observables = int(late[0]), True
-                out = built(bad + 1)
+    def finish(self):
+        """The run up to and including any sample that failed the gate, a
+        Trajectory with positions, else (t, theta, phi, theta', phi',
+        residual); raise ConstraintViolation carrying it if one did."""
+        bad = self.bad
+        f = len(self.ts) if bad is None else bad + 1
+        ts, state, residual = self.ts[:f], self.state[:, :f], self.residual[:f]
+        if self.positions:
+            out = Trajectory(  # e a copy, so that the run's field can go
+                ts, state[4:].T, self.v[:f], *state[:4], self.k[:f],
+                self.e0[:f], self.p[:f], self.fields[0:2 * f:2].copy(),
+                residual, self.initial.helicity, self.initial.q, self.dt)
+        else:
+            out = (ts, *state, residual)
         if bad is None:
             return out
         res = self.residual[bad]
         cells = (*self.state[:, bad], *self.fields[2 * bad], res)
         raise ConstraintViolation(
             float(self.ts[bad]), float(res), self.tol, out,
-            nonfinite=observables or not np.isfinite(cells).all(),
-            observables=observables)
+            nonfinite=self.observables or not np.isfinite(cells).all(),
+            observables=self.observables)
 
 
 def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
@@ -393,21 +411,3 @@ def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
     np.add.accumulate(seg, out=seg)
     base = seg[:-1]
     return base, base + (0.5 * h) * k1, base + (0.5 * h) * k2, base + h * k3
-
-
-def _assemble(ts, state, fields, residual, gauge, initial: ParticleState,
-              dt: float) -> Trajectory:
-    theta_a, phi_a, theta_dot_a, phi_dot_a = state[:4]
-    trig = angle_trig(theta_a, phi_a)
-    s_vals = np.zeros_like(ts) if gauge is None else gauge.sample_time(ts)
-    km = kinetic_momentum_from_state(theta_a, phi_a, theta_dot_a, phi_dot_a,
-                                     s_vals, initial.helicity, trig)
-    return Trajectory(
-        t=ts, r=state[4:].T, v=velocity_from_angles(theta_a, phi_a, trig),
-        theta=theta_a, phi=phi_a, theta_dot=theta_dot_a, phi_dot=phi_dot_a,
-        k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a, trig),
-        e0=km.energy, p=km.momentum,
-        # a copy, so that the run's half-step field can be freed
-        e=fields.copy(), residual=residual,
-        helicity=initial.helicity, q=initial.q, dt=dt,
-    )

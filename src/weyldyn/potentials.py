@@ -98,19 +98,19 @@ class FourPotentialField:
             b1 = sign * 0.5 * np.sin(phi) * theta_dot
             b2 = -sign * 0.5 * np.cos(phi) * theta_dot
             b3 = -sign * 0.5 * phi_dot
-            if self.h is not None:
+            if self.h is not None:  # not in place: the sums may broadcast
                 args = (ev.x, ev.y, ev.z, ev.t)
-                b0 += self.h.partial("t", *args)
-                b1 += self.h.partial("x", *args)
-                b2 += self.h.partial("y", *args)
-                b3 += self.h.partial("z", *args)
+                b0 = b0 + self.h.partial("t", *args)
+                b1 = b1 + self.h.partial("x", *args)
+                b2 = b2 + self.h.partial("y", *args)
+                b3 = b3 + self.h.partial("z", *args)
         if self.gauge is not None:
             s = self.gauge.value(ev.x, ev.y, ev.z, ev.t)
             v = velocity_from_angles(theta, phi)  # kappa = (1, -v)
-            b0 += s
-            b1 += -v[..., 0] * s
-            b2 += -v[..., 1] * s
-            b3 += -v[..., 2] * s
+            b0 = b0 + s
+            b1 = b1 + -v[..., 0] * s
+            b2 = b2 + -v[..., 1] * s
+            b3 = b3 + -v[..., 2] * s
         return b0 + self.b0_offset, b1, b2, b3
 
 

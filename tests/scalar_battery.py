@@ -29,6 +29,7 @@ from weyldyn.verify import CheckResult, RunReport
 
 GAUGE_FORMS = ("a", "a*t", "a*sin(b*t)", "a*x + b*y + c*z + d*t", "a*z",
                "a*t + b*t^2")
+DRIVE_PHASE = "a*sin(b*x + c*y + d*z - t)"
 
 # (identity, sigma_x, sigma_y, sigma_z), and the mirrored set of the
 # negative helicity equation, its spatial signs flipped
@@ -229,8 +230,11 @@ def random_law(rng) -> AngleLaw:
 
 
 def random_gauge(rng, index: int) -> ScalarField:
+    return random_bound(rng, GAUGE_FORMS[index % len(GAUGE_FORMS)])
+
+
+def random_bound(rng, text: str) -> ScalarField:
     a, b, c, d = (float(v) for v in rng.uniform(-2.0, 2.0, size=4))
-    text = GAUGE_FORMS[index % len(GAUGE_FORMS)]
     return ScalarField.from_text(text, {"a": a, "b": b, "c": c, "d": d})
 
 
@@ -309,24 +313,10 @@ def run_verification(scenario) -> RunReport:
     checks.append(CheckResult("momentum_projection_energy", worst_project,
                               tol_identity))
 
-    worst_drive = worst_drive_b = 0.0
-    for _ in range(max(1, n // 4)):
-        law = random_law(rng)
-        ev = random_event(rng)
-        for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
-            pot = FourPotentialField(law, None, hel)
-            e_num, b_num = field_from_potential_numeric(pot, scenario.q, ev,
-                                                        step)
-            e_closed = drive_field_closed_form(law, hel, scenario.q, ev.t)
-            worst_drive = max(
-                worst_drive,
-                float(np.max(np.abs(np.array(e_num) - np.array(e_closed)))),
-            )
-            worst_drive_b = max(worst_drive_b,
-                                float(np.max(np.abs(np.array(b_num)))))
-    checks.append(CheckResult("drive_field_cross_check", worst_drive,
-                              tol_field))
-    checks.append(CheckResult("drive_field_b_zero", worst_drive_b, tol_field))
+    # the drive checks' laws and events, then the gauge check's draws, then
+    # the drive checks' phases
+    drive_draws = [(random_law(rng), random_event(rng))
+                   for _ in range(max(1, n // 4))]
 
     worst_gauge = 0.0
     for i in range(max(1, n // 4)):
@@ -341,6 +331,24 @@ def run_verification(scenario) -> RunReport:
             float(np.max(np.abs(np.array(b_num) - np.array(b_closed)))),
         )
         worst_gauge = max(worst_gauge, deviation)
+
+    phases = [random_bound(rng, DRIVE_PHASE) for _ in drive_draws]
+    worst_drive = worst_drive_b = 0.0
+    for (law, ev), phase in zip(drive_draws, phases):
+        for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
+            pot = FourPotentialField(law, phase, hel)
+            e_num, b_num = field_from_potential_numeric(pot, scenario.q, ev,
+                                                        step)
+            e_closed = drive_field_closed_form(law, hel, scenario.q, ev.t)
+            worst_drive = max(
+                worst_drive,
+                float(np.max(np.abs(np.array(e_num) - np.array(e_closed)))),
+            )
+            worst_drive_b = max(worst_drive_b,
+                                float(np.max(np.abs(np.array(b_num)))))
+    checks.append(CheckResult("drive_field_cross_check", worst_drive,
+                              tol_field))
+    checks.append(CheckResult("drive_field_b_zero", worst_drive_b, tol_field))
     checks.append(CheckResult("gauge_field_cross_check", worst_gauge,
                               tol_field))
 

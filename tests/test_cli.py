@@ -462,6 +462,43 @@ def test_non_finite_energy_or_momentum_ends_the_run(tmp_path, capsys):
     assert not np.isfinite(e0_and_p).all()
 
 
+# (scenario keys past theta0 = 1, omega2 = 1; the stderr error line; the
+# partial CSV's sample count).  The gate stops at the first failing grid
+# point; where the field or state fails there as well as E0, the field or
+# state message wins.
+GATE_ORDER = {
+    "energy_in_second_block": (
+        "s = exp(300*t)\nt_end = 3\n",
+        "error: non-finite energy or momentum at t = 2.366", 2367),
+    "field_and_energy_together": (
+        "field = expr\nez = 1/(t-3)\ns = 1/(t-3)\nt_end = 4\n",
+        "error: non-finite field or state at t = 3 "
+        "(compatibility residual nan)", 3001),
+    "energy_before_field": (
+        "field = expr\nez = 1/(t-1)\ns = exp(1000*t)\nt_end = 2\n",
+        "error: non-finite energy or momentum at t = 0.71", 711),
+    "field_before_energy": (
+        "field = expr\nez = 1/(t-0.5)\ns = exp(1000*t)\nt_end = 2\n",
+        "error: non-finite field or state at t = 0.5 "
+        "(compatibility residual nan)", 501),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_ORDER))
+def test_first_failing_point_and_its_message_end_the_run(tmp_path, capsys,
+                                                         case):
+    keys, error, samples = GATE_ORDER[case]
+    scn = tmp_path / "gate.scn"
+    scn.write_text("theta0 = 1\nomega2 = 1\n" + keys)
+    out = tmp_path / "gate.csv"
+    assert cli.main(["simulate", str(scn), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{error}\npartial trajectory ({samples} "
+                            f"samples) written to {out}\n")
+    assert len(out.read_text().splitlines()) == samples + 1
+
+
 def test_verify_overflow_exits_2_without_warning(tmp_path):
     # the phase overflows on some draws before exp() itself fails on one
     scn = tmp_path / "explaw.scn"

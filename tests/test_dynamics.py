@@ -1,6 +1,7 @@
 """Equations of motion, field programs, and the fixed-step integrator."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from weyldyn.dynamics import (
     DriveField,
     ExprField,
     ParticleState,
+    Trajectory,
     ZeroField,
     compatibility_residual,
     grid_steps,
@@ -344,8 +346,6 @@ def reference_integrate(initial, program, t_end, dt, constraint_tol=1e-6):
     residual exceeds the tolerance, and (time, residual) of that point or
     None.
     """
-    from weyldyn.dynamics import _assemble
-
     n = int(round(t_end / dt))
     ts = np.arange(n + 1) * dt
     half_ts = np.arange(2 * n + 1) * (0.5 * dt)
@@ -407,8 +407,17 @@ def reference_integrate(initial, program, t_end, dt, constraint_tol=1e-6):
         theta_dot += sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
         phi_dot += sixth * (k1[6] + 2.0 * (k2[6] + k3[6]) + k4[6])
 
-    traj = _assemble(ts[:filled], state[:, :filled], fields[0:2 * filled:2],
-                     residual_a[:filled], None, initial, dt)
+    theta_a, phi_a, theta_dot_a, phi_dot_a = state[:4, :filled]
+    km = kinetic_momentum_from_state(theta_a, phi_a, theta_dot_a, phi_dot_a,
+                                     np.zeros(filled), initial.helicity)
+    traj = Trajectory(
+        t=ts[:filled], r=state[4:, :filled].T,
+        v=velocity_from_angles(theta_a, phi_a), theta=theta_a, phi=phi_a,
+        theta_dot=theta_dot_a, phi_dot=phi_dot_a,
+        k=localization_from_rates(theta_a, theta_dot_a, phi_dot_a),
+        e0=km.energy, p=km.momentum, e=fields[0:2 * filled:2],
+        residual=residual_a[:filled], helicity=initial.helicity,
+        q=initial.q, dt=dt)
     return traj, violation
 
 
@@ -549,6 +558,25 @@ def test_infinite_field_aborts_without_numpy_warnings():
     assert np.isfinite(p.k[:-1]).all()
     assert_angle_pass_matches(make_state(theta=1.0, phi_dot=1.0), field, 1.0,
                               0.001)
+
+
+def test_run_holds_at_most_210_bytes_per_step():
+    # what grows with the grid: the half-step field, the state, residual,
+    # k, v, E0 and p, and the trajectory's copy of the field; a block's
+    # temporaries do not
+    scn = resolve_scenario("fig45")
+
+    def traced_peak(steps):
+        tracemalloc.start()
+        try:
+            integrate_trajectory(scn.initial, scn.program, steps * scn.dt,
+                                 scn.dt, gauge=scn.s)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slope = (traced_peak(60000) - traced_peak(20000)) / 40000
+    assert slope <= 210
 
 
 def test_grid_steps_rounds_to_the_nearest_whole_step():

@@ -1,6 +1,8 @@
 """Kinetic momentum, localization scale, uncertainty floor, SI conversion."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +149,12 @@ def test_si_rates_frozen_values():
     half = si_rates(2.0, 0.5)
     assert half.ev_per_meter == 1.0
     assert half.ev_per_second == 299792458.0
+
+
+def test_declared_numpy_floor_has_vecdot():
+    # np.vecdot, which the observables and the verify battery call, is new
+    # in NumPy 2.0
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject.read_text())
+    assert floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 0)

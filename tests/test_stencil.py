@@ -31,6 +31,12 @@ CASES = {
                             NEG),
     "exprlaw": (EXPRLAW.law, EXPRLAW.h, POS),
 }
+# per-draw linear laws, whose rates hold one value per draw, under a
+# gauge or a phase that varies along the stencil: (gauge, phase)
+DRAWN_LAW_CASES = {
+    "drawn_laws_gauge": (ScalarField.from_text("t*x"), None),
+    "drawn_laws_phase": (None, ScalarField.from_text("z*t")),
+}
 DRAWS = [1, 7, 100]
 
 
@@ -103,17 +109,29 @@ def test_residual_over_draws_matches_scalar_calls(key, n):
                  for e in singles]) == bits(expected)
 
 
+def field_potentials(key, n):
+    """The potential of case `key` over n draws, and that of each draw."""
+    if key in CASES:
+        law, h, helicity = CASES[key]
+        pot = FourPotentialField(law, h, helicity)
+        return pot, [pot] * n
+    gauge, h = DRAWN_LAW_CASES[key]
+    coeffs = np.random.default_rng(n).uniform(-3.0, 3.0, size=(4, n))
+    return (FourPotentialField(AngleLaw.linear(*coeffs), h, POS, gauge),
+            [FourPotentialField(AngleLaw.linear(*c.tolist()), h, POS, gauge)
+             for c in coeffs.T])
+
+
 @pytest.mark.parametrize("n", DRAWS)
-@pytest.mark.parametrize("key", sorted(CASES))
+@pytest.mark.parametrize("key", sorted(CASES) + sorted(DRAWN_LAW_CASES))
 def test_numeric_field_over_draws_matches_scalar_calls(key, n):
-    law, h, helicity = CASES[key]
-    pot = FourPotentialField(law, h, helicity)
+    pot, pots = field_potentials(key, n)
     ev, singles, _ = draws(n)
     got = field_from_potential_numeric(pot, -1.5, ev)
-    for i, e in enumerate(singles):
-        oe, ob = oracle.field_from_potential_numeric(pot, -1.5, e)
+    for i, (p, e) in enumerate(zip(pots, singles)):
+        oe, ob = oracle.field_from_potential_numeric(p, -1.5, e)
         assert field_entry(got, i) == bits(oe + ob)
-        single = field_from_potential_numeric(pot, -1.5, e)
+        single = field_from_potential_numeric(p, -1.5, e)
         assert bits(single) == bits(oe + ob)
 
 

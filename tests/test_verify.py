@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from weyldyn import verify
+from weyldyn.expressions import ScalarField
 from weyldyn.scenario import parse_scenario_text, resolve_scenario
 from weyldyn.verify import CheckResult, RunReport, run_verification
 
@@ -81,6 +82,28 @@ def test_kappa_check_fails_on_the_wrong_eigenvalue(monkeypatch):
     assert not kappa.passed
     assert kappa.measured == pytest.approx(2.0, abs=1e-12)
     assert all(c.passed for c in by_name.values())
+
+
+def test_drive_b_check_measures_rounding():
+    # the drive potentials carry a drawn phase whose gradient varies in
+    # x, y, z and t: its curl cancels only up to rounding
+    sc = dataclasses.replace(resolve_scenario("fig45"), sample_count=400)
+    b_zero = {c.name: c for c in run_verification(sc).checks}[
+        "drive_field_b_zero"]
+    assert 0.0 < b_zero.measured <= b_zero.tolerance
+
+
+def test_drive_b_check_fails_on_swapped_phase_gradients(monkeypatch):
+    # with the x and y partials swapped, the phase terms of the potential
+    # are no longer a gradient, and B = curl A does not vanish
+    partial = ScalarField.partial
+    swap = {"x": "y", "y": "x"}
+    monkeypatch.setattr(ScalarField, "partial",
+                        lambda self, axis, *args: partial(
+                            self, swap.get(axis, axis), *args))
+    by_name = {c.name: c for c in run_verification(
+        resolve_scenario("free")).checks}
+    assert not by_name["drive_field_b_zero"].passed
 
 
 def test_mirror_check_covers_opposite_helicity():

@@ -46,6 +46,13 @@ exit code's place as its class name.  The runs are:
   and as `field = constant`, which both write Ez -0.0;
 - `simulate` with the gauge s = -t, which is -0.0 at t = 0, so that E0,
   py and pz there are 0.0 as the scalar formula gives them;
+- the run gate's order, `simulate` on theta0 = 1, omega2 = 1 (exit 1):
+  the gauge s = exp(300*t) to t_end = 3, whose energy first fails at
+  t = 2.366, in the second block of steps; with `field = expr`,
+  ez = 1/(t-3) and s = 1/(t-3) to t_end = 4, where the field and the
+  energy fail at the same point and the field or state message wins;
+  and ez = 1/(t-1) or ez = 1/(t-0.5) with s = exp(1000*t) to t_end = 2,
+  where the energy fails first (t = 0.71) or the field does (t = 0.5);
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - `verify` on fig45 with `corrupt_b0 = 0.001` (a file written to the
@@ -209,8 +216,20 @@ def cli_runs(workdir: Path):
     for name, text in edges.items():
         (workdir / f"{name}.scn").write_text(text + "t_end = 1\n")
     kunderflow, *simulated = (str(workdir / f"{name}.scn") for name in edges)
+    gates = {"gateblock": "s = exp(300*t)\nt_end = 3\n",
+             "gatetie": "field = expr\nez = 1/(t-3)\ns = 1/(t-3)\n"
+                        "t_end = 4\n",
+             "gateenergy": "field = expr\nez = 1/(t-1)\ns = exp(1000*t)\n"
+                           "t_end = 2\n",
+             "gatefield": "field = expr\nez = 1/(t-0.5)\n"
+                          "s = exp(1000*t)\nt_end = 2\n"}
+    for name, text in gates.items():
+        (workdir / f"{name}.scn").write_text("theta0 = 1\nomega2 = 1\n"
+                                             + text)
     for argv in (("control", kunderflow, "--dkdt=-0.5"),
-                 *(("simulate", scn) for scn in simulated)):
+                 *(("simulate", scn) for scn in simulated),
+                 *(("simulate", str(workdir / f"{name}.scn"))
+                   for name in gates)):
         yield (":".join(["edge", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
