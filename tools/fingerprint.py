@@ -17,6 +17,8 @@ exit code's place as its class name.  The runs are:
   reads the same file);
 - `control fig45 --dkdt -0.5 --t-end 2 --si` and
   `control free --dedt 2 --si`;
+- `simulate fig45 --t-end 0.0105`, whose t_end is not a whole number of
+  steps, so that a `note:` line names the time the grid ends at;
 - `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
   omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
   which the run gate stops at t = 0.001 (exit 1);
@@ -53,6 +55,12 @@ exit code's place as its class name.  The runs are:
   energy fail at the same point and the field or state message wins;
   and ez = 1/(t-1) or ez = 1/(t-0.5) with s = exp(1000*t) to t_end = 2,
   where the energy fails first (t = 0.71) or the field does (t = 0.5);
+- `verify` on theta0 = 1, omega2 = 1 with the phase h = exp(1000*x),
+  which overflows on some draws (exit 2, a domain error): the only run
+  that replays non-finite draws one at a time;
+- `figures` on a scenario file named trip (theta0 = 1, omega2 = 1,
+  `field = expr`, ez = 1/(t-0.5), t_end = 2), whose run gate trips at
+  t = 0.5 (exit 1) with a 501-sample partial `<out>/trip.csv`;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - `verify` on fig45 with `corrupt_b0 = 0.001` (a file written to the
@@ -155,7 +163,8 @@ def cli_runs(workdir: Path):
                  ("simulate", str(literal), "--t-end", "2"),
                  ("figures", str(literal), "--t-end", "2"),
                  ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2", "--si"),
-                 ("control", "free", "--dedt", "2", "--si")):
+                 ("control", "free", "--dedt", "2", "--si"),
+                 ("simulate", "fig45", "--t-end", "0.0105")):
         out = workdir / "options"
         yield (":".join(["options", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
@@ -226,10 +235,17 @@ def cli_runs(workdir: Path):
     for name, text in gates.items():
         (workdir / f"{name}.scn").write_text("theta0 = 1\nomega2 = 1\n"
                                              + text)
+    replay = workdir / "replay.scn"
+    replay.write_text("theta0 = 1\nomega2 = 1\nh = exp(1000*x)\n")
+    trip = workdir / "trip.scn"
+    trip.write_text("name = trip\ntheta0 = 1\nomega2 = 1\nfield = expr\n"
+                    "ez = 1/(t-0.5)\nt_end = 2\n")
     for argv in (("control", kunderflow, "--dkdt=-0.5"),
                  *(("simulate", scn) for scn in simulated),
                  *(("simulate", str(workdir / f"{name}.scn"))
-                   for name in gates)):
+                   for name in gates),
+                 ("verify", str(replay)),
+                 ("figures", str(trip))):
         yield (":".join(["edge", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
