@@ -6,7 +6,7 @@ from .spinors import Event, Helicity, build_spinor, weyl_residual
 from .potentials import (FourPotentialField, drive_field_closed_form,
                          energy_control_field, field_from_potential_numeric,
                          gauge_family_field, k_control_field)
-from .observables import (KineticMomentum, kinetic_momentum_from_state,
+from .observables import (kinetic_momentum_from_state,
                           localization_from_rates,
                           mass_shell_defect_from_momentum,
                           noncollinearity_from_vectors, si_rates,

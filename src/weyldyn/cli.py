@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import shutil
 import sys
 from pathlib import Path
@@ -67,15 +66,11 @@ def _load(args) -> Scenario:
 
 
 def _si_lines(e0, q: float) -> list[str]:
-    with np.errstate(over="ignore"):
-        magnitude = float(np.linalg.norm(e0))
-    if math.isinf(magnitude):  # a square overflowed: rescale
-        magnitude = math.hypot(*e0)
-    rates = si_rates(magnitude, abs(q))
+    magnitude, per_meter, per_second = si_rates(e0, abs(q))
     return [
         f"SI reading (field at t = 0 taken as V/m, q in elementary charges):",
-        f"  |E| = {magnitude!r} V/m -> {rates.ev_per_meter!r} eV/m, "
-        f"{rates.ev_per_second!r} eV/s",
+        f"  |E| = {magnitude!r} V/m -> {per_meter!r} eV/m, "
+        f"{per_second!r} eV/s",
     ]
 
 

@@ -154,9 +154,7 @@ class DriveField(FieldProgram):
         self.q = q
 
     def sample(self, ts):
-        out = drive_field_closed_form(self.law, self.helicity, self.q, ts)
-        out[:, 2] += 0.0  # a zero Ez is +0.0
-        return out
+        return drive_field_closed_form(self.law, self.helicity, self.q, ts)
 
 
 @dataclass
@@ -361,14 +359,13 @@ class _Cascade:
         if self.positions:
             s = (0.0 if self.gauge is None
                  else self.gauge.sample_time(self.ts[lo:hi]))
-            km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
-                                             s, self.initial.helicity, trig)
-            self.e0[lo:hi], self.p[lo:hi] = km.energy, km.momentum
+            e0, p = kinetic_momentum_from_state(
+                theta, phi, theta_dot, phi_dot, s, self.initial.helicity, trig)
+            self.e0[lo:hi], self.p[lo:hi] = e0, p
             self.v[lo:hi] = velocity_from_angles(theta, phi, trig)
             self.k[lo:hi] = localization_from_rates(theta, theta_dot, phi_dot,
                                                     trig)
-            passed = ok & (np.isfinite(km.energy)
-                           & np.isfinite(km.momentum).all(axis=1))
+            passed = ok & np.isfinite(e0) & np.isfinite(p).all(axis=1)
         bad = np.flatnonzero(~passed)
         if len(bad):
             self.bad, self.observables = lo + int(bad[0]), bool(ok[bad[0]])

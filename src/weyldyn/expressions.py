@@ -595,10 +595,6 @@ class ExprLaw:
         self._d1 = diff_expr(expr, "t")
         self._d2 = diff_expr(self._d1, "t")
 
-    @classmethod
-    def from_text(cls, text: str, parameters: Mapping[str, float] | None = None):
-        return cls(parse_expr(text, parameters))
-
     def value(self, t):
         return eval_expr(self.expr, t=t)
 

@@ -20,7 +20,6 @@ caller evaluating several of them on the same arrays computes those once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from .spinors import Helicity
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "KineticMomentum",
-    "SIRates",
     "angle_trig",
     "vector_rows",
     "velocity_from_angles",
@@ -62,19 +59,11 @@ def velocity_from_angles(theta, phi, trig=None):
     return vector_rows(st * cp, st * sp, ct)
 
 
-@dataclass(frozen=True)
-class KineticMomentum:
-    """pi_mu = psi^dag (-i d_mu - b_mu) psi of the family, as the energy
-    E0 = pi_t and the momentum p = -(pi_x, pi_y, pi_z), as rows (..., 3)."""
-
-    energy: float | np.ndarray
-    momentum: np.ndarray
-
-
 def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
-                                helicity: Helicity,
-                                trig=None) -> KineticMomentum:
-    """Kinetic momentum from angles, rates and the gauge value.
+                                helicity: Helicity, trig=None):
+    """Kinetic momentum pi_mu = psi^dag (-i d_mu - b_mu) psi of the family
+    as (E0, p): the energy E0 = pi_t and the momentum p = -(pi_x, pi_y,
+    pi_z) as rows (..., 3), from angles, rates and the gauge value.
 
     Each argument but the helicity may be a scalar or an array (numpy
     ufuncs); the components broadcast over the arrays given.  p is
@@ -86,7 +75,7 @@ def kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot, s_value,
     p_x = sign * 0.5 * sp * theta_dot - s_value * st * cp
     p_y = -sign * 0.5 * cp * theta_dot - s_value * st * sp
     p_z = -sign * 0.5 * phi_dot - s_value * ct
-    return KineticMomentum(pi_t, vector_rows(p_x, p_y, p_z))
+    return pi_t, vector_rows(p_x, p_y, p_z)
 
 
 def localization_from_rates(theta, theta_dot, phi_dot, trig=None):
@@ -128,21 +117,17 @@ def uncertainty_relation(p0d: float) -> float:
     return 1.0 / (p0d + math.sqrt(1.0 + p0d * p0d))
 
 
-@dataclass(frozen=True)
-class SIRates:
-    ev_per_meter: float
-    ev_per_second: float
-
-
-def si_rates(e_field_v_per_m: float, q_electron_charges: float) -> SIRates:
-    """Energy gain rates of a charge q in a static field |E|.
+def si_rates(e, q_electron_charges: float):
+    """(|E|, eV/m, eV/s): energy gain rates of a charge q in the static
+    field row e (3,).
 
     A charge of q elementary charges in a field of |E| volts per meter
     gains q |E| electron volts per meter of path, and the same times c
     per second when moving at light speed.
     """
-    if e_field_v_per_m < 0:
-        raise ValueError("field magnitude must be nonnegative")
-    per_meter = q_electron_charges * e_field_v_per_m
-    return SIRates(ev_per_meter=per_meter,
-                   ev_per_second=per_meter * SPEED_OF_LIGHT)
+    with np.errstate(over="ignore"):
+        magnitude = float(np.linalg.norm(e))
+    if math.isinf(magnitude):  # a square overflowed: rescale
+        magnitude = math.hypot(*e)
+    per_meter = q_electron_charges * magnitude
+    return magnitude, per_meter, per_meter * SPEED_OF_LIGHT

@@ -154,7 +154,7 @@ def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
     scale = helicity.sign / (2.0 * q)
     ex = scale * (cp * theta_dot * phi_dot + sp * theta_ddot)
     ey = scale * (sp * theta_dot * phi_dot - cp * theta_ddot)
-    ez = -scale * phi_ddot
+    ez = -scale * phi_ddot + 0.0  # a zero Ez is +0.0
     return vector_rows(t, ex, ey, ez)
 
 

@@ -68,7 +68,7 @@ _DEFAULTS = {
     "name": None, "out": None,
 }
 
-MAX_SAMPLE_COUNT = 10 ** 6  # a battery holds about 865 bytes per draw: 0.9 GB
+MAX_SAMPLE_COUNT = 10 ** 6  # a battery: 846 B per draw, 1,278 with a phase h
 
 _FIELD_KINDS = ("zero", "constant", "expr", "drive")
 
@@ -487,8 +487,8 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
 
     if dedt is not None:
         fields = energy_control_field(dedt, law, scenario.q, ts)
-        e0 = kinetic_momentum_from_state(*law.angles(ts), *law.rates(ts),
-                                         -dedt * ts, scenario.helicity).energy
+        e0, _ = kinetic_momentum_from_state(*law.angles(ts), *law.rates(ts),
+                                            -dedt * ts, scenario.helicity)
         bad = np.flatnonzero(~(np.isfinite(fields).all(axis=1)
                                & np.isfinite(e0)))
         if len(bad):

@@ -7,10 +7,10 @@ angle history (theta(t), phi(t)) and a free phase h(x, y, z, t):
     negative helicity: ( -sin(theta/2), e^{i phi} cos(theta/2) ) e^{i h}
 
 Both are unit norm by construction.  `weyl_residual` measures how well a
-spinor/potential pair satisfies the first-order Weyl equation for its
-helicity, using central finite differences for the derivatives; it is
-the package's independent check that a potential actually belongs to a
-given spinor.
+potential and the spinor it carries (its law, phase h and helicity)
+satisfy the first-order Weyl equation for that helicity, using central
+finite differences for the derivatives; it is the package's independent
+check that a potential actually belongs to its spinor.
 
 Only the two-component forms live here.  The same construction embeds in
 the massless four-component (Dirac) setting, but that wrapper is out of
@@ -22,13 +22,13 @@ scalar event gives scalars through the same code.
 
 Central differences read a function on a stencil of 9 events: the event
 itself, then its shifts by +step and -step along t, x, y and z
-(`stencil`).  Each shift rounds as `Event.shifted` does, c + step and
-c + (-step).  For an array event of shape s, `on_stencil` calls the
-function once, on the 9 events stacked on a new leading axis (shape
-(9,) + s); a scalar event is evaluated one row at a time, in row order,
-so that an expression error raises where a loop of shifted events would
-raise.  `weyl_residual` and
-`potentials.field_from_potential_numeric` both difference through it.
+(`stencil`).  Each shift rounds as c + step and c + (-step).  For an
+array event of shape s, `on_stencil` calls the function once, on the 9
+events stacked on a new leading axis (shape (9,) + s); a scalar event
+is evaluated one row at a time, in row order, so that an expression
+error raises where a loop of shifted events would raise.
+`weyl_residual` and `potentials.field_from_potential_numeric` both
+difference through it.
 
 The array path rounds exactly as one scalar call per draw:
 
@@ -43,7 +43,7 @@ The array path rounds exactly as one scalar call per draw:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -83,11 +83,6 @@ class Event:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite event coordinate {name}")
 
-    def shifted(self, axis: str, delta: float) -> "Event":
-        if axis not in STENCIL_AXES:
-            raise ValueError(f"unknown axis '{axis}'")
-        return replace(self, **{axis: getattr(self, axis) + delta})
-
 
 STENCIL_AXES = ("t", "x", "y", "z")
 
@@ -96,7 +91,7 @@ def stencil(ev: Event, step: float) -> Event:
     """ev and its +-step shifts, stacked on a new leading axis of 9 rows.
 
     Row 0 is ev; rows 2i + 1 and 2i + 2 shift axis STENCIL_AXES[i] by
-    +step and by -step, rounding as Event.shifted does.
+    +step and by -step, as c + step and c + (-step).
     """
     shape = np.broadcast(ev.x, ev.y, ev.z, ev.t).shape
     coords = np.empty((4, 9) + shape)
@@ -168,16 +163,19 @@ def build_spinor(law: AngleLaw, h: ScalarField | None, helicity: Helicity,
     return _complex(c1r, c1i), _complex(c2r, c2i)
 
 
-def weyl_residual(law: AngleLaw, h: ScalarField | None, potential,
-                  helicity: Helicity, ev: Event, step: float = 1e-5):
-    """Norm of the Weyl equation applied to the spinor at one event.
+def weyl_residual(potential, ev: Event, step: float = 1e-5):
+    """Norm of the Weyl equation for a potential and its own spinor (its
+    `law`, phase `h` and `helicity`) at one event.
 
     Derivatives are second-order central differences with the given
     step, so the residual of an exact spinor/potential pair vanishes as
-    O(step^2).  The potential only needs a `components(ev)` method
-    returning its four components at the event; no normalization is
-    applied to the result.  An array event gives an array of residuals.
+    O(step^2); no normalization is applied to the result.  An array
+    event gives an array of residuals.  A potential without a helicity
+    (the kappa * gauge part alone) has no spinor and is refused.
     """
+    law, h, helicity = potential.law, potential.h, potential.helicity
+    if helicity is None:
+        raise ValueError("a potential without a helicity has no spinor")
     if step <= 0:
         raise ValueError("step must be positive")
     parts = on_stencil(lambda e: _spinor_parts(law, h, helicity, e), ev, step)

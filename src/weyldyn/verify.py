@@ -207,12 +207,11 @@ def _run_checks(scenario: Scenario) -> list:
 
     # residual of the scenario's own spinor/potential pair; the
     # corrupt_b0 hook lands here so a corrupted file visibly fails
-    base = FourPotentialField(law, h, helicity,
-                              b0_offset=scenario.corrupt_b0)
+    base = FourPotentialField(law, h, helicity, b0_offset=scenario.corrupt_b0)
     draws = _draw(rng, n, 0, 4)
-    res = weyl_residual(law, h, base, helicity, _event(draws), step)
-    _replay_non_finite(res, lambda i: weyl_residual(
-        law, h, base, helicity, _event(draws[i]), step))
+    res = weyl_residual(base, _event(draws), step)
+    _replay_non_finite(res, lambda i: weyl_residual(base, _event(draws[i]),
+                                                    step))
     checks.append(CheckResult("residual_base", _worst(res), tol_residual))
 
     # the same spinor must keep solving after a shift along kappa, for
@@ -220,12 +219,12 @@ def _run_checks(scenario: Scenario) -> list:
     # i uses gauge template i % 6
     draws = _draw(rng, n, 0, 8)
     family = _GaugeFamily(draws[:, :4])
-    res = weyl_residual(law, h, FourPotentialField(law, h, helicity, family),
-                        helicity, _event(draws[:, 4:]), step)
+    res = weyl_residual(FourPotentialField(law, h, helicity, family),
+                        _event(draws[:, 4:]), step)
     _replay_non_finite(res, lambda i: weyl_residual(
-        law, h, FourPotentialField(law, h, helicity, _bind(
+        FourPotentialField(law, h, helicity, _bind(
             _gauge_templates()[i % _FORMS], draws[i, :4])),
-        helicity, _event(draws[i, 4:]), step))
+        _event(draws[i, 4:]), step))
     checks.append(CheckResult("residual_degenerate", _worst(res),
                               tol_residual))
 
@@ -234,8 +233,8 @@ def _run_checks(scenario: Scenario) -> list:
              else Helicity.POSITIVE)
     draws = _draw(rng, m, 1, 4)
     laws = _law(draws[:, :4])
-    res = weyl_residual(laws, None, FourPotentialField(laws, None, other),
-                        other, _event(draws[:, 4:]), step)
+    res = weyl_residual(FourPotentialField(laws, None, other),
+                        _event(draws[:, 4:]), step)
     checks.append(CheckResult("residual_mirror_family", _worst(res),
                               tol_residual))
 
@@ -254,13 +253,11 @@ def _run_checks(scenario: Scenario) -> list:
     for hel in (Helicity.POSITIVE, Helicity.NEGATIVE):
         psi = build_spinor(frozen, None, hel, Event(0.0, 0.0, 0.0, 0.0))
         kappa.append(_kappa_residual(v, psi, hel.sign))
-        km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
-                                         s_val, hel)
-        p = km.momentum
-        shell.append(np.abs(mass_shell_defect_from_momentum(km.energy, p)
-                            + k * k))
+        e0, p = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
+                                            s_val, hel)
+        shell.append(np.abs(mass_shell_defect_from_momentum(e0, p) + k * k))
         cross.append(np.abs(noncollinearity_from_vectors(p, v) - k))
-        project.append(np.abs(np.vecdot(p, v) - km.energy))
+        project.append(np.abs(np.vecdot(p, v) - e0))
     checks.append(CheckResult("unit_speed", _worst(speed), tol_identity))
     checks.append(CheckResult("kappa_is_minus_velocity", _worst(*kappa),
                               tol_kappa))

@@ -26,9 +26,9 @@ def reference_energy_control(scenario, dedt):
     for i, t in enumerate(ts):
         theta, phi = law.angles(float(t))
         theta_dot, phi_dot = law.rates(float(t))
-        km = kinetic_momentum_from_state(theta, phi, theta_dot, phi_dot,
-                                         -dedt * float(t), scenario.helicity)
-        e0[i] = km.energy
+        e0[i], _ = kinetic_momentum_from_state(
+            theta, phi, theta_dot, phi_dot, -dedt * float(t),
+            scenario.helicity)
     measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
     return ts, fields, e0, measured
 

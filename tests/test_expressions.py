@@ -255,7 +255,7 @@ def test_linear_law_derivatives_are_exact():
 
 
 def test_expr_law_derivatives():
-    q = ExprLaw.from_text("t^2 - 1")
+    q = ExprLaw(parse_expr("t^2 - 1"))
     assert q.value(2.0) == 3.0
     assert q.derivative(2.0) == 4.0
     assert q.second_derivative(2.0) == 2.0
@@ -265,7 +265,7 @@ def test_expr_law_rejects_spatial_variables():
     from weyldyn.expressions import ExpressionError
 
     with pytest.raises(ExpressionError, match="x"):
-        ExprLaw.from_text("x + t")
+        ExprLaw(parse_expr("x + t"))
 
 
 def test_angle_law_linear_parts():
@@ -282,7 +282,7 @@ def test_angle_law_drive_free_detection():
     assert AngleLaw.linear(0.3, 2.0, 0.1, 0.0).is_drive_free(1.0)
     assert AngleLaw.linear(0.3, 0.0, 0.1, 4.0).is_drive_free(1.0)
     assert not AngleLaw.linear(0.3, 2.0, 0.1, 4.0).is_drive_free(1.0)
-    quad = AngleLaw(ExprLaw.from_text("t^2"), LinearLaw(0.0, 0.0))
+    quad = AngleLaw(ExprLaw(parse_expr("t^2")), LinearLaw(0.0, 0.0))
     assert not quad.is_drive_free(1.0)
 
 

@@ -43,29 +43,30 @@ def test_velocity_from_angles_vectorized():
 
 def test_frozen_momentum_with_gauge_offset():
     # equator, pure azimuthal spin at 10, constant gauge value -3
-    km = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
-    assert km.energy == pytest.approx(3.0, abs=1e-12)
-    assert km.momentum == pytest.approx([3.0, 0.0, -5.0], abs=1e-12)
+    e0, p = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
+    assert e0 == pytest.approx(3.0, abs=1e-12)
+    assert p == pytest.approx([3.0, 0.0, -5.0], abs=1e-12)
 
 
 def test_momentum_projection_recovers_energy():
-    km = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
+    e0, p = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
     v = velocity_from_angles(math.pi / 2, 0.0)
-    assert float(np.dot(km.momentum, v)) == pytest.approx(km.energy, abs=1e-12)
+    assert float(np.dot(p, v)) == pytest.approx(e0, abs=1e-12)
 
 
 def test_kinetic_momentum_broadcasts_over_times():
     # one call on an array of times gives each time's scalar call, bit for bit
     s = ScalarField.from_text("2*t - 1")
     ts = np.array([0.0, 0.7, 1.5])
-    km = kinetic_momentum_from_state(*ROTATING.angles(ts), *ROTATING.rates(ts),
-                                     s.sample_time(ts), POS)
+    e0, p = kinetic_momentum_from_state(*ROTATING.angles(ts),
+                                        *ROTATING.rates(ts),
+                                        s.sample_time(ts), POS)
     for i, t in enumerate(ts):
-        one = kinetic_momentum_from_state(*ROTATING.angles(float(t)),
-                                          *ROTATING.rates(float(t)),
-                                          s.value(t=float(t)), POS)
-        assert km.energy[i] == one.energy
-        assert np.array_equal(km.momentum[i], one.momentum)
+        one_e0, one_p = kinetic_momentum_from_state(*ROTATING.angles(float(t)),
+                                                    *ROTATING.rates(float(t)),
+                                                    s.value(t=float(t)), POS)
+        assert e0[i] == one_e0
+        assert np.array_equal(p[i], one_p)
 
 
 def test_localization_frozen_values():
@@ -86,17 +87,17 @@ def test_mass_shell_frozen_values():
     for s_value in (0.0, 2.0):
         km = kinetic_momentum_from_state(math.pi / 2, 4.0, 0.0, 10.0, s_value,
                                          POS)
-        assert mass_shell_defect_from_momentum(km.energy, km.momentum) == (
+        assert mass_shell_defect_from_momentum(*km) == (
             pytest.approx(-25.0, abs=1e-10))
     km = kinetic_momentum_from_state(math.pi / 2, 2.6, 0.0, 2.0, 2.0, POS)
-    assert mass_shell_defect_from_momentum(km.energy, km.momentum) == (
+    assert mass_shell_defect_from_momentum(*km) == (
         pytest.approx(-1.0, abs=1e-12))
 
 
 def test_noncollinearity_frozen_value():
-    km = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
+    _, p = kinetic_momentum_from_state(math.pi / 2, 0.0, 0.0, 10.0, -3.0, POS)
     v = velocity_from_angles(math.pi / 2, 0.0)
-    assert noncollinearity_from_vectors(km.momentum, v) == (
+    assert noncollinearity_from_vectors(p, v) == (
         pytest.approx(5.0, abs=1e-12))
 
 
@@ -109,13 +110,12 @@ hels = st.sampled_from([POS, NEG])
 @given(angles, st.floats(0.0, 2 * math.pi), rates, rates, gauges, hels)
 @settings(max_examples=300, deadline=None)
 def test_shell_and_transversality_identities(theta, phi, td, pd, sval, hel):
-    km = kinetic_momentum_from_state(theta, phi, td, pd, sval, hel)
+    e0, p = kinetic_momentum_from_state(theta, phi, td, pd, sval, hel)
     k = localization_from_rates(theta, td, pd)
     v = velocity_from_angles(theta, phi)
-    p = km.momentum
-    assert km.energy**2 - float(p @ p) == pytest.approx(-(k**2), abs=1e-10)
+    assert e0**2 - float(p @ p) == pytest.approx(-(k**2), abs=1e-10)
     assert np.linalg.norm(np.cross(p, v)) == pytest.approx(k, abs=1e-10)
-    assert float(p @ v) == pytest.approx(km.energy, abs=1e-10)
+    assert float(p @ v) == pytest.approx(e0, abs=1e-10)
 
 
 def test_uncertainty_frozen_points():
@@ -142,13 +142,20 @@ def test_uncertainty_rejects_negative_spread():
 
 
 def test_si_rates_frozen_values():
-    r = si_rates(1.0, 1.0)
-    assert r.ev_per_meter == 1.0
-    assert r.ev_per_second == 299792458.0
+    assert si_rates(np.array([0.0, 0.0, 1.0]), 1.0) == (
+        1.0, 1.0, 299792458.0)
     assert SPEED_OF_LIGHT == 299792458.0
-    half = si_rates(2.0, 0.5)
-    assert half.ev_per_meter == 1.0
-    assert half.ev_per_second == 299792458.0
+    assert si_rates(np.array([0.0, -2.0, 0.0]), 0.5) == (
+        2.0, 1.0, 299792458.0)
+    assert si_rates(np.array([3.0, 0.0, -4.0]), 1.0)[0] == 5.0
+
+
+def test_si_rates_rescale_a_field_whose_squares_overflow():
+    # |E|^2 overflows to inf; the magnitude is taken by math.hypot instead
+    e = np.array([1e308, 1e308, 0.0])
+    magnitude, per_meter, per_second = si_rates(e, 1.0)
+    assert magnitude == math.hypot(1e308, 1e308)
+    assert per_meter == magnitude and per_second == math.inf
 
 
 def test_declared_numpy_floor_has_vecdot():

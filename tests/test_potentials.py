@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from weyldyn.expressions import AngleLaw, ExprLaw, LinearLaw, ScalarField
+from weyldyn.expressions import (AngleLaw, ExprLaw, LinearLaw, ScalarField,
+                                 parse_expr)
 from weyldyn.observables import velocity_from_angles
 from weyldyn.potentials import (
     FourPotentialField,
@@ -131,9 +132,9 @@ def test_drive_free_laws_make_zero_drive_field():
     [
         ROTATING,
         AngleLaw.linear(0.7, 1.3, 0.2, -0.8),
-        AngleLaw(ExprLaw.from_text("0.5 + 0.3*t + 0.1*t^2"),
-                 ExprLaw.from_text("0.2*t + 0.05*t^2")),
-        AngleLaw(LinearLaw(1.0, 0.0), ExprLaw.from_text("1.5*t - 0.2*t^2")),
+        AngleLaw(ExprLaw(parse_expr("0.5 + 0.3*t + 0.1*t^2")),
+                 ExprLaw(parse_expr("0.2*t + 0.05*t^2"))),
+        AngleLaw(LinearLaw(1.0, 0.0), ExprLaw(parse_expr("1.5*t - 0.2*t^2"))),
     ],
 )
 def test_drive_field_matches_numeric_route(helicity, law):
@@ -258,7 +259,7 @@ def test_azimuthal_k_control_frozen_and_cross_checked():
     # quadratic azimuthal law with matching dk/dt gives the same field
     theta0, alpha, q = 0.9, 0.12, 1.4
     law = AngleLaw(LinearLaw(theta0, 0.0),
-                   ExprLaw.from_text(f"0.4*t + {alpha / 2}*t^2"))
+                   ExprLaw(parse_expr(f"0.4*t + {alpha / 2}*t^2")))
     dk_dt = 0.5 * math.sin(theta0) * alpha
     ctrl = k_control_field(dk_dt, "azimuthal",
                            AngleLaw.linear(theta0, 0.0, 0.0, 0.4), POS, q)
@@ -272,7 +273,7 @@ def test_polar_k_control_frozen_and_cross_checked():
                         POS, 1.0)
     assert e.tolist() == [0.0, -1.0, 0.0]
     phi0, alpha, q = 0.7, 0.3, 2.0
-    law = AngleLaw(ExprLaw.from_text(f"0.5 + 0.2*t + {alpha / 2}*t^2"),
+    law = AngleLaw(ExprLaw(parse_expr(f"0.5 + 0.2*t + {alpha / 2}*t^2")),
                    LinearLaw(phi0, 0.0))
     ctrl = k_control_field(0.5 * alpha, "polar",
                            AngleLaw.linear(0.5, 0.2, phi0, 0.0), POS, q)
@@ -296,7 +297,8 @@ def test_k_control_rejects_polar_angle_endpoints():
 
 
 @pytest.mark.parametrize("mode, law, message", [
-    ("azimuthal", AngleLaw(ExprLaw.from_text("1 + 0.1*t"), LinearLaw(0.0, 1.0)),
+    ("azimuthal",
+     AngleLaw(ExprLaw(parse_expr("1 + 0.1*t")), LinearLaw(0.0, 1.0)),
      "k control requires a linear angle law"),
     ("azimuthal", AngleLaw.linear(1.0, 0.5, 0.0, 1.0),
      r"azimuthal control requires omega1 = 0 \(theta pinned\)"),
@@ -340,7 +342,7 @@ def test_field_functions_return_rows():
     assert isinstance(e, np.ndarray) and e.shape == (3,)
     # constant expression angles evaluate to scalars, yet the field has
     # one row per time
-    still = AngleLaw(ExprLaw.from_text("1"), ExprLaw.from_text("0.5"))
+    still = AngleLaw(ExprLaw(parse_expr("1")), ExprLaw(parse_expr("0.5")))
     assert drive_field_closed_form(still, POS, 1.0, ts).shape == (4, 3)
     assert energy_control_field(1.0, still, 1.0, ts).shape == (4, 3)
 

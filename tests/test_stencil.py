@@ -64,8 +64,8 @@ def test_stencil_rows_round_as_shifted_events():
     ev = Event(np.array([0.1, -0.0, 1e16]), np.array([2.5, 0.0, -3.0]),
                np.array([-1.0, 7.0, 0.3]), np.array([0.0, 1e-300, -0.7]))
     rows = stencil(ev, 1e-5)
-    expected = [ev] + [ev.shifted(axis, delta) for axis in STENCIL_AXES
-                       for delta in (1e-5, -1e-5)]
+    expected = [ev] + [oracle.shifted(ev, axis, delta)
+                       for axis in STENCIL_AXES for delta in (1e-5, -1e-5)]
     for name in "xyzt":
         got = getattr(rows, name)
         assert got.shape == (9, 3)
@@ -88,7 +88,7 @@ def test_scalar_event_is_evaluated_one_row_at_a_time_in_order():
 
     ev = Event(0.25, -1.0, 2.0, 0.5)
     values = on_stencil(record, ev, 1e-3, centre=False)
-    assert seen == [ev.shifted(axis, delta) for axis in STENCIL_AXES
+    assert seen == [oracle.shifted(ev, axis, delta) for axis in STENCIL_AXES
                     for delta in (1e-3, -1e-3)]
     assert values.shape == (2, 8)
     assert values[1].tolist() == [e.t for e in seen]
@@ -100,13 +100,12 @@ def test_residual_over_draws_matches_scalar_calls(key, n):
     law, h, helicity = CASES[key]
     pot = FourPotentialField(law, h, helicity)
     ev, singles, _ = draws(n)
-    got = weyl_residual(law, h, pot, helicity, ev)
+    got = weyl_residual(pot, ev)
     assert got.shape == (n,)
     expected = [oracle.weyl_residual(law, h, pot, helicity, e)
                 for e in singles]
     assert bits(got) == bits(expected)
-    assert bits([weyl_residual(law, h, pot, helicity, e)
-                 for e in singles]) == bits(expected)
+    assert bits([weyl_residual(pot, e) for e in singles]) == bits(expected)
 
 
 def field_potentials(key, n):
@@ -146,7 +145,7 @@ def test_degenerate_potentials_over_draws_match_scalar_calls(key, text, n):
                              template.bind(**dict(zip("abcd", coeffs))))
     pots = [FourPotentialField(law, h, helicity, s)
             for s in singles_of(text, coeffs)]
-    got = weyl_residual(law, h, pot, helicity, ev)
+    got = weyl_residual(pot, ev)
     assert bits(got) == bits([oracle.weyl_residual(law, h, p, helicity, e)
                               for p, e in zip(pots, singles)])
     field = field_from_potential_numeric(pot, 0.7, ev)
@@ -175,6 +174,7 @@ def test_gauge_potentials_over_drawn_laws_match_scalar_calls(text, n):
 class CountingPotential:
     def __init__(self, pot):
         self.pot, self.calls = pot, 0
+        self.law, self.h, self.helicity = pot.law, pot.h, pot.helicity
 
     def components(self, ev):
         self.calls += 1
@@ -190,7 +190,7 @@ def test_one_array_call_evaluates_each_stencil_once(key, monkeypatch):
                         lambda *args: calls.append(args[-1]) or parts(*args))
     ev, _, _ = draws(7)
     pot = CountingPotential(FourPotentialField(law, h, helicity))
-    weyl_residual(law, h, pot, helicity, ev)
+    weyl_residual(pot, ev)
     assert [e.t.shape for e in calls] == [(9, 7)]
     assert pot.calls == 1  # the centre, for the potential term
     pot.calls = 0

@@ -1,6 +1,7 @@
 """Randomized self-check battery: report structure and reproducibility."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -104,6 +105,24 @@ def test_drive_b_check_fails_on_swapped_phase_gradients(monkeypatch):
     by_name = {c.name: c for c in run_verification(
         resolve_scenario("free")).checks}
     assert not by_name["drive_field_b_zero"].passed
+
+
+def test_battery_with_a_phase_holds_at_most_1350_bytes_per_draw():
+    # every check holds all its draws at once; free's plane-wave phase
+    # makes it the costliest preset (fig45 and fig1 take about 846)
+    scn = resolve_scenario("free")
+    run_verification(dataclasses.replace(scn, sample_count=6))  # caches
+
+    def traced_peak(count):
+        tracemalloc.start()
+        try:
+            run_verification(dataclasses.replace(scn, sample_count=count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slope = (traced_peak(5000) - traced_peak(1000)) / 4000
+    assert slope <= 1350
 
 
 def test_mirror_check_covers_opposite_helicity():

@@ -136,7 +136,8 @@ def gauges(text):
 
 
 def test_event_accepts_arrays_and_rejects_non_finite_entries():
-    assert EVENTS.shifted("t", 0.5).t.tolist() == (COLS[3] + 0.5).tolist()
+    assert oracle.shifted(EVENTS, "t", 0.5).t.tolist() \
+        == (COLS[3] + 0.5).tolist()
     with pytest.raises(ValueError, match="y"):
         Event(COLS[0], np.array([0.0, np.inf]), 0.0, 0.0)
 
@@ -165,7 +166,7 @@ def test_weyl_residual_over_many_events():
     cols = np.random.default_rng(9).uniform(-2.0, 2.0, size=(4, 3000))
     law, h, helicity = CASES[2]
     pot = FourPotentialField(law, h, helicity)
-    got = weyl_residual(law, h, pot, helicity, Event(*cols))
+    got = weyl_residual(pot, Event(*cols))
     expected = [oracle.weyl_residual(law, h, pot, helicity,
                                      Event(*map(float, col)))
                 for col in cols.T]
@@ -175,12 +176,11 @@ def test_weyl_residual_over_many_events():
 @pytest.mark.parametrize("law, h, helicity", CASES)
 def test_weyl_residual_over_arrays(law, h, helicity):
     pot = FourPotentialField(law, h, helicity)
-    got = weyl_residual(law, h, pot, helicity, EVENTS, 1e-4)
+    got = weyl_residual(pot, EVENTS, 1e-4)
     expected = per_event(lambda ev, i: oracle.weyl_residual(
         law, h, pot, helicity, ev, 1e-4))
     assert bits(got) == bits(expected)
-    assert weyl_residual(law, h, pot, helicity, EVENT_LIST[3], 1e-4) \
-        == expected[3]
+    assert weyl_residual(pot, EVENT_LIST[3], 1e-4) == expected[3]
 
 
 @pytest.mark.parametrize("text", oracle.GAUGE_FORMS)
@@ -189,7 +189,7 @@ def test_degenerate_residual_and_components_over_arrays(law, h, helicity,
                                                         text):
     bound, singles = gauges(text)
     pot = FourPotentialField(law, h, helicity, bound)
-    got = weyl_residual(law, h, pot, helicity, EVENTS)
+    got = weyl_residual(pot, EVENTS)
     expected = per_event(lambda ev, i: oracle.weyl_residual(
         law, h, FourPotentialField(law, h, helicity, singles[i]), helicity,
         ev))
