@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ConstraintViolation, Trajectory
-from .floattext import csv_rows
+from .floattext import csv_passes, csv_rows
 from .observables import si_rates
-from .scenario import (CONTROL_TOL, Scenario, resolve_scenario, run_control,
-                       run_scenario)
+from .scenario import (CONTROL_TOL, Scenario, ScenarioStream,
+                       resolve_scenario, run_control)
 from .verify import run_verification
 
 CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
@@ -38,22 +38,33 @@ FIGURE_PRESETS = ("fig1", "fig2", "fig3", "fig45")
 FIGURE_COPIES = {"fig2": "fig1"}
 
 
-def _write_csv(path: str | Path, header: str, columns) -> None:
-    """Write equal-length float64 columns as rows of repr(float(v)); the
-    columns may be strided views, as each pass gathers its own cells."""
+def _write_csv(path: str | Path, header: str, passes) -> None:
+    """Write the header line and the CSV text of each pass.  The file is
+    created once the first pass is ready, so that a run which fails
+    before its first block writes nothing."""
+    passes = iter(passes)
+    first = next(passes, b"")
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        handle.writelines(csv_rows(columns))
+        handle.write(first)
+        del first
+        handle.writelines(passes)
 
 
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    _write_csv(path, ",".join(CSV_COLUMNS),
-               (traj.t, *traj.r.T, *traj.v.T, traj.theta, traj.phi, traj.k,
-                traj.e0, *traj.p.T, *traj.e.T, traj.residual))
+def write_trajectory_csv(blocks, path: str | Path) -> None:
+    """Write a Trajectory, or the blocks of one in order (each a Trajectory
+    of its rows, as a ScenarioStream yields them), as rows of
+    repr(float(v)), two passes at a time (floattext.csv_passes)."""
+    if isinstance(blocks, Trajectory):
+        blocks = (blocks,)
+    _write_csv(path, ",".join(CSV_COLUMNS), csv_passes(
+        (b.t, *b.r.T, *b.v.T, b.theta, b.phi, b.k, b.e0, *b.p.T, *b.e.T,
+         b.residual) for b in blocks))
 
 
 def write_field_csv(ts, fields, path: str | Path) -> None:
-    _write_csv(path, "t,Ex,Ey,Ez", (ts, *np.transpose(fields)))
+    """Write the t column and the (Ex, Ey, Ez) rows, one pass at a time."""
+    _write_csv(path, "t,Ex,Ey,Ez", csv_rows((ts, *np.transpose(fields))))
 
 
 def _with_options(scenario: Scenario, args, out=None) -> Scenario:
@@ -118,28 +129,28 @@ def _summarize(summary: dict) -> str:
 
 
 def _simulate_to(scenario: Scenario, out_path: str | Path):
-    """Run the scenario and write its trajectory CSV to out_path; when the
-    run gate trips, write and report the partial one and return None."""
+    """Run the scenario block by block, writing each block of its
+    trajectory CSV to out_path; return the run's summary, or, when the
+    run gate trips, report the partial CSV and return None."""
     _note_grid_end(scenario)
+    run = ScenarioStream(scenario)
+    write_trajectory_csv(run, out_path)
     try:
-        run = run_scenario(scenario)
+        return run.finish()
     except ConstraintViolation as exc:
-        write_trajectory_csv(exc.partial, out_path)
         print(f"error: {exc}", file=sys.stderr)
-        print(f"partial trajectory ({len(exc.partial)} samples) written to "
+        print(f"partial trajectory ({run.samples} samples) written to "
               f"{out_path}", file=sys.stderr)
         return None
-    write_trajectory_csv(run.trajectory, out_path)
-    return run
 
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     out_path = scenario.out or f"{scenario.name}.csv"
-    run = _simulate_to(scenario, out_path)
-    if run is None:
+    summary = _simulate_to(scenario, out_path)
+    if summary is None:
         return 1
-    print(_summarize(run.summary))
+    print(_summarize(summary))
     if args.si:
         e0 = scenario.program.sample(np.zeros(1))[0]
         print("\n".join(_si_lines(e0, scenario.q)))
@@ -156,7 +167,7 @@ def cmd_control(args) -> int:
     write_field_csv(run.ts, run.fields, out_path)
     status = "PASS" if run.passed else "FAIL"
     print(f"control profile written to {out_path}")
-    print(f"[{status}] target {run.label} {run.target!r}, forward simulation "
+    print(f"[{status}] target {run.label} {run.target!r}, {run.measured_by} "
           f"measured {run.measured!r} (|diff| {run.deviation:.3e}, "
           f"tol {CONTROL_TOL!r})")
     if args.si:
@@ -180,10 +191,10 @@ def cmd_figures(args) -> int:
             source, samples = written[FIGURE_COPIES[name]]
             shutil.copyfile(source, path)
         else:
-            run = _simulate_to(scenario, path)
-            if run is None:
+            summary = _simulate_to(scenario, path)
+            if summary is None:
                 return 1
-            samples = len(run.trajectory)
+            samples = summary["samples"]
         written[name] = path, samples
         print(f"{scenario.name}: {samples} samples -> {path}")
     return 0

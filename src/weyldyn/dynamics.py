@@ -22,12 +22,14 @@ cascade phi' -> phi -> theta' -> theta -> x, y, z, each RK4 stage a
 whole-array expression and each update a sequential running sum
 (np.add.accumulate).  It keeps the operation order of the scalar
 per-step loop, so results are bit-identical to it; it works in fixed
-blocks of steps, carrying each block's end state into the next, so the
-temporaries stay small.  Each block's k, v, E0 and p come from
-`observables`, on the sines and cosines of its first RK4 stage, and one
-run gate per block ends the run at the first grid point whose
+blocks of steps, each sampling its own stretch of the field program and
+carrying its end state into the next.  Each block's k, v, E0 and p come
+from `observables`, on the sines and cosines of its first RK4 stage, and
+one run gate per block ends the run at the first grid point whose
 compatibility residual is not within the tolerance, or whose state,
 field, energy or momentum is not finite.
+trajectory_blocks yields the run one block at a time and holds only that
+block; integrate_trajectory gathers the blocks into one Trajectory.
 integrate_angles runs the angle pass and its gate alone, which is all
 the k-control check needs: no position, velocity, momentum or energy.
 """
@@ -60,10 +62,11 @@ __all__ = [
     "grid_steps",
     "MAX_GRID_STEPS",
     "integrate_trajectory",
+    "trajectory_blocks",
     "integrate_angles",
 ]
 
-_BLOCK = 2048  # integration steps per cascade pass; bounds the temporaries
+_BLOCK = 2048  # steps per block: bounds the temporaries and a stream's rows
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,10 @@ class Trajectory:
     def endpoint(self) -> tuple[float, float, float]:
         return tuple(self.r[-1].tolist())
 
-    def distance_from_start(self) -> np.ndarray:
+    def distance_from_start(self, origin=None) -> np.ndarray:
+        """|r - origin| per sample; origin defaults to the first position."""
         with np.errstate(over="ignore"):
-            d = self.r - self.r[0]
+            d = self.r - (self.r[0] if origin is None else origin)
             dist = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)
             big = np.isinf(dist)  # a square overflowed: rescale there
             dx, dy, dz = d[big].T
@@ -207,7 +211,7 @@ class ConstraintViolation(RuntimeError):
     finite (nonfinite; observables when only the energy or momentum is).
     partial is the run up to and including that sample: a Trajectory, or
     the (t, theta, phi, theta', phi', residual) history of
-    integrate_angles."""
+    integrate_angles; from trajectory_blocks, only its last block."""
 
     def __init__(self, time: float, residual: float, tolerance: float,
                  partial: Trajectory | tuple, *, nonfinite: bool = False,
@@ -228,7 +232,9 @@ class ConstraintViolation(RuntimeError):
         self.nonfinite = nonfinite
 
 
-MAX_GRID_STEPS = 10 ** 7  # a run holds about 202 bytes per step: 2.0 GB
+# integrate_trajectory holds about 160 bytes per step (1.6 GB at the cap);
+# trajectory_blocks holds one block whatever the grid
+MAX_GRID_STEPS = 10 ** 7
 
 
 def grid_steps(t_end: float, dt: float) -> int:
@@ -237,8 +243,8 @@ def grid_steps(t_end: float, dt: float) -> int:
     n is t_end/dt rounded to the nearest integer, so the grid ends at
     n*dt, which misses t_end when t_end is not a whole number of steps.
     Raises ValueError when dt or t_end is not finite, the grid has no step,
-    dt is too small for t_end or n exceeds MAX_GRID_STEPS, since a run
-    allocates its whole grid before the first step.
+    dt is too small for t_end or n exceeds MAX_GRID_STEPS, since
+    integrate_trajectory allocates its whole grid with the first block.
     """
     if not (math.isfinite(dt) and math.isfinite(t_end)):
         raise ValueError("dt and t_end must be finite")
@@ -259,7 +265,8 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
                          gauge: ScalarField | None = None,
                          constraint_tol: float = 1e-6) -> Trajectory:
     """Integrate the driven state over the grid 0, dt, ..., n*dt, with
-    n = grid_steps(t_end, dt).
+    n = grid_steps(t_end, dt): trajectory_blocks' blocks gathered into one
+    Trajectory, allocated with the first block.
 
     Raises ConstraintViolation (carrying the partial trajectory up to and
     including the offending sample) at the first grid point where the
@@ -267,15 +274,30 @@ def integrate_trajectory(initial: ParticleState, program: FieldProgram,
     state, the applied field, the energy E0 or the momentum p is not
     finite.
     """
-    n = grid_steps(t_end, dt)
-    if gauge is not None and not gauge.is_time_only:
-        raise ValueError(
-            "integrate_trajectory requires a time-only gauge function")
-    # Non-finite values are caught by the gate, not reported as warnings;
-    # the last sample of a partial run may hold inf.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _Cascade(initial, program, n, dt, constraint_tol,
-                        positions=True, gauge=gauge).finish()
+    run = _Cascade(initial, program, t_end, dt, constraint_tol, True, gauge)
+    return run.collect(lambda *arrays: Trajectory(
+        *arrays, initial.helicity, initial.q, dt))
+
+
+def trajectory_blocks(initial: ParticleState, program: FieldProgram,
+                      t_end: float, dt: float, *,
+                      gauge: ScalarField | None = None,
+                      constraint_tol: float = 1e-6):
+    """integrate_trajectory one block of steps at a time: yield the rows of
+    each block in order, as a Trajectory, holding only that block.
+
+    The block that holds a sample failing the run gate ends with it, and
+    ConstraintViolation is raised after it is yielded, with that last
+    block as its partial.  Sampling a field program raises on a later
+    block only if it raises on the first: which of its subexpressions are
+    arrays does not depend on t, and array evaluation does not raise.
+    """
+    run = _Cascade(initial, program, t_end, dt, constraint_tol, True, gauge)
+    block = None
+    for arrays in run.blocks():
+        block = Trajectory(*arrays, initial.helicity, initial.q, dt)
+        yield block
+    run.check(block)
 
 
 def integrate_angles(initial: ParticleState, program: FieldProgram,
@@ -284,126 +306,160 @@ def integrate_angles(initial: ParticleState, program: FieldProgram,
     """integrate_trajectory's angle pass alone: (t, theta, phi, theta',
     phi', residual), its columns bit for bit, with no position, velocity,
     momentum or energy; raises the same ConstraintViolation."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _Cascade(initial, program, grid_steps(t_end, dt), dt,
-                        constraint_tol, positions=False).finish()
+    run = _Cascade(initial, program, t_end, dt, constraint_tol, False)
+    return run.collect(lambda *arrays: arrays)
 
 
 class _Cascade:
-    """An n-step run, advanced and gated as it is built: the half-step
-    field, the state rows (theta, phi, theta', phi'; with positions x, y,
-    z, and k, v, E0 and p), the residual, and the first grid point that
-    fails the gate, after which nothing is advanced."""
+    """A run over the grid of grid_steps(t_end, dt) = n steps, advanced and
+    gated one block of steps at a time.
 
-    def __init__(self, initial: ParticleState, program: FieldProgram, n: int,
-                 dt: float, constraint_tol: float, positions: bool,
-                 gauge: ScalarField | None = None):
-        self.initial, self.dt, self.gauge = initial, dt, gauge
-        self.ts = np.arange(n + 1) * dt
-        self.fields = fields = program.sample(
-            np.arange(2 * n + 1) * (0.5 * dt))
-        rows = 7 if positions else 4
-        self.state = np.empty((rows, n + 1))
-        self.state[:, 0] = (initial.theta, initial.phi, initial.theta_dot,
-                            initial.phi_dot, *initial.position)[:rows]
-        self.residual = np.empty(n + 1)
-        self.positions = positions
-        if positions:
-            self.k, self.e0 = np.empty(n + 1), np.empty(n + 1)
-            self.v, self.p = np.empty((n + 1, 3)), np.empty((n + 1, 3))
-        self.q_eff = q_eff = initial.q * initial.helicity.sign
-        self.tol, self.bad, self.observables = constraint_tol, None, False
+    blocks() yields the arrays of each block's grid points, the last
+    block's with point n: with positions (t, r, v, theta, phi, theta',
+    phi', k, E0, p, e, residual), else (t, theta, phi, theta', phi',
+    residual).  It stops after the first block holding a point that
+    fails the gate, which that point ends; check() then raises.
+    """
 
-        theta_a, phi_a, theta_dot_a, phi_dot_a = self.state[:4]
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            e0 = fields[2 * lo:2 * hi:2]
-            em = fields[2 * lo + 1:2 * hi + 1:2]
-            e1 = fields[2 * lo + 2:2 * hi + 2:2]
-            pdd_mid = phi_ddot_from_field(q_eff, em)
-            phi_dot_s = _rk4_stages(phi_dot_a, lo, hi, dt,
-                                    phi_ddot_from_field(q_eff, e0), pdd_mid,
-                                    pdd_mid, phi_ddot_from_field(q_eff, e1))
-            phi_s = _rk4_stages(phi_a, lo, hi, dt, *phi_dot_s)
-            sp = [np.sin(p) for p in phi_s]
-            cp = [np.cos(p) for p in phi_s]
-            theta_ddot_s = [theta_ddot_from_field(q_eff, e, s, c)
-                            for e, s, c in zip((e0, em, em, e1), sp, cp)]
-            theta_dot_s = _rk4_stages(theta_dot_a, lo, hi, dt, *theta_ddot_s)
-            theta_s = _rk4_stages(theta_a, lo, hi, dt, *theta_dot_s)
-            trig = (None, None, sp[0], cp[0])
-            if positions:  # slopes: the velocity from each stage's sin, cos
-                xs, ys, zs = self.state[4:]
-                st = [np.sin(t) for t in theta_s]
-                ct = [np.cos(t) for t in theta_s]
-                _rk4_stages(xs, lo, hi, dt, *(s * c for s, c in zip(st, cp)))
-                _rk4_stages(ys, lo, hi, dt, *(s * c for s, c in zip(st, sp)))
-                _rk4_stages(zs, lo, hi, dt, *ct)
-                trig = (st[0], ct[0], sp[0], cp[0])
-            if self._gate(lo, hi, trig):
+    def __init__(self, initial: ParticleState, program: FieldProgram,
+                 t_end: float, dt: float, constraint_tol: float,
+                 positions: bool, gauge: ScalarField | None = None):
+        self.n = grid_steps(t_end, dt)
+        if gauge is not None and not gauge.is_time_only:
+            raise ValueError(
+                "integrate_trajectory requires a time-only gauge function")
+        self.initial, self.program, self.dt = initial, program, dt
+        self.tol, self.positions, self.gauge = constraint_tol, positions, gauge
+        self.q_eff = initial.q * initial.helicity.sign
+        self.failure = None  # ConstraintViolation arguments but partial
+
+    def blocks(self):
+        rows = 7 if self.positions else 4
+        initial = self.initial
+        start = (initial.theta, initial.phi, initial.theta_dot,
+                 initial.phi_dot, *initial.position)[:rows]
+        for lo in range(0, self.n, _BLOCK):
+            hi = min(lo + _BLOCK, self.n)
+            # Non-finite values are caught by the gate, not reported as
+            # warnings; the last sample of a partial run may hold inf.
+            with np.errstate(invalid="ignore", over="ignore"):
+                arrays, state = self._block(lo, hi, start)
+            yield arrays
+            if self.failure is not None:
                 return
-        self._gate(n, n + 1, angle_trig(theta_a[n:], phi_a[n:]))
+            start = state[:, -1].copy()  # so that the block can go
 
-    def _gate(self, lo, hi, trig) -> bool:
-        """Fill the residual (and k, v, E0, p) at grid points lo..hi-1 from
-        their state and trig = angle_trig(theta, phi); the first failing
-        the gate is self.bad, and self.observables if only E0 or p fail."""
-        e = self.fields[2 * lo:2 * hi:2]
-        state = self.state[:, lo:hi]
+    def _block(self, lo, hi, start):
+        """Advance steps lo..hi-1 from the state start at grid point lo;
+        return the block's arrays, cut after a point failing the gate, and
+        its state rows at points lo..hi."""
+        dt, q_eff, m = self.dt, self.q_eff, hi - lo
+        points = m + 1 if hi == self.n else m
+        # the same doubles as np.arange(n + 1) * dt and the half-step grid
+        # np.arange(2 * n + 1) * (0.5 * dt) over the whole run
+        ts = (lo + np.arange(points)) * dt
+        fields = self.program.sample((2 * lo + np.arange(2 * m + 1))
+                                     * (0.5 * dt))
+        state = np.empty((len(start), m + 1))
+        state[:, 0] = start
+        theta_a, phi_a, theta_dot_a, phi_dot_a = state[:4]
+        e0, em, e1 = fields[0:2 * m:2], fields[1::2], fields[2::2]
+        pdd_mid = phi_ddot_from_field(q_eff, em)
+        phi_dot_s = _rk4_stages(phi_dot_a, dt, phi_ddot_from_field(q_eff, e0),
+                                pdd_mid, pdd_mid,
+                                phi_ddot_from_field(q_eff, e1))
+        phi_s = _rk4_stages(phi_a, dt, *phi_dot_s)
+        sp = [np.sin(p) for p in phi_s]
+        cp = [np.cos(p) for p in phi_s]
+        theta_ddot_s = [theta_ddot_from_field(q_eff, e, s, c)
+                        for e, s, c in zip((e0, em, em, e1), sp, cp)]
+        theta_dot_s = _rk4_stages(theta_dot_a, dt, *theta_ddot_s)
+        theta_s = _rk4_stages(theta_a, dt, *theta_dot_s)
+        trig = (None, None, sp[0], cp[0])
+        if self.positions:  # slopes: the velocity from each stage's sin, cos
+            xs, ys, zs = state[4:]
+            st = [np.sin(t) for t in theta_s]
+            ct = [np.cos(t) for t in theta_s]
+            _rk4_stages(xs, dt, *(s * c for s, c in zip(st, cp)))
+            _rk4_stages(ys, dt, *(s * c for s, c in zip(st, sp)))
+            _rk4_stages(zs, dt, *ct)
+            trig = (st[0], ct[0], sp[0], cp[0])
+        if points > m:  # the run's last point n, from its own angles
+            trig = [a if a is None else np.concatenate((a, b))
+                    for a, b in zip(trig, angle_trig(theta_a[m:], phi_a[m:]))]
+        return self._gate(ts, state[:, :points], fields[0:2 * points:2],
+                          trig), state
+
+    def _gate(self, ts, state, e, trig):
+        """The block's arrays from its points' state, field e and trig =
+        angle_trig(theta, phi), up to and including the first point that
+        fails the gate, whose ConstraintViolation arguments become
+        self.failure (observables when only its E0 or p fail)."""
         theta, phi, theta_dot, phi_dot = state[:4]
         res = compatibility_residual(self.q_eff, e, trig[2], trig[3],
                                      theta_dot, phi_dot)
-        self.residual[lo:hi] = res
         passed = ok = ((res <= self.tol) & np.isfinite(state).all(axis=0)
                        & np.isfinite(e).all(axis=1))
         if self.positions:
-            s = (0.0 if self.gauge is None
-                 else self.gauge.sample_time(self.ts[lo:hi]))
+            s = 0.0 if self.gauge is None else self.gauge.sample_time(ts)
             e0, p = kinetic_momentum_from_state(
                 theta, phi, theta_dot, phi_dot, s, self.initial.helicity, trig)
-            self.e0[lo:hi], self.p[lo:hi] = e0, p
-            self.v[lo:hi] = velocity_from_angles(theta, phi, trig)
-            self.k[lo:hi] = localization_from_rates(theta, theta_dot, phi_dot,
-                                                    trig)
+            v = velocity_from_angles(theta, phi, trig)
+            k = localization_from_rates(theta, theta_dot, phi_dot, trig)
             passed = ok & np.isfinite(e0) & np.isfinite(p).all(axis=1)
         bad = np.flatnonzero(~passed)
+        f = len(ts)
         if len(bad):
-            self.bad, self.observables = lo + int(bad[0]), bool(ok[bad[0]])
-        return self.bad is not None
-
-    def finish(self):
-        """The run up to and including any sample that failed the gate, a
-        Trajectory with positions, else (t, theta, phi, theta', phi',
-        residual); raise ConstraintViolation carrying it if one did."""
-        bad = self.bad
-        f = len(self.ts) if bad is None else bad + 1
-        ts, state, residual = self.ts[:f], self.state[:, :f], self.residual[:f]
+            j = int(bad[0])
+            f, observables = j + 1, bool(ok[j])
+            cells = (*state[:, j], *e[j], res[j])
+            self.failure = (float(ts[j]), float(res[j]),
+                            observables or not np.isfinite(cells).all(),
+                            observables)
+        state = state[:, :f]
         if self.positions:
-            out = Trajectory(  # e a copy, so that the run's field can go
-                ts, state[4:].T, self.v[:f], *state[:4], self.k[:f],
-                self.e0[:f], self.p[:f], self.fields[0:2 * f:2].copy(),
-                residual, self.initial.helicity, self.initial.q, self.dt)
-        else:
-            out = (ts, *state, residual)
-        if bad is None:
-            return out
-        res = self.residual[bad]
-        cells = (*self.state[:, bad], *self.fields[2 * bad], res)
-        raise ConstraintViolation(
-            float(self.ts[bad]), float(res), self.tol, out,
-            nonfinite=self.observables or not np.isfinite(cells).all(),
-            observables=self.observables)
+            return (ts[:f], state[4:].T, v[:f], *state[:4], k[:f], e0[:f],
+                    p[:f], e[:f], res[:f])
+        return (ts[:f], *state, res[:f])
+
+    def check(self, partial) -> None:
+        """Raise the run's ConstraintViolation, carrying partial, if a
+        point failed the gate."""
+        if self.failure is not None:
+            time, residual, nonfinite, observables = self.failure
+            raise ConstraintViolation(time, residual, self.tol, partial,
+                                      nonfinite=nonfinite,
+                                      observables=observables)
+
+    def collect(self, build):
+        """The whole run, built with build(*arrays) from blocks() gathered
+        into arrays of n + 1 rows, up to the last point yielded; check()
+        it.  The arrays share one buffer, allocated with the first block."""
+        whole, f = None, 0
+        for arrays in self.blocks():
+            if whole is None:
+                shapes = [(self.n + 1, *a.shape[1:]) for a in arrays]
+                ends = np.cumsum([math.prod(shape) for shape in shapes])
+                buffer = np.empty(ends[-1])
+                whole = [buffer[end - math.prod(shape):end].reshape(shape)
+                         for shape, end in zip(shapes, ends)]
+            for out, a in zip(whole, arrays):
+                out[f:f + len(a)] = a
+            f += len(arrays[0])
+        run = build(*(out[:f] for out in whole))
+        self.check(run)
+        return run
 
 
-def _rk4_stages(col, lo, hi, h, k1, k2, k3, k4):
-    """Advance col over steps lo..hi-1 of classic RK4 from the slopes of
-    its four stages; return the stage values of col at those steps.
+def _rk4_stages(seg, h, k1, k2, k3, k4):
+    """Advance seg[0] over len(seg) - 1 steps of classic RK4 from the
+    slopes of its four stages, into seg[1:]; return the stage values at
+    those steps.
 
-    The update col[i+1] = col[i] + h/6 (k1 + 2 (k2 + k3) + k4) is a
+    The update seg[i+1] = seg[i] + h/6 (k1 + 2 (k2 + k3) + k4) is a
     sequential running sum, so each step rounds exactly as a scalar loop
     would.
     """
-    seg = col[lo:hi + 1]
     seg[1:] = (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     np.add.accumulate(seg, out=seg)
     base = seg[:-1]

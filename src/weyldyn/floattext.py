@@ -15,29 +15,43 @@ runs on whole uint64 arrays; the 64x64 -> 128-bit products are built from
 32-bit limbs, and the 617-entry table is built from Python integers on
 first use.
 
-``csv_rows`` writes every table this way, in passes of max(``_PASS_ROWS``,
-ceil(``_PASS_VALUES`` / v)) rows for v columns varying over the table: a
-table with one varying column (a control profile's ``t``) goes in 8192-row
-passes, a wide trajectory table in 512-row passes.  The pass size bounds
-the temporaries, about 200 bytes per formatted value.  Each pass is one
-uint8 text matrix, a row per CSV line.  The columns constant within the
-pass, by bit pattern, are rendered once with their separators into a row
-template, which holds a '0'-filled slot of ``_SLOT`` bytes for each
-varying column.  The template fills every row, only the varying cells are
-formatted, and one boolean-mask compaction keeps each varying cell's text
-and separator and every constant cell, with no Python string per value.
-Constancy is decided per pass, as a column may be +0.0 in one stretch and
--0.0 in another.
+A table is written in passes, which bound the temporaries: a pass peaks
+at about 225 bytes per varying value (tracemalloc, on fig45 passes of 6k
+to 25k values).  ``csv_rows`` formats one pass at a time, of
+max(``_PASS_ROWS``, ceil(``_PASS_VALUES`` / v)) rows for v columns
+varying over the table: a table with one varying column (a control
+profile's ``t``) goes in 8192-row passes, a wide trajectory table in
+512-row passes.  ``csv_passes`` takes a sequence of tables, such as the
+blocks of a run, and formats two passes at a time, one on the calling
+thread and one on a worker thread, each of at most ``_PAIR_VALUES``
+varying values.  numpy lets go of the GIL inside its loops, but the two
+threads take it in turns between numpy calls, so a pair of passes takes
+about 1.75 times as long as one, and smaller passes, with shorter calls,
+gain nothing.  glibc gives the worker its own heap, which keeps its
+pass's peak after the pass: the second pass costs about one pass of
+resident memory.
+
+Each pass is one uint8 text matrix, a row per CSV line.  The columns
+constant within the pass, by bit pattern, are rendered once with their
+separators into a row template, which holds a '0'-filled slot of
+``_SLOT`` bytes for each varying column.  The template fills every row,
+only the varying cells are formatted, and one boolean-mask compaction
+keeps each varying cell's text and separator and every constant cell,
+with no Python string per value.  Constancy is decided per pass, as a
+column may be +0.0 in one stretch and -0.0 in another.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 
 import numpy as np
 
-_PASS_VALUES = 8192  # least varying values per pass
-_PASS_ROWS = 512  # least rows per pass
+_PASS_VALUES = 8192  # least varying values per pass of csv_rows
+_PASS_ROWS = 512  # least rows per pass of csv_rows
+_PAIR_VALUES = 12288  # most varying values per pass of csv_passes
 
 _SLOT = 25  # longest repr, -1.2345678901234567e-308, plus a separator
 _E_MIN, _E_MAX = -292, 324  # range of the power of ten 10**-k the digits need
@@ -253,6 +267,96 @@ def csv_rows(columns):
                -(-_PASS_VALUES // max(sum(map(_varies, columns)), 1)))
     for lo in range(0, len(columns[0]), step):
         yield _array_rows([c[lo:lo + step] for c in columns])
+
+
+def csv_passes(tables):
+    """csv_rows' lines of each table in turn, formatted two passes at a
+    time; one bytes object per pass, in order.
+
+    A table is a list of equal-length float64 columns, such as one block
+    of a run; the tables are read as the passes need them.  Each is cut
+    into the fewest passes of equal rows holding at most _PAIR_VALUES
+    varying values.  The calling thread formats one pass while a worker
+    thread formats the next; the caller's text is yielded, and the next
+    pass read, before the worker's text is.  An error on either thread, or
+    in reading a table, is raised once the worker's pass is done, which
+    leaves the worker idle.  A last pass without a partner, and every pass
+    of a process that may run on one CPU only, is formatted on the calling
+    thread.
+    """
+    passes = _passes(tables)
+    if _cpus() < 2:
+        yield from map(_array_rows, passes)
+        return
+    from queue import SimpleQueue  # only where a trajectory is written
+
+    reply = SimpleQueue()  # the worker's answers to this call
+    first = next(passes, None)
+    while first is not None:
+        second = next(passes, None)
+        if second is None:
+            yield _array_rows(first)
+            return
+        _worker().put((second, reply))
+        try:
+            text = _array_rows(first)
+            yield text
+            del text
+            # read on (the next block of a run) while the worker finishes
+            first = next(passes, None)
+        finally:
+            text, error = reply.get()  # waits for the worker's pass
+        if error is not None:
+            raise error
+        yield text
+        del text  # the pair's text goes before the next pair's
+
+
+def _passes(tables):
+    """csv_passes' passes of each table, as lists of column slices."""
+    for columns in tables:
+        rows = len(columns[0])
+        varying = max(sum(map(_varies, columns)), 1)
+        count = max(1, -(-rows * varying // _PAIR_VALUES))
+        step = max(1, -(-rows // count))
+        for lo in range(0, rows, step):
+            yield [c[lo:lo + step] for c in columns]
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(tasks):
+    """Format each (pass, reply) put on tasks, in order, and put (text,
+    None) or (None, error) on its reply queue; the error is raised again
+    on the thread that waits for the reply."""
+    while True:
+        columns, reply = tasks.get()
+        try:
+            reply.put((_array_rows(columns), None))
+        except BaseException as exc:
+            reply.put((None, exc))
+        del columns, reply  # so that the pass's block can go
+
+
+@functools.cache
+def _worker():
+    """The task queue of csv_passes' worker thread, started on first use."""
+    from queue import SimpleQueue
+
+    tasks = SimpleQueue()
+    threading.Thread(target=_serve, args=(tasks,), name="floattext",
+                     daemon=True).start()
+    return tasks
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 def _array_rows(columns) -> bytes:

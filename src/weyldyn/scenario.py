@@ -13,11 +13,13 @@ files.  The format is documented in docs/scenario-format.md; packaged
 presets live in presets/.
 
 run_scenario integrates a scenario and summarizes the trajectory;
-run_control computes an energy or localization control profile.  Both
-work on the whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt))
-at once: run_control evaluates the angle law, energy_control_field and
-kinetic_momentum_from_state once each on the array of grid times, and
-its k-control check integrates only the angles (integrate_angles).
+ScenarioStream does the same one block of steps at a time, its summary a
+running reduction, so that a caller can write each block and let it go.
+run_control computes an energy or localization control profile on the
+whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once: it
+evaluates the angle law, energy_control_field, kinetic_momentum_from_state
+and the velocity once each on the array of grid times, and its k-control
+check integrates only the angles (integrate_angles).
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (ConstantField, DriveField, ExprField, FieldProgram,
-                       ParticleState, Trajectory, ZeroField, grid_steps,
-                       integrate_angles, integrate_trajectory)
+from .dynamics import (ConstantField, ConstraintViolation, DriveField,
+                       ExprField, FieldProgram, ParticleState, Trajectory,
+                       ZeroField, grid_steps, integrate_angles,
+                       integrate_trajectory, trajectory_blocks)
 from .expressions import (AngleLaw, ExpressionError, ExprLaw, ScalarField,
                           eval_expr, parse_expr, plane_wave_phase)
-from .observables import kinetic_momentum_from_state, localization_from_rates
+from .observables import (angle_trig, kinetic_momentum_from_state,
+                          localization_from_rates, velocity_from_angles)
 from .potentials import energy_control_field, k_control_field
 from .spinors import Helicity
 
@@ -45,6 +49,7 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ScenarioRun",
+    "ScenarioStream",
     "load_scenario",
     "parse_scenario_text",
     "resolve_scenario",
@@ -355,63 +360,145 @@ def _refine_extremum(fn, a: float, b: float, minimize: bool):
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:
+    """Integrate the scenario and summarize the whole trajectory; raises
+    the run's ConstraintViolation."""
     traj = integrate_trajectory(
         scenario.initial, scenario.program, scenario.t_end, scenario.dt,
         gauge=scenario.s, constraint_tol=scenario.tolerance,
     )
+    summary = _Summary(scenario)
+    summary.add(traj)
+    return ScenarioRun(scenario=scenario, trajectory=traj,
+                       summary=summary.finish())
 
-    k = traj.k
-    i_min = int(np.argmin(k))
-    i_max = int(np.argmax(k))
-    summary = {
-        "name": scenario.name,
-        "helicity": scenario.helicity.value,
-        "q": scenario.q,
-        "samples": len(traj),
-        "dt": scenario.dt,
-        "t_end": float(traj.t[-1]),
-        "k_start": float(k[0]),
-        "k_end": float(k[-1]),
-        "k_min": float(k[i_min]),
-        "t_k_min": float(traj.t[i_min]),
-        "k_max": float(k[i_max]),
-        "t_k_max": float(traj.t[i_max]),
-        "endpoint": traj.endpoint,
-        "max_distance_from_start": float(np.max(traj.distance_from_start())),
-        "speed_drift": traj.speed_drift(),
-    }
 
-    if scenario.preserves_law:
-        # the angle law is known in closed form, so the k extrema can be
-        # located to full precision instead of grid precision
-        law = scenario.law
+class ScenarioStream:
+    """run_scenario one block of steps at a time, holding only that block.
 
-        def k_of(t: float) -> float:
-            return localization_from_rates(law.angles(t)[0], *law.rates(t))
+    Iterating it integrates, gates and summarizes each block and yields
+    its rows as a Trajectory.  When the run gate trips, the iteration ends
+    with the block that holds the failing sample, cut after it.  finish()
+    then raises that ConstraintViolation, and otherwise returns the
+    summary of run_scenario.  samples counts the rows yielded so far.
+    """
 
-        t_hi = float(traj.t[-1])
-        for key, i, minimize in (("k_min_refined", i_min, True),
-                                 ("k_max_refined", i_max, False)):
-            t = float(traj.t[i])
-            summary[key] = _refine_extremum(
-                k_of, max(0.0, t - scenario.dt), min(t_hi, t + scenario.dt),
-                minimize)
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self._summary = _Summary(scenario)
+        self._violation = None
 
-    # a drain needs a k to drain: free flight keeps k = 0 throughout
-    if summary["k_start"] > 1e-6 and summary["k_min"] <= 1e-6:
-        summary["k_zero_time"] = summary["t_k_min"]
-        later = np.flatnonzero(
-            (traj.t > summary["t_k_min"])
-            & (np.abs(k - summary["k_start"]) <= 1e-6)
-        )
-        summary["k_recovery_time"] = (
-            float(traj.t[later[0]]) if len(later) else None
-        )
-    else:
-        summary["k_zero_time"] = None
-        summary["k_recovery_time"] = None
+    @property
+    def samples(self) -> int:
+        return self._summary.samples
 
-    return ScenarioRun(scenario=scenario, trajectory=traj, summary=summary)
+    def __iter__(self):
+        scenario = self.scenario
+        try:
+            for block in trajectory_blocks(
+                    scenario.initial, scenario.program, scenario.t_end,
+                    scenario.dt, gauge=scenario.s,
+                    constraint_tol=scenario.tolerance):
+                self._summary.add(block)
+                yield block
+        except ConstraintViolation as exc:
+            self._violation = exc
+
+    def finish(self) -> dict:
+        if self._violation is not None:
+            raise self._violation
+        return self._summary.finish()
+
+
+def _extremum(best, k, t, minimize: bool):
+    """The running (k, t) of np.argmin (or np.argmax) over the blocks so
+    far and this one, and whether this block holds it: the first
+    occurrence wins, and the first NaN if there is one."""
+    i = int(np.argmin(k) if minimize else np.argmax(k))
+    value = float(k[i])
+    if best is None or (not math.isnan(best[0]) and (
+            math.isnan(value)
+            or (value < best[0] if minimize else value > best[0]))):
+        return (value, float(t[i])), True
+    return best, False
+
+
+class _Summary:
+    """run_scenario's summary as running reductions over a run's blocks,
+    added in order.  k_recovery_time's candidate is the first time after
+    the running k minimum with |k - k_start| <= 1e-6, dropped whenever a
+    strictly lower minimum appears; the extremum refinement runs in
+    finish(), on the closed-form law."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.samples = 0
+        self.low = self.high = self.recovery = None
+        self.distance = self.drift = -math.inf
+
+    # the last block of a tripped run may hold inf or nan
+    @np.errstate(invalid="ignore", over="ignore")
+    def add(self, block: Trajectory) -> None:
+        t, k = block.t, block.k
+        if not self.samples:
+            self.k_start, self.origin = float(k[0]), block.r[0].copy()
+        self.samples += len(block)
+        self.last = block
+        self.low, lower = _extremum(self.low, k, t, minimize=True)
+        self.high, _ = _extremum(self.high, k, t, minimize=False)
+        if lower:
+            self.recovery = None
+        if self.recovery is None:
+            later = np.flatnonzero((t > self.low[1])
+                                   & (np.abs(k - self.k_start) <= 1e-6))
+            if len(later):
+                self.recovery = float(t[later[0]])
+        # np.maximum keeps a nan, as np.max over the whole run does
+        self.distance = float(np.maximum(self.distance, np.max(
+            block.distance_from_start(self.origin))))
+        self.drift = float(np.maximum(self.drift, block.speed_drift()))
+
+    def finish(self) -> dict:
+        scenario, last = self.scenario, self.last
+        (k_min, t_k_min), (k_max, t_k_max) = self.low, self.high
+        t_hi = float(last.t[-1])
+        summary = {
+            "name": scenario.name,
+            "helicity": scenario.helicity.value,
+            "q": scenario.q,
+            "samples": self.samples,
+            "dt": scenario.dt,
+            "t_end": t_hi,
+            "k_start": self.k_start,
+            "k_end": float(last.k[-1]),
+            "k_min": k_min,
+            "t_k_min": t_k_min,
+            "k_max": k_max,
+            "t_k_max": t_k_max,
+            "endpoint": last.endpoint,
+            "max_distance_from_start": self.distance,
+            "speed_drift": self.drift,
+        }
+
+        if scenario.preserves_law:
+            # the angle law is known in closed form, so the k extrema can be
+            # located to full precision instead of grid precision
+            law = scenario.law
+
+            def k_of(t: float) -> float:
+                return localization_from_rates(law.angles(t)[0],
+                                               *law.rates(t))
+
+            for key, t, minimize in (("k_min_refined", t_k_min, True),
+                                     ("k_max_refined", t_k_max, False)):
+                summary[key] = _refine_extremum(
+                    k_of, max(0.0, t - scenario.dt),
+                    min(t_hi, t + scenario.dt), minimize)
+
+        # a drain needs a k to drain: free flight keeps k = 0 throughout
+        drains = self.k_start > 1e-6 and k_min <= 1e-6
+        summary["k_zero_time"] = t_k_min if drains else None
+        summary["k_recovery_time"] = self.recovery if drains else None
+        return summary
 
 
 CONTROL_TOL = 1e-6  # largest accepted |measured - target| of a control rate
@@ -424,7 +511,8 @@ class ControlRun:
     fields holds one (Ex, Ey, Ez) row per grid time ts; series is the
     controlled quantity on that grid (the energy E0 for an energy target,
     k for a localization target); measured is its achieved rate, which
-    passes when it is within CONTROL_TOL of target.
+    passes when it is within CONTROL_TOL of target, and measured_by says
+    how it was measured.
     """
 
     ts: np.ndarray
@@ -433,6 +521,7 @@ class ControlRun:
     measured: float
     target: float
     label: str
+    measured_by: str
 
     @property
     def deviation(self) -> float:
@@ -461,8 +550,9 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
 
     dedt: the field along the velocity of a drive-free law, which leaves
     the angle motion untouched and ramps the energy through the gauge
-    sector (s = -dedt t); the measured rate is read off the kinetic
-    energy over the whole grid.
+    sector (s = -dedt t); the measured rate is the grid mean of the power
+    q E.v that the written field delivers along the law's velocity
+    (trapezoid rule), and series is the kinetic energy E0.
 
     dkdt: the constant drive field that changes k at that rate, either
     through the azimuth (mode "azimuthal", theta pinned, phi rotating) or
@@ -487,15 +577,23 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
 
     if dedt is not None:
         fields = energy_control_field(dedt, law, scenario.q, ts)
-        e0, _ = kinetic_momentum_from_state(*law.angles(ts), *law.rates(ts),
-                                            -dedt * ts, scenario.helicity)
+        angles = law.angles(ts)
+        trig = angle_trig(*angles)
+        e0, _ = kinetic_momentum_from_state(*angles, *law.rates(ts),
+                                            -dedt * ts, scenario.helicity,
+                                            trig)
         bad = np.flatnonzero(~(np.isfinite(fields).all(axis=1)
                                & np.isfinite(e0)))
         if len(bad):
             raise ValueError(f"energy control profile is not finite at "
                              f"t = {float(ts[bad[0]])!r}")
-        measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
-        return ControlRun(ts, fields, e0, measured, dedt, "dE0/dt")
+        # the force law dE0/dt = q E.v, on the law's velocity, read off the
+        # field itself and averaged over the grid by the trapezoid rule
+        power = scenario.q * np.vecdot(
+            fields, velocity_from_angles(*angles, trig))
+        measured = float(np.trapezoid(power, ts) / (ts[-1] - ts[0]))
+        return ControlRun(ts, fields, e0, measured, dedt, "dE0/dt",
+                          "grid mean of q E.v")
 
     mode = "azimuthal" if mode is None else mode
     program = ConstantField(k_control_field(dkdt, mode, law,
@@ -506,4 +604,5 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
     k = localization_from_rates(theta, theta_dot, phi_dot)
     j = _control_window(phi_dot if mode == "azimuthal" else theta_dot)
     measured = float((k[j] - k[0]) / (t[j] - t[0]))
-    return ControlRun(ts, program.sample(ts), k, measured, dkdt, "dk/dt")
+    return ControlRun(ts, program.sample(ts), k, measured, dkdt, "dk/dt",
+                      "forward simulation")

@@ -1,9 +1,12 @@
 """Command-line interface: determinism, exit codes, output contracts."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -568,7 +571,7 @@ def test_grid_above_the_step_cap_exits_2_before_running(tmp_path,
     def no_run(*args, **kwargs):
         raise AssertionError("the oversized grid was run")
 
-    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "ScenarioStream", no_run)
     out = tmp_path / "free.csv"
     assert cli.main(["simulate", "free", "--t-end", "100000",
                      "--out", str(out)]) == 2
@@ -774,3 +777,25 @@ def test_field_csv_matches_row_writer(tmp_path, rows):
         write_field_csv(ts, fields, got)
         reference_field_csv(ts, fields, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_the_grid(tmp_path):
+    # the stream holds one block and two passes in flight, whatever the
+    # grid; a first run builds the formatter's tables and its worker
+    out = tmp_path / "fig45.csv"
+    quiet = io.StringIO()
+
+    def traced_peak(t_end):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(quiet):
+                assert cli.main(["simulate", "fig45", "--t-end", t_end,
+                                 "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    traced_peak("3")
+    at_20k, at_200k = traced_peak("20"), traced_peak("200")
+    assert at_20k <= 6.1
+    assert abs(at_200k - at_20k) <= 0.5

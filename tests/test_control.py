@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from weyldyn import cli
+from weyldyn import scenario as scenario_module
 from weyldyn.dynamics import (ConstantField, ConstraintViolation,
                               integrate_trajectory)
-from weyldyn.observables import kinetic_momentum_from_state
+from weyldyn.observables import (kinetic_momentum_from_state,
+                                 velocity_from_angles)
 from weyldyn.potentials import energy_control_field, k_control_field
 from weyldyn.scenario import (CONTROL_TOL, ControlRun, parse_scenario_text,
                               resolve_scenario, run_control)
@@ -16,20 +18,23 @@ from weyldyn.scenario import (CONTROL_TOL, ControlRun, parse_scenario_text,
 
 def reference_energy_control(scenario, dedt):
     """The per-sample energy-control loop that run_control replaced: one
-    scalar field, law and momentum evaluation per grid time."""
+    scalar field, law, momentum and power q E.v evaluation per grid time;
+    the measured rate is the power's trapezoid mean over the grid."""
     law = scenario.law
     n = int(round(scenario.t_end / scenario.dt))
     ts = np.arange(n + 1) * scenario.dt
     fields = np.array([energy_control_field(dedt, law, scenario.q, float(t))
                        for t in ts])
-    e0 = np.empty(len(ts))
+    e0, power = np.empty(len(ts)), np.empty(len(ts))
     for i, t in enumerate(ts):
         theta, phi = law.angles(float(t))
         theta_dot, phi_dot = law.rates(float(t))
         e0[i], _ = kinetic_momentum_from_state(
             theta, phi, theta_dot, phi_dot, -dedt * float(t),
             scenario.helicity)
-    measured = float((e0[-1] - e0[0]) / (ts[-1] - ts[0]))
+        power[i] = scenario.q * np.vecdot(fields[i],
+                                          velocity_from_angles(theta, phi))
+    measured = float(np.trapezoid(power, ts) / (ts[-1] - ts[0]))
     return ts, fields, e0, measured
 
 
@@ -76,6 +81,21 @@ def test_energy_control_keeps_negative_zero_components():
     assert run.fields.tobytes() == fields.tobytes()
     assert np.all(np.signbit(run.fields[:, :2]))
     assert np.all(run.fields[:, 2] == -2.0)
+
+
+def test_energy_control_check_reads_the_field_it_writes(monkeypatch, tmp_path,
+                                                       capsys):
+    # a profile scaled by -7 delivers -7 times the target power: exit 1
+    def scaled(*args):
+        return -7.0 * energy_control_field(*args)
+
+    monkeypatch.setattr(scenario_module, "energy_control_field", scaled)
+    out = tmp_path / "free_control.csv"
+    assert cli.main(["control", "free", "--dedt", "2",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "[FAIL] target dE0/dt 2.0, grid mean of q E.v measured -14.0 "
+        "(|diff| 1.600e+01, tol 1e-06)")
 
 
 def test_theta_rotating_profile_is_not_constant():

@@ -561,8 +561,8 @@ def test_infinite_field_aborts_without_numpy_warnings():
 
 
 def test_run_holds_at_most_210_bytes_per_step():
-    # what grows with the grid: the half-step field, the state, residual,
-    # k, v, E0 and p, and the trajectory's copy of the field; a block's
+    # what grows with the grid: the collected run's t, r, v, angles and
+    # rates, k, E0, p, field and residual; a block's arrays and
     # temporaries do not
     scn = resolve_scenario("fig45")
 

@@ -3,8 +3,8 @@
 `cli.main` runs in-process on generated scenario files and option sets,
 valid and invalid alike.  It must return 0, 1 or 2, let no exception
 escape (a stray numpy RuntimeWarning is an error under the test
-configuration), pair exit 2 with an `error:` line on stderr, and leave
-no inf or nan in a CSV it wrote when it exits 0.  The one option set
+configuration), pair exit 2 with an `error:` line on stderr and no CSV
+written, and leave no inf or nan in a CSV it wrote when it exits 0.  The one option set
 argparse refuses, `control --dedt` with `--mode`, exits 2 through the
 parser's usage error and writes no CSV.
 
@@ -18,6 +18,8 @@ generated from docs/expression-grammar.md, on a 100-step grid, and runs
 all four commands on each: `control` with a target drawn from the same
 rates, and the commands that take `--dt` and `--t-end` with values drawn
 from the same pools, so that the grid stays at 2000 steps or fewer.
+A third runs `simulate` and `figures` on those files with 16-step
+blocks, so that a run writes several blocks of rows before its last.
 """
 
 import contextlib
@@ -25,10 +27,11 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weyldyn import cli
+from weyldyn import cli, dynamics
 
 
 def mostly(valid, invalid):
@@ -206,6 +209,7 @@ def check_exit_contract(argv, text):
     elif rc == 2:
         assert any(line.startswith("error: ")
                    for line in err.getvalue().splitlines()), err.getvalue()
+        assert not csvs  # a refused run writes nothing
 
 
 # --- scenario files from docs/expression-grammar.md ------------------------
@@ -268,3 +272,21 @@ def test_exit_code_contract_holds_for_grammar_generated_files(text, target,
                     ("figures", *grid)):
         check_exit_contract([command[0], "{tmp}/gen.scn", *command[1:],
                              "--out={tmp}/out"], text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grammar_scenario_texts(), st.tuples(option(DTS), option(T_ENDS)))
+def test_a_later_block_of_a_run_fails_only_as_the_first_does(text, grid):
+    # simulate samples the field program and the gauge one block of steps
+    # at a time and writes each block as it goes; on 16-step blocks the
+    # 100-step grid spans seven.  Which subexpressions are arrays does not
+    # depend on t, and array evaluation does not raise, so an error is
+    # raised on the first block, before any row is written, or not at all
+    dt, t_end = grid
+    grid = ([f"--dt={dt}"] if dt is not None else []) + (
+        [f"--t-end={t_end}"] if t_end is not None else [])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_BLOCK", 16)
+        for command in ("simulate", "figures"):
+            check_exit_contract([command, "{tmp}/gen.scn", *grid,
+                                 "--out={tmp}/out"], text)

@@ -1,7 +1,12 @@
 """The array float formatter against repr(float(v)), byte for byte."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +146,139 @@ def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_size):
         want = "".join(",".join(repr(float(v)) for v in row) + "\n"
                        for row in zip(*table)).encode()
         assert b"".join(floattext.csv_rows(table)) == want
+
+
+# --- csv_passes: two passes at a time, against csv_rows ---------------------
+
+def serial_text(tables):
+    return b"".join(b"".join(floattext.csv_rows(t)) for t in tables)
+
+
+def trajectory_columns(traj):
+    return [traj.t, *traj.r.T, *traj.v.T, traj.theta, traj.phi, traj.k,
+            traj.e0, *traj.p.T, *traj.e.T, traj.residual]
+
+
+@pytest.mark.parametrize("name", ["free", "fig1", "fig2", "fig3", "fig45",
+                                  "fig45_literal"])
+def test_paired_passes_match_csv_rows_on_every_preset(name):
+    from weyldyn.scenario import ScenarioStream, resolve_scenario
+
+    blocks = [trajectory_columns(b)
+              for b in ScenarioStream(resolve_scenario(name))]
+    assert len(blocks) > 1
+    assert b"".join(floattext.csv_passes(blocks)) == serial_text(blocks)
+
+
+def test_paired_passes_match_csv_rows_on_random_bit_patterns():
+    rng = np.random.default_rng(11)
+    # tables of 1 to 5000 rows, so that pairs cross table boundaries
+    tables = [[rng.integers(0, 2 ** 64, rows, dtype=np.uint64).view(
+                   np.float64) for _ in range(width)]
+              for rows, width in ((5000, 3), (1, 4), (777, 18), (4096, 5),
+                                  (3, 1))]
+    assert b"".join(floattext.csv_passes(tables)) == serial_text(tables)
+
+
+def test_paired_passes_keep_a_sign_that_flips_between_passes(monkeypatch):
+    monkeypatch.setattr(floattext, "_PAIR_VALUES", 50)
+    rows = np.arange(100)
+    # varying over the table, constant within each 25-row pass
+    column = np.where(rows < 50, 0.0, -0.0)
+    table = [rows * 0.5, column, np.full(100, 3.0)]
+    assert len(list(floattext._passes([table]))) == 4
+    want = "".join(f"{t!r},{z!r},3.0\n" for t, z in
+                   zip((rows * 0.5).tolist(), column.tolist())).encode()
+    assert b"".join(floattext.csv_passes([table])) == want
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_an_error_in_a_pass_is_raised_and_the_worker_stays_usable(
+        monkeypatch, tmp_path, failing):
+    from weyldyn.cli import write_trajectory_csv
+    from weyldyn.scenario import ScenarioStream, resolve_scenario
+
+    blocks = list(ScenarioStream(resolve_scenario("fig45").with_overrides(
+        t_end=3.0)))
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    write_trajectory_csv(blocks, want)
+    array_rows = floattext._array_rows
+
+    def second_pass_fails(columns):
+        # the first pass starts at t = 0 and goes to the caller, the
+        # second to the worker
+        if (columns[0][0] == 0.0) == (failing == "caller"):
+            raise RuntimeError(f"{failing} pass failed")
+        return array_rows(columns)
+
+    monkeypatch.setattr(floattext, "_array_rows", second_pass_fails)
+    with pytest.raises(RuntimeError, match=f"{failing} pass failed"):
+        write_trajectory_csv(blocks, got)
+    monkeypatch.setattr(floattext, "_array_rows", array_rows)
+    write_trajectory_csv(blocks, got)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_one_pass_and_one_cpu_never_reach_the_worker(monkeypatch):
+    def no_worker():
+        raise AssertionError("a pass was handed to the worker")
+
+    monkeypatch.setattr(floattext, "_worker", no_worker)
+    one_pass = [np.arange(100) * 0.25, np.full(100, -0.0)]
+    assert b"".join(floattext.csv_passes([one_pass])) == serial_text(
+        [one_pass])
+    many = [[np.arange(30000) * 1e-3, np.arange(30000) * 2.5]] * 2
+    if floattext._cpus() > 1:
+        with pytest.raises(AssertionError, match="handed to the worker"):
+            b"".join(floattext.csv_passes(many))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert b"".join(floattext.csv_passes(many)) == serial_text(many)
+
+
+def test_verify_and_control_start_no_thread():
+    code = ("import sys, threading, tempfile\n"
+            "from weyldyn import cli\n"
+            "out = tempfile.mkdtemp() + '/c.csv'\n"
+            "assert cli.main(['verify', 'free']) == 0\n"
+            "assert cli.main(['control', 'fig45', '--dkdt', '-0.5',\n"
+            "                 '--out', out]) == 0\n"
+            "sys.stderr.write(str(threading.active_count()))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "1"
+
+
+def test_concurrent_writers_each_get_their_own_passes():
+    # four calling threads share the one worker; a short switch interval
+    # interleaves them, and a reply taken by the wrong caller shows as
+    # bytes out of place
+    rng = np.random.default_rng(5)
+    tables = [[[rng.integers(0, 2 ** 64, 3000, dtype=np.uint64).view(
+                    np.float64) for _ in range(9)] for _ in range(3)]
+              for _ in range(4)]
+    want = [serial_text(t) for t in tables]
+    got = [None] * len(tables)
+
+    def write(i):
+        got[i] = [b"".join(floattext.csv_passes(tables[i])) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(i,))
+                   for i in range(len(tables))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[text] * 3 for text in want]

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from weyldyn import scenario
-from weyldyn.dynamics import ConstantField, DriveField, ExprField, ZeroField
+from weyldyn.dynamics import (ConstantField, DriveField, ExprField,
+                              Trajectory, ZeroField)
 from weyldyn.scenario import (
     PRESET_NAMES,
     ScenarioError,
@@ -321,3 +322,89 @@ def test_documented_keys_and_defaults_match_the_parser():
             assert float(default) == float(expected), key
         except ValueError:
             assert default == expected, key
+
+
+# --- the summary as running reductions over blocks ---------------------------
+
+def reference_summary(scn, traj):
+    """run_scenario's summary as it was computed on the whole trajectory,
+    before the running reductions (scenarios without a refinement)."""
+    k = traj.k
+    i_min, i_max = int(np.argmin(k)), int(np.argmax(k))
+    summary = {
+        "name": scn.name, "helicity": scn.helicity.value, "q": scn.q,
+        "samples": len(traj), "dt": scn.dt, "t_end": float(traj.t[-1]),
+        "k_start": float(k[0]), "k_end": float(k[-1]),
+        "k_min": float(k[i_min]), "t_k_min": float(traj.t[i_min]),
+        "k_max": float(k[i_max]), "t_k_max": float(traj.t[i_max]),
+        "endpoint": traj.endpoint,
+        "max_distance_from_start": float(np.max(traj.distance_from_start())),
+        "speed_drift": traj.speed_drift(),
+    }
+    if summary["k_start"] > 1e-6 and summary["k_min"] <= 1e-6:
+        summary["k_zero_time"] = summary["t_k_min"]
+        later = np.flatnonzero((traj.t > summary["t_k_min"])
+                               & (np.abs(k - summary["k_start"]) <= 1e-6))
+        summary["k_recovery_time"] = (float(traj.t[later[0]]) if len(later)
+                                      else None)
+    else:
+        summary["k_zero_time"] = summary["k_recovery_time"] = None
+    return summary
+
+
+def synthetic_run(k):
+    rng = np.random.default_rng(len(k))
+    n = len(k)
+    return Trajectory(
+        t=np.arange(n) * 0.5, r=rng.normal(size=(n, 3)),
+        v=rng.normal(size=(n, 3)), theta=np.zeros(n), phi=np.zeros(n),
+        theta_dot=np.zeros(n), phi_dot=np.zeros(n), k=np.array(k, float),
+        e0=np.zeros(n), p=np.zeros((n, 3)), e=np.zeros((n, 3)),
+        residual=np.zeros(n))
+
+
+def in_blocks(traj, cuts):
+    edges = [0, *cuts, len(traj)]
+    return [Trajectory(*(getattr(traj, name)[lo:hi] for name in (
+        "t", "r", "v", "theta", "phi", "theta_dot", "phi_dot", "k", "e0",
+        "p", "e", "residual"))) for lo, hi in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("k", [
+    # a tie for the minimum: the first wins, and recovery follows it
+    [5, 3, 1, 0, 2, 5, 4, 5, 0, 3, 5],
+    # a strictly lower minimum later drops the earlier recovery candidate
+    [5, 1e-7, 5, 4, 0, 3, 5],
+    # no recovery after the minimum
+    [5, 0, 5, 1e-7, 2],
+    # the first nan is both extremum (np.argmin, np.argmax)
+    [5, 1, math.nan, 0, 5, math.nan],
+    [5, 1, 0, 5, math.nan],
+    # ties for the maximum, and a start that needs no drain
+    [1, 3, 3, 2, 3],
+    [0, 0, 0],
+])
+def test_running_summary_matches_the_whole_run_for_any_blocks(k):
+    scn = resolve_scenario("fig45")
+    traj = synthetic_run(k)
+    want = reference_summary(scn, traj)
+    for first in range(1, len(k)):
+        for cuts in ([first], [first, min(first + 2, len(k) - 1)]):
+            summary = scenario._Summary(scn)
+            for block in in_blocks(traj, sorted(set(cuts))):
+                summary.add(block)
+            got = summary.finish()
+            assert repr(got) == repr(want), cuts
+
+
+def test_stream_summary_and_rows_match_run_scenario():
+    for name in ("fig45", "fig3", "free"):
+        scn = resolve_scenario(name)
+        run = run_scenario(scn)
+        stream = scenario.ScenarioStream(scn)
+        blocks = list(stream)
+        assert len(blocks) > 1 and stream.samples == len(run.trajectory)
+        assert repr(stream.finish()) == repr(run.summary)
+        for field in ("t", "r", "k", "e", "residual"):
+            whole = np.concatenate([getattr(b, field) for b in blocks])
+            assert whole.tobytes() == getattr(run.trajectory, field).tobytes()

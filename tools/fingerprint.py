@@ -19,6 +19,8 @@ exit code's place as its class name.  The runs are:
   `control free --dedt 2 --si`;
 - `simulate fig45 --t-end 0.0105`, whose t_end is not a whole number of
   steps, so that a `note:` line names the time the grid ends at;
+- `simulate fig45 --t-end 60`, 60,001 rows written over 30 blocks of
+  steps;
 - `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
   omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
   which the run gate stops at t = 0.001 (exit 1);
@@ -55,6 +57,9 @@ exit code's place as its class name.  The runs are:
   energy fail at the same point and the field or state message wins;
   and ez = 1/(t-1) or ez = 1/(t-0.5) with s = exp(1000*t) to t_end = 2,
   where the energy fails first (t = 0.71) or the field does (t = 0.5);
+  and ez = 1/(t-25) to t_end = 30, a late trip (t = 25, a 25,001-sample
+  partial CSV) in the 13th block, with the CSV passes of the earlier
+  blocks written two at a time;
 - `verify` on theta0 = 1, omega2 = 1 with the phase h = exp(1000*x),
   which overflows on some draws (exit 2, a domain error): the only run
   that replays non-finite draws one at a time;
@@ -164,7 +169,8 @@ def cli_runs(workdir: Path):
                  ("figures", str(literal), "--t-end", "2"),
                  ("control", "fig45", "--dkdt", "-0.5", "--t-end", "2", "--si"),
                  ("control", "free", "--dedt", "2", "--si"),
-                 ("simulate", "fig45", "--t-end", "0.0105")):
+                 ("simulate", "fig45", "--t-end", "0.0105"),
+                 ("simulate", "fig45", "--t-end", "60")):
         out = workdir / "options"
         yield (":".join(["options", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
@@ -231,7 +237,8 @@ def cli_runs(workdir: Path):
              "gateenergy": "field = expr\nez = 1/(t-1)\ns = exp(1000*t)\n"
                            "t_end = 2\n",
              "gatefield": "field = expr\nez = 1/(t-0.5)\n"
-                          "s = exp(1000*t)\nt_end = 2\n"}
+                          "s = exp(1000*t)\nt_end = 2\n",
+             "gatelate": "field = expr\nez = 1/(t-25)\nt_end = 30\n"}
     for name, text in gates.items():
         (workdir / f"{name}.scn").write_text("theta0 = 1\nomega2 = 1\n"
                                              + text)
