@@ -375,11 +375,12 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
 class ScenarioStream:
     """run_scenario one block of steps at a time, holding only that block.
 
-    Iterating it integrates, gates and summarizes each block and yields
-    its rows as a Trajectory.  When the run gate trips, the iteration ends
-    with the block that holds the failing sample, cut after it.  finish()
-    then raises that ConstraintViolation, and otherwise returns the
-    summary of run_scenario.  samples counts the rows yielded so far.
+    Iterating it, once, integrates, gates and summarizes each block and
+    yields its rows as a Trajectory.  When the run gate trips, the
+    iteration ends with the block that holds the failing sample, cut after
+    it.  finish(), after the iteration, then raises that
+    ConstraintViolation, and otherwise returns the summary of
+    run_scenario.  samples counts the rows yielded so far.
     """
 
     def __init__(self, scenario: Scenario):
