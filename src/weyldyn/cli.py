@@ -25,8 +25,7 @@ import numpy as np
 from .dynamics import ConstraintViolation, Trajectory
 from .floattext import csv_passes, csv_rows
 from .observables import si_rates
-from .scenario import (CONTROL_TOL, Scenario, ScenarioStream,
-                       resolve_scenario, run_control)
+from .scenario import Scenario, ScenarioStream, resolve_scenario, run_control
 from .verify import run_verification
 
 CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
@@ -169,7 +168,7 @@ def cmd_control(args) -> int:
     print(f"control profile written to {out_path}")
     print(f"[{status}] target {run.label} {run.target!r}, {run.measured_by} "
           f"measured {run.measured!r} (|diff| {run.deviation:.3e}, "
-          f"tol {CONTROL_TOL!r})")
+          f"tol {run.tol!r})")
     if args.si:
         # the profile's own field at t = 0, not the scenario's program
         print("\n".join(_si_lines(run.fields[0], scenario.q)))

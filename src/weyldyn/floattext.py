@@ -12,65 +12,82 @@ The digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020), which finds the shortest round-trip decimal with a
 126-bit table of powers of ten and fixed-width integer arithmetic, so it
 runs on whole uint64 arrays; the 64x64 -> 128-bit products are built from
-32-bit limbs, and the 617-entry table is built from Python integers on
-first use.
+32-bit limbs, and the 617-entry table, built from Python integers on
+first use, is kept as those limbs.  Each step works in place in a few
+buffers, which the next step reuses.
+
+Each pass formats its varying values first, each in a slot of 32 bytes
+(``_cells``) with a NUL byte wherever no text goes: the digits as ASCII
+words from a table of four-digit groups, and the point, the kept places
+and the sign from masks looked up by the layout (the point's place and
+the digit count).  Then one uint8 text matrix, a row per CSV line, is
+filled from the row template: the columns constant within the pass, by
+bit pattern, are rendered once with their separators, and each varying
+column's slots are copied into place.  Dropping the NUL bytes leaves the
+lines, with no Python string per value.  Constancy is decided per pass,
+as a column may be +0.0 in one stretch and -0.0 in another.
 
 A table is written in passes, which bound the temporaries: a pass peaks
-at about 225 bytes per varying value (tracemalloc, on fig45 passes of 6k
-to 25k values).  ``csv_rows`` formats one pass at a time, of
-max(``_PASS_ROWS``, ceil(``_PASS_VALUES`` / v)) rows for v columns
-varying over the table: a table with one varying column (a control
-profile's ``t``) goes in 8192-row passes, a wide trajectory table in
-512-row passes.  ``csv_passes`` takes a sequence of tables, such as the
-blocks of a run, and formats two passes at a time, one on the calling
-thread and one on a worker thread, each of at most ``_PAIR_VALUES``
-varying values.  numpy lets go of the GIL inside its loops, but the two
-threads take it in turns between numpy calls, so a pair of passes takes
-about 1.75 times as long as one, and smaller passes, with shorter calls,
-gain nothing.  glibc gives the worker its own heap, which keeps its
-pass's peak after the pass: the second pass costs about one pass of
-resident memory.
-
-Each pass is one uint8 text matrix, a row per CSV line.  The columns
-constant within the pass, by bit pattern, are rendered once with their
-separators into a row template, which holds a '0'-filled slot of
-``_SLOT`` bytes for each varying column.  The template fills every row,
-only the varying cells are formatted, and one boolean-mask compaction
-keeps each varying cell's text and separator and every constant cell,
-with no Python string per value.  Constancy is decided per pass, as a
-column may be +0.0 in one stretch and -0.0 in another.
+at about 97 bytes per varying value (tracemalloc, fig45 and fig1 passes
+of 16k and 25k values), in the digits' buffers or in the text matrix,
+its keep mask and the kept text.  ``csv_rows`` and ``csv_passes`` cut a
+table into the fewest passes of equal rows whose estimated peak
+(``_row_bytes``, which counts the template's width as well as the
+varying values) stays within _PASS_BYTES: a 2048-step block of fig45 is
+one pass, one of fig1 two.  ``csv_passes`` takes a sequence of tables,
+such as the blocks of a run, and formats two passes at a time, one on
+the calling thread and one on a worker thread.  numpy lets go of the GIL
+inside its loops, but the two threads take it in turns between numpy
+calls, so a pair of passes takes about 1.5 times as long as one (fig45:
+4.2 against 2.9 ms), and shorter passes, with shorter calls, gain less.
+glibc gives the worker its own heap, which keeps its pass's peak after
+the pass: the second pass costs about one pass of resident memory.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 
 import numpy as np
 
-_PASS_VALUES = 8192  # least varying values per pass of csv_rows
-_PASS_ROWS = 512  # least rows per pass of csv_rows
-_PAIR_VALUES = 12288  # most varying values per pass of csv_passes
+_PASS_BYTES = 2_640_000  # most estimated bytes of one pass (_row_bytes)
 
-_SLOT = 25  # longest repr, -1.2345678901234567e-308, plus a separator
 _E_MIN, _E_MAX = -292, 324  # range of the power of ten 10**-k the digits need
 _POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
 _M32 = np.uint64(0xFFFFFFFF)
 _M52 = np.uint64((1 << 52) - 1)
 _M63 = np.uint64((1 << 63) - 1)
+_ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
+_INF = np.uint64(0x7FF0000000000000)
+_LOW = 0 if sys.byteorder == "little" else 1  # the low half of a uint64
 _DIGIT, _COMMA, _NEWLINE = ord("0"), ord(","), ord("\n")
-_PLACES = np.arange(17, dtype=np.uint8)[:, None]
+
+# A value's text goes in a slot of four little-endian uint64 words: two
+# NUL bytes, the sign, a mantissa field of 22 bytes, the exponent ('e', its
+# sign and two or three digits), a byte for the separator and a NUL.  The
+# field holds "0000" and the 17 digits left-aligned, digit j at field place
+# 4 + j; the point goes at place dot, the places after it take the byte
+# one place before, and only places start to end - 1 are kept.  Every byte
+# that is not kept is NUL.
+_SLOT = 32
+_FIELD = 3  # the slot byte of field place 0
+_SEP = 30  # the slot byte of the separator
+_LAYOUTS = 21 * 17  # (decimal point row, digit count) pairs
 
 
 @functools.cache
 def _pow10_table():
-    """g(e) as (g1, g0), and floor(log2 10**e), for e in [_E_MIN, _E_MAX].
+    """For e in [_E_MIN, _E_MAX]: g(e)'s halves (g1, g0) as a (2, n) uint64
+    table, the 32-bit limbs (g1 low, g0 low, g1 high, g0 high) as a (4, n)
+    one, and floor(log2 10**e) + 2 as int16.
 
     g(e) = floor(10**e * 2**-r) + 1 with r chosen so that
     2**125 <= g(e) < 2**126, split as g = g1 * 2**63 + g0.
     """
-    g1s, g0s, flog2 = [], [], []
+    halves, flog2 = [], []
     for e in range(_E_MIN, _E_MAX + 1):
         if e >= 0:
             p = 10 ** e
@@ -80,177 +97,295 @@ def _pow10_table():
             d = 10 ** -e
             r = -125 - d.bit_length()
             g = (1 << -r) // d + 1
-        g1s.append(g >> 63)
-        g0s.append(g & ((1 << 63) - 1))
-        flog2.append(125 + r)
-    return (np.array(g1s, dtype=np.uint64), np.array(g0s, dtype=np.uint64),
-            np.array(flog2, dtype=np.int64))
+        halves.append((g >> 63, g & ((1 << 63) - 1)))
+        flog2.append(125 + r + 2)
+    g = np.array(halves, dtype=np.uint64).T.copy()
+    limbs = np.concatenate([g & _M32, g >> np.uint64(32)])
+    return g, limbs, np.array(flog2, dtype=np.int16)
 
 
 @functools.cache
 def _digit_quads():
-    """The four ASCII digits of each i < 10000, as one uint32 per i."""
+    """The four ASCII digits of each i < 10000 as the low bytes of a
+    uint64, first digit lowest, and the count of its trailing zero digits
+    (four for 0000)."""
     text = "".join(f"{i:04d}" for i in range(10000)).encode()
-    return np.frombuffer(text, dtype=np.uint32)
+    quads = np.frombuffer(text, dtype="<u4").astype(np.uint64)
+    zeros = [4 - len(f"{i:04d}".rstrip("0")) for i in range(10000)]
+    return quads, np.array(zeros, dtype=np.uint8)
 
 
-def _mul_hi(ah, al, bh, bl):
-    """High 64 bits of a * b, from the 32-bit limbs of a and b."""
-    ll, lh, hl = al * bl, al * bh, ah * bl
-    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
-    return ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32)
+def _halves(a):
+    """The low and high 32-bit halves of a uint64 array, as views."""
+    words = a.view(np.uint32)
+    return words[..., _LOW::2], words[..., 1 - _LOW::2]
 
 
-def _round_to_odd(y1, y0, x1):
-    """floor(cp * g / 2**127), with the low bit set when bits were dropped,
-    from y = g1 * cp = y1:y0 and x1, the high half of g0 * cp."""
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | ((z & _M63) != 0).astype(np.uint64)
+def _round_to_odd(lo, hi, out, t):
+    """floor(cp * g / 2**127) into out, with the low bit set when bits were
+    dropped, from g1 * cp = hi[0]:lo[0] and hi[1], the high half of
+    g0 * cp; t is scratch."""
+    np.right_shift(lo[0], 1, out=t)
+    t += hi[1]  # z
+    np.right_shift(t, 63, out=out)
+    out += hi[0]
+    t &= _M63
+    np.minimum(t, 1, out=t)
+    out |= t
 
 
-def _add_shifted(hi, lo, g, e):
-    """hi:lo + (g << e) in 128 bits, for 0 < e < 64."""
-    low = lo + (g << e)
-    return hi + (g >> (np.uint64(64) - e)) + (low < lo), low
-
-
-def _scaled_interval(bits):
-    """The rounding interval of each double, scaled by 4 * 10**-k.
-
-    Returns ``(lower, vb, upper, k)``: the value and the ends of the
-    interval of reals that round to it, each rounded to odd (so a
-    comparison with an even integer stays exact), with the ends moved
-    inwards by one where the interval is open.
-    """
-    g1_table, g0_table, flog2_table = _pow10_table()
-    bq = (bits >> 52).astype(np.int64)
-    t = bits & _M52
-    normal = bq != 0
-    c = np.where(normal, t | np.uint64(1 << 52), t)
-    q = np.where(normal, bq, 1) - 1075
-    # the lower neighbour is closer at the bottom of each binade (c = 2**52)
-    irregular = (t == 0) & (bq > 1)
-    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) where irregular;
-    # exact for every binary exponent of a double (the tests check each)
-    k = (q * 1262611 - irregular * 524031) >> 22
-    row = -k - _E_MIN
-    g1, g0 = g1_table[row], g0_table[row]
-    h = (q + flog2_table[row] + 2).astype(np.uint64)
-    del bq, t, normal, q, row  # dead here; freeing them lowers a pass's peak
-    # cp * g / 2**127 for cp = c_x << h, where c_x runs over the rounding
-    # interval's lower end 4c - 2 (4c - 1 where irregular), 4c and the
-    # upper end 4c + 2; each product is the previous one plus g << e
-    cp = ((c << 2) - np.uint64(2) + irregular) << h
-    cph, cpl = cp >> 32, cp & _M32
-    y = _mul_hi(g1 >> 32, g1 & _M32, cph, cpl), g1 * cp  # g1 * cp
-    x = _mul_hi(g0 >> 32, g0 & _M32, cph, cpl), g0 * cp  # g0 * cp
-    del cp, cph, cpl
-    v = [_round_to_odd(*y, x[0])]
-    for e in (h + np.uint64(1) - irregular, h + np.uint64(1)):
-        y, x = _add_shifted(*y, g1, e), _add_shifted(*x, g0, e)
-        v.append(_round_to_odd(*y, x[0]))
-    vbl, vb, vbr = v
-    # an odd significand's interval excludes its ends
-    odd = c & np.uint64(1)
-    return vbl + odd, vb, vbr - odd, k
+def _add_shifted(lo, hi, g, e, t):
+    """hi:lo += g << e in 128 bits, row by row, for 0 < e < 64; t is
+    scratch shaped like g."""
+    np.left_shift(g, e, out=t)
+    lo += t
+    carry = lo < t
+    np.right_shift(g, 64 - e, out=t)
+    hi += t
+    hi += carry
 
 
 def _shortest_digits(bits):
     """Shortest round-trip decimal of positive finite nonzero doubles.
 
-    ``bits`` is the uint64 view of the values.  Returns ``(d, k)`` with the
-    value's shortest closest decimal equal to ``d * 10**k``; ``d`` may carry
-    trailing zeros.
+    ``bits`` is the uint64 view of the values, which this overwrites.
+    Returns ``(d, k)`` with the value's shortest closest decimal equal to
+    ``d * 10**k``; ``d`` (in bits' buffer) may carry trailing zeros, and
+    ``k`` is int16.
     """
-    lower, vb, upper, k = _scaled_interval(bits)
-    s = vb >> 2
+    g_table, limb_table, shift_table = _pow10_table()
+    m = len(bits)
+    q = bits >> np.uint64(52)
+    bits &= _M52
+    irregular = bits == 0
+    irregular &= q > 1  # the lower neighbour is closer: c = 2**52
+    np.bitwise_or(bits, np.uint64(1 << 52), out=bits, where=q != 0)
+    odd = (bits & np.uint64(1)).astype(np.uint8)
+    np.maximum(q, 1, out=q)  # a subnormal's exponent is that of bq = 1
+    q = q.view(np.int64)
+    q -= 1075
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) where irregular;
+    # exact for every binary exponent of a double (the tests check each)
+    k = q * 1262611
+    np.subtract(k, 524031, out=k, where=irregular)
+    k >>= 22
+    row = np.subtract(-_E_MIN, k)
+    h = q
+    h += shift_table[row]
+    # cp * g / 2**127 for cp = c_x << h, where c_x runs over the rounding
+    # interval's lower end 4c - 2 (4c - 1 where irregular), 4c and the
+    # upper end 4c + 2; each product is the previous one plus g << e, for
+    # e = h + 1 (h where irregular), then e = h + 1
+    shifts = np.empty((2, m), dtype=np.uint8)
+    np.add(h, 1, out=shifts[1], casting="unsafe")
+    np.subtract(shifts[1], irregular, out=shifts[0])
+    k, row = k.astype(np.int16), row.astype(np.int16)
+    cp = bits
+    cp <<= np.uint64(2)
+    cp -= np.uint64(2)
+    cp += irregular
+    cp <<= h.view(np.uint64)
+    del bits, q, h, irregular
+    cl = cp & _M32
+    cp >>= np.uint64(32)
+    # g1 * cp and g0 * cp, 128 bits each, as hi:lo, from 32-bit limbs; a
+    # 32x32-bit product plus two 32-bit values fits in 64 bits, which
+    # carries the middle sum into hi without a mask
+    limbs = np.take(limb_table, row, axis=1)
+    lo, hi = limbs[:2], limbs[2:]
+    mid = lo * cp
+    lo *= cl
+    scratch = hi * cl
+    hi *= cp
+    mid += _halves(scratch)[0]
+    mid += _halves(lo)[1]
+    _halves(lo)[1][...] = _halves(mid)[0]
+    mid >>= np.uint64(32)
+    hi += mid
+    scratch >>= np.uint64(32)
+    hi += scratch
+    del mid
+    t, upper = scratch
+    lower = cl
+    _round_to_odd(lo, hi, lower, t)
+    # an odd significand's interval excludes its ends: compare with the
+    # end moved inwards by one
+    lower += odd
+    _add_shifted(lo, hi, np.take(g_table, row, axis=1), shifts[0], scratch)
+    s = cp  # vb, then the digits, in the values' buffer
+    _round_to_odd(lo, hi, s, t)
+    # vb against 4s + 2: above, or equal with s odd, rounds up
+    np.bitwise_and(s, 3, out=t)
+    s >>= np.uint64(2)
+    np.bitwise_and(s, 1, out=upper)
+    t += upper
+    closer_up = t >= 3
     # one digit shorter: at most one multiple of 10 * 10**k lies inside
-    sp = (s // 10) * 10
-    up_in = lower <= sp << 2
-    wp_in = (sp + np.uint64(10)) << 2 <= upper
-    short = (s >= 10) & (up_in != wp_in)
-    # full length: s or s + 1, the one inside, else the closer (even on a tie)
-    u_in = lower <= s << 2
-    w_in = (s + np.uint64(1)) << 2 <= upper
-    mid = (s << 2) + np.uint64(2)
-    closer_up = (vb > mid) | ((vb == mid) & ((s & np.uint64(1)) != 0))
-    up = np.where(u_in != w_in, w_in, closer_up)
-    d = np.where(short, np.where(up_in, sp, sp + np.uint64(10)), s + up)
-    return d, k
+    sp = s // np.uint64(10)
+    sp *= np.uint64(10)
+    np.left_shift(s, 2, out=t)
+    u_in = lower <= t
+    np.left_shift(sp, 2, out=t)
+    up_in = lower <= t
+    del lower, cl, sp
+    _add_shifted(lo, hi, np.take(g_table, row, axis=1), shifts[1], scratch)
+    _round_to_odd(lo, hi, upper, t)
+    del limbs, lo, hi, row, shifts
+    upper -= odd
+    np.add(s, 1, out=t)
+    t <<= np.uint64(2)
+    w_in = t <= upper
+    sp = s // np.uint64(10)
+    sp *= np.uint64(10)
+    np.add(sp, 10, out=t)
+    t <<= np.uint64(2)
+    wp_in = t <= upper
+    del scratch, t, upper
+    short = up_in != wp_in
+    short &= s >= 10
+    # full length: s or s + 1, the one inside, else the closer (even on a
+    # tie); shorter: sp or sp + 10, the one inside
+    u_in ^= w_in
+    u_in &= closer_up ^ w_in
+    closer_up ^= u_in  # w_in where exactly one of s, s + 1 is inside
+    s += closer_up
+    sp += ~up_in * np.uint64(10)
+    sp -= s
+    sp *= short
+    s += sp
+    return s, k
 
 
-def _digit_rows(full):
-    """The 17 ASCII digits of each value in [1e16, 1e17), digit j in row j."""
-    full = full.view(np.int64)
-    m = len(full)
-    quads = np.empty((5, m), dtype=np.uint32)  # four ASCII digits each
-    table = _digit_quads()
-    for i in range(4, 0, -1):
-        top = full // 10000
-        quads[i] = table[full - top * 10000]
-        full = top
-    quads[0] = table[full]
-    digits = quads.view(np.uint8).reshape(5, m, 4).transpose(0, 2, 1)
-    return digits.reshape(20, m)[3:]
+@functools.cache
+def _layout_masks():
+    """The slot masks of each layout key (row, n): for row r < 20, positional
+    with decpt = r - 3, for row 20 scientific; n significant digits.
 
-
-def _fill(values, flat, start):
-    """Write repr(float(v)) of each value at flat[start[i]:]; return lengths.
-
-    Each slot flat[start[i]:start[i] + _SLOT] must hold '0' bytes.
+    Returns (before, after, point), each (4, _LAYOUTS) uint64: the bytes
+    kept from the unshifted field (with the sign byte), those kept from
+    the field shifted up by one byte, and the point at its byte.
     """
+    masks = np.zeros((3, _LAYOUTS, _SLOT), dtype=np.uint8)
+    for row in range(21):
+        for n in range(1, 18):
+            if row < 20:
+                decpt = row - 3
+                dot, start = decpt + 4, min(decpt, 1) + 3
+                end = max(n, decpt + 1) + 5
+            else:
+                dot = 5 if n > 1 else 21  # 21: no point in the text
+                start, end = 4, n + 4 + (n > 1)
+            before, after, point = masks[:, row * 17 + n - 1]
+            before[2] = 255  # the sign
+            kept = slice(_FIELD + start, _FIELD + end)
+            before[kept][:dot - start] = 255
+            after[kept][dot - start + 1:] = 255
+            if dot < end:
+                point[_FIELD + dot] = ord(".")
+    words = masks.view("<u8").astype(np.uint64)
+    return tuple(np.ascontiguousarray(w.T) for w in words)
+
+
+def _cells(values):
+    """The text repr(float(v)) of each value in a slot (see _SLOT), with
+    NUL bytes where no text goes, as (4, len(values)) uint64 words (word i
+    of every slot in row i).  values: contiguous float64, overwritten."""
     m = len(values)
     bits = values.view(np.uint64)
-    neg = (bits >> 63).astype(np.int64)
-    bits = bits & ~np.uint64(1 << 63)
-    finite = bits < np.uint64(0x7FF0000000000000)
+    special = np.flatnonzero((bits & _M63) >= _INF)
+    texts = [repr(float(values[i])).encode() for i in special]
+    neg = bits > _M63
+    bits &= _M63
     zero = bits == 0
     # zeros and non-finite values take the digits of 1.0 and are fixed below
-    d, k = _shortest_digits(np.where(finite & ~zero, bits,
-                                     np.uint64(0x3FF0000000000000)))
-    n_raw = np.searchsorted(_POW10, d, side="right")
-    decpt = k + n_raw
-    # 17 digits, left-aligned: d * 10**(17 - n_raw) lies in [1e16, 1e17)
-    digits = _digit_rows(d * _POW10[17 - n_raw])
-    digits[0, zero] = _DIGIT
-    n = ((digits != _DIGIT) * _PLACES).max(axis=0) + 1
+    np.copyto(bits, _ONE, where=zero)
+    bits[special] = _ONE
+    d, decpt = _shortest_digits(bits)
+    del values, bits
+    n = np.searchsorted(_POW10, d, side="right")
+    decpt += n
+    # 17 digits: full = d * 10**(17 - n) lies in [1e16, 1e17), and is
+    # D0 * 10**16 + b * 10**8 + c, then the 4-digit chunks of b and c
+    np.subtract(17, n, out=n)
+    full = d.view(np.int64)
+    full *= _POW10.view(np.int64)[n]
+    del d, n
+    lead = full // 10 ** 16
+    bc = np.empty((2, m), dtype=np.int64)
+    np.multiply(lead, 10 ** 16, out=bc[1])
+    full -= bc[1]
+    np.floor_divide(full, 10 ** 8, out=bc[0])
+    np.multiply(bc[0], 10 ** 8, out=bc[1])
+    np.subtract(full, bc[1], out=bc[1])
+    del full
+    chunks = np.empty((2, 2, m), dtype=np.int64)  # (high, low) of (b, c)
+    np.floor_divide(bc, 10 ** 4, out=chunks[0])
+    np.multiply(chunks[0], 10 ** 4, out=chunks[1])
+    np.subtract(bc, chunks[1], out=chunks[1])
+    del bc
+    quads, zeros = _digit_quads()
+    # significant digits: 17 less the trailing zeros of b_hi b_lo c_hi c_lo
+    tail = np.take(zeros, chunks)
+    count = tail[0, 0]
+    for part in (tail[1, 0], tail[0, 1], tail[1, 1]):
+        count = part + (part == 4) * count
+    key = np.where((decpt > -4) & (decpt <= 16), decpt + 3, 20)
+    key *= 17
+    key += 16
+    key -= count
+    del tail, count
+    words = np.empty((4, m), dtype=np.uint64)
+    np.take(quads, chunks[1], out=words[1:3], mode="wrap")
+    words[1:3] <<= np.uint64(32)
+    # the high chunks' digits, through words 0 and 3 before they are set
+    for i in range(2):
+        np.take(quads, chunks[0, i], out=words[3 * i], mode="wrap")
+        words[1 + i] |= words[3 * i]
+    del chunks
+    lead[zero] = 0
+    del zero
+    lead += _DIGIT
+    first = words[0]
+    np.left_shift(lead.view(np.uint64), 56, out=first)
+    del lead
+    first |= np.uint64(int.from_bytes(b"\0\0\0" + b"0" * 4 + b"\0", "little"))
+    first |= neg * np.uint64(ord("-") << 16)
+    del neg
+    # the field shifted up one byte, for the places after the point; word
+    # 3 holds only place 21 of the field, one place after the last digit
+    np.right_shift(words[2], 56, out=words[3])
+    shifted = words[:3] << np.uint64(8)
+    scratch = np.empty_like(shifted)
+    np.right_shift(words[:2], 56, out=scratch[1:])
+    shifted[1:] |= scratch[1:]
+    before, after, point = _layout_masks()
+    np.take(after[:3], key, axis=1, out=scratch, mode="wrap")
+    shifted &= scratch
+    np.take(before[:3], key, axis=1, out=scratch, mode="wrap")
+    words[:3] &= scratch
+    words[:3] |= shifted
+    del shifted
+    np.take(point[:3], key, axis=1, out=scratch, mode="wrap")
+    words[:3] |= scratch
+    del scratch
+    words[3] &= np.take(after[3], key)
 
-    positional = (decpt > -4) & (decpt <= 16)
-    small = positional & (decpt <= 0)  # 0.000ddd
-    large = positional & ~small  # ddd.ddd or ddd.0
-    sci = ~positional
-    # digit j goes to base + j, plus one once past the decimal point at dot
-    base = neg + np.where(small, 1 - decpt, 0)
-    dot = np.where(large, decpt, np.where(small, 0, np.where(n > 1, 1, 17)))
-    count = np.where(large, np.maximum(n, decpt + 1), n)
-
-    first = start + base
-    # thirds bound the index arrays
-    for places in (slice(0, 6), slice(6, 12), slice(12, 17)):
-        offset = _PLACES[places] + (_PLACES[places] >= dot.astype(np.uint8))
-        flat[first + offset] = digits[places]
-    flat[start + np.where(small, neg + 1, base + dot)] = ord(".")
-    flat[start[neg == 1]] = ord("-")
-    length = base + count + 1
-
-    e = np.flatnonzero(sci)
+    e = np.flatnonzero(key >= 20 * 17)  # row 20: scientific
     if len(e):
-        at = start[e] + base[e] + n[e] + (n[e] > 1)
-        exp = decpt[e] - 1
+        exp = decpt[e].astype(np.int64) - 1
         mag = np.abs(exp)
         wide = mag >= 100
-        flat[at] = ord("e")
-        flat[at + 1] = np.where(exp < 0, ord("-"), ord("+"))
-        flat[at + 2] = np.where(wide, mag // 100, mag // 10) + _DIGIT
-        flat[at + 3] = np.where(wide, mag // 10 % 10, mag % 10) + _DIGIT
-        flat[at[wide] + 4] = mag[wide] % 10 + _DIGIT
-        length[e] = at - start[e] + 4 + wide
+        digits = (np.where(wide, mag // 100, mag // 10) + _DIGIT,
+                  np.where(wide, mag // 10 % 10, mag % 10) + _DIGIT,
+                  np.where(wide, mag % 10 + _DIGIT, 0))
+        text = ord("e") | np.where(exp < 0, ord("-"), ord("+")) << 8
+        for i, digit in enumerate(digits):
+            text |= digit << (16 + 8 * i)
+        words[3, e] |= text.astype(np.uint64) << np.uint64(8)
 
-    for i in np.flatnonzero(~finite):
-        text = repr(float(values[i])).encode()
-        flat[start[i]:start[i] + len(text)] = np.frombuffer(text, np.uint8)
-        length[i] = len(text)
-    return length
+    for i, text in zip(special, texts):
+        words[:, i] = np.frombuffer(text.ljust(_SLOT, b"\0"), "<u8")
+    return words
 
 
 def _varies(column) -> bool:
@@ -258,15 +393,42 @@ def _varies(column) -> bool:
     return bool((column.view(np.uint64) != column[:1].view(np.uint64)).any())
 
 
+def _template(columns, is_varying):
+    """The row template, and the word at which each varying column's slot
+    starts: each constant column's text with its separator, and NUL bytes
+    for each varying column's slot, which starts on a word; the row is a
+    whole number of words."""
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    cells, starts = [], []
+    width = 0
+    for vary, column, sep in zip(is_varying, columns, seps):
+        if vary:
+            cells.append(b"\0" * (-width % 8 + _SLOT))
+            starts.append(-(-width // 8))
+        else:
+            cells.append(repr(float(column[0])).encode() + sep)
+        width += len(cells[-1])
+    cells.append(b"\0" * (-width % 8))
+    return b"".join(cells), starts
+
+
+def _row_bytes(columns) -> int:
+    """Estimated traced peak of a pass of these columns, per row: the
+    digits' buffers, 104 bytes per varying value, or the text matrix and
+    its keep mask, each the template's width, with the kept text, which
+    drops about 12 NUL bytes of each slot."""
+    is_varying = list(map(_varies, columns))
+    varying = sum(is_varying)
+    width = len(_template(columns, is_varying)[0])
+    return max(104 * varying, 3 * width - 12 * varying)
+
+
 def csv_rows(columns):
     """CSV lines of equal-length float64 columns, one bytes object per pass.
 
     Each value is written as repr(float(v)); each line ends in a newline.
     """
-    step = max(_PASS_ROWS,
-               -(-_PASS_VALUES // max(sum(map(_varies, columns)), 1)))
-    for lo in range(0, len(columns[0]), step):
-        yield _array_rows([c[lo:lo + step] for c in columns])
+    return map(_array_rows, _passes([columns]))
 
 
 def csv_passes(tables):
@@ -274,15 +436,13 @@ def csv_passes(tables):
     time; one bytes object per pass, in order.
 
     A table is a list of equal-length float64 columns, such as one block
-    of a run; the tables are read as the passes need them.  Each is cut
-    into the fewest passes of equal rows holding at most _PAIR_VALUES
-    varying values.  The calling thread formats one pass while a worker
-    thread formats the next; the caller's text is yielded, and the next
-    pass read, before the worker's text is.  An error on either thread, or
-    in reading a table, is raised once the worker's pass is done, which
-    leaves the worker idle.  A last pass without a partner, and every pass
-    of a process that may run on one CPU only, is formatted on the calling
-    thread.
+    of a run; the tables are read as the passes need them.  The calling
+    thread formats one pass while a worker thread formats the next; the
+    caller's text is yielded, and the next pass read, before the worker's
+    text is.  An error on either thread, or in reading a table, is raised
+    once the worker's pass is done, which leaves the worker idle.  A last
+    pass without a partner, and every pass of a process that may run on
+    one CPU only, is formatted on the calling thread.
     """
     passes = _passes(tables)
     if _cpus() < 2:
@@ -313,11 +473,11 @@ def csv_passes(tables):
 
 
 def _passes(tables):
-    """csv_passes' passes of each table, as lists of column slices."""
+    """The passes of each table, as lists of column slices: the fewest
+    passes of equal rows within _PASS_BYTES by _row_bytes."""
     for columns in tables:
         rows = len(columns[0])
-        varying = max(sum(map(_varies, columns)), 1)
-        count = max(1, -(-rows * varying // _PAIR_VALUES))
+        count = max(1, -(-rows * _row_bytes(columns) // _PASS_BYTES))
         step = max(1, -(-rows // count))
         for lo in range(0, rows, step):
             yield [c[lo:lo + step] for c in columns]
@@ -361,28 +521,24 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
 
 def _array_rows(columns) -> bytes:
     """CSV lines of equal-length columns, laid out from their row template."""
-    rows, ncols = len(columns[0]), len(columns)
+    rows = len(columns[0])
     is_varying = list(map(_varies, columns))
-    varying = np.flatnonzero(is_varying)
-    seps = np.full(ncols, _COMMA, dtype=np.uint8)
-    seps[-1] = _NEWLINE
-    cells = [b"0" * _SLOT if vary else
-             repr(float(column[0])).encode() + bytes([sep])
-             for vary, column, sep in zip(is_varying, columns, seps)]
-    widths = [len(cell) for cell in cells]
-    template = np.frombuffer(b"".join(cells), dtype=np.uint8)
-    width = len(template)
-    offset = np.cumsum(widths) - widths
-    text = np.broadcast_to(template, (rows, width)).copy()
-    flat = text.reshape(-1)
-    start = np.arange(0, text.size, width)[:, None] + offset[varying]
-    # the varying cells in row order
-    values = np.array([columns[i] for i in varying]).T.reshape(-1)
-    length = _fill(values, flat, start.reshape(-1)).reshape(rows, -1)
-    flat[start + length] = seps[varying]
-    # keep a cell's bytes up to its separator, at its text length; a
-    # constant cell's limit, 255, keeps it whole
-    lim = np.full((rows, ncols), 255, dtype=np.uint8)
-    lim[:, varying] = length
-    pos = (np.arange(width) - np.repeat(offset, widths)).astype(np.uint8)
-    return text[pos <= np.repeat(lim, widths, axis=1)].tobytes()
+    template, starts = _template(columns, is_varying)
+    template = np.frombuffer(template, dtype=np.uint8)
+    if not starts:
+        return template[template != 0].tobytes() * rows
+    # the varying columns one after another, so that each one's slots are
+    # a stretch of every word row
+    words = _cells(np.array([c for c, vary in zip(columns, is_varying)
+                             if vary], dtype=np.float64).reshape(-1))
+    words[3] |= np.uint64(_COMMA << (8 * _SEP - 192))
+    if is_varying[-1]:
+        words[3, -rows:] ^= np.uint64((_COMMA ^ _NEWLINE) << (8 * _SEP - 192))
+    text = np.broadcast_to(template, (rows, len(template))).copy()
+    text_words = text.view("<u8")
+    for j, at in enumerate(starts):
+        np.copyto(text_words[:, at:at + 4],
+                  words[:, j * rows:(j + 1) * rows].T)
+    del words
+    text = text[text != 0]
+    return text.tobytes()

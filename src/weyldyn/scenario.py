@@ -43,7 +43,6 @@ from .potentials import energy_control_field, k_control_field
 from .spinors import Helicity
 
 __all__ = [
-    "CONTROL_TOL",
     "ControlRun",
     "MAX_SAMPLE_COUNT",
     "Scenario",
@@ -502,9 +501,6 @@ class _Summary:
         return summary
 
 
-CONTROL_TOL = 1e-6  # largest accepted |measured - target| of a control rate
-
-
 @dataclass
 class ControlRun:
     """A control field profile on the scenario grid and its check.
@@ -512,8 +508,8 @@ class ControlRun:
     fields holds one (Ex, Ey, Ez) row per grid time ts; series is the
     controlled quantity on that grid (the energy E0 for an energy target,
     k for a localization target); measured is its achieved rate, which
-    passes when it is within CONTROL_TOL of target, and measured_by says
-    how it was measured.
+    passes when it is within tol of target, and measured_by says how it
+    was measured.
     """
 
     ts: np.ndarray
@@ -529,8 +525,14 @@ class ControlRun:
         return abs(self.measured - self.target)
 
     @property
+    def tol(self) -> float:
+        """The largest accepted deviation: 1e-9 of |target|, at least
+        1e-12."""
+        return max(1e-9 * abs(self.target), 1e-12)
+
+    @property
     def passed(self) -> bool:
-        return self.deviation <= CONTROL_TOL
+        return self.deviation <= self.tol
 
 
 def _control_window(rate_series) -> int:

@@ -12,7 +12,7 @@ from weyldyn.dynamics import (ConstantField, ConstraintViolation,
 from weyldyn.observables import (kinetic_momentum_from_state,
                                  velocity_from_angles)
 from weyldyn.potentials import energy_control_field, k_control_field
-from weyldyn.scenario import (CONTROL_TOL, ControlRun, parse_scenario_text,
+from weyldyn.scenario import (ControlRun, parse_scenario_text,
                               resolve_scenario, run_control)
 
 
@@ -95,7 +95,34 @@ def test_energy_control_check_reads_the_field_it_writes(monkeypatch, tmp_path,
                      "--out", str(out)]) == 1
     assert capsys.readouterr().out.splitlines()[1] == (
         "[FAIL] target dE0/dt 2.0, grid mean of q E.v measured -14.0 "
-        "(|diff| 1.600e+01, tol 1e-06)")
+        "(|diff| 1.600e+01, tol 2e-09)")
+
+
+@pytest.mark.parametrize("scale, rc", [(1.0, 0), (0.0, 1), (2.0, 1)])
+def test_a_small_energy_target_is_checked_to_its_own_scale(
+        monkeypatch, tmp_path, capsys, scale, rc):
+    # at dedt 1e-9 a zeroed or doubled profile misses by 1e-9, which a
+    # tolerance of 1e-6 would let through
+    def scaled(*args):
+        return scale * energy_control_field(*args)
+
+    monkeypatch.setattr(scenario_module, "energy_control_field", scaled)
+    assert cli.main(["control", "free", "--dedt", "1e-9",
+                     "--out", str(tmp_path / "c.csv")]) == rc
+    status = capsys.readouterr().out.splitlines()[1]
+    assert status.startswith("[PASS]" if rc == 0 else "[FAIL]")
+    assert status.endswith(", tol 1e-12)")
+
+
+@pytest.mark.parametrize("target, tol", [(2.0, 2e-9), (-4.0, 4e-9),
+                                         (1e-9, 1e-12), (0.0, 1e-12)])
+def test_control_tolerance_is_relative_with_a_floor(target, tol):
+    run = ControlRun(np.zeros(1), np.zeros((1, 3)), np.zeros(1),
+                     target - tol / 2, target, "dE0/dt", "grid mean of q E.v")
+    assert run.tol == tol
+    assert run.passed
+    run.measured = target + 2 * tol
+    assert not run.passed
 
 
 def test_theta_rotating_profile_is_not_constant():
@@ -240,10 +267,10 @@ def test_control_passed_is_the_printed_status(tmp_path, capsys, dkdt, passed):
                       mode="polar")
     assert run.deviation == abs(run.measured - run.target)
     assert run.passed is passed
-    assert run.passed is (run.deviation <= CONTROL_TOL)
+    assert run.passed is (run.deviation <= run.tol)
     rc = cli.main(["control", str(scn), f"--dkdt={dkdt}", "--mode", "polar",
                    "--out", str(tmp_path / "p.csv")])
     status = capsys.readouterr().out.splitlines()[1]
     assert status.startswith("[PASS]" if passed else "[FAIL]")
-    assert status.endswith(f"(|diff| {run.deviation:.3e}, tol 1e-06)")
+    assert status.endswith(f"(|diff| {run.deviation:.3e}, tol {run.tol!r})")
     assert rc == (0 if passed else 1)

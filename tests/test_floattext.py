@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +18,9 @@ from weyldyn import floattext
 
 def array_texts(values):
     """Texts the array path gives for values, one str per value."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    slots = np.full((len(values), floattext._SLOT), ord("0"), dtype=np.uint8)
-    length = floattext._fill(values, slots.reshape(-1),
-                             np.arange(0, slots.size, floattext._SLOT))
-    return [bytes(row[:n]).decode() for row, n in zip(slots, length)]
+    words = floattext._cells(np.array(values, dtype=np.float64))
+    slots = np.ascontiguousarray(words.T).astype("<u8").view(np.uint8)
+    return [bytes(slot[slot != 0]).decode() for slot in slots]
 
 
 def assert_repr(values):
@@ -122,11 +121,8 @@ def test_decimal_exponent_formulas_hold_for_every_binary_exponent():
             Fraction(3, 4) * Fraction(2) ** q), q
 
 
-@pytest.mark.parametrize("pass_size", [1, 3, None, 10 ** 9])
-def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_size):
-    if pass_size is not None:
-        monkeypatch.setattr(floattext, "_PASS_ROWS", pass_size)
-        monkeypatch.setattr(floattext, "_PASS_VALUES", pass_size)
+@pytest.mark.parametrize("pass_rows", [1, 3, None, 10 ** 9])
+def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_rows):
     rng = np.random.default_rng(3)
     rows = 700
     index = np.arange(rows)
@@ -143,9 +139,16 @@ def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_size):
     # the last column is constant, so the row template ends in the newline
     constant_last = columns[:3] + [np.full(rows, 2.0)]
     for table in (columns, constant, constant_last, [c[:1] for c in columns]):
+        if pass_rows is not None:
+            # a budget of pass_rows rows of this table
+            monkeypatch.setattr(floattext, "_PASS_BYTES",
+                                pass_rows * floattext._row_bytes(table))
         want = "".join(",".join(repr(float(v)) for v in row) + "\n"
                        for row in zip(*table)).encode()
-        assert b"".join(floattext.csv_rows(table)) == want
+        passes = list(floattext.csv_rows(table))
+        assert b"".join(passes) == want
+        if pass_rows is not None:
+            assert len(passes) == -(-len(table[0]) // pass_rows)
 
 
 # --- csv_passes: two passes at a time, against csv_rows ---------------------
@@ -181,15 +184,41 @@ def test_paired_passes_match_csv_rows_on_random_bit_patterns():
 
 
 def test_paired_passes_keep_a_sign_that_flips_between_passes(monkeypatch):
-    monkeypatch.setattr(floattext, "_PAIR_VALUES", 50)
     rows = np.arange(100)
     # varying over the table, constant within each 25-row pass
     column = np.where(rows < 50, 0.0, -0.0)
     table = [rows * 0.5, column, np.full(100, 3.0)]
+    monkeypatch.setattr(floattext, "_PASS_BYTES",
+                        25 * floattext._row_bytes(table))
     assert len(list(floattext._passes([table]))) == 4
     want = "".join(f"{t!r},{z!r},3.0\n" for t, z in
                    zip((rows * 0.5).tolist(), column.tolist())).encode()
     assert b"".join(floattext.csv_passes([table])) == want
+
+
+@pytest.mark.parametrize("name", ["fig45", "fig1"])
+def test_a_pass_holds_at_most_120_bytes_per_varying_value(name):
+    # the digits' buffers, then the text matrix, its keep mask and the
+    # kept text, traced over the first pass of a preset's first 2048-step
+    # block; a first call builds the formatter's tables
+    from weyldyn.scenario import ScenarioStream, resolve_scenario
+
+    block = trajectory_columns(next(iter(ScenarioStream(
+        resolve_scenario(name)))))
+    assert len(block[0]) == 2048
+    passes = list(floattext._passes([block]))
+    if name == "fig45":
+        assert len(passes) == 1
+    columns = passes[0]
+    floattext._array_rows(columns)
+    tracemalloc.start()
+    try:
+        floattext._array_rows(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    varying = sum(map(floattext._varies, columns)) * len(columns[0])
+    assert peak / varying <= 120
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
