@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ConstraintViolation, Trajectory
+from .dynamics import ConstraintViolation
 from .floattext import csv_passes, csv_rows
 from .observables import si_rates
 from .scenario import Scenario, ScenarioStream, resolve_scenario, run_control
@@ -51,11 +51,9 @@ def _write_csv(path: str | Path, header: str, passes) -> None:
 
 
 def write_trajectory_csv(blocks, path: str | Path) -> None:
-    """Write a Trajectory, or the blocks of one in order (each a Trajectory
-    of its rows, as a ScenarioStream yields them), as rows of
-    repr(float(v)), two passes at a time (floattext.csv_passes)."""
-    if isinstance(blocks, Trajectory):
-        blocks = (blocks,)
+    """Write the blocks of a run in order (each a Trajectory of its rows,
+    as a ScenarioStream yields them), as rows of repr(float(v)), two
+    passes at a time (floattext.csv_passes)."""
     _write_csv(path, ",".join(CSV_COLUMNS), csv_passes(
         (b.t, *b.r.T, *b.v.T, b.theta, b.phi, b.k, b.e0, *b.p.T, *b.e.T,
          b.residual) for b in blocks))

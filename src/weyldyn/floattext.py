@@ -21,11 +21,12 @@ Each pass formats its varying values first, each in a slot of 32 bytes
 words from a table of four-digit groups, and the point, the kept places
 and the sign from masks looked up by the layout (the point's place and
 the digit count).  Then one uint8 text matrix, a row per CSV line, is
-filled from the row template: the columns constant within the pass, by
+filled from the row template: the columns constant over the table, by
 bit pattern, are rendered once with their separators, and each varying
 column's slots are copied into place.  Dropping the NUL bytes leaves the
-lines, with no Python string per value.  Constancy is decided per pass,
-as a column may be +0.0 in one stretch and -0.0 in another.
+lines, with no Python string per value.  Constancy is decided once per
+table (``_layout``), not per pass: on the benchmark's simulate and
+control tables (seeds 1-3, 234 passes) the two agree on every pass.
 
 A table is written in passes, which bound the temporaries: a pass peaks
 at about 97 bytes per varying value (tracemalloc, fig45 and fig1 passes
@@ -393,34 +394,32 @@ def _varies(column) -> bool:
     return bool((column.view(np.uint64) != column[:1].view(np.uint64)).any())
 
 
-def _template(columns, is_varying):
-    """The row template, and the word at which each varying column's slot
-    starts: each constant column's text with its separator, and NUL bytes
-    for each varying column's slot, which starts on a word; the row is a
-    whole number of words."""
+def _layout(columns):
+    """A table's row template and, for each varying column, its index and
+    the word at which its slot starts: each constant column's text with
+    its separator, and NUL bytes for each varying column's slot, which
+    starts on a word; the row is a whole number of words."""
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    cells, starts = [], []
+    cells, varying = [], []
     width = 0
-    for vary, column, sep in zip(is_varying, columns, seps):
-        if vary:
+    for i, (column, sep) in enumerate(zip(columns, seps)):
+        if _varies(column):
             cells.append(b"\0" * (-width % 8 + _SLOT))
-            starts.append(-(-width // 8))
+            varying.append((i, -(-width // 8)))
         else:
             cells.append(repr(float(column[0])).encode() + sep)
         width += len(cells[-1])
     cells.append(b"\0" * (-width % 8))
-    return b"".join(cells), starts
+    return np.frombuffer(b"".join(cells), dtype=np.uint8), varying
 
 
-def _row_bytes(columns) -> int:
-    """Estimated traced peak of a pass of these columns, per row: the
-    digits' buffers, 104 bytes per varying value, or the text matrix and
-    its keep mask, each the template's width, with the kept text, which
-    drops about 12 NUL bytes of each slot."""
-    is_varying = list(map(_varies, columns))
-    varying = sum(is_varying)
-    width = len(_template(columns, is_varying)[0])
-    return max(104 * varying, 3 * width - 12 * varying)
+def _row_bytes(layout) -> int:
+    """Estimated traced peak of a pass of a table with this layout, per
+    row: the digits' buffers, 104 bytes per varying value, or the text
+    matrix and its keep mask, each the template's width, with the kept
+    text, which drops about 12 NUL bytes of each slot."""
+    template, varying = layout
+    return max(104 * len(varying), 3 * len(template) - 12 * len(varying))
 
 
 def csv_rows(columns):
@@ -428,7 +427,7 @@ def csv_rows(columns):
 
     Each value is written as repr(float(v)); each line ends in a newline.
     """
-    return map(_array_rows, _passes([columns]))
+    return (_array_rows(*p) for p in _passes([columns]))
 
 
 def csv_passes(tables):
@@ -446,7 +445,7 @@ def csv_passes(tables):
     """
     passes = _passes(tables)
     if _cpus() < 2:
-        yield from map(_array_rows, passes)
+        yield from (_array_rows(*p) for p in passes)
         return
     from queue import SimpleQueue  # only where a trajectory is written
 
@@ -455,11 +454,11 @@ def csv_passes(tables):
     while first is not None:
         second = next(passes, None)
         if second is None:
-            yield _array_rows(first)
+            yield _array_rows(*first)
             return
         _worker().put((second, reply))
         try:
-            text = _array_rows(first)
+            text = _array_rows(*first)
             yield text
             del text
             # read on (the next block of a run) while the worker finishes
@@ -473,14 +472,16 @@ def csv_passes(tables):
 
 
 def _passes(tables):
-    """The passes of each table, as lists of column slices: the fewest
-    passes of equal rows within _PASS_BYTES by _row_bytes."""
+    """The passes of each table, as (column slices, layout) pairs: the
+    fewest passes of equal rows within _PASS_BYTES by _row_bytes, each
+    laid out by its table's _layout."""
     for columns in tables:
+        layout = _layout(columns)
         rows = len(columns[0])
-        count = max(1, -(-rows * _row_bytes(columns) // _PASS_BYTES))
+        count = max(1, -(-rows * _row_bytes(layout) // _PASS_BYTES))
         step = max(1, -(-rows // count))
         for lo in range(0, rows, step):
-            yield [c[lo:lo + step] for c in columns]
+            yield [c[lo:lo + step] for c in columns], layout
 
 
 def _cpus() -> int:
@@ -496,12 +497,12 @@ def _serve(tasks):
     None) or (None, error) on its reply queue; the error is raised again
     on the thread that waits for the reply."""
     while True:
-        columns, reply = tasks.get()
+        task, reply = tasks.get()
         try:
-            reply.put((_array_rows(columns), None))
+            reply.put((_array_rows(*task), None))
         except BaseException as exc:
             reply.put((None, exc))
-        del columns, reply  # so that the pass's block can go
+        del task, reply  # so that the pass's block can go
 
 
 @functools.cache
@@ -519,24 +520,22 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
     os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
-def _array_rows(columns) -> bytes:
-    """CSV lines of equal-length columns, laid out from their row template."""
+def _array_rows(columns, layout) -> bytes:
+    """CSV lines of equal-length columns, from their table's _layout."""
     rows = len(columns[0])
-    is_varying = list(map(_varies, columns))
-    template, starts = _template(columns, is_varying)
-    template = np.frombuffer(template, dtype=np.uint8)
-    if not starts:
+    template, varying = layout
+    if not varying:
         return template[template != 0].tobytes() * rows
     # the varying columns one after another, so that each one's slots are
     # a stretch of every word row
-    words = _cells(np.array([c for c, vary in zip(columns, is_varying)
-                             if vary], dtype=np.float64).reshape(-1))
+    words = _cells(np.array([columns[i] for i, _ in varying],
+                            dtype=np.float64).reshape(-1))
     words[3] |= np.uint64(_COMMA << (8 * _SEP - 192))
-    if is_varying[-1]:
+    if varying[-1][0] == len(columns) - 1:
         words[3, -rows:] ^= np.uint64((_COMMA ^ _NEWLINE) << (8 * _SEP - 192))
     text = np.broadcast_to(template, (rows, len(template))).copy()
     text_words = text.view("<u8")
-    for j, at in enumerate(starts):
+    for j, (_, at) in enumerate(varying):
         np.copyto(text_words[:, at:at + 4],
                   words[:, j * rows:(j + 1) * rows].T)
     del words

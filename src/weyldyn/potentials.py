@@ -226,7 +226,8 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
     E = (1/q) dk_dt (sin(phi0), -cos(phi0), 0).
 
     Negative helicity flips the sign, as for every drive field.  Raises
-    ValueError when the law or the mode does not admit k control.
+    ValueError when the law or the mode does not admit k control, or
+    when polar control would take k below zero from k = 0.
     """
     _require_charge(q)
     if not law.is_linear:
@@ -251,6 +252,9 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
             raise ValueError("polar control requires omega2 = 0 (phi pinned)")
         if omega1 < 0:
             raise ValueError("polar control requires omega1 >= 0")
+        if omega1 == 0 and dk_dt < 0:
+            raise ValueError("polar control from omega1 = 0 (k = 0) "
+                             "requires dk/dt >= 0")
         scale = sign * dk_dt / q
         return np.array([scale * math.sin(phi0), -scale * math.cos(phi0), 0.0])
     raise ValueError(f"unknown control mode '{mode}'")

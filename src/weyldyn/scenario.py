@@ -551,9 +551,9 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
                 mode: str | None = None) -> ControlRun:
     """Control profile for an energy rate dedt or a k rate dkdt.
 
-    dedt: the field along the velocity of a drive-free law, which leaves
-    the angle motion untouched and ramps the energy through the gauge
-    sector (s = -dedt t); the measured rate is the grid mean of the power
+    dedt: the field (dedt/q) v along the velocity v of a drive-free law,
+    which equals the kappa s field of the gauge s = -dedt t only where
+    dv/dt = 0; the measured rate is the grid mean of the power
     q E.v that the written field delivers along the law's velocity
     (trapezoid rule), and series is the kinetic energy E0.
 

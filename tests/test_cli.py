@@ -754,7 +754,7 @@ def test_trajectory_csv_matches_row_writer(tmp_path, rows):
     rows["r"] = np.column_stack([columns.pop(axis) for axis in ("x", "y", "z")])
     traj = Trajectory(**columns, **rows)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_trajectory_csv(traj, got)
+    write_trajectory_csv([traj], got)
     reference_trajectory_csv(traj, want)
     assert got.read_bytes() == want.read_bytes()
 

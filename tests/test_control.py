@@ -223,6 +223,8 @@ NOT_DRIVE_FREE = ("energy control requires a drive-free law "
      "polar control requires omega2 = 0 (phi pinned)"),
     ("theta0 = 1\nomega1 = -1\n", {"dkdt": 0.5, "mode": "polar"},
      "polar control requires omega1 >= 0"),
+    ("theta0 = 0.5\nphi0 = 1\n", {"dkdt": -0.3, "mode": "polar"},
+     "polar control from omega1 = 0 (k = 0) requires dk/dt >= 0"),
     ("theta_expr = pi/3\nphi_expr = 2*t\n", {"dkdt": 0.5},
      "k control requires a linear angle law"),
     ("theta0 = 1\nomega2 = 2\n", {"dkdt": 0.5, "mode": "sideways"},

@@ -141,8 +141,8 @@ def test_csv_bytes_do_not_depend_on_the_pass_size(monkeypatch, pass_rows):
     for table in (columns, constant, constant_last, [c[:1] for c in columns]):
         if pass_rows is not None:
             # a budget of pass_rows rows of this table
-            monkeypatch.setattr(floattext, "_PASS_BYTES",
-                                pass_rows * floattext._row_bytes(table))
+            monkeypatch.setattr(floattext, "_PASS_BYTES", pass_rows *
+                                floattext._row_bytes(floattext._layout(table)))
         want = "".join(",".join(repr(float(v)) for v in row) + "\n"
                        for row in zip(*table)).encode()
         passes = list(floattext.csv_rows(table))
@@ -189,11 +189,29 @@ def test_paired_passes_keep_a_sign_that_flips_between_passes(monkeypatch):
     column = np.where(rows < 50, 0.0, -0.0)
     table = [rows * 0.5, column, np.full(100, 3.0)]
     monkeypatch.setattr(floattext, "_PASS_BYTES",
-                        25 * floattext._row_bytes(table))
+                        25 * floattext._row_bytes(floattext._layout(table)))
     assert len(list(floattext._passes([table]))) == 4
     want = "".join(f"{t!r},{z!r},3.0\n" for t, z in
                    zip((rows * 0.5).tolist(), column.tolist())).encode()
     assert b"".join(floattext.csv_passes([table])) == want
+
+
+def test_a_table_is_laid_out_once_for_all_its_passes(monkeypatch):
+    # one constancy test per column and one template for the table, not
+    # again for each of its passes
+    rows = np.arange(100)
+    table = [rows * 0.5, np.where(rows < 50, 0.0, -0.0), np.full(100, 3.0)]
+    monkeypatch.setattr(floattext, "_PASS_BYTES",
+                        25 * floattext._row_bytes(floattext._layout(table)))
+    calls = {"_varies": 0, "_layout": 0}
+    for name in calls:
+        def counted(*args, name=name, wrapped=getattr(floattext, name)):
+            calls[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(floattext, name, counted)
+    passes = list(floattext.csv_rows(table))
+    assert len(passes) == 4
+    assert calls == {"_varies": len(table), "_layout": 1}
 
 
 @pytest.mark.parametrize("name", ["fig45", "fig1"])
@@ -209,11 +227,11 @@ def test_a_pass_holds_at_most_120_bytes_per_varying_value(name):
     passes = list(floattext._passes([block]))
     if name == "fig45":
         assert len(passes) == 1
-    columns = passes[0]
-    floattext._array_rows(columns)
+    columns, layout = passes[0]
+    floattext._array_rows(columns, layout)
     tracemalloc.start()
     try:
-        floattext._array_rows(columns)
+        floattext._array_rows(columns, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,12 +251,12 @@ def test_an_error_in_a_pass_is_raised_and_the_worker_stays_usable(
     write_trajectory_csv(blocks, want)
     array_rows = floattext._array_rows
 
-    def second_pass_fails(columns):
+    def second_pass_fails(columns, layout):
         # the first pass starts at t = 0 and goes to the caller, the
         # second to the worker
         if (columns[0][0] == 0.0) == (failing == "caller"):
             raise RuntimeError(f"{failing} pass failed")
-        return array_rows(columns)
+        return array_rows(columns, layout)
 
     monkeypatch.setattr(floattext, "_array_rows", second_pass_fails)
     with pytest.raises(RuntimeError, match=f"{failing} pass failed"):

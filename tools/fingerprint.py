@@ -39,7 +39,9 @@ exit code's place as its class name.  The runs are:
   to the workdir: theta0 = 1 and omega2 = -1 (omega2 <= 0), omega2 = 1
   with theta0 = 0 (theta0 outside (0, pi)), theta0 = 1 and omega1 = -1
   with `--mode polar` (omega1 < 0), and theta_expr = 1 + 0.1*t (not a
-  linear law); then `control free --dedt 1 --mode polar`, a usage error;
+  linear law); `control --dkdt -0.5 --mode polar` on theta0 = 1, whose
+  k starts at 0 (omega1 = 0) and cannot fall; then
+  `control free --dedt 1 --mode polar`, a usage error;
 - non-finite fields at t = 0, on scenario files written to the workdir:
   `control --dkdt=-0.5` on theta0 = 1e-200, omega2 = 1, q = 1e-200,
   where q sin(theta0) underflows to 0 and the azimuthal field is
@@ -66,6 +68,10 @@ exit code's place as its class name.  The runs are:
 - `figures` on a scenario file named trip (theta0 = 1, omega2 = 1,
   `field = expr`, ez = 1/(t-0.5), t_end = 2), whose run gate trips at
   t = 0.5 (exit 1) with a 501-sample partial `<out>/trip.csv`;
+- `simulate` on theta0 = pi/2, omega2 = 1, s = 0.1*t, `field = expr`,
+  ez = 0.25*(t - 1.5 + abs(t - 1.5)), dt = 0.001, t_end = 3: the field
+  switches on at t = 1.5, so the first block's first CSV pass (1,024
+  rows) holds k, pz and Ez constant while all three vary over the block;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - `verify` on fig45 with `corrupt_b0 = 0.001` (a file written to the
@@ -207,14 +213,16 @@ def cli_runs(workdir: Path):
                _run(cli, (*argv, "--out", str(out)), [out]))
     k_refused = [("control", "fig1", "--dkdt", "0.5"),
                  ("control", "fig45", "--dkdt", "0.5", "--mode", "polar")]
-    for name, text, mode in (
-            ("omega2neg", "theta0 = 1\nomega2 = -1\n", ()),
-            ("theta0zero", "omega2 = 1\n", ()),
-            ("omega1neg", "theta0 = 1\nomega1 = -1\n", ("--mode", "polar")),
-            ("exprlaw", "theta_expr = 1 + 0.1*t\n", ())):
+    polar_mode = ("--mode", "polar")
+    for name, text, target in (
+            ("omega2neg", "theta0 = 1\nomega2 = -1\n", ("0.5",)),
+            ("theta0zero", "omega2 = 1\n", ("0.5",)),
+            ("omega1neg", "theta0 = 1\nomega1 = -1\n", ("0.5", *polar_mode)),
+            ("exprlaw", "theta_expr = 1 + 0.1*t\n", ("0.5",)),
+            ("polarzero", "theta0 = 1\n", ("-0.5", *polar_mode))):
         scn = workdir / f"{name}.scn"
         scn.write_text(text + "t_end = 1\n")
-        k_refused.append(("control", str(scn), "--dkdt", "0.5", *mode))
+        k_refused.append(("control", str(scn), "--dkdt", *target))
     for argv in (*k_refused,
                  ("control", "free", "--dedt", "1", "--mode", "polar")):
         yield (":".join(["error", *argv]),
@@ -247,12 +255,17 @@ def cli_runs(workdir: Path):
     trip = workdir / "trip.scn"
     trip.write_text("name = trip\ntheta0 = 1\nomega2 = 1\nfield = expr\n"
                     "ez = 1/(t-0.5)\nt_end = 2\n")
+    switch = workdir / "switch.scn"
+    switch.write_text("theta0 = pi/2\nomega2 = 1\ns = 0.1*t\nfield = expr\n"
+                      "ez = 0.25*(t - 1.5 + abs(t - 1.5))\ndt = 0.001\n"
+                      "t_end = 3\n")
     for argv in (("control", kunderflow, "--dkdt=-0.5"),
                  *(("simulate", scn) for scn in simulated),
                  *(("simulate", str(workdir / f"{name}.scn"))
                    for name in gates),
                  ("verify", str(replay)),
-                 ("figures", str(trip))):
+                 ("figures", str(trip)),
+                 ("simulate", str(switch))):
         yield (":".join(["edge", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
