@@ -26,7 +26,8 @@ math.sin and math.cos).  A field is a float
 array of rows (..., 3): shape (3,) at one time or event, (n, 3) over n
 times or draws, the layout `FieldProgram.sample` and the integrator
 use.  The numeric route and `gauge_family_field` return (E, B); the
-drive and control fields have B = 0 and return E alone.
+drive and control fields have B = 0 and return E alone.  The k-control
+field is the drive field of its target law, so it has no formula of its own.
 
 `field_from_potential_numeric` differences the components on the
 stencil of `spinors.on_stencil`: for an array event it calls
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AngleLaw, ScalarField
+from .expressions import AngleLaw, ExprLaw, ScalarField, parse_expr
 from .observables import angle_trig, vector_rows, velocity_from_angles
 from .spinors import Event, Helicity, on_stencil
 
@@ -214,27 +215,24 @@ def energy_control_field(de_dt: float, law: AngleLaw, q: float,
 
 def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
                     helicity: Helicity, q: float) -> np.ndarray:
-    """Constant drive field (3,) that changes the localization rate k at
-    rate dk_dt, for a linear law that admits the mode.
+    """Constant field (3,) that changes the localization rate k at rate
+    dk_dt, for a linear law that admits the mode: the drive field of the
+    target law, the pinned angle and the driven one at the constant
+    acceleration that k's rate needs.
 
     mode "azimuthal": theta pinned at theta0 in (0, pi) (omega1 = 0),
     phi rotating with phi' = omega2 = 2k/sin(theta0) > 0; the field is
-    axial, E = -(1/(q sin(theta0))) dk_dt z_hat.
-
-    mode "polar": phi pinned at phi0 (omega2 = 0), theta rotating with
-    theta' = omega1 = 2k >= 0; the field lies in the x-y plane,
-    E = (1/q) dk_dt (sin(phi0), -cos(phi0), 0).
-
-    Negative helicity flips the sign, as for every drive field.  Raises
-    ValueError when the law or the mode does not admit k control, or
-    when polar control would take k below zero from k = 0.
+    axial.  mode "polar": phi pinned at phi0 (omega2 = 0), theta rotating
+    with theta' = omega1 = 2k >= 0; the field lies in the x-y plane.
+    Along the target law the field is constant, and a zero component is
+    +0.0.  Raises ValueError when the law or the mode does not admit k
+    control, when polar control would take k below zero from k = 0, and
+    when dk_dt asks for an acceleration that overflows.
     """
-    _require_charge(q)
     if not law.is_linear:
         raise ValueError("k control requires a linear angle law")
     theta0, omega1 = law.theta.offset, law.theta.rate
     phi0, omega2 = law.phi.offset, law.phi.rate
-    sign = helicity.sign
     if mode == "azimuthal":
         if omega1 != 0:
             raise ValueError(
@@ -243,11 +241,8 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
             raise ValueError("azimuthal control requires omega2 > 0")
         if not 0.0 < theta0 < math.pi:
             raise ValueError("theta0 must lie strictly inside (0, pi)")
-        # where q sin(theta0) underflows to 0, ez is +-inf or nan
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ez = np.divide(-dk_dt, q * math.sin(theta0))
-        return np.array([0.0, 0.0, sign * ez])
-    if mode == "polar":
+        angle = {"a": phi0, "w": omega2, "c": dk_dt / math.sin(theta0)}
+    elif mode == "polar":
         if omega2 != 0:
             raise ValueError("polar control requires omega2 = 0 (phi pinned)")
         if omega1 < 0:
@@ -255,6 +250,15 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
         if omega1 == 0 and dk_dt < 0:
             raise ValueError("polar control from omega1 = 0 (k = 0) "
                              "requires dk/dt >= 0")
-        scale = sign * dk_dt / q
-        return np.array([scale * math.sin(phi0), -scale * math.cos(phi0), 0.0])
-    raise ValueError(f"unknown control mode '{mode}'")
+        angle = {"a": theta0, "w": omega1, "c": dk_dt}
+    else:
+        raise ValueError(f"unknown control mode '{mode}'")
+    if not math.isfinite(2.0 * angle["c"]):
+        raise ValueError(f"k control at dk/dt = {dk_dt!r} needs an angle "
+                         f"acceleration that overflows")
+    driven = ExprLaw(parse_expr("a + w*t + c*t*t", angle))
+    target = (AngleLaw(law.theta, driven) if mode == "azimuthal"
+              else AngleLaw(driven, law.phi))
+    # a tiny q or q sin(theta0) overflows a component to +-inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        return drive_field_closed_form(target, helicity, q, 0.0) + 0.0

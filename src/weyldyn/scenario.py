@@ -16,10 +16,10 @@ run_scenario integrates a scenario and summarizes the trajectory;
 ScenarioStream does the same one block of steps at a time, its summary a
 running reduction, so that a caller can write each block and let it go.
 run_control computes an energy or localization control profile on the
-whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once: it
-evaluates the angle law, energy_control_field, kinetic_momentum_from_state
-and the velocity once each on the array of grid times, and its k-control
-check integrates only the angles (integrate_angles).
+whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once, on
+the array of grid times: energy_control_field and kinetic_momentum_from_state
+once each, the law's angles and rates and the velocity twice (in the field,
+then for E0 and q E.v); its k-control check integrates only the angles.
 """
 
 from __future__ import annotations

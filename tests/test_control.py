@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from weyldyn import cli
+from weyldyn import cli, potentials
 from weyldyn import scenario as scenario_module
 from weyldyn.dynamics import (ConstantField, ConstraintViolation,
-                              integrate_trajectory)
+                              integrate_angles, integrate_trajectory)
+from weyldyn.expressions import AngleLaw
 from weyldyn.observables import (kinetic_momentum_from_state,
+                                 localization_from_rates,
                                  velocity_from_angles)
-from weyldyn.potentials import energy_control_field, k_control_field
+from weyldyn.potentials import (drive_field_closed_form,
+                                energy_control_field, k_control_field)
 from weyldyn.scenario import (ControlRun, parse_scenario_text,
                               resolve_scenario, run_control)
 
@@ -169,17 +172,110 @@ def test_polar_k_control_matches_direct_integration():
 
 
 def test_underflowing_azimuthal_field_stops_the_run_at_t_0():
-    # q sin(theta0) underflows to 0: the field is inf, or nan for a zero
-    # rate, and the run gate ends the run where it starts
+    # q sin(theta0) underflows to 0: the field is inf, and the run gate
+    # ends the run where it starts
     scenario = parse_scenario_text("theta0 = 1e-200\nomega2 = 1\n"
                                    "q = 1e-200\nt_end = 1\n")
-    for dkdt, ez in ((-0.5, math.inf), (0.0, math.nan)):
-        field = k_control_field(dkdt, "azimuthal", scenario.law,
-                                scenario.helicity, scenario.q)
-        np.testing.assert_array_equal(field, [0.0, 0.0, ez])
-        with pytest.raises(ConstraintViolation) as info:
-            run_control(scenario, dkdt=dkdt)
-        assert info.value.time == 0.0 and info.value.nonfinite
+    field = k_control_field(-0.5, "azimuthal", scenario.law,
+                            scenario.helicity, scenario.q)
+    np.testing.assert_array_equal(field, [0.0, 0.0, math.inf])
+    with pytest.raises(ConstraintViolation) as info:
+        run_control(scenario, dkdt=-0.5)
+    assert info.value.time == 0.0 and info.value.nonfinite
+    # a zero rate has phi'' = 0 and an exactly zero field: the run passes
+    field = k_control_field(0.0, "azimuthal", scenario.law,
+                            scenario.helicity, scenario.q)
+    assert field.tobytes() == np.zeros(3).tobytes()
+    assert run_control(scenario, dkdt=0.0).passed
+
+
+K_ORACLE_CASES = {
+    # phi' falls from 10 to 0.49 over 20,000 steps
+    "azimuthal": ("theta0 = 1\nphi0 = 2.5\nomega2 = 10\ndt = 0.001\n"
+                  "t_end = 20\n", -0.2),
+    # theta' falls from 2 to 0.2 over 10,000 steps
+    "polar": ("theta0 = 0.5\nomega1 = 2\nphi0 = 1\ndt = 0.001\n"
+              "t_end = 10\n", -0.09),
+}
+
+
+def k_oracle_deviation(scenario, mode, dkdt, scale):
+    """Largest distance, over the grid, of theta, phi and k integrated
+    under the k-control profile times `scale` from the target law's closed
+    form: the pinned angle constant, the driven one a + w t + c t^2 with
+    k's rate dkdt, and k = k(0) + dkdt t."""
+    run = run_control(scenario, dkdt=dkdt, mode=mode)
+    assert np.all(run.fields == run.fields[0])
+    t, theta, phi, theta_dot, phi_dot, _ = integrate_angles(
+        scenario.initial, ConstantField(scale * run.fields[0]),
+        scenario.t_end, scenario.dt, constraint_tol=scenario.tolerance)
+    theta0, omega1 = scenario.law.theta.offset, scenario.law.theta.rate
+    phi0, omega2 = scenario.law.phi.offset, scenario.law.phi.rate
+    if mode == "azimuthal":
+        c = dkdt / math.sin(theta0)
+        target = theta0, phi0 + omega2 * t + c * t * t
+        k0 = 0.5 * math.sin(theta0) * omega2
+    else:
+        target = theta0 + omega1 * t + dkdt * t * t, phi0
+        k0 = 0.5 * omega1
+    k = localization_from_rates(theta, theta_dot, phi_dot)
+    return max(np.max(np.abs(theta - target[0])),
+               np.max(np.abs(phi - target[1])),
+               np.max(np.abs(k - (k0 + dkdt * t))))
+
+
+@pytest.mark.parametrize("helicity", ["positive", "negative"])
+@pytest.mark.parametrize("mode", sorted(K_ORACLE_CASES))
+def test_k_control_follows_its_target_law_at_every_point(mode, helicity):
+    # RK4 is exact for a constant acceleration, so only roundoff remains;
+    # a profile 1e-6 too strong is off by about 1e-5 to 1e-4
+    text, dkdt = K_ORACLE_CASES[mode]
+    scenario = parse_scenario_text(f"helicity = {helicity}\n{text}")
+    assert k_oracle_deviation(scenario, mode, dkdt, 1.0) <= 1e-9
+    assert k_oracle_deviation(scenario, mode, dkdt, 1.0 + 1e-6) > 1e-6
+
+
+class AcceleratedLaw(AngleLaw):
+    """A law whose accelerations read theta'' x3 and phi'' x5."""
+
+    def accelerations(self, t):
+        theta_ddot, phi_ddot = super().accelerations(t)
+        return 3 * theta_ddot, 5 * phi_ddot
+
+
+@pytest.mark.parametrize("mode", sorted(K_ORACLE_CASES))
+def test_k_control_sees_the_drive_fields_acceleration_terms(monkeypatch,
+                                                            mode):
+    # the drive field with theta'' x3 in Ex and Ey and phi'' x5 in Ez
+    # passes verify (it draws no accelerating law), but not k control
+    def mutant(law, *args):
+        return drive_field_closed_form(AcceleratedLaw(law.theta, law.phi),
+                                       *args)
+
+    monkeypatch.setattr(potentials, "drive_field_closed_form", mutant)
+    text, dkdt = K_ORACLE_CASES[mode]
+    run = run_control(parse_scenario_text(text), dkdt=dkdt, mode=mode)
+    assert not run.passed
+
+
+@pytest.mark.parametrize("argv, zeros", [
+    (("quadrant.scn", "--dkdt=-0.5"), 2),
+    (("fig45", "--dkdt", "0", "--t-end", "2"), 3),
+])
+def test_k_control_profile_writes_no_negative_zero(tmp_path, monkeypatch,
+                                                   capsys, argv, zeros):
+    # the control-zeros runs of tools/fingerprint.py write each zero
+    # component as 0.0: with phi0 in the third quadrant the drive field's
+    # Ex and Ey sums are -0.0 until k_control_field adds 0.0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quadrant.scn").write_text("theta0 = 1\nphi0 = -2.5\n"
+                                           "omega2 = 10\nt_end = 1\n")
+    out = tmp_path / "k.csv"
+    assert cli.main(["control", *argv, "--out", str(out)]) == 0
+    rows = [line.split(",")[1:1 + zeros]
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) > 1000
+    assert all(row == ["0.0"] * zeros for row in rows)
 
 
 def test_k_control_does_not_integrate_positions():
@@ -240,6 +336,9 @@ NOT_DRIVE_FREE = ("energy control requires a drive-free law "
      "control target must be finite, got nan"),
     ("theta0 = 1\nomega2 = 2\n", {"dkdt": -float("inf")},
      "control target must be finite, got -inf"),
+    ("theta0 = 0.5\nomega1 = 2\n", {"dkdt": 1e308, "mode": "polar"},
+     "k control at dk/dt = 1e+308 needs an angle acceleration that "
+     "overflows"),
 ])
 def test_control_rejections_name_the_problem(text, kwargs, message):
     with pytest.raises(ValueError) as info:

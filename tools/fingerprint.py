@@ -23,7 +23,11 @@ exit code's place as its class name.  The runs are:
   steps;
 - `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
   omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
-  which the run gate stops at t = 0.001 (exit 1);
+  whose target acceleration overflows, refused before any work (exit 2);
+- k-control profiles whose zero components must be written 0.0, not
+  -0.0: `control --dkdt=-0.5` on theta0 = 1, omega2 = 10 with phi0 =
+  -2.5 in the third quadrant (a file written to the workdir), and
+  `control fig45 --dkdt 0 --t-end 2`;
 - error paths, on scenario files written to the workdir: `verify`,
   `simulate`, `control --dedt 1` and `figures` on a law that cannot be
   evaluated at t = 0 (theta_expr = 1/t), on a constant field component
@@ -187,6 +191,12 @@ def cli_runs(workdir: Path):
     yield ("control-gate:polar",
            _run(cli, ("control", str(polar), "--dkdt", "1e308", "--mode",
                       "polar", "--out", str(out)), [out]))
+    quadrant = workdir / "quadrant.scn"
+    quadrant.write_text("theta0 = 1\nphi0 = -2.5\nomega2 = 10\nt_end = 1\n")
+    for name, argv in (("quadrant", (str(quadrant), "--dkdt=-0.5")),
+                       ("dkdt0", ("fig45", "--dkdt", "0", "--t-end", "2"))):
+        yield (f"control-zeros:{name}",
+               _run(cli, ("control", *argv, "--out", str(out)), [out]))
     broken = {"law": "theta_expr = 1/t\n",
               "constant": "field = constant\nez = exp(1000)\n",
               "gauge": "theta0 = 1\nomega2 = 1\ns = exp(1000*t)\n",
