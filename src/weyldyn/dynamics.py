@@ -66,7 +66,9 @@ __all__ = [
     "integrate_angles",
 ]
 
-_BLOCK = 2048  # steps per block: bounds the temporaries and a stream's rows
+# steps per block: bounds the temporaries and a stream's rows; a block of
+# fig45 is one pair of CSV passes, one on each thread (floattext.csv_passes)
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)

@@ -30,19 +30,22 @@ control tables (seeds 1-3, 234 passes) the two agree on every pass.
 
 A table is written in passes, which bound the temporaries: a pass peaks
 at about 97 bytes per varying value (tracemalloc, fig45 and fig1 passes
-of 16k and 25k values), in the digits' buffers or in the text matrix,
-its keep mask and the kept text.  ``csv_rows`` and ``csv_passes`` cut a
-table into the fewest passes of equal rows whose estimated peak
-(``_row_bytes``, which counts the template's width as well as the
-varying values) stays within _PASS_BYTES: a 2048-step block of fig45 is
-one pass, one of fig1 two.  ``csv_passes`` takes a sequence of tables,
-such as the blocks of a run, and formats two passes at a time, one on
-the calling thread and one on a worker thread.  numpy lets go of the GIL
-inside its loops, but the two threads take it in turns between numpy
-calls, so a pair of passes takes about 1.5 times as long as one (fig45:
-4.2 against 2.9 ms), and shorter passes, with shorter calls, gain less.
-glibc gives the worker its own heap, which keeps its pass's peak after
-the pass: the second pass costs about one pass of resident memory.
+of 17k to 30k values), in the digits' buffers or in the text matrix,
+its keep mask and the kept text.  ``csv_rows`` cuts a table into the
+fewest passes of equal rows whose estimated peak (``_row_bytes``, which
+counts the template's width as well as the varying values) stays within
+_PASS_BYTES: a 4096-step block of fig45 is two passes, one of fig1
+three.  ``csv_passes`` takes a sequence of tables, such as the blocks of
+a run, cuts them alike and formats two passes at a time, one on the
+calling thread and one on a worker thread; two passes of one table are
+cut again so that the caller, which also integrates and writes, takes
+2/5 of their rows and the worker 3/5 (fig45: 1,638 and 2,458), still
+within twice _PASS_BYTES.  numpy lets go of the GIL inside its loops,
+but the two threads take it in turns between numpy calls, so a pair of
+passes takes about 1.5 times as long as one (fig45: 4.2 against 2.9
+ms), and shorter passes, with shorter calls, gain less.  glibc gives
+the worker its own heap, which keeps its pass's peak after the pass:
+the second pass costs about one pass of resident memory.
 """
 
 from __future__ import annotations
@@ -435,53 +438,99 @@ def csv_passes(tables):
     time; one bytes object per pass, in order.
 
     A table is a list of equal-length float64 columns, such as one block
-    of a run; the tables are read as the passes need them.  The calling
-    thread formats one pass while a worker thread formats the next; the
-    caller's text is yielded, and the next pass read, before the worker's
-    text is.  An error on either thread, or in reading a table, is raised
-    once the worker's pass is done, which leaves the worker idle.  A last
-    pass without a partner, and every pass of a process that may run on
-    one CPU only, is formatted on the calling thread.
+    of a run; the tables are read as the passes need them.  Of each pair
+    of passes (_pairs), the calling thread formats the first while a
+    worker thread formats the second, and the caller's text is yielded
+    before the worker's.  Two passes of one table share their rows 2:3,
+    the caller taking the smaller share, since it also reads the next
+    table (integrating the next block of a run) and writes both texts.
+    The next pair's worker pass is queued as soon as its table is read,
+    before this pair's worker text is collected, so that the worker need
+    not wait for the caller between pairs.  An error on either thread, or
+    in reading a table, is raised once the worker has done every pass of
+    this call, which leaves the worker idle.  A last pass without a
+    partner, and every pass of a process that may run on one CPU only, is
+    formatted on the calling thread.
     """
-    passes = _passes(tables)
     if _cpus() < 2:
-        yield from (_array_rows(*p) for p in passes)
+        yield from (_array_rows(*p) for p in _passes(tables))
         return
     from queue import SimpleQueue  # only where a trajectory is written
 
     reply = SimpleQueue()  # the worker's answers to this call
-    first = next(passes, None)
-    while first is not None:
-        second = next(passes, None)
-        if second is None:
-            yield _array_rows(*first)
-            return
-        _worker().put((second, reply))
-        try:
-            text = _array_rows(*first)
+    queued = 0  # passes of this call on the worker, not yet answered
+    pairs = _pairs(tables)
+    try:
+        mine, theirs = next(pairs, (None, None))
+        if theirs is not None:
+            _worker().put((theirs, reply))
+            queued += 1
+        while mine is not None:
+            text = _array_rows(*mine)
             yield text
-            del text
-            # read on (the next block of a run) while the worker finishes
-            first = next(passes, None)
-        finally:
+            del text, mine
+            if theirs is None:
+                return
+            del theirs  # so that the pass's block can go
+            # read on (the next block of a run) while the worker formats
+            # its pass, and queue the next pair's before collecting it
+            mine, theirs = next(pairs, (None, None))
+            if theirs is not None:
+                _worker().put((theirs, reply))
+                queued += 1
+            queued -= 1
             text, error = reply.get()  # waits for the worker's pass
-        if error is not None:
-            raise error
-        yield text
-        del text  # the pair's text goes before the next pair's
+            if error is not None:
+                raise error
+            yield text
+            del text  # the pair's text goes before the next pair's
+    finally:
+        for _ in range(queued):
+            reply.get()  # waits for the worker's other passes
+
+
+def _edges(rows, layout):
+    """The row edges of the fewest passes of equal rows of a table with
+    this layout within _PASS_BYTES by _row_bytes, from 0 to rows."""
+    count = max(1, -(-rows * _row_bytes(layout) // _PASS_BYTES))
+    step = max(1, -(-rows // count))
+    return [*range(0, rows, step), rows]
 
 
 def _passes(tables):
-    """The passes of each table, as (column slices, layout) pairs: the
-    fewest passes of equal rows within _PASS_BYTES by _row_bytes, each
-    laid out by its table's _layout."""
+    """The passes of each table, as (column slices, layout) pairs, cut at
+    _edges and laid out by the table's _layout."""
     for columns in tables:
         layout = _layout(columns)
-        rows = len(columns[0])
-        count = max(1, -(-rows * _row_bytes(layout) // _PASS_BYTES))
-        step = max(1, -(-rows // count))
-        for lo in range(0, rows, step):
-            yield [c[lo:lo + step] for c in columns], layout
+        edges = _edges(len(columns[0]), layout)
+        for lo, hi in zip(edges, edges[1:]):
+            yield [c[lo:hi] for c in columns], layout
+
+
+def _pairs(tables):
+    """_passes two at a time, as (caller's, worker's) pairs; the worker's
+    is None for a last pass without a partner.  Two passes of one table
+    side by side are cut again at 2/5 of their rows, so that the caller's
+    is the smaller; a table's odd last pass pairs with the next table's
+    first as it is."""
+    left = None  # a table's last pass, waiting for a partner
+    for columns in tables:
+        layout = _layout(columns)
+        edges = _edges(len(columns[0]), layout)
+
+        def cut(lo, hi):
+            return [c[lo:hi] for c in columns], layout
+
+        if left is not None and len(edges) > 1:
+            yield left, cut(*edges[:2])
+            left, edges = None, edges[1:]
+        for lo, hi in zip(edges[:-2:2], edges[2::2]):
+            mid = lo + max(1, 2 * (hi - lo) // 5)
+            yield cut(lo, mid), cut(mid, hi)
+        if len(edges) % 2 == 0:
+            left = cut(*edges[-2:])
+    if left is not None:
+        yield left, None
 
 
 def _cpus() -> int:

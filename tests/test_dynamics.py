@@ -21,6 +21,7 @@ from weyldyn.dynamics import (
     integrate_trajectory,
     phi_ddot_from_field,
     theta_ddot_from_field,
+    _BLOCK,
 )
 from weyldyn.expressions import AngleLaw, ScalarField, eval_expr, parse_expr
 from weyldyn.observables import (kinetic_momentum_from_state,
@@ -480,7 +481,9 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("steps", [1, 2048, 2049, 4099])
+# one step, one whole block, one step into a second block, and three steps
+# into a third
+@pytest.mark.parametrize("steps", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_cascade_matches_scalar_loop_bit_for_bit(case, steps):
     initial, program = ORACLE_CASES[case]

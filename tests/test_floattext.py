@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyldyn import floattext
+from weyldyn import dynamics, floattext
 
 
 def array_texts(values):
@@ -214,53 +215,103 @@ def test_a_table_is_laid_out_once_for_all_its_passes(monkeypatch):
     assert calls == {"_varies": len(table), "_layout": 1}
 
 
+def test_the_caller_formats_the_smaller_pass_of_each_pair(monkeypatch):
+    # each fig45 block is one pair of passes: the calling thread, which
+    # also reads the next block and writes, takes 2/5 of the block's rows
+    from weyldyn.scenario import ScenarioStream, resolve_scenario
+
+    blocks = [trajectory_columns(b)
+              for b in ScenarioStream(resolve_scenario("fig45"))]
+    sizes = [len(b[0]) for b in blocks]
+    assert sizes[0] == dynamics._BLOCK and len(blocks) > 2
+    rows = {"caller": [], "worker": []}
+    array_rows = floattext._array_rows
+
+    def recorded(columns, layout):
+        on_worker = threading.current_thread().name == "floattext"
+        rows["worker" if on_worker else "caller"].append(len(columns[0]))
+        return array_rows(columns, layout)
+
+    monkeypatch.setattr(floattext, "_array_rows", recorded)
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    text = b"".join(floattext.csv_passes(blocks))
+    assert rows == {"caller": [2 * n // 5 for n in sizes],
+                    "worker": [n - 2 * n // 5 for n in sizes]}
+    monkeypatch.setattr(floattext, "_array_rows", array_rows)
+    assert text == serial_text(blocks)
+
+
 @pytest.mark.parametrize("name", ["fig45", "fig1"])
 def test_a_pass_holds_at_most_120_bytes_per_varying_value(name):
     # the digits' buffers, then the text matrix, its keep mask and the
-    # kept text, traced over the first pass of a preset's first 2048-step
-    # block; a first call builds the formatter's tables
+    # kept text, traced over every pass of a preset's first block, on
+    # either thread; a first call builds the formatter's tables
     from weyldyn.scenario import ScenarioStream, resolve_scenario
 
     block = trajectory_columns(next(iter(ScenarioStream(
         resolve_scenario(name)))))
-    assert len(block[0]) == 2048
-    passes = list(floattext._passes([block]))
-    if name == "fig45":
-        assert len(passes) == 1
-    columns, layout = passes[0]
-    floattext._array_rows(columns, layout)
-    tracemalloc.start()
-    try:
-        floattext._array_rows(columns, layout)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    varying = sum(map(floattext._varies, columns)) * len(columns[0])
-    assert peak / varying <= 120
+    rows = len(block[0])
+    assert rows == dynamics._BLOCK
+    pairs = list(floattext._pairs([block]))
+    if name == "fig45":  # one pair, cut 2:3
+        assert [(len(a[0][0]), len(b[0][0])) for a, b in pairs] == [
+            (2 * rows // 5, rows - 2 * rows // 5)]
+    passes = [p for pair in pairs for p in pair if p is not None]
+    floattext._array_rows(*passes[0])
+    for columns, layout in passes:
+        tracemalloc.start()
+        try:
+            floattext._array_rows(columns, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        varying = sum(map(floattext._varies, columns)) * len(columns[0])
+        assert peak / varying <= 120
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_an_error_in_a_pass_is_raised_and_the_worker_stays_usable(
         monkeypatch, tmp_path, failing):
+    # the first pair's pass fails on one thread; a worker pass fails only
+    # once the next pair's is queued behind it, so that the worker holds
+    # two passes of the call, and the error is raised only after every
+    # pass handed to the worker is done
     from weyldyn.cli import write_trajectory_csv
     from weyldyn.scenario import ScenarioStream, resolve_scenario
 
     blocks = list(ScenarioStream(resolve_scenario("fig45").with_overrides(
-        t_end=3.0)))
+        t_end=10.0)))
+    assert len(blocks) > 2
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
     write_trajectory_csv(blocks, want)
     array_rows = floattext._array_rows
+    tasks = floattext._worker()
+    handed, finished = [], []
 
-    def second_pass_fails(columns, layout):
-        # the first pass starts at t = 0 and goes to the caller, the
-        # second to the worker
-        if (columns[0][0] == 0.0) == (failing == "caller"):
-            raise RuntimeError(f"{failing} pass failed")
-        return array_rows(columns, layout)
+    def first_pass_fails(columns, layout):
+        on_worker = threading.current_thread().name == "floattext"
+        if on_worker:
+            handed.append(columns[0][0])
+        try:
+            if failing == "worker" and len(handed) == 1 and on_worker:
+                deadline = time.monotonic() + 10
+                while not tasks.qsize() and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                raise RuntimeError("worker pass failed" if tasks.qsize()
+                                   else "no pass was queued behind it")
+            if failing == "caller" and columns[0][0] == 0.0:
+                raise RuntimeError("caller pass failed")
+            return array_rows(columns, layout)
+        finally:
+            if on_worker:
+                finished.append(columns[0][0])
 
-    monkeypatch.setattr(floattext, "_array_rows", second_pass_fails)
+    monkeypatch.setattr(floattext, "_array_rows", first_pass_fails)
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=f"{failing} pass failed"):
         write_trajectory_csv(blocks, got)
+    assert finished == handed
+    assert len(handed) == (2 if failing == "worker" else 1)
     monkeypatch.setattr(floattext, "_array_rows", array_rows)
     write_trajectory_csv(blocks, got)
     assert got.read_bytes() == want.read_bytes()

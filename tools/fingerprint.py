@@ -19,7 +19,7 @@ exit code's place as its class name.  The runs are:
   `control free --dedt 2 --si`;
 - `simulate fig45 --t-end 0.0105`, whose t_end is not a whole number of
   steps, so that a `note:` line names the time the grid ends at;
-- `simulate fig45 --t-end 60`, 60,001 rows written over 30 blocks of
+- `simulate fig45 --t-end 60`, 60,001 rows written over 15 blocks of
   steps;
 - `control --dkdt 1e308 --mode polar` on a polar scenario (theta0 = 0.5,
   omega1 = 2, phi0 = 1, dt = 0.001, t_end = 1) written to the workdir,
@@ -58,13 +58,13 @@ exit code's place as its class name.  The runs are:
   py and pz there are 0.0 as the scalar formula gives them;
 - the run gate's order, `simulate` on theta0 = 1, omega2 = 1 (exit 1):
   the gauge s = exp(300*t) to t_end = 3, whose energy first fails at
-  t = 2.366, in the second block of steps; with `field = expr`,
+  t = 2.366, in the first block of steps; with `field = expr`,
   ez = 1/(t-3) and s = 1/(t-3) to t_end = 4, where the field and the
   energy fail at the same point and the field or state message wins;
   and ez = 1/(t-1) or ez = 1/(t-0.5) with s = exp(1000*t) to t_end = 2,
   where the energy fails first (t = 0.71) or the field does (t = 0.5);
   and ez = 1/(t-25) to t_end = 30, a late trip (t = 25, a 25,001-sample
-  partial CSV) in the 13th block, with the CSV passes of the earlier
+  partial CSV) in the 7th block, with the CSV passes of the earlier
   blocks written two at a time;
 - `verify` on theta0 = 1, omega2 = 1 with the phase h = exp(1000*x),
   which overflows on some draws (exit 2, a domain error): the only run
@@ -74,7 +74,7 @@ exit code's place as its class name.  The runs are:
   t = 0.5 (exit 1) with a 501-sample partial `<out>/trip.csv`;
 - `simulate` on theta0 = pi/2, omega2 = 1, s = 0.1*t, `field = expr`,
   ez = 0.25*(t - 1.5 + abs(t - 1.5)), dt = 0.001, t_end = 3: the field
-  switches on at t = 1.5, so the first block's first CSV pass (1,024
+  switches on at t = 1.5, so the first block's first CSV pass (1,200
   rows) holds k, pz and Ez constant while all three vary over the block;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
