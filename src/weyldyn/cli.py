@@ -15,8 +15,11 @@ scenario errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import shutil
+import stat
 import sys
 from pathlib import Path
 
@@ -37,16 +40,44 @@ FIGURE_PRESETS = ("fig1", "fig2", "fig3", "fig45")
 FIGURE_COPIES = {"fig2": "fig1"}
 
 
+@contextlib.contextmanager
+def _whole(path: str | Path):
+    """A binary handle whose bytes become the file at path, whole: they go
+    to a new file beside it, which replaces the file at path once the
+    block ends, or is removed if the block raises, leaving that file as
+    it was.  A path that is not a regular file (/dev/stdout, /dev/null, a
+    FIFO) is written directly; a symlink's target is the file replaced.
+    An existing file keeps its mode; a new one gets the umask's."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        handle = open(temp, "xb")
+    except OSError as exc:  # named by the path asked for, not the temporary
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(handle.fileno(), stat.S_IMODE(mode))
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _write_csv(path: str | Path, header: str, passes) -> None:
-    """Write the header line and the CSV text of each pass.  The file is
-    created once the first pass is ready, so that a run which fails
-    before its first block writes nothing."""
-    passes = iter(passes)
-    first = next(passes, b"")
-    with open(path, "wb") as handle:
+    """Write the header line and the CSV text of each pass, whole or not
+    at all (_whole)."""
+    with _whole(path) as handle:
         handle.write(header.encode() + b"\n")
-        handle.write(first)
-        del first
         handle.writelines(passes)
 
 
@@ -96,7 +127,8 @@ def cmd_verify(args) -> int:
     text = report.format_text()
     if scenario.out:
         # written first, so that a failed write prints no report
-        Path(scenario.out).write_text(text + "\n")
+        with _whole(scenario.out) as handle:
+            handle.write(text.encode() + b"\n")
     print(text)
     return 0 if report.passed else 1
 
@@ -186,7 +218,8 @@ def cmd_figures(args) -> int:
         if FIGURE_COPIES.get(name) in written:
             _note_grid_end(scenario)
             source, samples = written[FIGURE_COPIES[name]]
-            shutil.copyfile(source, path)
+            with open(source, "rb") as copy, _whole(path) as handle:
+                shutil.copyfileobj(copy, handle)
         else:
             summary = _simulate_to(scenario, path)
             if summary is None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, ScalarField
+from .expressions import Expr, ScalarField, check_variables
 from .observables import (angle_trig, kinetic_momentum_from_state,
                           localization_from_rates, velocity_from_angles)
 from .potentials import drive_field_closed_form
@@ -130,10 +130,8 @@ class ExprField(FieldProgram):
 
     def __init__(self, ex: Expr, ey: Expr, ez: Expr):
         for component in (ex, ey, ez):
-            extra = component.free_variables() - {"t"}
-            if extra:
-                names = ", ".join(sorted(extra))
-                raise ValueError(f"field expressions may only use t, found: {names}")
+            check_variables(component, {"t"}, ValueError,
+                            "field expressions may only use t, found: ")
         self.exprs = (ex, ey, ez)
 
     def sample(self, ts):
@@ -216,8 +214,8 @@ class ConstraintViolation(RuntimeError):
     integrate_angles; from trajectory_blocks, only its last block."""
 
     def __init__(self, time: float, residual: float, tolerance: float,
-                 partial: Trajectory | tuple, *, nonfinite: bool = False,
-                 observables: bool = False):
+                 partial: Trajectory | tuple | None, *,
+                 nonfinite: bool = False, observables: bool = False):
         if observables:
             message = f"non-finite energy or momentum at t = {time:.6g}"
         elif nonfinite:
@@ -333,7 +331,7 @@ class _Cascade:
         self.initial, self.program, self.dt = initial, program, dt
         self.tol, self.positions, self.gauge = constraint_tol, positions, gauge
         self.q_eff = initial.q * initial.helicity.sign
-        self.failure = None  # ConstraintViolation arguments but partial
+        self.failure = None  # the ConstraintViolation, without its partial
 
     def blocks(self):
         rows = 7 if self.positions else 4
@@ -395,8 +393,8 @@ class _Cascade:
     def _gate(self, ts, state, e, trig):
         """The block's arrays from its points' state, field e and trig =
         angle_trig(theta, phi), up to and including the first point that
-        fails the gate, whose ConstraintViolation arguments become
-        self.failure (observables when only its E0 or p fail)."""
+        fails the gate, whose ConstraintViolation becomes self.failure
+        (observables when only its E0 or p fail)."""
         theta, phi, theta_dot, phi_dot = state[:4]
         res = compatibility_residual(self.q_eff, e, trig[2], trig[3],
                                      theta_dot, phi_dot)
@@ -415,9 +413,10 @@ class _Cascade:
             j = int(bad[0])
             f, observables = j + 1, bool(ok[j])
             cells = (*state[:, j], *e[j], res[j])
-            self.failure = (float(ts[j]), float(res[j]),
-                            observables or not np.isfinite(cells).all(),
-                            observables)
+            self.failure = ConstraintViolation(
+                float(ts[j]), float(res[j]), self.tol, None,
+                nonfinite=observables or not np.isfinite(cells).all(),
+                observables=observables)
         state = state[:, :f]
         if self.positions:
             return (ts[:f], state[4:].T, v[:f], *state[:4], k[:f], e0[:f],
@@ -428,10 +427,8 @@ class _Cascade:
         """Raise the run's ConstraintViolation, carrying partial, if a
         point failed the gate."""
         if self.failure is not None:
-            time, residual, nonfinite, observables = self.failure
-            raise ConstraintViolation(time, residual, self.tol, partial,
-                                      nonfinite=nonfinite,
-                                      observables=observables)
+            self.failure.partial = partial
+            raise self.failure
 
     def collect(self, build):
         """The whole run, built with build(*arrays) from blocks() gathered

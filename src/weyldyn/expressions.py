@@ -47,6 +47,7 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "diff_expr",
+    "check_variables",
     "LinearLaw",
     "ExprLaw",
     "AngleLaw",
@@ -559,6 +560,14 @@ def eval_expr(expr: Expr, **bindings: Number) -> Number:
     return value
 
 
+def check_variables(expr: Expr, allowed: set, error: type, message: str):
+    """Raise error(message + the sorted names) when expr has free variables
+    outside allowed."""
+    extra = expr.free_variables() - allowed
+    if extra:
+        raise error(message + ", ".join(sorted(extra)))
+
+
 def diff_expr(expr: Expr, var: str) -> Expr:
     """Exact derivative with respect to one of the grammar variables."""
     if var not in VARIABLES:
@@ -587,10 +596,8 @@ class ExprLaw:
     """Time law given by an expression in t; derivatives are analytic."""
 
     def __init__(self, expr: Expr):
-        extra = expr.free_variables() - {"t"}
-        if extra:
-            names = ", ".join(sorted(extra))
-            raise ExpressionError(f"time law may only depend on t, found: {names}")
+        check_variables(expr, {"t"}, ExpressionError,
+                        "time law may only depend on t, found: ")
         self.expr = expr
         self._d1 = diff_expr(expr, "t")
         self._d2 = diff_expr(self._d1, "t")
@@ -662,18 +669,12 @@ class ScalarField:
     values, one number or one array of per-draw values each.
     """
 
-    _AXES = ("x", "y", "z", "t")
-
     def __init__(self, expr: Expr, bound=()):
         self.bound = frozenset(bound)
-        extra = expr.free_variables() - set(self._AXES) - self.bound
-        if extra:
-            names = ", ".join(sorted(extra))
-            raise ExpressionError(
-                f"scalar field may only depend on x, y, z, t, found: {names}"
-            )
+        check_variables(expr, {*VARIABLES, *self.bound}, ExpressionError,
+                        "scalar field may only depend on x, y, z, t, found: ")
         self.expr = expr
-        self._partials = {axis: diff_expr(expr, axis) for axis in self._AXES}
+        self._partials = {axis: diff_expr(expr, axis) for axis in VARIABLES}
         self._values: dict = {}
 
     @classmethod

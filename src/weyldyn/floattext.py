@@ -31,26 +31,31 @@ control tables (seeds 1-3, 234 passes) the two agree on every pass.
 A table is written in passes, which bound the temporaries: a pass peaks
 at about 97 bytes per varying value (tracemalloc, fig45 and fig1 passes
 of 17k to 30k values), in the digits' buffers or in the text matrix,
-its keep mask and the kept text.  ``csv_rows`` cuts a table into the
-fewest passes of equal rows whose estimated peak (``_row_bytes``, which
-counts the template's width as well as the varying values) stays within
+its keep mask and the kept text.  One cutter (``_passes``) serves
+``csv_rows`` and ``csv_passes``: it cuts each table into the fewest
+passes of equal rows whose estimated peak (``_row_bytes``, which counts
+the template's width as well as the varying values) stays within
 _PASS_BYTES: a 4096-step block of fig45 is two passes, one of fig1
 three.  ``csv_passes`` takes a sequence of tables, such as the blocks of
-a run, cuts them alike and formats two passes at a time, one on the
-calling thread and one on a worker thread; two passes of one table are
-cut again so that the caller, which also integrates and writes, takes
-2/5 of their rows and the worker 3/5 (fig45: 1,638 and 2,458), still
-within twice _PASS_BYTES.  numpy lets go of the GIL inside its loops,
-but the two threads take it in turns between numpy calls, so a pair of
-passes takes about 1.5 times as long as one (fig45: 4.2 against 2.9
-ms), and shorter passes, with shorter calls, gain less.  glibc gives
-the worker its own heap, which keeps its pass's peak after the pass:
-the second pass costs about one pass of resident memory.
+a run, and formats their passes two at a time, one on the calling
+thread and one on a worker thread.  The passes pair in order, over the
+whole sequence: two passes of one table are cut again so that the
+caller, which also integrates and writes, takes 2/5 of their rows and
+the worker 3/5 (fig45: 1,638 and 2,458), still within twice
+_PASS_BYTES; a table's odd last pass pairs with the next table's first
+as they are, and the sequence's last pass, if odd, is the caller's
+alone.  numpy lets go of the GIL inside its loops, but the two threads
+take it in turns between numpy calls, so a pair of passes takes about
+1.5 times as long as one (fig45: 4.2 against 2.9 ms), and shorter
+passes, with shorter calls, gain less.  glibc gives the worker its own
+heap, which keeps its pass's peak after the pass: the second pass costs
+about one pass of resident memory.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 import threading
@@ -430,7 +435,7 @@ def csv_rows(columns):
 
     Each value is written as repr(float(v)); each line ends in a newline.
     """
-    return (_array_rows(*p) for p in _passes([columns]))
+    return _serial([columns])
 
 
 def csv_passes(tables):
@@ -453,84 +458,76 @@ def csv_passes(tables):
     formatted on the calling thread.
     """
     if _cpus() < 2:
-        yield from (_array_rows(*p) for p in _passes(tables))
+        yield from _serial(tables)
         return
     from queue import SimpleQueue  # only where a trajectory is written
 
     reply = SimpleQueue()  # the worker's answers to this call
     queued = 0  # passes of this call on the worker, not yet answered
-    pairs = _pairs(tables)
     try:
-        mine, theirs = next(pairs, (None, None))
-        if theirs is not None:
-            _worker().put((theirs, reply))
-            queued += 1
-        while mine is not None:
-            text = _array_rows(*mine)
-            yield text
-            del text, mine
-            if theirs is None:
-                return
-            del theirs  # so that the pass's block can go
-            # read on (the next block of a run) while the worker formats
-            # its pass, and queue the next pair's before collecting it
-            mine, theirs = next(pairs, (None, None))
+        # a last (None, None) pair collects the last worker pass
+        for mine, theirs in itertools.chain(_pairs(tables), [(None, None)]):
             if theirs is not None:
                 _worker().put((theirs, reply))
                 queued += 1
-            queued -= 1
-            text, error = reply.get()  # waits for the worker's pass
-            if error is not None:
-                raise error
-            yield text
-            del text  # the pair's text goes before the next pair's
+            # the previous pair's worker pass, collected once this pair's
+            # table is read (the next block of a run) and its pass queued
+            if queued > (theirs is not None):
+                queued -= 1
+                text, error = reply.get()  # waits for the worker's pass
+                if error is not None:
+                    raise error
+                yield text
+                del text  # the pair's text goes before the next pair's
+            if mine is not None:
+                yield _array_rows(*mine)
     finally:
         for _ in range(queued):
             reply.get()  # waits for the worker's other passes
 
 
-def _edges(rows, layout):
-    """The row edges of the fewest passes of equal rows of a table with
-    this layout within _PASS_BYTES by _row_bytes, from 0 to rows."""
-    count = max(1, -(-rows * _row_bytes(layout) // _PASS_BYTES))
-    step = max(1, -(-rows // count))
-    return [*range(0, rows, step), rows]
-
-
 def _passes(tables):
-    """The passes of each table, as (column slices, layout) pairs, cut at
-    _edges and laid out by the table's _layout."""
-    for columns in tables:
+    """Each pass of each table as (place, columns, lo, hi, layout): the
+    table's place in the sequence, its columns, the pass's rows lo:hi and
+    the table's _layout.  A table is cut into the fewest passes of equal
+    rows within _PASS_BYTES by _row_bytes."""
+    for place, columns in enumerate(tables):
         layout = _layout(columns)
-        edges = _edges(len(columns[0]), layout)
-        for lo, hi in zip(edges, edges[1:]):
-            yield [c[lo:hi] for c in columns], layout
+        rows = len(columns[0])
+        count = max(1, -(-rows * _row_bytes(layout) // _PASS_BYTES))
+        step = max(1, -(-rows // count))
+        for lo in range(0, rows, step):
+            yield place, columns, lo, min(lo + step, rows), layout
+
+
+def _cut(columns, lo, hi, layout):
+    """Rows lo:hi of a table, as a pass for _array_rows."""
+    return [c[lo:hi] for c in columns], layout
+
+
+def _serial(tables):
+    """The text of each of _passes in turn, formatted on this thread."""
+    for _, *rows in _passes(tables):
+        yield _array_rows(*_cut(*rows))
 
 
 def _pairs(tables):
-    """_passes two at a time, as (caller's, worker's) pairs; the worker's
-    is None for a last pass without a partner.  Two passes of one table
-    side by side are cut again at 2/5 of their rows, so that the caller's
-    is the smaller; a table's odd last pass pairs with the next table's
-    first as it is."""
-    left = None  # a table's last pass, waiting for a partner
-    for columns in tables:
-        layout = _layout(columns)
-        edges = _edges(len(columns[0]), layout)
-
-        def cut(lo, hi):
-            return [c[lo:hi] for c in columns], layout
-
-        if left is not None and len(edges) > 1:
-            yield left, cut(*edges[:2])
-            left, edges = None, edges[1:]
-        for lo, hi in zip(edges[:-2:2], edges[2::2]):
-            mid = lo + max(1, 2 * (hi - lo) // 5)
-            yield cut(lo, mid), cut(mid, hi)
-        if len(edges) % 2 == 0:
-            left = cut(*edges[-2:])
-    if left is not None:
-        yield left, None
+    """_passes two at a time, as (caller's, worker's) passes for
+    _array_rows; the worker's is None for a last pass without a partner.
+    Two passes of one table are cut again at 2/5 of their rows, so that
+    the caller's is the smaller; any other two, a table's odd last pass
+    and the next table's first, stay as they are."""
+    passes = _passes(tables)
+    for place, columns, lo, hi, layout in passes:
+        other = next(passes, None)
+        if other is None:
+            yield _cut(columns, lo, hi, layout), None
+        elif other[0] == place:
+            mid = lo + max(1, 2 * (other[3] - lo) // 5)
+            yield (_cut(columns, lo, mid, layout),
+                   _cut(columns, mid, other[3], layout))
+        else:
+            yield _cut(columns, lo, hi, layout), _cut(*other[1:])
 
 
 def _cpus() -> int:

@@ -119,9 +119,6 @@ def field_from_potential_numeric(pot: FourPotentialField, q: float, ev: Event,
                                  step: float = 1e-5):
     """(E, B) rows from central differences of the potential components."""
     _require_charge(q)
-    if step <= 0:
-        raise ValueError("step must be positive")
-
     comps = on_stencil(pot.components, ev, step, centre=False)
     # rows of the differences: t, x, y, z; columns: b0..b3
     dt, dx, dy, dz = ((comps[:, 0::2] - comps[:, 1::2])

@@ -36,7 +36,8 @@ from .dynamics import (ConstantField, ConstraintViolation, DriveField,
                        ZeroField, grid_steps, integrate_angles,
                        integrate_trajectory, trajectory_blocks)
 from .expressions import (AngleLaw, ExpressionError, ExprLaw, ScalarField,
-                          eval_expr, parse_expr, plane_wave_phase)
+                          check_variables, eval_expr, parse_expr,
+                          plane_wave_phase)
 from .observables import (angle_trig, kinetic_momentum_from_state,
                           localization_from_rates, velocity_from_angles)
 from .potentials import energy_control_field, k_control_field
@@ -183,12 +184,8 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> Scenario:
         expr = named(key, parse_expr, text, params)
         if allowed is None:
             return named(key, eval_expr, expr)
-        extra = expr.free_variables() - allowed
-        if extra:
-            names = ", ".join(sorted(extra))
-            raise ScenarioError(
-                f"key '{key}': variables not allowed here: {names}"
-            )
+        check_variables(expr, allowed, ScenarioError,
+                        f"key '{key}': variables not allowed here: ")
         return expr
 
     def scalar_field(key, allowed):

@@ -93,6 +93,8 @@ def stencil(ev: Event, step: float) -> Event:
     Row 0 is ev; rows 2i + 1 and 2i + 2 shift axis STENCIL_AXES[i] by
     +step and by -step, as c + step and c + (-step).
     """
+    if step <= 0:
+        raise ValueError("step must be positive")
     shape = np.broadcast(ev.x, ev.y, ev.z, ev.t).shape
     coords = np.empty((4, 9) + shape)
     for i, axis in enumerate(STENCIL_AXES):
@@ -176,8 +178,6 @@ def weyl_residual(potential, ev: Event, step: float = 1e-5):
     law, h, helicity = potential.law, potential.h, potential.helicity
     if helicity is None:
         raise ValueError("a potential without a helicity has no spinor")
-    if step <= 0:
-        raise ValueError("step must be positive")
     parts = on_stencil(lambda e: _spinor_parts(law, h, helicity, e), ev, step)
     ur, ui, wr, wi = parts[:, 0]
     # rows of d: t, x, y, z; columns: ur, ui, wr, wi

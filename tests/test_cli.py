@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -799,3 +800,78 @@ def test_simulate_memory_does_not_grow_with_the_grid(tmp_path):
     at_20k, at_200k = traced_peak("20"), traced_peak("200")
     assert at_20k <= 6.1
     assert abs(at_200k - at_20k) <= 0.5
+
+
+def run_cli_below(limit, *args, cwd):
+    """run_cli in a child that may write at most limit bytes to a file."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+    return subprocess.run([sys.executable, "-m", "weyldyn", *args],
+                          capture_output=True, text=True, cwd=cwd,
+                          env=child_env(), preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("args, out, limit", [
+    (["simulate", "fig1"], "fig1.csv", 1_000_000),
+    (["figures", "fig1"], "od/fig1.csv", 1_000_000),
+    (["control", "fig45", "--dkdt", "-0.5"], "c.csv", 100_000),
+    (["verify", "free"], "report.txt", 100),
+])
+def test_a_file_that_cannot_be_written_whole_is_not_written(tmp_path, args,
+                                                           out, limit):
+    # the write fails part way (exit 2): a new file is not made, one
+    # already there keeps its bytes, and no temporary file is left
+    folder = (tmp_path / out).parent
+    argv = [*args, "--out", str(folder if args[0] == "figures"
+                                else tmp_path / out)]
+    for before in (None, b"kept\n"):
+        if before is not None:
+            (tmp_path / out).write_bytes(before)
+        r = run_cli_below(limit, *argv, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "error: [Errno 27] File too large\n"
+        assert r.stdout == ""
+        assert [p.name for p in folder.iterdir()] == (
+            [] if before is None else [Path(out).name])
+        if before is not None:
+            assert (tmp_path / out).read_bytes() == before
+    if args[0] != "figures":  # whose --out names a directory
+        # a path that is not a regular file is written directly
+        r = run_cli_below(limit, *args, "--out", os.devnull, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+
+
+def test_whole_files_keep_the_mode_and_replace_a_symlink_target(tmp_path):
+    # a file already there keeps its mode, a new one takes the umask's,
+    # and a symlink stays a symlink to the file written
+    quiet = io.StringIO()
+    out, link = tmp_path / "fig45.csv", tmp_path / "link.csv"
+    umask = os.umask(0o027)
+    try:
+        with contextlib.redirect_stdout(quiet):
+            argv = ["simulate", "fig45", "--t-end", "0.5", "--out"]
+            assert cli.main([*argv, str(out)]) == 0
+            assert out.stat().st_mode & 0o777 == 0o640
+            out.chmod(0o604)
+            link.symlink_to(out.name)
+            assert cli.main([*argv, str(link)]) == 0
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and out.stat().st_mode & 0o777 == 0o604
+    assert out.read_text().count("\n") == 502
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, link.name]
+
+
+def test_a_failed_figure_copy_leaves_no_file(tmp_path, monkeypatch):
+    # fig2 is a copy of fig1's CSV, written whole like the others
+    def broken(source, target):
+        target.write(source.read(100))
+        raise OSError("copy failed")
+
+    monkeypatch.setattr(cli.shutil, "copyfileobj", broken)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["figures", "--t-end", "0.5", "--out",
+                         str(tmp_path)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["fig1.csv"]

@@ -21,6 +21,7 @@ from weyldyn.dynamics import (
     integrate_trajectory,
     phi_ddot_from_field,
     theta_ddot_from_field,
+    trajectory_blocks,
     _BLOCK,
 )
 from weyldyn.expressions import AngleLaw, ScalarField, eval_expr, parse_expr
@@ -255,6 +256,59 @@ def test_delayed_constraint_violation_keeps_partial_history():
     assert 0.5 < v.time < 0.6
     assert v.partial.t[-1] == pytest.approx(v.time)
     assert len(v.partial.t) == round(v.time / 0.01) + 1
+
+
+def tripped(run):
+    """The ConstraintViolation of a run that must trip, and the blocks it
+    yielded first (a trajectory_blocks run) or None."""
+    yielded = []
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConstraintViolation) as exc:
+            result = run()
+            if not isinstance(result, tuple):
+                for block in result:
+                    yielded.append(block)
+    return exc.value, yielded or None
+
+
+def test_a_tripped_run_reports_its_time_residual_and_partial():
+    # a residual trip in the second block of steps, a non-finite state, and
+    # a non-finite energy alone; integrate_angles carries the whole run as
+    # its partial, trajectory_blocks the last block it yielded
+    ramp = ExprField(parse_expr("((t - 0.5) + abs(t - 0.5))^3"),
+                     parse_expr("0"), parse_expr("0"))
+    st = make_state(phi_dot=10.0)
+    for run in (lambda: integrate_angles(st, ramp, 1.0, 1e-4),
+                lambda: trajectory_blocks(st, ramp, 1.0, 1e-4)):
+        v, blocks = tripped(run)
+        assert (v.time, v.residual) == (0.5057, 1.0409215974995605e-06)
+        assert (v.tolerance, v.nonfinite) == (1e-06, False)
+        assert str(v) == ("field/motion compatibility residual 1.04092e-06 "
+                          "exceeds tolerance 1e-06 at t = 0.5057")
+        if blocks is None:
+            assert isinstance(v.partial, tuple) and len(v.partial) == 6
+            assert len(v.partial[0]) == 5058
+            assert (v.partial[0][-1], v.partial[5][-1]) == (v.time, v.residual)
+        else:
+            assert len(blocks) == 2 and v.partial is blocks[-1]
+            assert len(v.partial.t) == 5058 - _BLOCK
+            assert v.partial.t[-1] == v.time
+    v, _ = tripped(lambda: integrate_angles(
+        make_state(phi_dot=1.0), ExprField(parse_expr("0"), parse_expr("0"),
+                                           parse_expr("sqrt(0.5 - t)")),
+        2.0, 0.01))
+    assert (v.time, v.tolerance, v.nonfinite) == (0.51, 1e-06, True)
+    assert math.isnan(v.residual) and len(v.partial[0]) == 52
+    assert str(v) == ("non-finite field or state at t = 0.51 "
+                      "(compatibility residual nan)")
+    v, blocks = tripped(lambda: trajectory_blocks(
+        make_state(theta=1.0, phi_dot=1.0), ZeroField(), 2.0, 1e-3,
+        gauge=ScalarField.from_text("exp(1000*t)")))
+    assert (v.time, v.residual, v.tolerance, v.nonfinite) == (
+        0.71, 0.0, 1e-06, True)
+    assert str(v) == "non-finite energy or momentum at t = 0.71"
+    assert len(blocks) == 1 and v.partial is blocks[0]
+    assert len(v.partial.t) == 711
 
 
 def test_constraint_tolerance_is_adjustable():

@@ -268,6 +268,30 @@ def test_expr_law_rejects_spatial_variables():
         ExprLaw(parse_expr("x + t"))
 
 
+def test_each_caller_refuses_the_variables_it_does_not_allow():
+    # each with its own error class and message, the names sorted
+    from weyldyn.dynamics import ExprField
+
+    w_and_x = BinOp("+", Var("x"), Var("w"))
+    refusals = [
+        (lambda: ExprLaw(w_and_x), ExpressionError,
+         "time law may only depend on t, found: w, x"),
+        (lambda: ScalarField(w_and_x), ExpressionError,
+         "scalar field may only depend on x, y, z, t, found: w"),
+        (lambda: ScalarField(BinOp("*", w_and_x, Var("a")), bound="w"),
+         ExpressionError,
+         "scalar field may only depend on x, y, z, t, found: a"),
+        (lambda: ExprField(parse_expr("t"), parse_expr("0"), w_and_x),
+         ValueError, "field expressions may only use t, found: w, x"),
+    ]
+    for make, error, message in refusals:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+    assert ScalarField(w_and_x, bound="w").free_variables() == {"x"}
+
+
 def test_angle_law_linear_parts():
     law = AngleLaw.linear(0.5, 1.5, 0.25, -2.0)
     assert law.theta == LinearLaw(0.5, 1.5)

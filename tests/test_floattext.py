@@ -241,6 +241,48 @@ def test_the_caller_formats_the_smaller_pass_of_each_pair(monkeypatch):
     assert text == serial_text(blocks)
 
 
+def test_passes_pair_across_tables_of_one_two_and_three_passes(monkeypatch):
+    # a budget of 100 rows: tables of 200 and 300 rows take two and three
+    # passes, 250 rows three of 84, 84 and 82.  Two passes of one table
+    # are cut again 2:3; a table's odd last pass pairs, uncut, with the
+    # next table's first, a one-row table's included; the last pass of
+    # the sequence is the caller's alone
+    sizes = [200, 300, 1, 250, 200, 300, 50]
+    tables = [[place * 1000.0 + np.arange(rows), np.arange(rows) * 0.5]
+              for place, rows in enumerate(sizes)]
+    monkeypatch.setattr(floattext, "_PASS_BYTES", 100 * floattext._row_bytes(
+        floattext._layout(tables[0])))
+    rows = {"caller": [], "worker": []}
+    array_rows = floattext._array_rows
+
+    def recorded(columns, layout):
+        on_worker = threading.current_thread().name == "floattext"
+        rows["worker" if on_worker else "caller"].append(
+            (int(columns[0][0]), len(columns[0])))
+        return array_rows(columns, layout)
+
+    monkeypatch.setattr(floattext, "_array_rows", recorded)
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    text = b"".join(floattext.csv_passes(tables))
+    assert rows == {
+        "caller": [(0, 80), (1000, 80), (1200, 100), (3000, 67), (3168, 82),
+                   (4100, 100), (5100, 80), (6000, 50)],
+        "worker": [(80, 120), (1080, 120), (2000, 1), (3067, 101),
+                   (4000, 100), (5000, 100), (5180, 120)]}
+    monkeypatch.setattr(floattext, "_array_rows", array_rows)
+    assert text == serial_text(tables)
+
+
+def test_one_table_passed_twice_is_written_twice(monkeypatch):
+    # the same list object at two places of the sequence: three passes
+    # each, so that the first's last pass pairs with the second's first
+    table = [np.arange(30000) * 1e-3, np.arange(30000) * 2.5]
+    assert len(list(floattext.csv_rows(table))) == 3
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    assert b"".join(floattext.csv_passes([table, table])) == (
+        b"".join(floattext.csv_rows(table)) * 2)
+
+
 @pytest.mark.parametrize("name", ["fig45", "fig1"])
 def test_a_pass_holds_at_most_120_bytes_per_varying_value(name):
     # the digits' buffers, then the text matrix, its keep mask and the

@@ -79,6 +79,28 @@ def test_stencil_of_a_scalar_event_has_one_row_per_event():
     assert rows.x.tolist() == [0.0] * 3 + [0.5, -0.5] + [0.0] * 4
 
 
+def test_a_step_that_is_not_positive_is_refused_after_the_callers_checks():
+    law = AngleLaw.linear(0.5, 1.5, 0.25, -2.0)
+    pot = FourPotentialField(law, None, Helicity.POSITIVE)
+    no_spinor = FourPotentialField(law, None, None,
+                                   ScalarField.from_text("2*t"))
+    ev = Event(0.1, 0.2, 0.3, 0.4)
+    for step in (0.0, -1e-5):
+        for call, message in (
+                (lambda: spinors.weyl_residual(pot, ev, step),
+                 "step must be positive"),
+                (lambda: field_from_potential_numeric(pot, 1.0, ev, step),
+                 "step must be positive"),
+                (lambda: spinors.weyl_residual(no_spinor, ev, step),
+                 "a potential without a helicity has no spinor"),
+                (lambda: field_from_potential_numeric(pot, 0.0, ev, step),
+                 "charge q must be nonzero")):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == message
+
+
 def test_scalar_event_is_evaluated_one_row_at_a_time_in_order():
     seen = []
 
