@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ConstraintViolation
-from .floattext import csv_passes, csv_rows
+from .floattext import csv_ahead, csv_passes, csv_rows
 from .observables import si_rates
-from .scenario import Scenario, ScenarioStream, resolve_scenario, run_control
+from .scenario import (Scenario, ScenarioStream, control_profile,
+                       resolve_scenario)
 from .verify import run_verification
 
 CSV_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "theta", "phi", "k",
@@ -90,9 +91,33 @@ def write_trajectory_csv(blocks, path: str | Path) -> None:
          b.residual) for b in blocks))
 
 
+# id(fields) -> (ts, fields, their rows' text) for each profile whose
+# rows _formatted_ahead has handed to floattext's worker
+_AHEAD = {}
+
+
 def write_field_csv(ts, fields, path: str | Path) -> None:
-    """Write the t column and the (Ex, Ey, Ez) rows, one pass at a time."""
-    _write_csv(path, "t,Ex,Ey,Ez", csv_rows((ts, *np.transpose(fields))))
+    """Write the t column and the (Ex, Ey, Ez) rows: the text formatted
+    for these very arrays by _formatted_ahead, if they were handed, else
+    one pass at a time."""
+    ahead = _AHEAD.get(id(fields))
+    if ahead is not None and ahead[0] is ts and ahead[1] is fields:
+        rows = ahead[2]
+    else:
+        rows = csv_rows((ts, *np.transpose(fields)))
+    _write_csv(path, "t,Ex,Ey,Ez", rows)
+
+
+@contextlib.contextmanager
+def _formatted_ahead(ts, fields):
+    """Hand a profile's rows to floattext's worker for the block
+    (csv_ahead), for write_field_csv of the same arrays in the block."""
+    with csv_ahead((ts, *np.transpose(fields))) as rows:
+        _AHEAD[id(fields)] = ts, fields, rows
+        try:
+            yield
+        finally:
+            del _AHEAD[id(fields)]
 
 
 def _with_options(scenario: Scenario, args, out=None) -> Scenario:
@@ -191,9 +216,14 @@ def cmd_control(args) -> int:
     scenario = _load(args)
     out_path = scenario.out or f"{scenario.name}_control.csv"
     _note_grid_end(scenario)
-    run = run_control(scenario, dedt=args.dedt, dkdt=args.dkdt,
-                      mode=args.mode)
-    write_field_csv(run.ts, run.fields, out_path)
+    ts, fields, check = control_profile(scenario, dedt=args.dedt,
+                                        dkdt=args.dkdt, mode=args.mode)
+    # --dkdt's check integrates the angles: its profile is formatted
+    # meanwhile, and written only once the check returns
+    with (_formatted_ahead(ts, fields) if args.dkdt is not None
+          else contextlib.nullcontext()):
+        run = check()
+        write_field_csv(run.ts, run.fields, out_path)
     status = "PASS" if run.passed else "FAIL"
     print(f"control profile written to {out_path}")
     print(f"[{status}] target {run.label} {run.target!r}, {run.measured_by} "

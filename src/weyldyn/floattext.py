@@ -32,33 +32,40 @@ A table is written in passes, which bound the temporaries: a pass peaks
 at about 97 bytes per varying value (tracemalloc, fig45 and fig1 passes
 of 17k to 30k values), in the digits' buffers or in the text matrix,
 its keep mask and the kept text.  One cutter (``_passes``) serves
-``csv_rows`` and ``csv_passes``: it cuts each table into the fewest
-passes of equal rows whose estimated peak (``_row_bytes``, which counts
-the template's width as well as the varying values) stays within
-_PASS_BYTES: a 4096-step block of fig45 is two passes, one of fig1
-three.  ``csv_passes`` takes a sequence of tables, such as the blocks of
-a run, and formats their passes two at a time, one on the calling
-thread and one on a worker thread.  The passes pair in order, over the
-whole sequence: two passes of one table are cut again so that the
-caller, which also integrates and writes, takes 2/5 of their rows and
-the worker 3/5 (fig45: 1,638 and 2,458), still within twice
-_PASS_BYTES; a table's odd last pass pairs with the next table's first
-as they are, and the sequence's last pass, if odd, is the caller's
-alone.  numpy lets go of the GIL inside its loops, but the two threads
-take it in turns between numpy calls, so a pair of passes takes about
-1.5 times as long as one (fig45: 4.2 against 2.9 ms), and shorter
-passes, with shorter calls, gain less.  glibc gives the worker its own
-heap, which keeps its pass's peak after the pass: the second pass costs
-about one pass of resident memory.
+``csv_rows``, ``csv_passes`` and ``csv_ahead``: it cuts each table into
+the fewest passes of equal rows whose estimated peak (``_row_bytes``,
+which counts the template's width as well as the varying values) stays
+within _PASS_BYTES: a 4096-step block of fig45 is two passes, one of fig1
+three; a table of no rows has none.
+
+``csv_passes`` takes a sequence of tables, such as the blocks of a run,
+and formats their passes two at a time, one on the calling thread and one
+in a worker process (``csvworker``), forked when a pass is first handed
+to it and reaped at interpreter exit.  The passes pair in order, over the
+whole sequence: two passes of one table are cut again so that the caller,
+which also integrates and writes, takes 2/5 of their rows and the worker
+3/5 (fig45: 1,638 and 2,458), still within twice _PASS_BYTES; a table's
+odd last pass pairs with the next table's first as they are, and the
+sequence's last pass, if odd, is the caller's alone.  ``csv_ahead`` hands
+every pass of one table to the worker at once, for a caller that has
+other work to do first (``control --dkdt`` integrates its check).  Two
+processes share no interpreter lock and no heap: a fig45 block's pair of
+passes takes about as long as its larger pass alone (best of 120 on two
+CPUs: 7.0-7.9 against 6.5-7.5 ms), where two threads took 1.45-1.62
+times as long, and the worker's temporaries stay out of the caller's
+resident memory.  The caller formats the passes itself, with the same
+bytes, on one CPU, where no memory file can be shared (memfd, outside
+Linux), when another call holds the worker, and when the worker is lost.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import itertools
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -118,10 +125,12 @@ def _digit_quads():
     """The four ASCII digits of each i < 10000 as the low bytes of a
     uint64, first digit lowest, and the count of its trailing zero digits
     (four for 0000)."""
-    text = "".join(f"{i:04d}" for i in range(10000)).encode()
-    quads = np.frombuffer(text, dtype="<u4").astype(np.uint64)
-    zeros = [4 - len(f"{i:04d}".rstrip("0")) for i in range(10000)]
-    return quads, np.array(zeros, dtype=np.uint8)
+    i = np.arange(10000)
+    powers = np.array([1000, 100, 10, 1])
+    text = (i[:, None] // powers % 10 + _DIGIT).astype(np.uint8)
+    quads = text.view("<u4").ravel().astype(np.uint64)
+    zeros = (i[:, None] % (10 * powers) == 0).sum(axis=1)
+    return quads, zeros.astype(np.uint8)
 
 
 def _halves(a):
@@ -444,56 +453,64 @@ def csv_passes(tables):
 
     A table is a list of equal-length float64 columns, such as one block
     of a run; the tables are read as the passes need them.  Of each pair
-    of passes (_pairs), the calling thread formats the first while a
-    worker thread formats the second, and the caller's text is yielded
+    of passes (_pairs), the calling thread formats the first while the
+    worker process formats the second, and the caller's text is yielded
     before the worker's.  Two passes of one table share their rows 2:3,
     the caller taking the smaller share, since it also reads the next
     table (integrating the next block of a run) and writes both texts.
-    The next pair's worker pass is queued as soon as its table is read,
-    before this pair's worker text is collected, so that the worker need
-    not wait for the caller between pairs.  An error on either thread, or
-    in reading a table, is raised once the worker has done every pass of
-    this call, which leaves the worker idle.  A last pass without a
-    partner, and every pass of a process that may run on one CPU only, is
-    formatted on the calling thread.
+    The next pair's worker pass is handed over as soon as its table is
+    read, before this pair's worker text is collected, so that the worker
+    need not wait for the caller between pairs.  An error in either
+    process, or in reading a table, is raised once the worker has done
+    every pass of this call, which leaves the worker idle.  A last pass
+    without a partner, and every pass of a process that may run on one
+    CPU only, is formatted on the calling thread (see _Call for the
+    others).
     """
-    if _cpus() < 2:
+    if not _parallel():
         yield from _serial(tables)
         return
-    from queue import SimpleQueue  # only where a trajectory is written
-
-    reply = SimpleQueue()  # the worker's answers to this call
-    queued = 0  # passes of this call on the worker, not yet answered
-    try:
+    with _Call() as call:
         # a last (None, None) pair collects the last worker pass
         for mine, theirs in itertools.chain(_pairs(tables), [(None, None)]):
             if theirs is not None:
-                _worker().put((theirs, reply))
-                queued += 1
+                call.hand(theirs)
             # the previous pair's worker pass, collected once this pair's
-            # table is read (the next block of a run) and its pass queued
-            if queued > (theirs is not None):
-                queued -= 1
-                text, error = reply.get()  # waits for the worker's pass
-                if error is not None:
-                    raise error
-                yield text
-                del text  # the pair's text goes before the next pair's
+            # table is read (the next block of a run) and its pass handed
+            if len(call.handed) > (theirs is not None):
+                yield call.collect()
             if mine is not None:
                 yield _array_rows(*mine)
-    finally:
-        for _ in range(queued):
-            reply.get()  # waits for the worker's other passes
+
+
+@contextlib.contextmanager
+def csv_ahead(columns):
+    """csv_rows' lines of one table, every pass handed to the worker
+    process at once, for a caller with other work to do before it writes
+    them: the block gets an iterable of the passes' text, in order, which
+    waits for each pass as it is read.  An error in a pass is raised when
+    that pass is read; passes not read in the block are waited for and
+    dropped when it ends.  On one CPU the passes are formatted on the
+    calling thread as they are read."""
+    if not _parallel():
+        yield csv_rows(columns)
+        return
+    with _Call() as call:
+        for _, *rows in _passes([columns]):
+            call.hand(_cut(*rows))
+        yield (call.collect() for _ in range(len(call.handed)))
 
 
 def _passes(tables):
     """Each pass of each table as (place, columns, lo, hi, layout): the
     table's place in the sequence, its columns, the pass's rows lo:hi and
     the table's _layout.  A table is cut into the fewest passes of equal
-    rows within _PASS_BYTES by _row_bytes."""
+    rows within _PASS_BYTES by _row_bytes; a table of no rows has none."""
     for place, columns in enumerate(tables):
-        layout = _layout(columns)
         rows = len(columns[0])
+        if not rows:
+            continue
+        layout = _layout(columns)
         count = max(1, -(-rows * _row_bytes(layout) // _PASS_BYTES))
         step = max(1, -(-rows // count))
         for lo in range(0, rows, step):
@@ -538,32 +555,61 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(tasks):
-    """Format each (pass, reply) put on tasks, in order, and put (text,
-    None) or (None, error) on its reply queue; the error is raised again
-    on the thread that waits for the reply."""
-    while True:
-        task, reply = tasks.get()
-        try:
-            reply.put((_array_rows(*task), None))
-        except BaseException as exc:
-            reply.put((None, exc))
-        del task, reply  # so that the pass's block can go
+def _parallel() -> bool:
+    """Whether a worker process can format passes beside this one: on
+    two CPUs or more, where processes fork and share memory files."""
+    return _cpus() > 1 and hasattr(os, "memfd_create")
 
 
-@functools.cache
+class _Call:
+    """The passes that one call hands to the worker process, in order,
+    each with the stretch of the worker's shared buffer that it takes, or
+    None for a pass that the caller formats when it is collected: every
+    pass when another call holds the worker or no process can be forked,
+    a pass for which no stretch is free, and every pass not yet done when
+    the worker is lost.  The end of the block waits for the worker's
+    passes not collected, and lets the worker go."""
+
+    def __init__(self):
+        self.worker = None  # False once this call finds no worker
+        self.handed = collections.deque()  # (pass, stretch or None)
+
+    def __enter__(self):
+        return self
+
+    def hand(self, task):
+        """Hand a pass (columns, layout) to the worker, or keep it."""
+        if self.worker is None:  # this call's first pass
+            self.worker = _worker() or False
+        at = None
+        if self.worker:
+            at = self.worker.hand(task, [at for _, at in self.handed if at])
+        self.handed.append((task, at))
+
+    def collect(self):
+        """The text of the first pass not yet collected."""
+        task, at = self.handed.popleft()
+        if at is not None:
+            text = self.worker.text(at)
+            if text is not None:
+                return text
+        return _array_rows(*task)  # kept, or lost with the worker
+
+    def __exit__(self, *exc):
+        if self.worker:
+            try:
+                for _, at in self.handed:
+                    if at is not None and self.worker.receive() is None:
+                        break  # lost
+            finally:
+                self.worker.release()
+
+
 def _worker():
-    """The task queue of csv_passes' worker thread, started on first use."""
-    from queue import SimpleQueue
+    """The worker process, held for one call, or None (csvworker.take)."""
+    from . import csvworker  # only where passes are handed to it
 
-    tasks = SimpleQueue()
-    threading.Thread(target=_serve, args=(tasks,), name="floattext",
-                     daemon=True).start()
-    return tasks
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
-    os.register_at_fork(after_in_child=_worker.cache_clear)
+    return csvworker.take()
 
 
 def _array_rows(columns, layout) -> bytes:

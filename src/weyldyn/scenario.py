@@ -20,6 +20,8 @@ whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once, on
 the array of grid times: energy_control_field and kinetic_momentum_from_state
 once each, the law's angles and rates and the velocity twice (in the field,
 then for E0 and q E.v); its k-control check integrates only the angles.
+control_profile returns the same profile before its check, so that a
+caller can write the profile while the check runs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario_text",
     "resolve_scenario",
+    "control_profile",
     "run_control",
     "run_scenario",
     "PRESET_NAMES",
@@ -541,25 +544,35 @@ def _control_window(rate_series) -> int:
     return max(1, int(flips[0]) - 1)
 
 
-# an overflow leaves a non-finite sample (refused) or rate (fails the gate)
-@np.errstate(over="ignore", invalid="ignore")
 def run_control(scenario: Scenario, *, dedt: float | None = None,
                 dkdt: float | None = None,
                 mode: str | None = None) -> ControlRun:
-    """Control profile for an energy rate dedt or a k rate dkdt.
+    """Control profile for an energy rate dedt or a k rate dkdt, and its
+    check (control_profile)."""
+    return control_profile(scenario, dedt=dedt, dkdt=dkdt, mode=mode)[2]()
+
+
+# an overflow leaves a non-finite sample (refused) or rate (fails the gate)
+@np.errstate(over="ignore", invalid="ignore")
+def control_profile(scenario: Scenario, *, dedt: float | None = None,
+                    dkdt: float | None = None, mode: str | None = None):
+    """The control profile for an energy rate dedt or a k rate dkdt, as
+    (ts, fields, check): its grid, one (Ex, Ey, Ez) row per grid time,
+    and a function that checks the profile and returns its ControlRun.
 
     dedt: the field (dedt/q) v along the velocity v of a drive-free law,
     which equals the kappa s field of the gauge s = -dedt t only where
     dv/dt = 0; the measured rate is the grid mean of the power
     q E.v that the written field delivers along the law's velocity
-    (trapezoid rule), and series is the kinetic energy E0.
+    (trapezoid rule), and series is the kinetic energy E0.  This check
+    is done here, and check only returns it.
 
     dkdt: the constant drive field that changes k at that rate, either
     through the azimuth (mode "azimuthal", theta pinned, phi rotating) or
     through the polar angle (mode "polar", phi pinned); mode None is
-    azimuthal.  Only the angles are integrated forward, and k's rate is
-    measured up to the last sample before the driven angle rate changes
-    sign.
+    azimuthal.  check integrates only the angles forward, and measures
+    k's rate up to the last sample before the driven angle rate changes
+    sign; it raises ConstraintViolation when the run gate trips.
 
     Raises ValueError, before any work, on a mode given with dedt, on a
     non-finite target, and when the law does not admit the requested
@@ -592,17 +605,24 @@ def run_control(scenario: Scenario, *, dedt: float | None = None,
         power = scenario.q * np.vecdot(
             fields, velocity_from_angles(*angles, trig))
         measured = float(np.trapezoid(power, ts) / (ts[-1] - ts[0]))
-        return ControlRun(ts, fields, e0, measured, dedt, "dE0/dt",
-                          "grid mean of q E.v")
+        run = ControlRun(ts, fields, e0, measured, dedt, "dE0/dt",
+                         "grid mean of q E.v")
+        return ts, fields, lambda: run
 
     mode = "azimuthal" if mode is None else mode
     program = ConstantField(k_control_field(dkdt, mode, law,
                                             scenario.helicity, scenario.q))
-    t, theta, _, theta_dot, phi_dot, _ = integrate_angles(
-        scenario.initial, program, scenario.t_end, scenario.dt,
-        constraint_tol=scenario.tolerance)
-    k = localization_from_rates(theta, theta_dot, phi_dot)
-    j = _control_window(phi_dot if mode == "azimuthal" else theta_dot)
-    measured = float((k[j] - k[0]) / (t[j] - t[0]))
-    return ControlRun(ts, program.sample(ts), k, measured, dkdt, "dk/dt",
-                      "forward simulation")
+    fields = program.sample(ts)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def check() -> ControlRun:
+        t, theta, _, theta_dot, phi_dot, _ = integrate_angles(
+            scenario.initial, program, scenario.t_end, scenario.dt,
+            constraint_tol=scenario.tolerance)
+        k = localization_from_rates(theta, theta_dot, phi_dot)
+        j = _control_window(phi_dot if mode == "azimuthal" else theta_dot)
+        measured = float((k[j] - k[0]) / (t[j] - t[0]))
+        return ControlRun(ts, fields, k, measured, dkdt, "dk/dt",
+                          "forward simulation")
+
+    return ts, fields, check

@@ -1,11 +1,14 @@
 """The array float formatter against repr(float(v)), byte for byte."""
 
+import ast
+import collections
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyldyn import dynamics, floattext
+from weyldyn import csvworker, dynamics, floattext
 
 
 def array_texts(values):
@@ -163,6 +166,45 @@ def trajectory_columns(traj):
             traj.e0, *traj.p.T, *traj.e.T, traj.residual]
 
 
+class SideLog:
+    """A stand-in for _array_rows that notes, in a file both processes
+    append to, which side formats each pass ("caller" or "worker", by
+    process id) and record(columns).  It reaches the worker only if the
+    worker is forked after it is patched in (new_worker)."""
+
+    def __init__(self, path, record):
+        self.path, self.record = path, record
+        self.caller = os.getpid()
+        self.wrapped = floattext._array_rows
+
+    def side(self):
+        return "caller" if os.getpid() == self.caller else "worker"
+
+    def note(self, *words):
+        with open(self.path, "a") as log:
+            log.write(repr(words) + "\n")
+
+    def __call__(self, columns, layout):
+        self.note(self.side(), self.record(columns))
+        return self.wrapped(columns, layout)
+
+    def sides(self):
+        noted = collections.defaultdict(list)
+        for line in self.path.read_text().splitlines():
+            side, value = ast.literal_eval(line)
+            noted[side].append(value)
+        return {"caller": [], "worker": [], **noted}
+
+
+@pytest.fixture
+def new_worker():
+    """No worker at the start of the test, so that its first csv_passes
+    forks one after the test's patches, and none left after it."""
+    csvworker.retire()
+    yield
+    csvworker.retire()
+
+
 @pytest.mark.parametrize("name", ["free", "fig1", "fig2", "fig3", "fig45",
                                   "fig45_literal"])
 def test_paired_passes_match_csv_rows_on_every_preset(name):
@@ -215,7 +257,8 @@ def test_a_table_is_laid_out_once_for_all_its_passes(monkeypatch):
     assert calls == {"_varies": len(table), "_layout": 1}
 
 
-def test_the_caller_formats_the_smaller_pass_of_each_pair(monkeypatch):
+def test_the_caller_formats_the_smaller_pass_of_each_pair(
+        monkeypatch, tmp_path, new_worker):
     # each fig45 block is one pair of passes: the calling thread, which
     # also reads the next block and writes, takes 2/5 of the block's rows
     from weyldyn.scenario import ScenarioStream, resolve_scenario
@@ -224,24 +267,19 @@ def test_the_caller_formats_the_smaller_pass_of_each_pair(monkeypatch):
               for b in ScenarioStream(resolve_scenario("fig45"))]
     sizes = [len(b[0]) for b in blocks]
     assert sizes[0] == dynamics._BLOCK and len(blocks) > 2
-    rows = {"caller": [], "worker": []}
     array_rows = floattext._array_rows
-
-    def recorded(columns, layout):
-        on_worker = threading.current_thread().name == "floattext"
-        rows["worker" if on_worker else "caller"].append(len(columns[0]))
-        return array_rows(columns, layout)
-
-    monkeypatch.setattr(floattext, "_array_rows", recorded)
+    log = SideLog(tmp_path / "sides", lambda columns: len(columns[0]))
+    monkeypatch.setattr(floattext, "_array_rows", log)
     monkeypatch.setattr(floattext, "_cpus", lambda: 2)
     text = b"".join(floattext.csv_passes(blocks))
-    assert rows == {"caller": [2 * n // 5 for n in sizes],
+    assert log.sides() == {"caller": [2 * n // 5 for n in sizes],
                     "worker": [n - 2 * n // 5 for n in sizes]}
     monkeypatch.setattr(floattext, "_array_rows", array_rows)
     assert text == serial_text(blocks)
 
 
-def test_passes_pair_across_tables_of_one_two_and_three_passes(monkeypatch):
+def test_passes_pair_across_tables_of_one_two_and_three_passes(
+        monkeypatch, tmp_path, new_worker):
     # a budget of 100 rows: tables of 200 and 300 rows take two and three
     # passes, 250 rows three of 84, 84 and 82.  Two passes of one table
     # are cut again 2:3; a table's odd last pass pairs, uncut, with the
@@ -252,19 +290,13 @@ def test_passes_pair_across_tables_of_one_two_and_three_passes(monkeypatch):
               for place, rows in enumerate(sizes)]
     monkeypatch.setattr(floattext, "_PASS_BYTES", 100 * floattext._row_bytes(
         floattext._layout(tables[0])))
-    rows = {"caller": [], "worker": []}
     array_rows = floattext._array_rows
-
-    def recorded(columns, layout):
-        on_worker = threading.current_thread().name == "floattext"
-        rows["worker" if on_worker else "caller"].append(
-            (int(columns[0][0]), len(columns[0])))
-        return array_rows(columns, layout)
-
-    monkeypatch.setattr(floattext, "_array_rows", recorded)
+    log = SideLog(tmp_path / "sides",
+                  lambda columns: (int(columns[0][0]), len(columns[0])))
+    monkeypatch.setattr(floattext, "_array_rows", log)
     monkeypatch.setattr(floattext, "_cpus", lambda: 2)
     text = b"".join(floattext.csv_passes(tables))
-    assert rows == {
+    assert log.sides() == {
         "caller": [(0, 80), (1000, 80), (1200, 100), (3000, 67), (3168, 82),
                    (4100, 100), (5100, 80), (6000, 50)],
         "worker": [(80, 120), (1080, 120), (2000, 1), (3067, 101),
@@ -313,8 +345,8 @@ def test_a_pass_holds_at_most_120_bytes_per_varying_value(name):
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_an_error_in_a_pass_is_raised_and_the_worker_stays_usable(
-        monkeypatch, tmp_path, failing):
-    # the first pair's pass fails on one thread; a worker pass fails only
+        monkeypatch, tmp_path, new_worker, failing):
+    # the first pair's pass fails in one process; a worker pass fails only
     # once the next pair's is queued behind it, so that the worker holds
     # two passes of the call, and the error is raised only after every
     # pass handed to the worker is done
@@ -326,37 +358,46 @@ def test_an_error_in_a_pass_is_raised_and_the_worker_stays_usable(
     assert len(blocks) > 2
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
     write_trajectory_csv(blocks, want)
+    csvworker.retire()  # the next worker is forked with the patches
     array_rows = floattext._array_rows
-    tasks = floattext._worker()
-    handed, finished = [], []
+    log = SideLog(tmp_path / "sides", None)
+    handed = []  # the worker's passes, in the worker's memory
+    serve, tasks = csvworker._serve, []
+
+    def serving(fd, *args):  # the worker's end of its tasks pipe
+        tasks.append(fd)
+        serve(fd, *args)
 
     def first_pass_fails(columns, layout):
-        on_worker = threading.current_thread().name == "floattext"
+        on_worker = log.side() == "worker"
         if on_worker:
             handed.append(columns[0][0])
+            log.note("handed", float(columns[0][0]))
         try:
             if failing == "worker" and len(handed) == 1 and on_worker:
-                deadline = time.monotonic() + 10
-                while not tasks.qsize() and time.monotonic() < deadline:
-                    time.sleep(1e-3)
-                raise RuntimeError("worker pass failed" if tasks.qsize()
+                queued = select.select(tasks, [], [], 10)[0]
+                raise RuntimeError("worker pass failed" if queued
                                    else "no pass was queued behind it")
             if failing == "caller" and columns[0][0] == 0.0:
                 raise RuntimeError("caller pass failed")
             return array_rows(columns, layout)
         finally:
             if on_worker:
-                finished.append(columns[0][0])
+                log.note("finished", float(columns[0][0]))
 
+    monkeypatch.setattr(csvworker, "_serve", serving)
     monkeypatch.setattr(floattext, "_array_rows", first_pass_fails)
     monkeypatch.setattr(floattext, "_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=f"{failing} pass failed"):
         write_trajectory_csv(blocks, got)
-    assert finished == handed
-    assert len(handed) == (2 if failing == "worker" else 1)
+    noted = log.sides()
+    assert noted["finished"] == noted["handed"]
+    assert len(noted["handed"]) == (2 if failing == "worker" else 1)
+    worker = csvworker._running.pid
     monkeypatch.setattr(floattext, "_array_rows", array_rows)
     write_trajectory_csv(blocks, got)
     assert got.read_bytes() == want.read_bytes()
+    assert csvworker._running.pid == worker
 
 
 def test_one_pass_and_one_cpu_never_reach_the_worker(monkeypatch):
@@ -377,22 +418,168 @@ def test_one_pass_and_one_cpu_never_reach_the_worker(monkeypatch):
     assert b"".join(floattext.csv_passes(many)) == serial_text(many)
 
 
-def test_verify_and_control_start_no_thread():
-    code = ("import sys, threading, tempfile\n"
-            "from weyldyn import cli\n"
-            "out = tempfile.mkdtemp() + '/c.csv'\n"
-            "assert cli.main(['verify', 'free']) == 0\n"
-            "assert cli.main(['control', 'fig45', '--dkdt', '-0.5',\n"
-            "                 '--out', out]) == 0\n"
-            "sys.stderr.write(str(threading.active_count()))\n")
+def run_child(code, *args):
+    """Run Python code in a child interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_verify_and_control_start_no_thread():
+    # verify starts no process either: waitpid finds no child
+    code = ("import os, sys, threading, tempfile\n"
+            "from weyldyn import cli\n"
+            "out = tempfile.mkdtemp() + '/c.csv'\n"
+            "assert cli.main(['verify', 'free']) == 0\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    sys.exit('verify started a process')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "assert cli.main(['control', 'fig45', '--dkdt', '-0.5',\n"
+            "                 '--out', out]) == 0\n"
+            "sys.stderr.write(str(threading.active_count()))\n")
+    r = run_child(code)
     assert r.returncode == 0, r.stderr
     assert r.stderr == "1"
+
+
+GATE_TRIP = "theta0 = 1e-200\nomega2 = 1\nq = 1e-200\nt_end = 20\n"
+
+
+@pytest.mark.skipif(not floattext._parallel(), reason="no worker process")
+@pytest.mark.parametrize("args, rc", [
+    (["simulate", "free"], 0),
+    (["control", "fig45", "--dkdt", "-0.5"], 0),
+    (["control", "<gate trip>", "--dkdt", "-0.5"], 1),
+    (["control", "fig45", "--dkdt", "nan"], 2),
+    (["interrupt"], None),
+])
+def test_no_worker_outlives_its_command(tmp_path, args, rc):
+    # a simulate forks the worker; the child interpreter then runs one
+    # more command (or is interrupted), prints the worker's pid and
+    # exits, and must have reaped its worker: an orphaned zombie would
+    # still answer kill(pid, 0)
+    scn = tmp_path / "trip.scn"
+    scn.write_text(GATE_TRIP)
+    args = [str(scn) if a == "<gate trip>" else a for a in args]
+    code = ("import sys\n"
+            "from weyldyn import cli, csvworker\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['simulate', 'free', '--out', out]) == 0\n"
+            "pid = csvworker._running.pid\n"
+            "if sys.argv[2:] == ['interrupt']:\n"
+            "    print('worker', pid, flush=True)\n"
+            "    raise KeyboardInterrupt\n"
+            "rc = cli.main(sys.argv[2:] + ['--out', out])\n"
+            "assert csvworker._running.pid == pid\n"
+            "print('worker', pid, rc)\n")
+    r = run_child(code, str(tmp_path / "out.csv"), *args)
+    last = r.stdout.splitlines()[-1].split()
+    pid = int(last[1])
+    if rc is None:
+        assert "KeyboardInterrupt" in r.stderr
+    else:
+        assert r.returncode == 0, r.stderr
+        assert last == ["worker", str(pid), str(rc)]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_a_lost_worker_costs_no_bytes(monkeypatch, tmp_path, new_worker):
+    # the worker is killed in its first pass: the call formats the lost
+    # passes itself, and the next call forks a new worker
+    from weyldyn.scenario import ScenarioStream, resolve_scenario
+
+    blocks = [trajectory_columns(b)
+              for b in ScenarioStream(resolve_scenario("fig45"))]
+    want = serial_text(blocks)
+    array_rows = floattext._array_rows
+    log = SideLog(tmp_path / "sides", lambda columns: len(columns[0]))
+
+    def killed(columns, layout):
+        if log.side() == "worker":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return log(columns, layout)
+
+    monkeypatch.setattr(floattext, "_array_rows", killed)
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    assert b"".join(floattext.csv_passes(blocks)) == want
+    shares = [(2 * len(b[0]) // 5, len(b[0]) - 2 * len(b[0]) // 5)
+              for b in blocks]
+    assert log.sides() == {"caller": [n for pair in shares for n in pair],
+                           "worker": []}
+    lost = csvworker._running.pid
+    monkeypatch.setattr(floattext, "_array_rows", array_rows)
+    assert b"".join(floattext.csv_passes(blocks)) == want
+    assert csvworker._running.pid != lost
+    with pytest.raises(ProcessLookupError):
+        os.kill(lost, 0)
+
+
+def test_a_gate_trip_while_the_profile_is_out_leaves_no_file(tmp_path):
+    from weyldyn import cli
+
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert cli.main(["control", "fig45", "--dkdt", "-0.5",
+                     "--out", str(want)]) == 0
+    scn = tmp_path / "trip.scn"
+    scn.write_text(GATE_TRIP)
+    assert cli.main(["control", str(scn), "--dkdt", "-0.5",
+                     "--out", str(tmp_path / "trip.csv")]) == 1
+    assert (csvworker._running is not None) == floattext._parallel()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trip.scn",
+                                                          "want.csv"]
+    assert cli.main(["control", "fig45", "--dkdt", "-0.5",
+                     "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_tables_of_no_rows_have_no_lines(monkeypatch, tmp_path):
+    from weyldyn.cli import write_field_csv
+
+    empty = [np.array([]), np.array([])]
+    one = [np.arange(3) * 0.5, np.full(3, 2.0)]
+    assert list(floattext.csv_rows(empty)) == []
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    assert list(floattext.csv_passes([empty, empty])) == []
+    assert b"".join(floattext.csv_passes([empty, one, empty])) == (
+        b"0.0,2.0\n0.5,2.0\n1.0,2.0\n")
+    with floattext.csv_ahead(empty) as rows:
+        assert list(rows) == []
+    out = tmp_path / "empty.csv"
+    write_field_csv(np.array([]), np.empty((0, 3)), out)
+    assert out.read_bytes() == b"t,Ex,Ey,Ez\n"
+
+
+def test_the_shared_buffer_follows_the_pass_budget(monkeypatch, tmp_path,
+                                                    new_worker):
+    # a worker forked under a budget of 100 rows of this table has a
+    # buffer of two budgets; under the default budget again, a share too
+    # large for that buffer is formatted on the caller, whole
+    table = [np.arange(30000) * 1e-3, np.arange(30000) * 2.5]
+    budget = 100 * floattext._row_bytes(floattext._layout(table))
+    want = b"".join(floattext.csv_rows(table))
+    monkeypatch.setattr(floattext, "_PASS_BYTES", budget)
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    worker = csvworker.take()
+    worker.release()
+    assert os.fstat(worker.shared).st_size == 2 * budget
+    monkeypatch.undo()
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    log = SideLog(tmp_path / "sides", lambda columns: len(columns[0]))
+    monkeypatch.setattr(floattext, "_array_rows", log)
+    assert b"".join(floattext.csv_passes([table])) == want
+    with floattext.csv_ahead(table) as rows:
+        assert b"".join(rows) == want
+    shares = len(list(floattext._passes([table])))
+    assert shares > 1
+    assert log.sides() == {"caller": [8000, 12000, 10000] + [10000] * shares,
+                           "worker": []}
 
 
 def test_concurrent_writers_each_get_their_own_passes():
