@@ -91,33 +91,10 @@ def write_trajectory_csv(blocks, path: str | Path) -> None:
          b.residual) for b in blocks))
 
 
-# id(fields) -> (ts, fields, their rows' text) for each profile whose
-# rows _formatted_ahead has handed to floattext's worker
-_AHEAD = {}
-
-
-def write_field_csv(ts, fields, path: str | Path) -> None:
-    """Write the t column and the (Ex, Ey, Ez) rows: the text formatted
-    for these very arrays by _formatted_ahead, if they were handed, else
-    one pass at a time."""
-    ahead = _AHEAD.get(id(fields))
-    if ahead is not None and ahead[0] is ts and ahead[1] is fields:
-        rows = ahead[2]
-    else:
-        rows = csv_rows((ts, *np.transpose(fields)))
-    _write_csv(path, "t,Ex,Ey,Ez", rows)
-
-
-@contextlib.contextmanager
-def _formatted_ahead(ts, fields):
-    """Hand a profile's rows to floattext's worker for the block
-    (csv_ahead), for write_field_csv of the same arrays in the block."""
-    with csv_ahead((ts, *np.transpose(fields))) as rows:
-        _AHEAD[id(fields)] = ts, fields, rows
-        try:
-            yield
-        finally:
-            del _AHEAD[id(fields)]
+def write_field_csv(passes, path: str | Path) -> None:
+    """Write the t,Ex,Ey,Ez header and a control profile's rows, the text
+    of each pass of its columns (csv_rows or csv_ahead)."""
+    _write_csv(path, "t,Ex,Ey,Ez", passes)
 
 
 def _with_options(scenario: Scenario, args, out=None) -> Scenario:
@@ -218,12 +195,13 @@ def cmd_control(args) -> int:
     _note_grid_end(scenario)
     ts, fields, check = control_profile(scenario, dedt=args.dedt,
                                         dkdt=args.dkdt, mode=args.mode)
+    columns = (ts, *np.transpose(fields))
     # --dkdt's check integrates the angles: its profile is formatted
     # meanwhile, and written only once the check returns
-    with (_formatted_ahead(ts, fields) if args.dkdt is not None
-          else contextlib.nullcontext()):
+    with (csv_ahead(columns) if args.dkdt is not None
+          else contextlib.nullcontext(csv_rows(columns))) as passes:
         run = check()
-        write_field_csv(run.ts, run.fields, out_path)
+        write_field_csv(passes, out_path)
     status = "PASS" if run.passed else "FAIL"
     print(f"control profile written to {out_path}")
     print(f"[{status}] target {run.label} {run.target!r}, {run.measured_by} "

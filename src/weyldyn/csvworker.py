@@ -1,16 +1,12 @@
-"""The worker process that formats CSV passes beside the caller, for
-floattext's csv_passes and csv_ahead.
+"""The worker process that formats CSV passes beside the caller, and the
+one protocol with it (Call), for floattext's csv_passes and csv_ahead.
 
-One process is forked when a pass is first handed to it, never at
-import, and serves every later call: the call that takes it (take) holds
-it until it lets it go (Worker.release), and a call that finds it held
-formats its own passes.  A pass's varying values, and then its text, go
-through a shared memory file (memfd) of 2 * floattext._PASS_BYTES, which
-both processes read and write with pread and pwrite, so that its pages
-never count in the caller's resident memory; a pipe each way carries the
-pass's place in that buffer, its rows and layout, and the reply, with any
-error.  The formatter's tables are built before the fork, once for both
-processes.
+A pass's varying values, and then its text, go through a shared memory
+file (memfd) of 2 * floattext._PASS_BYTES, which both processes read and
+write with pread and pwrite, so that its pages never count in the
+caller's resident memory; a pipe each way carries the pass's place in
+that buffer, its rows and layout, and the reply, with any error.  The
+formatter's tables are built before the fork, once for both processes.
 
 The worker ignores SIGINT and leaves only through os._exit, once it reads
 the end of its tasks: the caller closes its end of the pipes and reaps
@@ -22,6 +18,7 @@ end when the caller leaves.
 from __future__ import annotations
 
 import atexit
+import collections
 import ctypes
 import os
 import pickle
@@ -36,25 +33,22 @@ _lock = threading.Lock()  # held by the call that holds the worker
 _running = None  # the worker process, once forked
 
 
-def take():
-    """The worker, held for one call until it is let go, and forked if
-    there is none or it was lost; None when another call holds it or no
+def _take():
+    """The worker, held for one call until the call lets it go, and
+    forked if there is none; None when another call holds it or no
     process can be forked."""
     global _running
     if not _lock.acquire(blocking=False):
         return None
-    worker = None
     try:
-        if _running is None or _running.lost:
-            retire()
+        if _running is None:
             _running = Worker()
-        worker = _running
     except OSError:  # no process could be forked
         pass
     finally:
-        if worker is None:
+        if _running is None:
             _lock.release()
-    return worker
+    return _running
 
 
 def retire():
@@ -78,8 +72,16 @@ atexit.register(retire)
 os.register_at_fork(after_in_child=_forget)
 
 
-class Worker:
-    """The forked process and this end of its pipes and shared buffer.
+class Call:
+    """One call's passes, handed to the worker in order, each with the
+    stretch of the shared buffer that its text takes, or None for a pass
+    that the caller formats when it is collected: every pass when another
+    call holds the worker or no process can be forked, a pass for which
+    no stretch is free, and every pass not yet done when the worker is
+    lost (killed: end of file on the reply pipe, or a broken task pipe);
+    the next call forks a new one.  The first pass takes the worker,
+    forked if there is none, and the end of the block waits for the
+    passes not collected and lets the worker go.
 
     A pass's text is at most its rows times its template's width, about
     0.37 of its _row_bytes estimate, so the two passes that csv_passes
@@ -88,16 +90,107 @@ class Worker:
     """
 
     def __init__(self):
+        self.worker = None  # the worker held; False once this call has none
+        self.handed = collections.deque()  # (pass, stretch or None)
+
+    def __enter__(self):
+        return self
+
+    def hand(self, task):
+        """Hand a pass (columns, layout) to the worker: write its varying
+        values into the first free stretch of the shared buffer and send
+        the worker its place; or keep it, for the caller to format."""
+        if self.worker is None:  # this call's first pass
+            self.worker = _take() or False
+        columns, (template, varying) = task
+        rows = len(columns[0])
+        need = rows * len(template)  # the text's most bytes
+        start, at = 0, None
+        for lo, hi in sorted(taken for _, taken in self.handed if taken):
+            if start + need <= lo:
+                break
+            start = max(start, hi)
+        if self.worker and start + need <= self.worker.size:
+            os.pwritev(self.worker.shared,
+                       [np.ascontiguousarray(columns[i], np.float64)
+                        for i, _ in varying], start)
+            message = (start, rows, template.tobytes(), varying,
+                       [float(c[0]) for c in columns])
+            try:
+                _send(self.worker.tasks, message)
+                at = start, start + need
+            except BaseException as exc:
+                self._lose()  # it has left, or holds a message cut short
+                if not isinstance(exc, OSError):
+                    raise
+        self.handed.append((task, at))
+
+    def _reply(self):
+        """The worker's next reply, (length, error); None when it is
+        lost."""
+        try:
+            reply = _receive(self.worker.replies)
+        except BaseException:
+            self._lose()
+            raise
+        if reply is None:
+            self._lose()
+        return reply
+
+    def collect(self):
+        """The text of the first pass not yet collected.  Raises the
+        error of a pass that failed in the worker."""
+        task, at = self.handed.popleft()
+        reply = self._reply() if at and self.worker else None
+        if reply is None:  # kept, or lost with the worker
+            return floattext._array_rows(*task)
+        length, error = reply
+        if error is not None:
+            raise error
+        return os.pread(self.worker.shared, length, at[0])
+
+    def _lose(self):
+        """Reap the worker, which has left or may hold a message cut
+        short, and let the next call fork another; this call formats its
+        passes left."""
+        self.worker = False
+        try:
+            retire()
+        finally:
+            _lock.release()
+
+    def __exit__(self, *exc):
+        """Wait for the worker's passes not collected, and let it go."""
+        try:
+            for _, at in self.handed:
+                if at and self.worker:
+                    self._reply()
+        finally:
+            if self.worker:
+                self.worker = False
+                _lock.release()
+
+
+class Worker:
+    """The forked process and this end of its pipes and shared buffer."""
+
+    def __init__(self):
         floattext._pow10_table()
         floattext._digit_quads()
         floattext._layout_masks()
-        self.lost = False  # the worker has left, or a reply was cut
         self.size = 2 * floattext._PASS_BYTES
-        self.shared = os.memfd_create("floattext")
-        os.ftruncate(self.shared, self.size)
-        tasks, self.tasks = os.pipe()
-        self.replies, replies = os.pipe()
-        self.pid = os.fork()
+        fds = []
+        try:
+            fds.append(os.memfd_create("floattext"))
+            os.ftruncate(fds[0], self.size)
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            self.pid = os.fork()
+        except BaseException:  # nothing is left open
+            for fd in fds:
+                os.close(fd)
+            raise
+        self.shared, tasks, self.tasks, self.replies, replies = fds
         if self.pid == 0:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -116,62 +209,6 @@ class Worker:
                 os._exit(0)
         os.close(tasks)
         os.close(replies)
-
-    def hand(self, task, taken):
-        """Write a pass's varying values into the first free stretch of
-        the shared buffer after the stretches taken, and send the worker
-        its place; the stretch, or None when none is free or the worker
-        is lost."""
-        columns, (template, varying) = task
-        rows = len(columns[0])
-        need = rows * len(template)  # the text's most bytes
-        start = 0
-        for lo, hi in sorted(taken):
-            if start + need <= lo:
-                break
-            start = max(start, hi)
-        if self.lost or start + need > self.size:
-            return None
-        os.pwritev(self.shared, [np.ascontiguousarray(columns[i], np.float64)
-                                 for i, _ in varying], start)
-        try:
-            _send(self.tasks, (start, rows, template.tobytes(), varying,
-                               [float(c[0]) for c in columns]))
-        except OSError:  # the worker has left
-            self.lost = True
-            return None
-        except BaseException:  # the message may be cut short
-            self.lost = True
-            raise
-        return start, start + need
-
-    def receive(self):
-        """The worker's next reply, (length, error); None when it is
-        lost."""
-        if self.lost:
-            return None
-        try:
-            reply = _receive(self.replies)
-        except BaseException:
-            self.lost = True
-            raise
-        self.lost = reply is None
-        return reply
-
-    def text(self, at):
-        """The text of the worker's next pass, written at stretch at;
-        None when the worker is lost.  Raises the pass's error."""
-        reply = self.receive()
-        if reply is None:
-            return None
-        length, error = reply
-        if error is not None:
-            raise error
-        return os.pread(self.shared, length, at[0])
-
-    def release(self):
-        """Let the worker go, for the next call to take."""
-        _lock.release()
 
     def close(self, reap=True):
         """Close this end of the pipes, so that the worker reads the end

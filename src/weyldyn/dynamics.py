@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 # steps per block: bounds the temporaries and a stream's rows; a block of
-# fig45 is one pair of CSV passes, one on each thread (floattext.csv_passes)
+# fig45 is one pair of CSV passes, one in each process (floattext.csv_passes)
 _BLOCK = 4096
 
 

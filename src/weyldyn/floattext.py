@@ -40,27 +40,27 @@ three; a table of no rows has none.
 
 ``csv_passes`` takes a sequence of tables, such as the blocks of a run,
 and formats their passes two at a time, one on the calling thread and one
-in a worker process (``csvworker``), forked when a pass is first handed
-to it and reaped at interpreter exit.  The passes pair in order, over the
-whole sequence: two passes of one table are cut again so that the caller,
-which also integrates and writes, takes 2/5 of their rows and the worker
-3/5 (fig45: 1,638 and 2,458), still within twice _PASS_BYTES; a table's
-odd last pass pairs with the next table's first as they are, and the
-sequence's last pass, if odd, is the caller's alone.  ``csv_ahead`` hands
-every pass of one table to the worker at once, for a caller that has
-other work to do first (``control --dkdt`` integrates its check).  Two
-processes share no interpreter lock and no heap: a fig45 block's pair of
-passes takes about as long as its larger pass alone (best of 120 on two
-CPUs: 7.0-7.9 against 6.5-7.5 ms), where two threads took 1.45-1.62
-times as long, and the worker's temporaries stay out of the caller's
-resident memory.  The caller formats the passes itself, with the same
-bytes, on one CPU, where no memory file can be shared (memfd, outside
-Linux), when another call holds the worker, and when the worker is lost.
+in a worker process.  ``csvworker`` owns that process and the protocol
+with it (``csvworker.Call``): which passes it takes, where in the shared
+buffer, collecting their text in order and falling back to the caller.
+The passes pair in order, over the whole sequence: two passes of one
+table are cut again so that the caller, which also integrates and
+writes, takes 2/5 of their rows and the worker 3/5 (fig45: 1,638 and
+2,458), still within twice _PASS_BYTES; a table's odd last pass pairs
+with the next table's first as they are, and the sequence's last pass,
+if odd, is the caller's alone.  ``csv_ahead`` hands every pass of one
+table to the worker at once, for a caller that has other work to do
+first (``control --dkdt`` integrates its check).  Two processes share no
+interpreter lock and no heap: a fig45 block's pair of passes takes about
+as long as its larger pass alone (best of 120 on two CPUs: 7.0-7.9
+against 6.5-7.5 ms), where two threads took 1.45-1.62 times as long, and
+the worker's temporaries stay out of the caller's resident memory.  On one CPU, and where no memory file can be shared
+(memfd, outside Linux), the caller formats every pass itself, with the
+same bytes, and ``csvworker`` is not even imported.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -464,13 +464,15 @@ def csv_passes(tables):
     process, or in reading a table, is raised once the worker has done
     every pass of this call, which leaves the worker idle.  A last pass
     without a partner, and every pass of a process that may run on one
-    CPU only, is formatted on the calling thread (see _Call for the
-    others).
+    CPU only, is formatted on the calling thread (see csvworker.Call
+    for the others).
     """
     if not _parallel():
         yield from _serial(tables)
         return
-    with _Call() as call:
+    from . import csvworker  # only where passes may be handed to it
+
+    with csvworker.Call() as call:
         # a last (None, None) pair collects the last worker pass
         for mine, theirs in itertools.chain(_pairs(tables), [(None, None)]):
             if theirs is not None:
@@ -495,7 +497,9 @@ def csv_ahead(columns):
     if not _parallel():
         yield csv_rows(columns)
         return
-    with _Call() as call:
+    from . import csvworker
+
+    with csvworker.Call() as call:
         for _, *rows in _passes([columns]):
             call.hand(_cut(*rows))
         yield (call.collect() for _ in range(len(call.handed)))
@@ -559,57 +563,6 @@ def _parallel() -> bool:
     """Whether a worker process can format passes beside this one: on
     two CPUs or more, where processes fork and share memory files."""
     return _cpus() > 1 and hasattr(os, "memfd_create")
-
-
-class _Call:
-    """The passes that one call hands to the worker process, in order,
-    each with the stretch of the worker's shared buffer that it takes, or
-    None for a pass that the caller formats when it is collected: every
-    pass when another call holds the worker or no process can be forked,
-    a pass for which no stretch is free, and every pass not yet done when
-    the worker is lost.  The end of the block waits for the worker's
-    passes not collected, and lets the worker go."""
-
-    def __init__(self):
-        self.worker = None  # False once this call finds no worker
-        self.handed = collections.deque()  # (pass, stretch or None)
-
-    def __enter__(self):
-        return self
-
-    def hand(self, task):
-        """Hand a pass (columns, layout) to the worker, or keep it."""
-        if self.worker is None:  # this call's first pass
-            self.worker = _worker() or False
-        at = None
-        if self.worker:
-            at = self.worker.hand(task, [at for _, at in self.handed if at])
-        self.handed.append((task, at))
-
-    def collect(self):
-        """The text of the first pass not yet collected."""
-        task, at = self.handed.popleft()
-        if at is not None:
-            text = self.worker.text(at)
-            if text is not None:
-                return text
-        return _array_rows(*task)  # kept, or lost with the worker
-
-    def __exit__(self, *exc):
-        if self.worker:
-            try:
-                for _, at in self.handed:
-                    if at is not None and self.worker.receive() is None:
-                        break  # lost
-            finally:
-                self.worker.release()
-
-
-def _worker():
-    """The worker process, held for one call, or None (csvworker.take)."""
-    from . import csvworker  # only where passes are handed to it
-
-    return csvworker.take()
 
 
 def _array_rows(columns, layout) -> bytes:

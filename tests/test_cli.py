@@ -17,6 +17,7 @@ import pytest
 from weyldyn import cli
 from weyldyn.cli import CSV_COLUMNS, write_field_csv, write_trajectory_csv
 from weyldyn.dynamics import Trajectory
+from weyldyn.floattext import csv_rows
 from weyldyn.scenario import _split_lines
 
 HEADER = ("t,x,y,z,vx,vy,vz,theta,phi,k,E0,px,py,pz,"
@@ -765,7 +766,7 @@ def test_trajectory_csv_matches_row_writer(tmp_path, rows):
 def test_field_csv_matches_row_writer(tmp_path, rows):
     ts = np.arange(rows) * 1e-3
     special = special_column(rows).tolist()
-    # a list of 3-tuples, as the energy-control path passes it
+    # a list of 3-tuples, which np.transpose reads as three columns
     as_tuples = [(s, 0.0, -0.0 if i % 3 else 1e-5)
                  for i, s in enumerate(special)]
     as_array = np.column_stack([special_column(rows), np.full(rows, 0.1),
@@ -775,7 +776,7 @@ def test_field_csv_matches_row_writer(tmp_path, rows):
                       (rows, 1))
     for fields in (as_tuples, as_array, control):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_field_csv(ts, fields, got)
+        write_field_csv(csv_rows((ts, *np.transpose(fields))), got)
         reference_field_csv(ts, fields, want)
         assert got.read_bytes() == want.read_bytes()
 

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import errno
 import math
 import os
 import select
@@ -404,7 +405,11 @@ def test_one_pass_and_one_cpu_never_reach_the_worker(monkeypatch):
     def no_worker():
         raise AssertionError("a pass was handed to the worker")
 
-    monkeypatch.setattr(floattext, "_worker", no_worker)
+    def ahead(table):
+        with floattext.csv_ahead(table) as rows:
+            return b"".join(rows)
+
+    monkeypatch.setattr(csvworker, "_take", no_worker)
     one_pass = [np.arange(100) * 0.25, np.full(100, -0.0)]
     assert b"".join(floattext.csv_passes([one_pass])) == serial_text(
         [one_pass])
@@ -412,10 +417,13 @@ def test_one_pass_and_one_cpu_never_reach_the_worker(monkeypatch):
     if floattext._cpus() > 1:
         with pytest.raises(AssertionError, match="handed to the worker"):
             b"".join(floattext.csv_passes(many))
+        with pytest.raises(AssertionError, match="handed to the worker"):
+            ahead(many[0])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert b"".join(floattext.csv_passes(many)) == serial_text(many)
+    assert ahead(many[0]) == serial_text(many[:1])
 
 
 def run_child(code, *args):
@@ -430,16 +438,19 @@ def run_child(code, *args):
 
 
 def test_verify_and_control_start_no_thread():
-    # verify starts no process either: waitpid finds no child
+    # verify and control --dedt start no process either: waitpid finds
+    # no child
     code = ("import os, sys, threading, tempfile\n"
             "from weyldyn import cli\n"
             "out = tempfile.mkdtemp() + '/c.csv'\n"
-            "assert cli.main(['verify', 'free']) == 0\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "    sys.exit('verify started a process')\n"
-            "except ChildProcessError:\n"
-            "    pass\n"
+            "for args in (['verify', 'free'],\n"
+            "             ['control', 'free', '--dedt', '2', '--out', out]):\n"
+            "    assert cli.main(args) == 0\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "        sys.exit(f'{args[0]} started a process')\n"
+            "    except ChildProcessError:\n"
+            "        pass\n"
             "assert cli.main(['control', 'fig45', '--dkdt', '-0.5',\n"
             "                 '--out', out]) == 0\n"
             "sys.stderr.write(str(threading.active_count()))\n")
@@ -500,9 +511,11 @@ def test_a_lost_worker_costs_no_bytes(monkeypatch, tmp_path, new_worker):
     want = serial_text(blocks)
     array_rows = floattext._array_rows
     log = SideLog(tmp_path / "sides", lambda columns: len(columns[0]))
+    killed_pid = tmp_path / "killed"
 
     def killed(columns, layout):
         if log.side() == "worker":
+            killed_pid.write_text(str(os.getpid()))
             os.kill(os.getpid(), signal.SIGKILL)
         return log(columns, layout)
 
@@ -513,7 +526,8 @@ def test_a_lost_worker_costs_no_bytes(monkeypatch, tmp_path, new_worker):
               for b in blocks]
     assert log.sides() == {"caller": [n for pair in shares for n in pair],
                            "worker": []}
-    lost = csvworker._running.pid
+    lost = int(killed_pid.read_text())
+    assert csvworker._running is None  # reaped once it was lost
     monkeypatch.setattr(floattext, "_array_rows", array_rows)
     assert b"".join(floattext.csv_passes(blocks)) == want
     assert csvworker._running.pid != lost
@@ -552,7 +566,8 @@ def test_tables_of_no_rows_have_no_lines(monkeypatch, tmp_path):
     with floattext.csv_ahead(empty) as rows:
         assert list(rows) == []
     out = tmp_path / "empty.csv"
-    write_field_csv(np.array([]), np.empty((0, 3)), out)
+    write_field_csv(floattext.csv_rows(
+        (np.array([]), *np.transpose(np.empty((0, 3))))), out)
     assert out.read_bytes() == b"t,Ex,Ey,Ez\n"
 
 
@@ -566,9 +581,8 @@ def test_the_shared_buffer_follows_the_pass_budget(monkeypatch, tmp_path,
     want = b"".join(floattext.csv_rows(table))
     monkeypatch.setattr(floattext, "_PASS_BYTES", budget)
     monkeypatch.setattr(floattext, "_cpus", lambda: 2)
-    worker = csvworker.take()
-    worker.release()
-    assert os.fstat(worker.shared).st_size == 2 * budget
+    assert b"".join(floattext.csv_passes([table])) == want
+    assert os.fstat(csvworker._running.shared).st_size == 2 * budget
     monkeypatch.undo()
     monkeypatch.setattr(floattext, "_cpus", lambda: 2)
     log = SideLog(tmp_path / "sides", lambda columns: len(columns[0]))
@@ -580,6 +594,40 @@ def test_the_shared_buffer_follows_the_pass_budget(monkeypatch, tmp_path,
     assert shares > 1
     assert log.sides() == {"caller": [8000, 12000, 10000] + [10000] * shares,
                            "worker": []}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd")
+def test_a_failed_fork_leaves_no_descriptor_open(monkeypatch, new_worker):
+    # every call tries to fork again, and formats its passes itself
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+    table = [np.arange(30000) * 1e-3, np.arange(30000) * 2.5]
+    want = b"".join(floattext.csv_rows(table))
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert b"".join(floattext.csv_passes([table])) == want
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert csvworker._running is None
+
+
+def test_a_held_worker_leaves_the_call_its_own_passes(monkeypatch, tmp_path,
+                                                      new_worker):
+    # csv_passes inside a csv_ahead block of the same thread finds the
+    # worker held, and formats every pass of its two tables itself
+    table = [np.arange(30000) * 1e-3, np.arange(30000) * 2.5]
+    want = b"".join(floattext.csv_rows(table))
+    log = SideLog(tmp_path / "sides", lambda columns: len(columns[0]))
+    monkeypatch.setattr(floattext, "_array_rows", log)
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    with floattext.csv_ahead(table) as ahead:
+        assert b"".join(floattext.csv_passes([table, table])) == 2 * want
+        assert b"".join(ahead) == want
+    assert log.sides() == {"caller": [8000, 12000, 10000, 10000, 8000, 12000],
+                           "worker": [10000] * 3}
 
 
 def test_concurrent_writers_each_get_their_own_passes():
