@@ -162,7 +162,8 @@ def _summarize(summary: dict) -> str:
 def _simulate_to(scenario: Scenario, out_path: str | Path):
     """Run the scenario block by block, writing each block of its
     trajectory CSV to out_path; return the run's summary, or, when the
-    run gate trips, report the partial CSV and return None."""
+    run gate trips, report the partial CSV and return None.  An error
+    refining the summary is raised by the write, before it commits."""
     _note_grid_end(scenario)
     run = ScenarioStream(scenario)
     write_trajectory_csv(run, out_path)

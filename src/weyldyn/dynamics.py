@@ -401,7 +401,7 @@ class _Cascade:
         passed = ok = ((res <= self.tol) & np.isfinite(state).all(axis=0)
                        & np.isfinite(e).all(axis=1))
         if self.positions:
-            s = 0.0 if self.gauge is None else self.gauge.sample_time(ts)
+            s = 0.0 if self.gauge is None else self.gauge.value(t=ts)
             e0, p = kinetic_momentum_from_state(
                 theta, phi, theta_dot, phi_dot, s, self.initial.helicity, trig)
             v = velocity_from_angles(theta, phi, trig)
@@ -433,15 +433,11 @@ class _Cascade:
     def collect(self, build):
         """The whole run, built with build(*arrays) from blocks() gathered
         into arrays of n + 1 rows, up to the last point yielded; check()
-        it.  The arrays share one buffer, allocated with the first block."""
+        it.  Each array is allocated with the first block."""
         whole, f = None, 0
         for arrays in self.blocks():
             if whole is None:
-                shapes = [(self.n + 1, *a.shape[1:]) for a in arrays]
-                ends = np.cumsum([math.prod(shape) for shape in shapes])
-                buffer = np.empty(ends[-1])
-                whole = [buffer[end - math.prod(shape):end].reshape(shape)
-                         for shape, end in zip(shapes, ends)]
+                whole = [np.empty((self.n + 1, *a.shape[1:])) for a in arrays]
             for out, a in zip(whole, arrays):
                 out[f:f + len(a)] = a
             f += len(arrays[0])

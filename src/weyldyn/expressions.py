@@ -705,13 +705,6 @@ class ScalarField:
         return eval_expr(self._partials[axis], x=x, y=y, z=z, t=t,
                          **self._values)
 
-    def sample_time(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized values on a time grid at the origin, as a read-only
-        view; signed zeros are kept."""
-        out = self.expr.evaluate({"x": 0.0, "y": 0.0, "z": 0.0, "t": ts,
-                                  **self._values})
-        return np.broadcast_to(out, np.shape(ts))
-
     def __repr__(self):
         return f"ScalarField({str(self.expr)!r})"
 

@@ -51,12 +51,11 @@ with the next table's first as they are, and the sequence's last pass,
 if odd, is the caller's alone.  ``csv_ahead`` hands every pass of one
 table to the worker at once, for a caller that has other work to do
 first (``control --dkdt`` integrates its check).  Two processes share no
-interpreter lock and no heap: a fig45 block's pair of passes takes about
-as long as its larger pass alone (best of 120 on two CPUs: 7.0-7.9
-against 6.5-7.5 ms), where two threads took 1.45-1.62 times as long, and
-the worker's temporaries stay out of the caller's resident memory.  On one CPU, and where no memory file can be shared
-(memfd, outside Linux), the caller formats every pass itself, with the
-same bytes, and ``csvworker`` is not even imported.
+interpreter lock and no heap: the two passes of a pair run at once, and
+the worker's temporaries stay out of the caller's resident memory.  On
+one CPU, and where no memory file can be shared (memfd, outside Linux),
+the caller formats every pass itself, with the same bytes, and
+``csvworker`` is not even imported.
 """
 
 from __future__ import annotations

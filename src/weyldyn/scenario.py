@@ -13,8 +13,10 @@ files.  The format is documented in docs/scenario-format.md; packaged
 presets live in presets/.
 
 run_scenario integrates a scenario and summarizes the trajectory;
-ScenarioStream does the same one block of steps at a time, its summary a
-running reduction, so that a caller can write each block and let it go.
+ScenarioStream does the same one block of steps at a time, so that a
+caller can write each block and let it go.  The summary is the stream's
+alone: a running reduction over blocks, to which run_scenario adds its
+whole trajectory as one block.
 run_control computes an energy or localization control profile on the
 whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once, on
 the array of grid times: energy_control_field and kinetic_momentum_from_state
@@ -365,48 +367,10 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
         scenario.initial, scenario.program, scenario.t_end, scenario.dt,
         gauge=scenario.s, constraint_tol=scenario.tolerance,
     )
-    summary = _Summary(scenario)
-    summary.add(traj)
+    run = ScenarioStream(scenario)
+    run.add(traj)
     return ScenarioRun(scenario=scenario, trajectory=traj,
-                       summary=summary.finish())
-
-
-class ScenarioStream:
-    """run_scenario one block of steps at a time, holding only that block.
-
-    Iterating it, once, integrates, gates and summarizes each block and
-    yields its rows as a Trajectory.  When the run gate trips, the
-    iteration ends with the block that holds the failing sample, cut after
-    it.  finish(), after the iteration, then raises that
-    ConstraintViolation, and otherwise returns the summary of
-    run_scenario.  samples counts the rows yielded so far.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._summary = _Summary(scenario)
-        self._violation = None
-
-    @property
-    def samples(self) -> int:
-        return self._summary.samples
-
-    def __iter__(self):
-        scenario = self.scenario
-        try:
-            for block in trajectory_blocks(
-                    scenario.initial, scenario.program, scenario.t_end,
-                    scenario.dt, gauge=scenario.s,
-                    constraint_tol=scenario.tolerance):
-                self._summary.add(block)
-                yield block
-        except ConstraintViolation as exc:
-            self._violation = exc
-
-    def finish(self) -> dict:
-        if self._violation is not None:
-            raise self._violation
-        return self._summary.finish()
+                       summary=run.finish())
 
 
 def _extremum(best, k, t, minimize: bool):
@@ -422,44 +386,74 @@ def _extremum(best, k, t, minimize: bool):
     return best, False
 
 
-class _Summary:
-    """run_scenario's summary as running reductions over a run's blocks,
-    added in order.  k_recovery_time's candidate is the first time after
-    the running k minimum with |k - k_start| <= 1e-6, dropped whenever a
-    strictly lower minimum appears; the extremum refinement runs in
-    finish(), on the closed-form law."""
+class ScenarioStream:
+    """run_scenario one block of steps at a time, holding only that block.
+
+    Iterating it, once, integrates, gates and adds each block and yields
+    its rows as a Trajectory; after the last block it finishes the
+    summary, so that an error in the refinement is raised by the
+    iteration, before a caller writing the blocks commits them.  When the
+    run gate trips, the iteration ends with the block that holds the
+    failing sample, cut after it, and finish() raises that
+    ConstraintViolation.
+
+    The summary is running reductions over the blocks, added in order.
+    k_recovery_time's candidate is the first time after the running k
+    minimum with |k - k_start| <= 1e-6, dropped whenever a strictly lower
+    minimum appears; the extremum refinement, on the closed-form law,
+    runs once, in the first finish().  samples counts the rows added.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.samples = 0
-        self.low = self.high = self.recovery = None
-        self.distance = self.drift = -math.inf
+        self._low = self._high = self._recovery = None
+        self._distance = self._drift = -math.inf
+        self._violation = self._summary = None
+
+    def __iter__(self):
+        scenario = self.scenario
+        try:
+            for block in trajectory_blocks(
+                    scenario.initial, scenario.program, scenario.t_end,
+                    scenario.dt, gauge=scenario.s,
+                    constraint_tol=scenario.tolerance):
+                self.add(block)
+                yield block
+        except ConstraintViolation as exc:
+            self._violation = exc
+        else:
+            self.finish()
 
     # the last block of a tripped run may hold inf or nan
     @np.errstate(invalid="ignore", over="ignore")
     def add(self, block: Trajectory) -> None:
         t, k = block.t, block.k
         if not self.samples:
-            self.k_start, self.origin = float(k[0]), block.r[0].copy()
+            self._k_start, self._origin = float(k[0]), block.r[0].copy()
         self.samples += len(block)
-        self.last = block
-        self.low, lower = _extremum(self.low, k, t, minimize=True)
-        self.high, _ = _extremum(self.high, k, t, minimize=False)
+        self._last = block
+        self._low, lower = _extremum(self._low, k, t, minimize=True)
+        self._high, _ = _extremum(self._high, k, t, minimize=False)
         if lower:
-            self.recovery = None
-        if self.recovery is None:
-            later = np.flatnonzero((t > self.low[1])
-                                   & (np.abs(k - self.k_start) <= 1e-6))
+            self._recovery = None
+        if self._recovery is None:
+            later = np.flatnonzero((t > self._low[1])
+                                   & (np.abs(k - self._k_start) <= 1e-6))
             if len(later):
-                self.recovery = float(t[later[0]])
+                self._recovery = float(t[later[0]])
         # np.maximum keeps a nan, as np.max over the whole run does
-        self.distance = float(np.maximum(self.distance, np.max(
-            block.distance_from_start(self.origin))))
-        self.drift = float(np.maximum(self.drift, block.speed_drift()))
+        self._distance = float(np.maximum(self._distance, np.max(
+            block.distance_from_start(self._origin))))
+        self._drift = float(np.maximum(self._drift, block.speed_drift()))
 
     def finish(self) -> dict:
-        scenario, last = self.scenario, self.last
-        (k_min, t_k_min), (k_max, t_k_max) = self.low, self.high
+        if self._violation is not None:
+            raise self._violation
+        if self._summary is not None:
+            return self._summary
+        scenario, last = self.scenario, self._last
+        (k_min, t_k_min), (k_max, t_k_max) = self._low, self._high
         t_hi = float(last.t[-1])
         summary = {
             "name": scenario.name,
@@ -468,15 +462,15 @@ class _Summary:
             "samples": self.samples,
             "dt": scenario.dt,
             "t_end": t_hi,
-            "k_start": self.k_start,
+            "k_start": self._k_start,
             "k_end": float(last.k[-1]),
             "k_min": k_min,
             "t_k_min": t_k_min,
             "k_max": k_max,
             "t_k_max": t_k_max,
             "endpoint": last.endpoint,
-            "max_distance_from_start": self.distance,
-            "speed_drift": self.drift,
+            "max_distance_from_start": self._distance,
+            "speed_drift": self._drift,
         }
 
         if scenario.preserves_law:
@@ -495,9 +489,10 @@ class _Summary:
                     min(t_hi, t + scenario.dt), minimize)
 
         # a drain needs a k to drain: free flight keeps k = 0 throughout
-        drains = self.k_start > 1e-6 and k_min <= 1e-6
+        drains = self._k_start > 1e-6 and k_min <= 1e-6
         summary["k_zero_time"] = t_k_min if drains else None
-        summary["k_recovery_time"] = self.recovery if drains else None
+        summary["k_recovery_time"] = self._recovery if drains else None
+        self._summary = summary
         return summary
 
 

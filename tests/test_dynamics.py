@@ -226,6 +226,48 @@ def test_fig45_preset_matches_the_fresnel_form_to_a_roundoff_floor():
     assert fig45_position_error(scenario.dt) <= 10 * steps * np.finfo(float).eps
 
 
+def _linear_law_position(r0, theta, phi, t):
+    """r0 plus the integral over [0, t] of the velocity (sin th cos ph,
+    sin th sin ph, cos th) on th = a1 + w1 s, ph = a2 + w2 s: sums of the
+    integrals of sin and cos of a + w s, linear in t where w = 0."""
+    def sin_integral(a, w):
+        return ((mpmath.cos(a) - mpmath.cos(a + w * t)) / w if w
+                else t * mpmath.sin(a))
+
+    def cos_integral(a, w):
+        return ((mpmath.sin(a + w * t) - mpmath.sin(a)) / w if w
+                else t * mpmath.cos(a))
+
+    (a1, w1), (a2, w2) = theta, phi
+    return (r0[0] + (sin_integral(a1 + a2, w1 + w2)
+                     + sin_integral(a1 - a2, w1 - w2)) / 2,
+            r0[1] + (cos_integral(a1 - a2, w1 - w2)
+                     - cos_integral(a1 + a2, w1 + w2)) / 2,
+            r0[2] + cos_integral(a1, w1))
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("free", 1e-12), ("fig3", 1e-10),
+    # roundoff of the running sums over 20,000 steps, where |phi| nears 447
+    ("fig1", 2e-6)])
+def test_linear_law_positions_match_their_closed_form(name, bound):
+    # under a zero or drive field the angles keep their linear law, so the
+    # positions are closed-form integrals of the velocity; 41 rows checked
+    scenario = resolve_scenario(name)
+    tr = run_scenario(scenario).trajectory
+    law = scenario.law
+    with mpmath.workdps(30):
+        theta, phi = ((mpmath.mpf(part.offset), mpmath.mpf(part.rate))
+                      for part in (law.theta, law.phi))
+        r0 = [mpmath.mpf(c) for c in scenario.initial.position]
+        err = 0.0
+        for i in np.linspace(0, len(tr) - 1, 41).round().astype(int):
+            exact = _linear_law_position(r0, theta, phi, mpmath.mpf(tr.t[i]))
+            err = max(err, *(float(abs(float(tr.r[i, j]) - exact[j]))
+                             for j in range(3)))
+    assert err <= bound
+
+
 def test_uniform_axial_field_drains_and_restores_k():
     st = make_state(phi_dot=10.0)
     tr = integrate_trajectory(st, ConstantField((0.0, 0.0, 0.5)), 20.0, 1e-3)
@@ -355,7 +397,7 @@ def test_trajectory_columns_are_the_observables_formulas(name):
                 localization_from_rates(tr.theta, tr.theta_dot, tr.phi_dot),
                 *kinetic_momentum_from_state(
                     tr.theta, tr.phi, tr.theta_dot, tr.phi_dot,
-                    scenario.s.sample_time(tr.t), scenario.helicity))
+                    scenario.s.value(t=tr.t), scenario.helicity))
     columns = (tr.v, tr.k, tr.e0, tr.p)
     for column, value in zip(columns, expected, strict=True):
         assert column.tobytes() == value.tobytes()

@@ -53,6 +53,10 @@ T_ENDS = mostly(("0.5", "2"),
 INTEGERS = mostly(("0", "7"), ("-1", "2.5", "1e30", "1e309", "nan"))
 SAMPLE_COUNTS = mostly(("1", "7", "30"), ("0", "-2", "2.5", "1e309", "1e9"))
 DEEP = "(" * 400 + "t" + ")" * 400  # past the parser's depth bound
+# a law whose sqrt is defined on the grid but not everywhere between
+REFINE_ERROR = ("theta_expr = 1 + 0.01*(t - 0.30025)^2"
+                " + 1e-12*sqrt((t - 0.30025)^2 - 1e-12)\n"
+                "omega2 = 1\nfield = drive\nt_end = 1\n")
 TEXT_VALUES = {
     "helicity": mostly(("positive", "negative"), ("sideways",)),
     "h": mostly(("zero", "plane_wave", "0.3*x - t"),
@@ -174,6 +178,11 @@ def invocations(draw):
 # |E| = 1e308 at t = 0: its square overflows in the --si reading
 @example((["control", "{tmp}/gen.scn", "--dedt=1e308", "--si",
            "--out={tmp}/out"], "dt = 0.001\nt_end = 0.5\n"))
+# the run passes its gate, but refining its k minimum evaluates the law
+# between grid points, where sqrt is out of its domain: no CSV is written
+@example((["simulate", "{tmp}/gen.scn", "--out={tmp}/existing"],
+          REFINE_ERROR))
+@example((["figures", "{tmp}/gen.scn", "--out={tmp}"], REFINE_ERROR))
 def test_exit_code_contract_holds_for_generated_runs(invocation):
     check_exit_contract(*invocation)
 

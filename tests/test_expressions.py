@@ -328,12 +328,12 @@ def test_scalar_field_basics():
     assert ScalarField.from_text("sin(t)").is_time_only
 
 
-def test_scalar_field_sample_time_vectorized():
+def test_scalar_field_value_vectorized():
     import numpy as np
 
     s = ScalarField.from_text("t^2 + 1")
     ts = np.linspace(0.0, 2.0, 5)
-    assert s.sample_time(ts) == pytest.approx(ts**2 + 1)
+    assert s.value(t=ts) == pytest.approx(ts**2 + 1)
 
 
 # --- array evaluation path against the scalar path ----------------------

@@ -60,7 +60,7 @@ def test_kinetic_momentum_broadcasts_over_times():
     ts = np.array([0.0, 0.7, 1.5])
     e0, p = kinetic_momentum_from_state(*ROTATING.angles(ts),
                                         *ROTATING.rates(ts),
-                                        s.sample_time(ts), POS)
+                                        s.value(t=ts), POS)
     for i, t in enumerate(ts):
         one_e0, one_p = kinetic_momentum_from_state(*ROTATING.angles(float(t)),
                                                     *ROTATING.rates(float(t)),

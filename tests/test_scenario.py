@@ -390,7 +390,7 @@ def test_running_summary_matches_the_whole_run_for_any_blocks(k):
     want = reference_summary(scn, traj)
     for first in range(1, len(k)):
         for cuts in ([first], [first, min(first + 2, len(k) - 1)]):
-            summary = scenario._Summary(scn)
+            summary = scenario.ScenarioStream(scn)
             for block in in_blocks(traj, sorted(set(cuts))):
                 summary.add(block)
             got = summary.finish()

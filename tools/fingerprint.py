@@ -76,6 +76,11 @@ exit code's place as its class name.  The runs are:
   ez = 0.25*(t - 1.5 + abs(t - 1.5)), dt = 0.001, t_end = 3: the field
   switches on at t = 1.5, so the first block's first CSV pass (1,200
   rows) holds k, pz and Ez constant while all three vary over the block;
+- `simulate` and `figures` on theta_expr = 1 + 0.01*(t - 0.30025)^2 +
+  1e-12*sqrt((t - 0.30025)^2 - 1e-12), omega2 = 1, `field = drive`,
+  t_end = 1 (a file written to the workdir): the run passes its gate,
+  but refining its k minimum evaluates the law between grid points,
+  where sqrt is out of its domain (exit 2, and no CSV is written);
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - `verify` on fig45 with `corrupt_b0 = 0.001` (a file written to the
@@ -269,13 +274,19 @@ def cli_runs(workdir: Path):
     switch.write_text("theta0 = pi/2\nomega2 = 1\ns = 0.1*t\nfield = expr\n"
                       "ez = 0.25*(t - 1.5 + abs(t - 1.5))\ndt = 0.001\n"
                       "t_end = 3\n")
+    refine = workdir / "refine.scn"
+    refine.write_text("theta_expr = 1 + 0.01*(t - 0.30025)^2"
+                      " + 1e-12*sqrt((t - 0.30025)^2 - 1e-12)\n"
+                      "omega2 = 1\nfield = drive\nt_end = 1\n")
     for argv in (("control", kunderflow, "--dkdt=-0.5"),
                  *(("simulate", scn) for scn in simulated),
                  *(("simulate", str(workdir / f"{name}.scn"))
                    for name in gates),
                  ("verify", str(replay)),
                  ("figures", str(trip)),
-                 ("simulate", str(switch))):
+                 ("simulate", str(switch)),
+                 ("simulate", str(refine)),
+                 ("figures", str(refine))):
         yield (":".join(["edge", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
