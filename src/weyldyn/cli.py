@@ -220,22 +220,29 @@ def cmd_figures(args) -> int:
     scenarios = [_with_options(resolve_scenario(name), args) for name in names]
     # --out names the directory here, not the CSV
     outdir = Path(args.out or "figures")
-    outdir.mkdir(parents=True, exist_ok=True)
+    made = [path for path in (outdir, *outdir.parents) if not path.exists()]
     written = {}  # preset name -> (CSV path, samples)
-    for name, scenario in zip(names, scenarios):
-        path = outdir / f"{scenario.name}.csv"
-        if FIGURE_COPIES.get(name) in written:
-            _note_grid_end(scenario)
-            source, samples = written[FIGURE_COPIES[name]]
-            with open(source, "rb") as copy, _whole(path) as handle:
-                shutil.copyfileobj(copy, handle)
-        else:
-            summary = _simulate_to(scenario, path)
-            if summary is None:
-                return 1
-            samples = summary["samples"]
-        written[name] = path, samples
-        print(f"{scenario.name}: {samples} samples -> {path}")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, scenario in zip(names, scenarios):
+            path = outdir / f"{scenario.name}.csv"
+            if FIGURE_COPIES.get(name) in written:
+                _note_grid_end(scenario)
+                source, samples = written[FIGURE_COPIES[name]]
+                with open(source, "rb") as copy, _whole(path) as handle:
+                    shutil.copyfileobj(copy, handle)
+            else:
+                summary = _simulate_to(scenario, path)
+                if summary is None:
+                    return 1
+                samples = summary["samples"]
+            written[name] = path, samples
+            print(f"{scenario.name}: {samples} samples -> {path}")
+    except BaseException:
+        for path in made:  # deepest first; one holding a file stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return 0
 
 

@@ -643,18 +643,14 @@ class AngleLaw:
     def accelerations(self, t):
         return self.theta.second_derivative(t), self.phi.second_derivative(t)
 
-    def is_drive_free(self, t, tol: float = 0.0):
-        """True when theta'' = phi'' = theta'*phi' = 0 at time t.
-
-        For an array of t the answer is a boolean array (or one bool when
-        the law's rates do not depend on t); a non-finite rate or
-        acceleration is never drive free.
-        """
+    def is_drive_free(self, t) -> bool:
+        """True when theta'' = phi'' = theta'*phi' = 0, each within 1e-12,
+        at time t, or at every time of an array t; a non-finite rate or
+        acceleration is never drive free."""
         td, pd = self.rates(t)
         tdd, pdd = self.accelerations(t)
-        free = ((np.abs(tdd) <= tol) & (np.abs(pdd) <= tol)
-                & (np.abs(td * pd) <= tol))
-        return free if _is_array(free) else bool(free)
+        return bool(np.all((np.abs(tdd) <= 1e-12) & (np.abs(pdd) <= 1e-12)
+                           & (np.abs(td * pd) <= 1e-12)))
 
 
 class ScalarField:

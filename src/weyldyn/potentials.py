@@ -13,8 +13,9 @@ potential through the usual assignment
     E = -grad U - dA/dt,   B = curl A,
 
 either numerically (central differences on the potential, the slow but
-assumption-free route) or through the closed forms below (the fast
-route).  Tests hold the two routes against each other.
+assumption-free route) or through one of two closed forms (the fast
+route): the drive field of a law and the gauge-family field of an s.
+Tests hold the two routes against each other.
 
 `FourPotentialField.components`, `field_from_potential_numeric`,
 `drive_field_closed_form`, `gauge_family_field` and
@@ -26,8 +27,10 @@ math.sin and math.cos).  A field is a float
 array of rows (..., 3): shape (3,) at one time or event, (n, 3) over n
 times or draws, the layout `FieldProgram.sample` and the integrator
 use.  The numeric route and `gauge_family_field` return (E, B); the
-drive and control fields have B = 0 and return E alone.  The k-control
-field is the drive field of its target law, so it has no formula of its own.
+drive and control fields return E alone, B being zero for the drive
+field and for a time-only s.  The control fields have no formula of
+their own: energy control is the gauge-family field of the ramp
+s = -dedt t, k control the drive field of its target law.
 
 `field_from_potential_numeric` differences the components on the
 stencil of `spinors.on_stencil`: for an array event it calls
@@ -190,24 +193,16 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float, ev: Event):
 
 def energy_control_field(de_dt: float, law: AngleLaw, q: float,
                          t) -> np.ndarray:
-    """Field rows (1/q) de_dt v along the velocity, which changes the
-    energy at rate de_dt.
-
-    Valid when the motion is drive free (theta'' = phi'' = theta'*phi'
-    = 0).  The gauge-family field of s = -de_dt t is this field plus
-    -(s/q) dv/dt: both give q E.v = de_dt, and they coincide only when
-    dv/dt = 0.  Same for both helicities.  Raises ValueError unless the
-    law is drive free at every t (a non-finite rate or acceleration is
-    not).
-    """
-    _require_charge(q)
-    if not np.all(law.is_drive_free(t, tol=1e-12)):
-        raise ValueError(
-            "energy control requires a drive-free law "
-            "(theta'' = phi'' = theta'*phi' = 0)"
-        )
-    theta, phi, _ = np.broadcast_arrays(*law.angles(t), t)
-    return (de_dt / q) * velocity_from_angles(theta, phi)
+    """Field rows that change the energy at rate de_dt (q E.v = de_dt):
+    the gauge-family field of the ramp s = -de_dt t, whose B vanishes as
+    s depends on t only; the same for both helicities.  Raises ValueError
+    unless the law is drive free (theta'' = phi'' = theta'*phi' = 0) at
+    every t; a non-finite rate or acceleration is not."""
+    if not law.is_drive_free(t):
+        raise ValueError("energy control requires a drive-free law "
+                         "(theta'' = phi'' = theta'*phi' = 0)")
+    ramp = ScalarField(parse_expr("c*t", {"c": -de_dt}))
+    return gauge_family_field(law, ramp, q, Event(0.0, 0.0, 0.0, t))[0]
 
 
 def k_control_field(dk_dt: float, mode: str, law: AngleLaw,

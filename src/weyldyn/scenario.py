@@ -555,9 +555,8 @@ def control_profile(scenario: Scenario, *, dedt: float | None = None,
     (ts, fields, check): its grid, one (Ex, Ey, Ez) row per grid time,
     and a function that checks the profile and returns its ControlRun.
 
-    dedt: the field (dedt/q) v along the velocity v of a drive-free law,
-    which equals the kappa s field of the gauge s = -dedt t only where
-    dv/dt = 0; the measured rate is the grid mean of the power
+    dedt: the kappa s field of the gauge s = -dedt t on a drive-free law
+    (energy_control_field); the measured rate is the grid mean of the power
     q E.v that the written field delivers along the law's velocity
     (trapezoid rule), and series is the kinetic energy E0.  This check
     is done here, and check only returns it.

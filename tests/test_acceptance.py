@@ -175,15 +175,17 @@ def test_criterion_04_field_cross_validation(report):
     from weyldyn.potentials import energy_control_field, k_control_field
 
     worst_ctrl = 0.0
-    static = AngleLaw.linear(1.1, 0.0, 0.4, 0.0)
-    ramp = FourPotentialField(static, None, None,
-                              ScalarField.from_text("-2.5*t"))
-    for t in (0.0, 0.7, 1.6):
-        closed = energy_control_field(2.5, static, 1.3, t)
-        numeric_e, _ = field_from_potential_numeric(ramp, 1.3,
-                                                    Event(0.0, 0.0, 0.0, t))
-        worst_ctrl = max(worst_ctrl,
-                         float(np.max(np.abs(closed - numeric_e))))
+    # a static law, and one rotating in phi, whose velocity turns
+    for law in (AngleLaw.linear(1.1, 0.0, 0.4, 0.0),
+                AngleLaw.linear(1.0, 0.0, 0.0, 1.0)):
+        ramp = FourPotentialField(law, None, None,
+                                  ScalarField.from_text("-2.5*t"))
+        for t in (0.0, 0.7, 1.6):
+            closed = energy_control_field(2.5, law, 1.3, t)
+            numeric_e, _ = field_from_potential_numeric(
+                ramp, 1.3, Event(0.0, 0.0, 0.0, t))
+            worst_ctrl = max(worst_ctrl,
+                             float(np.max(np.abs(closed - numeric_e))))
 
     # rate-control fields against the potential of the matching quadratic law
     theta0, alpha = 0.9, 0.12

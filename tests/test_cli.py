@@ -823,19 +823,24 @@ def run_cli_below(limit, *args, cwd):
 def test_a_file_that_cannot_be_written_whole_is_not_written(tmp_path, args,
                                                            out, limit):
     # the write fails part way (exit 2): a new file is not made, one
-    # already there keeps its bytes, and no temporary file is left
+    # already there keeps its bytes, and no temporary file is left; a
+    # directory that figures made for its --out is removed again
     folder = (tmp_path / out).parent
     argv = [*args, "--out", str(folder if args[0] == "figures"
                                 else tmp_path / out)]
     for before in (None, b"kept\n"):
         if before is not None:
+            folder.mkdir(exist_ok=True)
             (tmp_path / out).write_bytes(before)
         r = run_cli_below(limit, *argv, cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert r.stderr == "error: [Errno 27] File too large\n"
         assert r.stdout == ""
-        assert [p.name for p in folder.iterdir()] == (
-            [] if before is None else [Path(out).name])
+        if before is None and folder != tmp_path:
+            assert not folder.exists()
+        else:
+            assert [p.name for p in folder.iterdir()] == (
+                [] if before is None else [Path(out).name])
         if before is not None:
             assert (tmp_path / out).read_bytes() == before
     if args[0] != "figures":  # whose --out names a directory

@@ -3,10 +3,11 @@
 `cli.main` runs in-process on generated scenario files and option sets,
 valid and invalid alike.  It must return 0, 1 or 2, let no exception
 escape (a stray numpy RuntimeWarning is an error under the test
-configuration), pair exit 2 with an `error:` line on stderr and no CSV
-written, and leave no inf or nan in a CSV it wrote when it exits 0.  The one option set
-argparse refuses, `control --dedt` with `--mode`, exits 2 through the
-parser's usage error and writes no CSV.
+configuration), pair exit 2 with an `error:` line on stderr, no CSV
+written and no directory made, and leave no inf or nan in a CSV it
+wrote when it exits 0.  The one option set argparse refuses, `control
+--dedt` with `--mode`, exits 2 through the parser's usage error and
+writes no CSV.
 
 The number pools keep every accepted grid at 2000 steps or fewer: the
 largest finite t_end is 2 and the smallest accepted dt is 0.001, and
@@ -183,6 +184,8 @@ def invocations(draw):
 @example((["simulate", "{tmp}/gen.scn", "--out={tmp}/existing"],
           REFINE_ERROR))
 @example((["figures", "{tmp}/gen.scn", "--out={tmp}"], REFINE_ERROR))
+# the same failure into a directory to be made: exit 2 leaves none of it
+@example((["figures", "{tmp}/gen.scn", "--out={tmp}/figs/sub"], REFINE_ERROR))
 def test_exit_code_contract_holds_for_generated_runs(invocation):
     check_exit_contract(*invocation)
 
@@ -205,8 +208,9 @@ def check_exit_contract(argv, text):
             except SystemExit as exc:
                 assert usage_error, err.getvalue()
                 rc = exc.code
-        written = [path.read_bytes() for path in Path(tmp).rglob("*")
-                   if path.is_file()]
+        paths = list(Path(tmp).rglob("*"))
+        written = [path.read_bytes() for path in paths if path.is_file()]
+        folders = [path for path in paths if path.is_dir()]
     assert rc in (0, 1, 2)
     csvs = [data for data in written if data.startswith(b"t,")]
     if rc == 0:
@@ -219,6 +223,7 @@ def check_exit_contract(argv, text):
         assert any(line.startswith("error: ")
                    for line in err.getvalue().splitlines()), err.getvalue()
         assert not csvs  # a refused run writes nothing
+        assert not folders, folders  # and makes no directory
 
 
 # --- scenario files from docs/expression-grammar.md ------------------------

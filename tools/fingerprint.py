@@ -81,6 +81,10 @@ exit code's place as its class name.  The runs are:
   t_end = 1 (a file written to the workdir): the run passes its gate,
   but refining its k minimum evaluates the law between grid points,
   where sqrt is out of its domain (exit 2, and no CSV is written);
+- `control --dedt 2 --si` on theta0 = 1, omega2 = 1, dt = 0.01,
+  t_end = 10 (a file written to the workdir), a drive-free law whose
+  velocity turns, so that the energy-control field has a -(s/q) dv/dt
+  part;
 - `verify` on the presets at seeds 0 and 5, and at sample_count 1, 7, 100
   and 1000;
 - `verify` on fig45 with `corrupt_b0 = 0.001` (a file written to the
@@ -278,6 +282,8 @@ def cli_runs(workdir: Path):
     refine.write_text("theta_expr = 1 + 0.01*(t - 0.30025)^2"
                       " + 1e-12*sqrt((t - 0.30025)^2 - 1e-12)\n"
                       "omega2 = 1\nfield = drive\nt_end = 1\n")
+    turning = workdir / "turning.scn"
+    turning.write_text("theta0 = 1\nomega2 = 1\ndt = 0.01\nt_end = 10\n")
     for argv in (("control", kunderflow, "--dkdt=-0.5"),
                  *(("simulate", scn) for scn in simulated),
                  *(("simulate", str(workdir / f"{name}.scn"))
@@ -286,7 +292,8 @@ def cli_runs(workdir: Path):
                  ("figures", str(trip)),
                  ("simulate", str(switch)),
                  ("simulate", str(refine)),
-                 ("figures", str(refine))):
+                 ("figures", str(refine)),
+                 ("control", str(turning), "--dedt", "2", "--si")):
         yield (":".join(["edge", *argv]),
                _run(cli, (*argv, "--out", str(out)), [out]))
     for name in PRESETS:
