@@ -114,7 +114,11 @@ class Expr:
         raise NotImplementedError
 
     def free_variables(self) -> frozenset:
-        raise NotImplementedError
+        names = frozenset()
+        for value in vars(self).values():
+            if isinstance(value, Expr):
+                names |= value.free_variables()
+        return names
 
     def __str__(self) -> str:
         raise NotImplementedError
@@ -134,9 +138,6 @@ class Const(Expr):
 
     def diff(self, var):
         return Const(0.0)
-
-    def free_variables(self):
-        return frozenset()
 
     def __str__(self):
         return repr(self.value)
@@ -172,9 +173,6 @@ class Neg(Expr):
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
-
-    def free_variables(self):
-        return self.arg.free_variables()
 
     def __str__(self):
         inner = str(self.arg)
@@ -226,9 +224,6 @@ class Call(Expr):
             # u/|u| * u'; undefined at u = 0, reported on evaluation
             return _mul(du, _div(u, Call("abs", u)))
         raise DifferentiationError(f"no derivative rule for '{self.fn}'")
-
-    def free_variables(self):
-        return self.arg.free_variables()
 
     def __str__(self):
         return f"{self.fn}({self.arg})"
@@ -317,9 +312,6 @@ class BinOp(Expr):
                 f"cannot differentiate '{self}': exponent must be constant"
             )
         raise AssertionError(op)
-
-    def free_variables(self):
-        return self.left.free_variables() | self.right.free_variables()
 
     def __str__(self):
         prec = self.precedence

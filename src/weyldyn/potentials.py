@@ -23,14 +23,15 @@ Tests hold the two routes against each other.
 equal-shape arrays (or an array of times), one entry per draw.  They
 compute through numpy ufuncs in the scalar operation order, so each
 entry rounds exactly as a scalar call would (np.sin and np.cos equal
-math.sin and math.cos).  A field is a float
-array of rows (..., 3): shape (3,) at one time or event, (n, 3) over n
-times or draws, the layout `FieldProgram.sample` and the integrator
-use.  The numeric route and `gauge_family_field` return (E, B); the
-drive and control fields return E alone, B being zero for the drive
-field and for a time-only s.  The control fields have no formula of
-their own: energy control is the gauge-family field of the ramp
-s = -dedt t, k control the drive field of its target law.
+math.sin and math.cos).  A field is a float array of rows (..., 3):
+shape (3,) at one time or event, (n, 3) over n times or draws, the
+layout `FieldProgram.sample` and the integrator use.  The numeric route
+and `gauge_family_field` return (E, B); the drive and control fields
+return E alone, B being zero for the drive field and for a time-only s.
+A zero component of the drive field is +0.0; the gauge-family field's
+keeps the sign its formula gives.  The control fields have no formula
+or zero rule of their own: energy control is the gauge-family field of
+the ramp s = -dedt t, k control the drive field of its target law.
 
 `field_from_potential_numeric` differences the components on the
 stencil of `spinors.on_stencil`: for an array event it calls
@@ -155,8 +156,7 @@ def drive_field_closed_form(law: AngleLaw, helicity: Helicity, q: float,
     scale = helicity.sign / (2.0 * q)
     ex = scale * (cp * theta_dot * phi_dot + sp * theta_ddot)
     ey = scale * (sp * theta_dot * phi_dot - cp * theta_ddot)
-    ez = -scale * phi_ddot + 0.0  # a zero Ez is +0.0
-    return vector_rows(t, ex, ey, ez)
+    return vector_rows(t, ex, ey, -scale * phi_ddot) + 0.0  # zeros: +0.0
 
 
 def gauge_family_field(law: AngleLaw, s: ScalarField, q: float, ev: Event):
@@ -194,10 +194,10 @@ def gauge_family_field(law: AngleLaw, s: ScalarField, q: float, ev: Event):
 def energy_control_field(de_dt: float, law: AngleLaw, q: float,
                          t) -> np.ndarray:
     """Field rows that change the energy at rate de_dt (q E.v = de_dt):
-    the gauge-family field of the ramp s = -de_dt t, whose B vanishes as
-    s depends on t only; the same for both helicities.  Raises ValueError
-    unless the law is drive free (theta'' = phi'' = theta'*phi' = 0) at
-    every t; a non-finite rate or acceleration is not."""
+    the gauge-family field of the ramp s = -de_dt t, for both helicities;
+    a zero keeps the sign of -(...)/q, and B = 0 as s depends on t only.
+    Raises ValueError unless the law is drive free (theta'' = phi'' =
+    theta'*phi' = 0) at every t; a non-finite rate or acceleration is not."""
     if not law.is_drive_free(t):
         raise ValueError("energy control requires a drive-free law "
                          "(theta'' = phi'' = theta'*phi' = 0)")
@@ -216,10 +216,10 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
     phi rotating with phi' = omega2 = 2k/sin(theta0) > 0; the field is
     axial.  mode "polar": phi pinned at phi0 (omega2 = 0), theta rotating
     with theta' = omega1 = 2k >= 0; the field lies in the x-y plane.
-    Along the target law the field is constant, and a zero component is
-    +0.0.  Raises ValueError when the law or the mode does not admit k
-    control, when polar control would take k below zero from k = 0, and
-    when dk_dt asks for an acceleration that overflows.
+    Along the target law the field is constant.  Raises ValueError when
+    the law or the mode does not admit k control, when polar control
+    would take k below zero from k = 0, and when dk_dt asks for an
+    acceleration that overflows.
     """
     if not law.is_linear:
         raise ValueError("k control requires a linear angle law")
@@ -253,4 +253,4 @@ def k_control_field(dk_dt: float, mode: str, law: AngleLaw,
               else AngleLaw(driven, law.phi))
     # a tiny q or q sin(theta0) overflows a component to +-inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        return drive_field_closed_form(target, helicity, q, 0.0) + 0.0
+        return drive_field_closed_form(target, helicity, q, 0.0)

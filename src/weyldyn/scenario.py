@@ -18,10 +18,10 @@ caller can write each block and let it go.  The summary is the stream's
 alone: a running reduction over blocks, to which run_scenario adds its
 whole trajectory as one block.
 run_control computes an energy or localization control profile on the
-whole time grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once, on
-the array of grid times: energy_control_field and kinetic_momentum_from_state
-once each, the law's angles and rates and the velocity twice (in the field,
-then for E0 and q E.v); its k-control check integrates only the angles.
+whole grid 0, dt, ..., n*dt (n = grid_steps(t_end, dt)) at once.  Energy
+control evaluates the law's rates three times (is_drive_free, the field,
+E0) and accelerations once, its angles and velocity twice (the field, then
+E0 and q E.v); its k-control check integrates only the angles.
 control_profile returns the same profile before its check, so that a
 caller can write the profile while the check runs.
 """

@@ -266,7 +266,7 @@ def test_k_control_profile_writes_no_negative_zero(tmp_path, monkeypatch,
                                                    capsys, argv, zeros):
     # the control-zeros runs of tools/fingerprint.py write each zero
     # component as 0.0: with phi0 in the third quadrant the drive field's
-    # Ex and Ey sums are -0.0 until k_control_field adds 0.0
+    # Ex and Ey sums are -0.0 until drive_field_closed_form adds 0.0
     monkeypatch.chdir(tmp_path)
     (tmp_path / "quadrant.scn").write_text("theta0 = 1\nphi0 = -2.5\n"
                                            "omega2 = 10\nt_end = 1\n")
@@ -276,6 +276,31 @@ def test_k_control_profile_writes_no_negative_zero(tmp_path, monkeypatch,
             for line in out.read_text().splitlines()[1:]]
     assert len(rows) > 1000
     assert all(row == ["0.0"] * zeros for row in rows)
+
+
+def test_simulated_drive_field_writes_zeros_as_k_control_does(tmp_path,
+                                                              capsys):
+    # the edge:simulate:drivezero run of tools/fingerprint.py: a uniform
+    # azimuthal rotation has a zero drive field, whose Ex sum is -0.0 while
+    # phi is in the third quadrant; simulate writes it as control --dkdt 0
+    scn = tmp_path / "drivezero.scn"
+    scn.write_text("theta0 = 1\nphi0 = -2.5\nomega2 = 1\nfield = drive\n"
+                   "t_end = 1\n")
+    simulated, controlled = tmp_path / "sim.csv", tmp_path / "k.csv"
+    assert cli.main(["simulate", str(scn), "--out", str(simulated)]) == 0
+    assert cli.main(["control", str(scn), "--dkdt", "0",
+                     "--out", str(controlled)]) == 0
+
+    def field_columns(path):
+        header, *rows = (line.split(",")
+                         for line in path.read_text().splitlines())
+        columns = [header.index(name) for name in ("Ex", "Ey", "Ez")]
+        return [[row[i] for i in columns] for row in rows]
+
+    rows = field_columns(simulated)
+    assert len(rows) == 1001
+    assert not any("-0.0" in row for row in rows)
+    assert rows == field_columns(controlled)
 
 
 def test_k_control_does_not_integrate_positions():

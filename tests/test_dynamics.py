@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from weyldyn import dynamics
 from weyldyn.dynamics import (
     ConstantField,
     ConstraintViolation,
@@ -27,7 +28,8 @@ from weyldyn.dynamics import (
 from weyldyn.expressions import AngleLaw, ScalarField, eval_expr, parse_expr
 from weyldyn.observables import (kinetic_momentum_from_state,
                                  localization_from_rates, velocity_from_angles)
-from weyldyn.scenario import resolve_scenario, run_scenario
+from weyldyn.scenario import (parse_scenario_text, resolve_scenario,
+                              run_scenario)
 from weyldyn.spinors import Helicity
 
 POS = Helicity.POSITIVE
@@ -266,6 +268,121 @@ def test_linear_law_positions_match_their_closed_form(name, bound):
             err = max(err, *(float(abs(float(tr.r[i, j]) - exact[j]))
                              for j in range(3)))
     assert err <= bound
+
+
+# theta stays pi/2 under an axial field, so theta' = 0, the residual is 0,
+# and the run is phi'' = -2 Ez(t), x' = cos(phi), y' = sin(phi)
+AXIAL_EXPR_RUN = ("theta0 = pi/2\nomega2 = 3\nfield = expr\nex = 0\n"
+                  "ey = 0\nez = 0.5 + 0.3*sin(2*t) - 0.2*t\nt_end = 2\n")
+ODE_TIMES = range(11)  # t = 0, 0.2, ..., 2
+
+
+@pytest.fixture(scope="module")
+def axial_expr_reference():
+    """(phi, x, y) at t = j / 5 from mpmath.odefun, a Taylor-series ODE
+    solver, at 25 digits (about 1.4 s)."""
+    with mpmath.workdps(25):
+        def slopes(t, state):
+            phi, phi_dot, _, _ = state
+            ez = (mpmath.mpf(1) / 2 + mpmath.mpf(3) / 10 * mpmath.sin(2 * t)
+                  - mpmath.mpf(2) / 10 * t)
+            return [phi_dot, -2 * ez, mpmath.cos(phi), mpmath.sin(phi)]
+
+        solution = mpmath.odefun(slopes, 0, [0, 3, 0, 0])
+        reference = []
+        for j in ODE_TIMES:
+            phi, _, x, y = solution(mpmath.mpf(j) / 5)
+            reference.append((float(phi), float(x), float(y)))
+        return reference
+
+
+def axial_expr_error(reference, dt):
+    """Largest error in phi, x or y of the axial expression-field run at
+    t = 0, 0.2, ..., 2."""
+    tr = run_scenario(parse_scenario_text(AXIAL_EXPR_RUN)
+                      .with_overrides(dt=dt)).trajectory
+    err = 0.0
+    for j in ODE_TIMES:
+        i = round(j / 5 / dt)
+        assert tr.t[i] == pytest.approx(j / 5, abs=1e-12)
+        got = (tr.phi[i], tr.r[i, 0], tr.r[i, 1])
+        err = max(err, *(abs(a - b) for a, b in zip(got, reference[j])))
+    return err
+
+
+_RK4_STAGES = dynamics._rk4_stages
+
+
+def _third_stage_from_k1(seg, h, k1, k2, k3, k4):
+    """_rk4_stages with the third stage taken from k1, not k2: second
+    order."""
+    base, second, _, fourth = _RK4_STAGES(seg, h, k1, k2, k3, k4)
+    return base, second, second, fourth
+
+
+def test_expression_field_run_converges_at_fourth_order_to_an_ode_reference(
+        axial_expr_reference):
+    # measured 3.93e-8, 2.45e-9 and 1.53e-10: ratios of 16.0
+    errors = [axial_expr_error(axial_expr_reference, dt)
+              for dt in (0.04, 0.02, 0.01)]
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
+
+
+def test_expression_field_run_matches_the_ode_reference_at_fine_dt(
+        axial_expr_reference):
+    # measured 1.3e-14
+    assert axial_expr_error(axial_expr_reference, 0.001) <= 1e-12
+
+
+def test_the_ode_reference_sees_a_second_order_stage(axial_expr_reference,
+                                                     monkeypatch):
+    # measured ratio 4.0, the second order of the mutant
+    monkeypatch.setattr(dynamics, "_rk4_stages", _third_stage_from_k1)
+    errors = [axial_expr_error(axial_expr_reference, dt)
+              for dt in (0.02, 0.01)]
+    assert errors[0] / errors[1] < 5.0
+
+
+def _cumulative_simpson(f, h):
+    """The integral of the samples f (rows on a grid of step h, an even
+    number of steps) from the first sample to each even-index one, by
+    Simpson's rule over pairs of steps."""
+    assert len(f) % 2 == 1
+    pairs = (h / 3) * (f[0:-2:2] + 4 * f[1:-1:2] + f[2::2])
+    return np.concatenate((np.zeros((1, *f.shape[1:])),
+                           np.cumsum(pairs, axis=0)))
+
+
+def force_law_residuals(tr):
+    """max |p(t) - p(0) - q int E dt| and max |E0(t) - E0(0) - q int E.v dt|
+    over the even grid points: the integral form of dp/dt = q E and
+    dE0/dt = q E.v, for a run without a gauge s."""
+    work = np.vecdot(tr.e, tr.v)
+    momentum = tr.p[::2] - tr.p[0] - tr.q * _cumulative_simpson(tr.e, tr.dt)
+    energy = tr.e0[::2] - tr.e0[0] - tr.q * _cumulative_simpson(work, tr.dt)
+    return float(np.max(np.abs(momentum))), float(np.max(np.abs(energy)))
+
+
+@pytest.mark.parametrize("name, bound", [
+    # measured (momentum / work): 0 / 0, 1.37e-8 / 1.53e-8 (the roundoff of
+    # the running sums, as in the closed-form test), 1.97e-11 / 2.62e-11,
+    # 8.89e-13 / 4.32e-29
+    ("free", 1e-13), ("fig1", 5e-7), ("fig3", 1e-9), ("fig45", 1e-10)])
+def test_preset_runs_keep_the_integral_force_laws(name, bound):
+    scenario = resolve_scenario(name)
+    assert not scenario.s.free_variables() and scenario.s.value() == 0.0
+    assert max(force_law_residuals(run_scenario(scenario).trajectory)) <= bound
+
+
+def test_the_force_laws_see_a_wrong_phi_ddot(monkeypatch):
+    # phi'' = -2.002 q Ez passes verify and the run gate; measured 1.0e-2
+    def mutant(q_eff, e):
+        return (-2.002 * q_eff) * e[..., 2]
+
+    monkeypatch.setattr(dynamics, "phi_ddot_from_field", mutant)
+    tr = run_scenario(resolve_scenario("fig45")).trajectory
+    assert force_law_residuals(tr)[0] > 1e-3
 
 
 def test_uniform_axial_field_drains_and_restores_k():

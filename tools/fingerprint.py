@@ -54,6 +54,9 @@ exit code's place as its class name.  The runs are:
   sqrt(1e-300+t), phi_expr = 0 (the field is nan); all three exit 1;
 - `simulate` on theta0 = 1, omega2 = 1 with ez = -0 as `field = expr`
   and as `field = constant`, which both write Ez -0.0;
+- `simulate` under the zero drive field of theta0 = 1, phi0 = -2.5,
+  omega2 = 1, whose components are written 0.0 as a k-control profile
+  writes them, not -0.0;
 - `simulate` with the gauge s = -t, which is -0.0 at t = 0, so that E0,
   py and pz there are 0.0 as the scalar formula gives them;
 - the run gate's order, `simulate` on theta0 = 1, omega2 = 1 (exit 1):
@@ -254,6 +257,8 @@ def cli_runs(workdir: Path):
              "exprzero": "theta0 = 1\nomega2 = 1\nfield = expr\nez = -0\n",
              "constzero": "theta0 = 1\nomega2 = 1\nfield = constant\n"
                           "ez = -0\n",
+             "drivezero": "theta0 = 1\nphi0 = -2.5\nomega2 = 1\n"
+                          "field = drive\n",
              "gaugesign": "s = -t\n"}
     for name, text in edges.items():
         (workdir / f"{name}.scn").write_text(text + "t_end = 1\n")
